@@ -31,7 +31,6 @@ from .model import (
     MatchContextId,
     OpDescriptor,
     OpKind,
-    PartitionEvent,
     PartitionedRequest,
     Placement,
     Purpose,
@@ -43,7 +42,6 @@ from .model import (
     decode_tag,
     dup_communicator,
     encode_tag,
-    partitioned_transition,
     world_communicator,
 )
 from .patterns import (
@@ -84,8 +82,8 @@ from .simulator import (
     Event,
     EventKind,
     SimReport,
+    channel_policy,
     compare_mechanisms,
-    default_policy,
     run,
 )
 

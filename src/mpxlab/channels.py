@@ -90,6 +90,18 @@ class MappingPolicy:
         raise MappingError(f"{self.kind.value} does not map whole communicators")
 
 
+def communicator_key(op: OpDescriptor) -> int:
+    """The id a communicator policy keys one operation on: its context, else
+    its window (one matching entity, like a context), else its request."""
+    if op.context is not None:
+        return op.context.key
+    if op.window is not None:
+        return op.window
+    if op.partition is not None:
+        return op.partition[0]
+    raise MappingError("communicator policies need an addressed op")
+
+
 def map_entity(policy: MappingPolicy, op: OpDescriptor,
                pool: ChannelPool) -> tuple[int, int]:
     """Deterministic (local, remote) channel pair for one operation.
@@ -103,15 +115,7 @@ def map_entity(policy: MappingPolicy, op: OpDescriptor,
 
     if kind in (PolicyKind.ROUND_ROBIN_PER_COMMUNICATOR,
                 PolicyKind.HASH_COMMUNICATOR):
-        if op.context is not None:
-            key = op.context.key
-        elif op.window is not None:
-            key = op.window  # a window is one matching entity, like a context
-        elif op.partition is not None:
-            key = op.partition[0]
-        else:
-            raise MappingError("communicator policies need an addressed op")
-        ch = policy.channel_of_context(key, pool)
+        ch = policy.channel_of_context(communicator_key(op), pool)
         return ch, ch
 
     if kind is PolicyKind.TAG_BITS_ONE_TO_ONE:

@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from . import semantics
@@ -32,8 +33,8 @@ from .patterns import (
     min_channels_3d,
     min_communicators_3d,
 )
-from .patterns.specfile import Scenario, load_scenario
-from .simulator import CSV_HEADER, default_policy, run
+from .patterns.specfile import MECHANISMS, POLICIES, Scenario, load_scenario
+from .simulator import CSV_HEADER, channel_policy, run
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -93,7 +94,7 @@ def cmd_analyze(args) -> int:
               f"{partitioned.objects_created['requests_per_process']}")
         print(f"min_channels: {channels_needed}")
 
-        policy = default_policy(ideal, pool)
+        policy = channel_policy(scenario.build_policy(), ideal, pool)
         ideal_ctx = [c.context_id for c in ideal.comms[1:]]
         report = collision_report(map_communicators(ideal_ctx, policy, pool), pool)
         print(f"pool_channels: {pool.num_channels}")
@@ -106,13 +107,9 @@ def cmd_analyze(args) -> int:
         return EXIT_OK
 
     # irregular kinds: report object counts per supported mechanism
-    for label in ("communicators-naive", "endpoints", "partitioned", "windows"):
-        probe = Scenario(**{**scenario.to_dict(),
-                            "mechanism": label,
-                            "process_grid": list(scenario.process_grid),
-                            "thread_grid": list(scenario.thread_grid)})
+    for label in MECHANISMS:
         try:
-            assignment = probe.build_assignment(pattern)
+            assignment = replace(scenario, mechanism=label).build_assignment(pattern)
         except UnsupportedPatternError as exc:
             print(f"{label}: unsupported ({exc})")
             continue
@@ -231,12 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--spec", required=True, help="scenario spec file")
         p.add_argument("--out", help="output directory (default $MPXLAB_OUT or .)")
-        p.add_argument("--mechanism", choices=[
-            "communicators", "communicators-naive", "tags", "endpoints",
-            "partitioned", "windows"])
-        p.add_argument("--policy", choices=[
-            "round-robin-comm", "hash-comm", "tag-bits", "endpoint-identity",
-            "partition-index"])
+        p.add_argument("--mechanism", choices=list(MECHANISMS))
+        p.add_argument("--policy", choices=list(POLICIES))
         p.add_argument("--channels", type=int, metavar="R")
         p.add_argument("--seed", type=int)
 

@@ -323,13 +323,6 @@ class RequestState(Enum):
     COMPLETE = "complete"
 
 
-class PartitionEvent(Enum):
-    START = "start"
-    PREADY = "pready"
-    PARRIVED_QUERY = "parrived"
-    WAIT_ALL = "waitall"
-
-
 class PartitionedRequest:
     """Persistent partitioned message: one request, many partition slots.
 
@@ -419,31 +412,6 @@ class PartitionedRequest:
             return True
         self.state = RequestState.COMPLETING
         return False
-
-
-def partitioned_transition(req: PartitionedRequest, event: PartitionEvent,
-                           partition: int | None = None):
-    """Apply one lifecycle event to a partitioned request.
-
-    Returns ``(req, outcome)`` where the outcome is the queried flag for
-    PARRIVED_QUERY, True/False (completed or blocked) for WAIT_ALL, and None
-    for the state-only events.
-    """
-    if event is PartitionEvent.START:
-        req.start()
-        return req, None
-    if event is PartitionEvent.PREADY:
-        if partition is None:
-            raise InvalidArgumentError("pready needs a partition index")
-        req.pready(partition)
-        return req, None
-    if event is PartitionEvent.PARRIVED_QUERY:
-        if partition is None:
-            raise InvalidArgumentError("parrived needs a partition index")
-        return req, req.parrived(partition)
-    if event is PartitionEvent.WAIT_ALL:
-        return req, req.wait_all()
-    raise InvalidArgumentError(f"unknown event {event}")
 
 
 class OpKind(Enum):

@@ -110,12 +110,6 @@ class CommPattern:
     def op(self, op_id: int) -> PatternOp:
         return self._by_id[op_id]
 
-    def matched_pairs(self):
-        return self.pairs
-
-    def process_ops(self, process: int):
-        return [op for op in self.ops if op.process == process]
-
     def intended_concurrent(self, a: PatternOp, b: PatternOp) -> bool:
         if a.op_id == b.op_id or a.process != b.process:
             return False

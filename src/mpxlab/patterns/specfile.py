@@ -12,11 +12,12 @@ thread; the RMA pattern draws twice as many tiles as there are workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
-from ..channels import ChannelPool, MappingPolicy, PolicyKind
-from ..errors import SpecFileError
-from .base import Assignment, CommPattern, Mechanism, PatternKind
+from ..channels import ChannelPool, PolicyKind
+from ..errors import InvalidArgumentError, SpecFileError, UnsupportedPatternError
+from ..model import check_wildcards_allowed
+from .base import Assignment, CommPattern, Mechanism
 from . import (
     build_assignment,
     gen_allreduce,
@@ -32,10 +33,43 @@ _ALLOWED_KEYS = {
     "mechanism", "hints", "channel_pool", "policy", "seed",
 }
 
-_KINDS = {k.value: k for k in PatternKind}
-_KINDS["fan-in"] = None  # synthetic worst-case matching scenario
 
-_MECHANISMS = {
+def _stencil(dims, points):
+    return lambda s: gen_stencil(dims, points, s.process_grid, s.thread_grid,
+                                 s.iterations, s.payload_bytes)
+
+
+def _legion(s):
+    nodes = s.process_grid[0]
+    task_threads = max(1, s.thread_grid[0] - 1)
+    return gen_legion(nodes, task_threads, s.iterations * nodes * task_threads,
+                      seed=s.seed, payload=s.payload_bytes)
+
+
+def _bspmm(s):
+    procs, threads = s.process_grid[0], s.thread_grid[0]
+    return gen_bspmm(procs, threads, tiles=2 * procs * threads,
+                     seed=s.seed, payload=s.payload_bytes)
+
+
+# pattern kind -> builder of its CommPattern from a Scenario; "fan-in" is the
+# synthetic worst-case matching scenario and has no PatternKind of its own
+KINDS = {
+    "stencil-2d-5pt": _stencil(2, 5),
+    "stencil-2d-9pt": _stencil(2, 9),
+    "stencil-3d-27pt": _stencil(3, 27),
+    "legion-polling": _legion,
+    "bspmm-rma": _bspmm,
+    "multithreaded-allreduce": lambda s: gen_allreduce(
+        s.process_grid[0], s.thread_grid[0],
+        buffer_elems=max(1, s.payload_bytes // 8)),
+    "dynamic-graph": lambda s: gen_dynamic_graph(
+        s.process_grid[0], s.thread_grid[0], rounds=s.iterations,
+        seed=s.seed, payload=s.payload_bytes),
+    "fan-in": lambda s: gen_fan_in(s.thread_grid[0], payload=s.payload_bytes),
+}
+
+MECHANISMS = {
     "communicators": (Mechanism.COMMUNICATORS, "ideal"),
     "communicators-naive": (Mechanism.COMMUNICATORS, "naive"),
     "tags": (Mechanism.TAGS_WITH_HINTS, ""),
@@ -44,12 +78,12 @@ _MECHANISMS = {
     "windows": (Mechanism.WINDOWS, ""),
 }
 
-_HINT_FLAGS = {
+HINT_FLAGS = {
     "allow_overtaking", "no_any_tag", "no_any_source",
     "accumulate_ordering_none",
 }
 
-_POLICIES = {p.value: p for p in PolicyKind}
+POLICIES = {p.value: p for p in PolicyKind}
 
 
 @dataclass
@@ -68,19 +102,9 @@ class Scenario:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "process_grid": list(self.process_grid),
-            "thread_grid": list(self.thread_grid),
-            "iterations": self.iterations,
-            "payload_bytes": self.payload_bytes,
-            "mechanism": self.mechanism,
-            "hints": dict(self.hints),
-            "channel_pool": self.channel_pool,
-            "seed": self.seed,
-        }
-        if self.policy is not None:
-            out["policy"] = self.policy
+        out = asdict(self)
+        if self.policy is None:
+            del out["policy"]
         return out
 
     def to_json(self) -> str:
@@ -89,37 +113,10 @@ class Scenario:
     # -- resolution ------------------------------------------------------
 
     def build_pattern(self) -> CommPattern:
-        kind = self.kind
-        px = self.process_grid
-        tx = self.thread_grid
-        if kind == "stencil-2d-5pt":
-            return gen_stencil(2, 5, px, tx, self.iterations, self.payload_bytes)
-        if kind == "stencil-2d-9pt":
-            return gen_stencil(2, 9, px, tx, self.iterations, self.payload_bytes)
-        if kind == "stencil-3d-27pt":
-            return gen_stencil(3, 27, px, tx, self.iterations, self.payload_bytes)
-        if kind == "legion-polling":
-            nodes = px[0]
-            task_threads = max(1, tx[0] - 1)
-            events = self.iterations * nodes * task_threads
-            return gen_legion(nodes, task_threads, events, seed=self.seed,
-                              payload=self.payload_bytes)
-        if kind == "bspmm-rma":
-            procs, threads = px[0], tx[0]
-            return gen_bspmm(procs, threads, tiles=2 * procs * threads,
-                             seed=self.seed, payload=self.payload_bytes)
-        if kind == "multithreaded-allreduce":
-            return gen_allreduce(px[0], tx[0],
-                                 buffer_elems=max(1, self.payload_bytes // 8))
-        if kind == "dynamic-graph":
-            return gen_dynamic_graph(px[0], tx[0], rounds=self.iterations,
-                                     seed=self.seed, payload=self.payload_bytes)
-        if kind == "fan-in":
-            return gen_fan_in(tx[0], payload=self.payload_bytes)
-        raise SpecFileError(f"field 'kind': unknown pattern {kind!r}")
+        return KINDS[self.kind](self)
 
     def build_assignment(self, pattern: CommPattern) -> Assignment:
-        mechanism, variant = _MECHANISMS[self.mechanism]
+        mechanism, variant = MECHANISMS[self.mechanism]
         num_comms = None
         if self.kind == "fan-in" and mechanism is Mechanism.COMMUNICATORS:
             num_comms = 1 if variant == "naive" else None
@@ -127,19 +124,30 @@ class Scenario:
             pattern, mechanism, variant=variant, num_comms=num_comms,
             ordering_none=bool(self.hints.get("accumulate_ordering_none")),
         )
-        overrides = {k: True for k in _HINT_FLAGS
+        overrides = {k: True for k in HINT_FLAGS
                      if self.hints.get(k) and not getattr(assignment.hints, k)}
         if overrides:
             assignment.hints = replace(assignment.hints, **overrides)
+            try:
+                for desc in assignment.bindings.values():
+                    check_wildcards_allowed(desc, assignment.hints)
+            except InvalidArgumentError as exc:
+                raise UnsupportedPatternError(
+                    f"the spec's hints forbid a wildcard this pattern uses: {exc}"
+                ) from exc
         return assignment
 
     def build_pool(self) -> ChannelPool:
         return ChannelPool(self.channel_pool)
 
-    def build_policy(self) -> MappingPolicy | None:
-        if self.policy is None:
-            return None
-        return MappingPolicy(_POLICIES[self.policy])
+    def build_policy(self) -> PolicyKind | None:
+        """The spec's channel policy; None leaves the mechanism's default."""
+        return None if self.policy is None else POLICIES[self.policy]
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
@@ -151,40 +159,43 @@ def scenario_from_dict(raw: dict) -> Scenario:
     for required in ("kind", "process_grid", "thread_grid"):
         if required not in raw:
             raise SpecFileError(f"field {required!r}: missing")
-    if raw["kind"] not in _KINDS:
+    if raw["kind"] not in KINDS:
         raise SpecFileError(f"field 'kind': unknown pattern {raw['kind']!r}")
 
     def _grid(name):
         value = raw[name]
         if (not isinstance(value, list) or not value
-                or not all(isinstance(v, int) and v > 0 for v in value)):
+                or not all(_is_int(v) and v > 0 for v in value)):
             raise SpecFileError(f"field {name!r}: expected positive integers")
         return tuple(value)
 
     def _posint(name, default):
         value = raw.get(name, default)
-        if not isinstance(value, int) or value < 1:
+        if not _is_int(value) or value < 1:
             raise SpecFileError(f"field {name!r}: expected a positive integer")
         return value
 
     mechanism = raw.get("mechanism", "communicators")
-    if mechanism not in _MECHANISMS:
+    if mechanism not in MECHANISMS:
         raise SpecFileError(
             f"field 'mechanism': {mechanism!r} not one of "
-            f"{sorted(_MECHANISMS)}"
+            f"{sorted(MECHANISMS)}"
         )
     hints = raw.get("hints", {})
-    if not isinstance(hints, dict) or not set(hints) <= _HINT_FLAGS:
+    if not isinstance(hints, dict) or not set(hints) <= HINT_FLAGS:
         raise SpecFileError(
-            f"field 'hints': flags limited to {sorted(_HINT_FLAGS)}"
+            f"field 'hints': flags limited to {sorted(HINT_FLAGS)}"
         )
+    for flag, value in hints.items():
+        if not isinstance(value, bool):
+            raise SpecFileError(f"field 'hints': {flag!r} must be true or false")
     policy = raw.get("policy")
-    if policy is not None and policy not in _POLICIES:
+    if policy is not None and policy not in POLICIES:
         raise SpecFileError(
-            f"field 'policy': {policy!r} not one of {sorted(_POLICIES)}"
+            f"field 'policy': {policy!r} not one of {sorted(POLICIES)}"
         )
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise SpecFileError("field 'seed': expected a non-negative integer")
 
     return Scenario(

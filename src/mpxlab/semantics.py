@@ -672,7 +672,7 @@ def validate_assignment(pattern: "CommPattern", assignment: "Assignment") -> Val
             f"assignment leaves {len(missing)} ops unbound (first: {missing[0]})"
         )
 
-    for send_id, recv_id in pattern.matched_pairs():
+    for send_id, recv_id in pattern.pairs:
         if not assignment.pair_matches(send_id, recv_id):
             report.matching_violations.append(
                 (send_id, recv_id, "bound contexts cannot match")

@@ -24,11 +24,17 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
-from .channels import ChannelPool, MappingPolicy, PolicyKind, map_entity
-from .errors import InvalidAssignmentError, MpxlabError
+from .channels import (
+    ChannelPool,
+    MappingPolicy,
+    PolicyKind,
+    communicator_key,
+    map_entity,
+)
+from .errors import InvalidAssignmentError, MpxlabError, UnsupportedPatternError
 from .model import ContextFamily, Direction, OpKind
 from .patterns.base import Assignment, CommPattern, Mechanism, PatternKind
 from .patterns.irregular import collective_footprint
@@ -108,22 +114,13 @@ class SimReport:
                    if not k.endswith("per_process"))
 
     def to_dict(self) -> dict:
-        return {
-            "mechanism": self.mechanism,
-            "variant": self.variant,
-            "seed": self.seed,
-            "makespan": self.makespan,
-            "max_concurrent_transfers": self.max_concurrent_transfers,
-            "match_attempts_total": self.match_attempts_total,
-            "matches_total": self.matches_total,
-            "sync_wait_events": self.sync_wait_events,
-            "probe_iterations": self.probe_iterations,
-            "barriers_total": self.barriers_total,
-            "channel_occupancy": self.channel_occupancy,
-            "memory_footprint_bytes": self.memory_footprint_bytes,
-            "objects": self.objects,
-            "phase_concurrency": {str(k): v for k, v in self.phase_concurrency.items()},
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "events"}
+        # string keys: sort_keys then orders phases lexically ("10" < "2"),
+        # as every pinned report does
+        out["phase_concurrency"] = {str(k): v
+                                    for k, v in self.phase_concurrency.items()}
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -136,22 +133,44 @@ class SimReport:
                 self.memory_footprint_bytes]
 
 
-def default_policy(assignment: Assignment, pool: ChannelPool) -> MappingPolicy:
-    """The channel policy a library would pair with each mechanism."""
-    mech = assignment.mechanism
-    if mech is Mechanism.COMMUNICATORS:
-        policy = MappingPolicy(PolicyKind.ROUND_ROBIN_PER_COMMUNICATOR)
+# the channel policy a library would pair with each mechanism
+DEFAULT_POLICY = {
+    Mechanism.COMMUNICATORS: PolicyKind.ROUND_ROBIN_PER_COMMUNICATOR,
+    Mechanism.TAGS_WITH_HINTS: PolicyKind.TAG_BITS_ONE_TO_ONE,
+    Mechanism.ENDPOINTS: PolicyKind.ENDPOINT_IDENTITY,
+    Mechanism.PARTITIONED: PolicyKind.PARTITION_INDEX,
+    Mechanism.WINDOWS: PolicyKind.HASH_COMMUNICATOR,
+}
+
+
+def channel_policy(kind: PolicyKind | None, assignment: Assignment,
+                   pool: ChannelPool) -> MappingPolicy:
+    """The mapping policy of ``kind`` (the mechanism's default when None),
+    filled in from the assignment.
+
+    Round-robin registers the assignment's communicators in creation order,
+    then every other key its ops map through, in first-binding order.  A
+    kind the assignment cannot express raises before any simulation starts.
+    """
+    kind = kind or DEFAULT_POLICY[assignment.mechanism]
+    layout = assignment.hints.tag_vci_bits
+    needs = {
+        PolicyKind.TAG_BITS_ONE_TO_ONE: ("a tag-bit layout", layout),
+        PolicyKind.ENDPOINT_IDENTITY: ("endpoints", assignment.endpoints_comm),
+        PolicyKind.PARTITION_INDEX: ("partitioned requests", assignment.requests),
+    }
+    if kind in needs and not needs[kind][1]:
+        raise UnsupportedPatternError(
+            f"policy {kind.value} needs {needs[kind][0]}, which the "
+            f"{assignment.mechanism.value} assignment does not create"
+        )
+    policy = MappingPolicy(kind, layout=layout)
+    if kind is PolicyKind.ROUND_ROBIN_PER_COMMUNICATOR:
         for comm in assignment.comms:
             policy.register_communicator(comm.context_id, pool)
-        return policy
-    if mech is Mechanism.TAGS_WITH_HINTS:
-        return MappingPolicy(PolicyKind.TAG_BITS_ONE_TO_ONE,
-                             layout=assignment.hints.tag_vci_bits)
-    if mech is Mechanism.ENDPOINTS:
-        return MappingPolicy(PolicyKind.ENDPOINT_IDENTITY)
-    if mech is Mechanism.PARTITIONED:
-        return MappingPolicy(PolicyKind.PARTITION_INDEX)
-    return MappingPolicy(PolicyKind.HASH_COMMUNICATOR)
+        for desc in assignment.bindings.values():
+            policy.register_communicator(communicator_key(desc), pool)
+    return policy
 
 
 def _footprint(pattern: CommPattern, assignment: Assignment) -> int:
@@ -558,24 +577,25 @@ class _Engine:
 
 
 def run(pattern: CommPattern, assignment: Assignment,
-        pool: ChannelPool | None = None, policy: MappingPolicy | None = None,
+        pool: ChannelPool | None = None, policy: PolicyKind | None = None,
         cost: CostModel | None = None, seed: int = 0,
         partitioned_buffers: int = 1) -> SimReport:
     """Execute one scenario and measure concurrency, matching and sync cost.
 
-    Refuses to run when the assignment fails matching validation.  Identical
-    inputs always produce identical reports.
+    ``policy`` picks the channel mapping; None takes the mechanism's default.
+    Refuses to run when the assignment fails matching validation or the
+    policy cannot map it.  Identical inputs always produce identical reports.
     """
     pool = pool or ChannelPool()
     cost = cost or CostModel()
+    mapping = channel_policy(policy, assignment, pool)
     check = validate_assignment(pattern, assignment)
     if check.matching_violations:
         raise InvalidAssignmentError(
             f"{len(check.matching_violations)} matching violations; "
             f"first: {check.matching_violations[0]}"
         )
-    policy = policy or default_policy(assignment, pool)
-    engine = _Engine(pattern, assignment, pool, policy, cost, seed,
+    engine = _Engine(pattern, assignment, pool, mapping, cost, seed,
                      partitioned_buffers)
     report = engine.run()
     expected = _expected_messages(pattern, assignment)

@@ -6,8 +6,9 @@ is deferred to later calibration.
 """
 
 import json
+import math
+from statistics import linear_regression
 
-import numpy as np
 import pytest
 
 import mpxlab as m
@@ -54,14 +55,15 @@ def test_criterion_03_half_parallelism(t):
 
 
 def test_criterion_04_matching_complexity():
-    sizes = np.array([2, 4, 8, 16])
+    sizes = [2, 4, 8, 16]
     attempts = []
     for n in sizes:
-        pattern = m.gen_fan_in(int(n))
+        pattern = m.gen_fan_in(n)
         shared = m.run(pattern, m.assign_communicators_naive(pattern,
                                                              num_comms=1))
         attempts.append(shared.match_attempts_total)
-    exponent = np.polyfit(np.log(sizes), np.log(attempts), 1)[0]
+    exponent = linear_regression([math.log(n) for n in sizes],
+                                 [math.log(a) for a in attempts]).slope
     assert exponent >= 1.8
 
     per_message = set()
@@ -101,16 +103,16 @@ def test_criterion_06_collision_modeling():
 def test_criterion_07_legion_probing():
     pattern = m.gen_legion(2, 4, 16, seed=3)
     events = 16
-    ks = np.array([1, 2, 4, 8])
+    ks = [1, 2, 4, 8]
     comm_rate, ep_rate = [], []
     for k in ks:
         comm = m.run(pattern, m.assign_communicators_naive(pattern,
-                                                           num_comms=int(k)))
+                                                           num_comms=k))
         comm_rate.append(comm.probe_iterations / events)
         ep = m.run(pattern, m.assign_endpoints(pattern))
         ep_rate.append(ep.probe_iterations / events)
-    comm_slope = np.polyfit(ks, comm_rate, 1)[0]
-    ep_slope = abs(np.polyfit(ks, ep_rate, 1)[0])
+    comm_slope = linear_regression(ks, comm_rate).slope
+    ep_slope = abs(linear_regression(ks, ep_rate).slope)
     assert comm_slope > 0.9
     assert ep_slope < 0.05
     _report(f"criterion 7: probe cost grows {comm_slope:.2f} per "

@@ -48,6 +48,33 @@ class TestAnalyze:
         broken = tmp_path / "broken.json"
         broken.write_text("{nope")
         assert main(["analyze", "--spec", str(broken)]) == 2
+        # JSON booleans are not integers, and hint values must be booleans
+        for bad in ({"process_grid": [True, 2], "iterations": True,
+                     "hints": {"allow_overtaking": "no"}},
+                    {"process_grid": [True, 2]}, {"thread_grid": [3, False]},
+                    {"iterations": True}, {"payload_bytes": True},
+                    {"channel_pool": True}, {"seed": False},
+                    {"hints": {"allow_overtaking": "no"}},
+                    {"hints": {"no_any_tag": 1}}):
+            spec = write_spec(tmp_path, **bad)
+            assert main(["analyze", "--spec", str(spec)]) == 2, bad
+            assert main(["assign", "--spec", str(spec), "--emit-spec"]) == 2, bad
+
+    def test_policy_override_changes_collision_lines(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, channel_pool=30)
+
+        def ideal_lines(*extra):
+            assert main(["analyze", "--spec", str(spec), *extra]) == 0
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("ideal_comm_")]
+
+        round_robin = ideal_lines()
+        assert ideal_lines("--policy", "round-robin-comm") == round_robin
+        assert round_robin[-1] == "ideal_comm_serialized_pairs: 0"
+        hashed = ideal_lines("--policy", "hash-comm")
+        assert hashed == ["ideal_comm_channels_used: 20",
+                          "ideal_comm_max_per_channel: 2",
+                          "ideal_comm_serialized_pairs: 4"]
 
 
 class TestSimulate:
@@ -67,6 +94,38 @@ class TestSimulate:
                           thread_grid=[5], mechanism="partitioned")
         assert main(["simulate", "--spec", str(spec),
                      "--out", str(tmp_path)]) == 4
+
+    @pytest.mark.parametrize("mechanism", [
+        "communicators", "communicators-naive", "tags", "endpoints",
+        "partitioned"])
+    @pytest.mark.parametrize("policy", [
+        None, "round-robin-comm", "hash-comm", "tag-bits",
+        "endpoint-identity", "partition-index"])
+    def test_policy_matrix_exit_codes(self, tmp_path, mechanism, policy):
+        # the communicator policies map every op; the others need the object
+        # they key on, and a mismatch is an unsupported combination
+        own_policy = {"tags": "tag-bits", "endpoints": "endpoint-identity",
+                      "partitioned": "partition-index"}
+        fits = (policy in (None, "round-robin-comm", "hash-comm")
+                or own_policy.get(mechanism) == policy)
+        spec = write_spec(tmp_path, mechanism=mechanism)
+        argv = ["simulate", "--spec", str(spec), "--out", str(tmp_path)]
+        if policy:
+            argv += ["--policy", policy]
+        assert main(argv) == (0 if fits else 4)
+
+    @pytest.mark.parametrize("kind,mechanism,hints", [
+        ("legion-polling", "communicators-naive",
+         {"no_any_tag": True, "no_any_source": True}),
+        ("dynamic-graph", "endpoints", {"no_any_tag": True}),
+    ])
+    def test_hints_forbidding_used_wildcards_exit_4(self, tmp_path, capsys,
+                                                    kind, mechanism, hints):
+        spec = write_spec(tmp_path, kind=kind, process_grid=[4],
+                          thread_grid=[3], mechanism=mechanism, hints=hints)
+        assert main(["simulate", "--spec", str(spec),
+                     "--out", str(tmp_path)]) == 4
+        assert "no_any_tag" in capsys.readouterr().err
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         spec = write_spec(tmp_path, mechanism="endpoints")

@@ -15,7 +15,6 @@ from mpxlab.model import (
     Direction,
     IdAllocator,
     InfoHints,
-    PartitionEvent,
     PartitionedRequest,
     Placement,
     RequestState,
@@ -25,7 +24,6 @@ from mpxlab.model import (
     decode_tag,
     dup_communicator,
     encode_tag,
-    partitioned_transition,
     world_communicator,
 )
 
@@ -147,14 +145,14 @@ class TestCommunicators:
 class TestPartitionedLifecycle:
     def test_full_send_lifecycle(self):
         req = make_request(partitions=4)
-        partitioned_transition(req, PartitionEvent.START)
+        req.start()
         for i in range(4):
-            partitioned_transition(req, PartitionEvent.PREADY, i)
-        req, done = partitioned_transition(req, PartitionEvent.WAIT_ALL)
+            req.pready(i)
+        done = req.wait_all()
         assert done and req.state is RequestState.COMPLETE
         assert all(req.partition_flags)
         # re-activation clears the flags
-        partitioned_transition(req, PartitionEvent.START)
+        req.start()
         assert req.state is RequestState.ACTIVE
         assert not any(req.partition_flags)
 
@@ -179,22 +177,20 @@ class TestPartitionedLifecycle:
         recv = make_request(Direction.RECV, partitions=2, ids=ids, owner=1, peer=0)
         send.start()
         recv.start()
-        _, flag = partitioned_transition(recv, PartitionEvent.PARRIVED_QUERY, 1)
-        assert flag is False
-        partitioned_transition(send, PartitionEvent.PREADY, 1)
+        assert recv.parrived(1) is False
+        send.pready(1)
         recv.deliver(1)
-        _, flag = partitioned_transition(recv, PartitionEvent.PARRIVED_QUERY, 1)
-        assert flag is True
+        assert recv.parrived(1) is True
 
     def test_never_complete_with_unset_flags(self):
         req = make_request(partitions=3)
         req.start()
         req.pready(0)
-        _, done = partitioned_transition(req, PartitionEvent.WAIT_ALL)
+        done = req.wait_all()
         assert not done and req.state is RequestState.COMPLETING
         req.pready(1)
         req.pready(2)
-        _, done = partitioned_transition(req, PartitionEvent.WAIT_ALL)
+        done = req.wait_all()
         assert done and req.state is RequestState.COMPLETE
 
     def test_start_only_from_inactive_or_complete(self):

@@ -90,7 +90,7 @@ class TestGenStencil:
 
     def test_matched_pairs_are_mutual(self):
         p = gen_stencil(2, 9, [2, 2], [3, 3])
-        for send_id, recv_id in p.matched_pairs():
+        for send_id, recv_id in p.pairs:
             send, recv = p.op(send_id), p.op(recv_id)
             assert send.kind is OpKind.SEND and recv.kind is OpKind.RECV
             assert (recv.peer_process, recv.peer_thread) == (send.process,
@@ -130,7 +130,7 @@ class TestNaiveAssignment:
         p = gen_stencil(2, 5, [2, 2], [3, 3])
         a = assign_communicators_naive(p)
         lost = set(validate_assignment(p, a).lost_parallelism)
-        for send_id, _ in p.matched_pairs():
+        for send_id, _ in p.pairs:
             send = p.op(send_id)
             if send.process != 0:
                 continue
@@ -207,7 +207,7 @@ class TestIdealAssignment:
     def test_mirror_matching_property(self):
         p = gen_stencil(2, 9, [2, 2], [3, 3])
         a = assign_communicators_ideal(p)
-        for send_id, recv_id in p.matched_pairs():
+        for send_id, recv_id in p.pairs:
             assert (a.bindings[send_id].context == a.bindings[recv_id].context)
 
     def test_corner_threads_reuse_one_comm_for_corner_partners(self):
