@@ -148,8 +148,9 @@ def _simulate_one(spec_path: str, args) -> str:
 
 def cmd_simulate(args) -> int:
     specs = args.spec if isinstance(args.spec, list) else [args.spec]
-    if args.jobs > 1 and len(specs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(specs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_simulate_one, s, args) for s in specs]
             for future in futures:
                 print(future.result())
@@ -213,6 +214,16 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mpxlab",
@@ -240,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run scenarios, write reports")
     common(p_sim, spec_nargs="+")
     p_sim.add_argument("--format", choices=["json", "csv", "both"], default="both")
-    p_sim.add_argument("--jobs", type=int, default=1, metavar="N")
+    p_sim.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
+                       help="worker processes, at most one per spec and CPU")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_assign = sub.add_parser("assign", help="print the per-thread binding table")

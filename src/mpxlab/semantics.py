@@ -652,31 +652,36 @@ def _serial_bucket_keys(op: OpDescriptor, hints: InfoHints):
     return keys
 
 
-def validate_assignment(pattern: "CommPattern", assignment: "Assignment") -> ValidationReport:
-    """Check matching correctness and surviving concurrency of an assignment.
+def matching_violations(pattern: "CommPattern", assignment: "Assignment") -> list:
+    """Intended send/receive pairs whose bound descriptors fail the matching
+    rule, as (send id, receive id, why) triples.
 
-    Violations are intended send/receive pairs whose bound descriptors fail
-    the matching rule.  Lost parallelism is every intended-concurrent pair
-    that either the classifier deems serial or that the assignment binds to
-    one matching entity across distinct threads (which a per-entity channel
-    map would serialize).  Pairs within a single thread are exempt from the
-    entity rule: one thread issues serially anyway.
+    Raises :class:`IncompleteAssignmentError` when an op is left unbound.
+    This is the whole check the engine makes before simulating.
     """
-    report = ValidationReport()
-    hints = assignment.hints
-    bindings = assignment.bindings
-
-    missing = [op.op_id for op in pattern.ops if op.op_id not in bindings]
+    missing = [op.op_id for op in pattern.ops if op.op_id not in assignment.bindings]
     if missing:
         raise IncompleteAssignmentError(
             f"assignment leaves {len(missing)} ops unbound (first: {missing[0]})"
         )
+    return [(send_id, recv_id, "bound contexts cannot match")
+            for send_id, recv_id in pattern.pairs
+            if not assignment.pair_matches(send_id, recv_id)]
 
-    for send_id, recv_id in pattern.pairs:
-        if not assignment.pair_matches(send_id, recv_id):
-            report.matching_violations.append(
-                (send_id, recv_id, "bound contexts cannot match")
-            )
+
+def validate_assignment(pattern: "CommPattern", assignment: "Assignment") -> ValidationReport:
+    """Check matching correctness and surviving concurrency of an assignment.
+
+    Violations are intended send/receive pairs whose bound descriptors fail
+    the matching rule (:func:`matching_violations`).  Lost parallelism is
+    every intended-concurrent pair that either the classifier deems serial or
+    that the assignment binds to one matching entity across distinct threads
+    (which a per-entity channel map would serialize).  Pairs within a single
+    thread are exempt from the entity rule: one thread issues serially anyway.
+    """
+    report = ValidationReport(matching_violations(pattern, assignment))
+    hints = assignment.hints
+    bindings = assignment.bindings
 
     # lost parallelism, representative process: patterns are torus-symmetric
     probe = pattern.representative_process

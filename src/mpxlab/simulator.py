@@ -11,7 +11,9 @@ receive first scans the unexpected queue, a message scans the posted queue,
 and every position traversed counts one match attempt.  Wildcard receives
 take the earliest-posted matchable message; under ``allow_overtaking`` the
 scan order becomes earliest-by-arrival (a published deterministic rule in
-place of the standard's nondeterminism).
+place of the standard's nondeterminism).  The queues are indexed by exact
+(source, tag), so the count of a scan comes from the rank of its match
+rather than from walking the queue.
 
 Partitioned requests match once per message: one attempt and one success per
 request pair per iteration, independent of the partition count.  Their
@@ -23,7 +25,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -35,14 +39,13 @@ from .channels import (
     map_entity,
 )
 from .errors import InvalidAssignmentError, MpxlabError, UnsupportedPatternError
-from .model import ContextFamily, Direction, OpKind
+from .model import ANY_SOURCE, ANY_TAG, ContextFamily, Direction, OpKind
 from .patterns.base import Assignment, CommPattern, Mechanism, PatternKind
 from .patterns.irregular import collective_footprint
 from .semantics import (
-    can_match,
     logically_parallel,
+    matching_violations,
     requests_match,
-    validate_assignment,
     _serial_bucket_keys,
 )
 
@@ -190,6 +193,131 @@ def _footprint(pattern: CommPattern, assignment: Assignment) -> int:
     return total
 
 
+def _recv_scope(desc):
+    home = (desc.endpoint
+            if desc.context.family is ContextFamily.ENDPOINT
+            else desc.process)
+    return (desc.context.family, desc.context.key, home)
+
+
+def _send_scope(desc):
+    return (desc.context.family, desc.context.key, desc.target)
+
+
+class _Queue:
+    """One scope's posted or unexpected queue, indexed by exact (source, tag).
+
+    ``order`` holds the scan-order keys of the live entries, sorted, and each
+    bucket holds its entries sorted by the same key.  The entry a linear scan
+    would stop at is the smallest head among the buckets a selector covers;
+    the positions that scan traverses are its rank in ``order`` plus one, or
+    the whole queue when no bucket has an entry.  Entries that nothing can
+    match live in bucket None, which no selector covers.
+    """
+
+    __slots__ = ("order", "buckets")
+
+    def __init__(self):
+        self.order: list = []
+        self.buckets: dict = {}
+
+    def add(self, bucket, key, item):
+        insort(self.order, key)
+        insort(self.buckets.setdefault(bucket, []), (key, item))
+
+    def take(self, covered) -> tuple[int, object]:
+        """Remove the first entry in scan order among the ``covered``
+        buckets; return (positions scanned, its item or None)."""
+        heads = [(self.buckets[b][0][0], b) for b in covered if b in self.buckets]
+        if not heads:
+            return len(self.order), None
+        key, bucket = min(heads)
+        entries = self.buckets[bucket]
+        item = entries.pop(0)[1]
+        if not entries:
+            del self.buckets[bucket]
+        rank = bisect_left(self.order, key)
+        del self.order[rank]
+        return rank + 1, item
+
+
+def _recv_bucket(desc):
+    if desc.kind is not OpKind.RECV or desc.tag is None:
+        return None
+    return (desc.target, ANY_TAG.raw if desc.tag.is_wildcard else desc.tag.raw)
+
+
+def _send_bucket(desc):
+    return None if desc.tag is None else (desc.origin_rank, desc.tag.raw)
+
+
+def _send_covers(desc):
+    """The posted-queue buckets whose receives can take this send."""
+    if desc.tag is None:
+        return ()
+    src, tag = desc.origin_rank, desc.tag.raw
+    return {(src, tag), (ANY_SOURCE, tag), (src, ANY_TAG.raw),
+            (ANY_SOURCE, ANY_TAG.raw)}
+
+
+def _recv_covers(desc, queue):
+    """The unexpected-queue buckets whose sends this receive can take."""
+    if desc.kind is not OpKind.RECV or desc.tag is None:
+        return ()
+    src, tag = desc.target, desc.tag
+    if src != ANY_SOURCE and not tag.is_wildcard:
+        return ((src, tag.raw),)
+    return [b for b in queue.buckets
+            if b is not None
+            and (src == ANY_SOURCE or b[0] == src)
+            and (tag.is_wildcard or b[1] == tag.raw)]
+
+
+class _Matcher:
+    """The posted and unexpected queues of every matching scope.
+
+    Within a scope the context and the receiving rank already agree, so a
+    send matches a receive exactly when the receive's source selector covers
+    the send's origin rank and its tag selector covers the send's tag: the
+    triplet rule of :func:`mpxlab.semantics.can_match`.
+    """
+
+    def __init__(self, overtaking: bool):
+        self.overtaking = overtaking
+        self.posted: dict = {}
+        self.unexpected: dict = {}
+        self._seq = itertools.count()
+
+    def post(self, desc, op_id) -> tuple[int, tuple[int, int] | None]:
+        """Post a receive; return (attempts, (send id, send end) of the
+        message it matched, or None when it was queued)."""
+        scope = _recv_scope(desc)
+        queue = self.unexpected.get(scope)
+        attempts, hit = (0, None) if queue is None else queue.take(
+            _recv_covers(desc, queue))
+        if hit is None:
+            self.posted.setdefault(scope, _Queue()).add(
+                _recv_bucket(desc), next(self._seq), op_id)
+        return attempts, hit
+
+    def send(self, desc, op_id, end) -> tuple[int, int | None]:
+        """Deliver a message that lands at ``end``; return (attempts, id of
+        the receive it matched, or None when it was queued)."""
+        scope = _send_scope(desc)
+        queue = self.posted.get(scope)
+        attempts, hit = (0, None) if queue is None else queue.take(
+            _send_covers(desc))
+        if hit is None:
+            seq = next(self._seq)
+            self.unexpected.setdefault(scope, _Queue()).add(
+                _send_bucket(desc), (end, seq) if self.overtaking else seq,
+                (op_id, end))
+        return attempts, hit
+
+    def leftovers(self) -> int:
+        return sum(len(q.order) for q in self.unexpected.values())
+
+
 def _max_overlap(intervals) -> int:
     if not intervals:
         return 0
@@ -227,7 +355,7 @@ class _Engine:
         self.transfers: list[tuple[int, int, tuple[int, ...], int]] = []
         self._verdicts: dict[tuple[int, int], bool] = {}
         self._completion: dict[int, int] = {}
-        self._partition_arrivals: dict[int, list[int]] = {}
+        self._partition_arrivals: dict[int, int] = {}  # latest arrival
         self.iteration = 0
 
     # -- small helpers ------------------------------------------------
@@ -241,6 +369,12 @@ class _Engine:
     def emit(self, time, kind, op_id=None, channel=None):
         self.events.append(Event(time, kind, op_id, channel, self.iteration))
 
+    def count_attempts(self, time, op_id, n):
+        """The n match attempts of one queue scan: n references to one event."""
+        self.attempts += n
+        self.events.extend(
+            [Event(time, EventKind.MATCH_ATTEMPT, op_id, None, self.iteration)] * n)
+
     def serial(self, a_id, b_id) -> bool:
         key = (min(a_id, b_id), max(a_id, b_id))
         if key not in self._verdicts:
@@ -249,17 +383,6 @@ class _Engine:
             verdict = logically_parallel(da, db, self.assignment.hints)
             self._verdicts[key] = not verdict.parallel
         return self._verdicts[key]
-
-    @staticmethod
-    def _recv_scope(desc):
-        home = (desc.endpoint
-                if desc.context.family is ContextFamily.ENDPOINT
-                else desc.process)
-        return (desc.context.family, desc.context.key, home)
-
-    @staticmethod
-    def _send_scope(desc):
-        return (desc.context.family, desc.context.key, desc.target)
 
     # -- main loops ----------------------------------------------------
 
@@ -281,10 +404,18 @@ class _Engine:
         start = t_issue
         for r in resources:
             start = max(start, self.channel_free.get(r, 0))
-        for key in _serial_bucket_keys(desc, self.assignment.hints):
-            for prev_id, prev_end in buckets.get((op.process, key), ()):
+        keys = [(op.process, key)
+                for key in _serial_bucket_keys(desc, self.assignment.hints)]
+        # each bucket is sorted by (end, op id): scanning from the latest end,
+        # the first serial peer, or the first that ends by ``start``, settles
+        # the maximum over every serial peer
+        for key in keys:
+            for prev_end, prev_id in reversed(buckets.get(key, ())):
+                if prev_end <= start:
+                    break
                 if self.serial(prev_id, op.op_id):
-                    start = max(start, prev_end)
+                    start = prev_end
+                    break
         end = start + self.cost.per_channel_transfer
         for r in resources:
             self.channel_free[r] = end
@@ -293,8 +424,8 @@ class _Engine:
         self.emit(start, EventKind.TRANSFER, op.op_id, min(resources))
         self.transfers.append((start, end, tuple(sorted({p for p, _ in resources})),
                                op.phase))
-        for key in _serial_bucket_keys(desc, self.assignment.hints):
-            buckets.setdefault((op.process, key), []).append((op.op_id, end))
+        for key in keys:
+            insort(buckets.setdefault(key, []), (end, op.op_id))
         self._completion[op.op_id] = end
         return end
 
@@ -303,24 +434,32 @@ class _Engine:
         cost = self.cost
         partitioned = assignment.mechanism is Mechanism.PARTITIONED
         pair_of = {}
+        reqs_of: dict[int, list] = {}
         if partitioned:
-            sends = sorted(
-                (r for r in assignment.requests.values()
-                 if r.direction is Direction.SEND),
-                key=lambda r: r.request_id,
-            )
-            recvs = [r for r in assignment.requests.values()
-                     if r.direction is Direction.RECV]
+            by_id = sorted(assignment.requests.values(),
+                           key=lambda r: r.request_id)
+            sends = [r for r in by_id if r.direction is Direction.SEND]
+            recvs = [r for r in by_id if r.direction is Direction.RECV]
             taken = set()
             for s in sends:
-                for r in sorted(recvs, key=lambda r: r.request_id):
+                for r in recvs:
                     if r.request_id not in taken and requests_match(s, r):
                         pair_of[s.request_id] = r.request_id
                         taken.add(r.request_id)
                         break
+            for r in by_id:
+                reqs_of.setdefault(r.owner, []).append(r)
 
-        phases = sorted({op.phase for op in pattern.ops})
-        order_key = lambda op: (op.process, op.thread, op.op_id)
+        # per phase: receives, then sends, each in (process, thread, op) order
+        by_phase: dict[int, list] = {}
+        for op in sorted(pattern.ops,
+                         key=lambda op: (op.process, op.thread, op.op_id)):
+            by_phase.setdefault(op.phase, []).append(op)
+        schedule = [
+            ([op for op in ops if op.kind is OpKind.RECV],
+             [op for op in ops if op.kind is not OpKind.RECV])
+            for _, ops in sorted(by_phase.items())
+        ]
         for p in range(pattern.num_processes):
             for t in range(pattern.threads_per_process):
                 self.clocks.setdefault((p, t), 0)
@@ -337,23 +476,14 @@ class _Engine:
                     self.attempts += 1
                     self.matches += 1
 
-            posted: dict = {}
-            unexpected: dict = {}
+            matcher = _Matcher(assignment.hints.allow_overtaking)
             buckets: dict = {}
-            for ph in phases:
-                ph_ops = [op for op in pattern.ops if op.phase == ph]
-                recv_like = sorted(
-                    (op for op in ph_ops if op.kind is OpKind.RECV), key=order_key
-                )
-                send_like = sorted(
-                    (op for op in ph_ops if op.kind is not OpKind.RECV),
-                    key=order_key,
-                )
+            for recv_like, send_like in schedule:
                 mark = len(self.transfers)
                 for op in recv_like:
-                    self._post_recv(op, posted, unexpected)
+                    self._post_recv(op, matcher)
                 for op in send_like:
-                    self._issue_send(op, posted, unexpected, buckets, pair_of)
+                    self._issue_send(op, matcher, buckets, pair_of)
                 # one traffic direction at a time: the next phase starts after
                 # this one drains, so per-phase concurrency is well defined
                 phase_end = max(
@@ -363,7 +493,7 @@ class _Engine:
                 for key in self.clocks:
                     self.clocks[key] = phase_end
 
-            leftovers = sum(len(v) for v in unexpected.values())
+            leftovers = matcher.leftovers()
             if leftovers:
                 raise MpxlabError(
                     f"{leftovers} sends stayed unmatched; the pattern is not closed"
@@ -377,7 +507,7 @@ class _Engine:
                     self.clocks[key] = max(self.clock(*key), end)
 
             if partitioned:
-                self._partitioned_iteration_end(pair_of, it)
+                self._partitioned_iteration_end(reqs_of, it)
             elif (pattern.kind is PatternKind.MULTITHREADED_ALLREDUCE
                   and assignment.mechanism is Mechanism.COMMUNICATORS):
                 # user-driven intranode reduction step
@@ -385,7 +515,7 @@ class _Engine:
                     for t in range(pattern.threads_per_process):
                         self.bump(p, t, cost.sync_wait)
 
-    def _post_recv(self, op, posted, unexpected):
+    def _post_recv(self, op, matcher):
         desc = self.assignment.bindings[op.op_id]
         p, t = op.process, op.thread
         t_issue = self.clock(p, t)
@@ -393,28 +523,15 @@ class _Engine:
         self.bump(p, t, self.cost.per_message_issue)
         if desc.kind is OpKind.PARTITION_ARRIVED_TEST:
             return  # arrival is tracked on the shared request
-        scope = self._recv_scope(desc)
-        queue = unexpected.get(scope, [])
-        if self.assignment.hints.allow_overtaking:
-            scan = sorted(range(len(queue)), key=lambda i: (queue[i][2], i))
-        else:
-            scan = range(len(queue))
-        matched = None
-        for pos in scan:
-            self.attempts += 1
-            self.emit(t_issue, EventKind.MATCH_ATTEMPT, op.op_id)
-            if can_match(queue[pos][0], desc):
-                matched = pos
-                break
-        if matched is not None:
-            sdesc, sid, s_end = queue.pop(matched)
+        attempts, hit = matcher.post(desc, op.op_id)
+        self.count_attempts(t_issue, op.op_id, attempts)
+        if hit is not None:
+            s_end = hit[1]
             self.matches += 1
             self.emit(max(t_issue, s_end), EventKind.MATCH_SUCCESS, op.op_id)
             self._completion[op.op_id] = max(t_issue, s_end)
-        else:
-            posted.setdefault(scope, []).append((desc, op.op_id))
 
-    def _issue_send(self, op, posted, unexpected, buckets, pair_of):
+    def _issue_send(self, op, matcher, buckets, pair_of):
         desc = self.assignment.bindings[op.op_id]
         p, t = op.process, op.thread
         t_issue = self.clock(p, t)
@@ -430,40 +547,30 @@ class _Engine:
             if peer_rid is not None:
                 peer_req = self.assignment.requests[peer_rid]
                 peer_req.deliver(idx)
-                self._partition_arrivals.setdefault(peer_rid, []).append(end)
+                arrivals = self._partition_arrivals
+                arrivals[peer_rid] = max(arrivals.get(peer_rid, end), end)
             return
         if desc.kind is not OpKind.SEND:
             return  # collectives and RMA carry no pairwise matching
-        scope = self._send_scope(desc)
-        queue = posted.get(scope, [])
-        matched = None
-        for pos in range(len(queue)):
-            self.attempts += 1
-            self.emit(end, EventKind.MATCH_ATTEMPT, op.op_id)
-            if can_match(desc, queue[pos][0]):
-                matched = pos
-                break
-        if matched is not None:
-            rdesc, rid = queue.pop(matched)
+        attempts, rid = matcher.send(desc, op.op_id, end)
+        self.count_attempts(end, op.op_id, attempts)
+        if rid is not None:
             self.matches += 1
             self.emit(end, EventKind.MATCH_SUCCESS, op.op_id)
             self._completion[rid] = end
-        else:
-            unexpected.setdefault(scope, []).append((desc, op.op_id, end))
 
-    def _partitioned_iteration_end(self, pair_of, it):
-        pattern, assignment, cost = self.pattern, self.assignment, self.cost
+    def _partitioned_iteration_end(self, reqs_of, it):
+        """``reqs_of`` maps each owner process to its requests by id."""
+        pattern, cost = self.pattern, self.cost
         sync_now = ((it + 1) % self.partitioned_buffers == 0
                     or it == pattern.iterations - 1)
         for p in range(pattern.num_processes):
-            proc_reqs = [assignment.requests[rid]
-                         for rid in sorted(assignment.requests)
-                         if assignment.requests[rid].owner == p]
+            proc_reqs = reqs_of.get(p, ())
             done = 0
             for r in proc_reqs:
                 if r.direction is Direction.RECV:
-                    done = max(done, max(self._partition_arrivals.get(
-                        r.request_id, [0])))
+                    done = max(done, self._partition_arrivals.get(
+                        r.request_id, 0))
             all_threads = range(pattern.threads_per_process)
             owner = 0
             done = max([done] + [self.clock(p, t) for t in all_threads])
@@ -540,18 +647,18 @@ class _Engine:
             or [0]
         )
         procs = range(pattern.num_processes)
-        max_conc = 0
-        phase_conc: dict[int, int] = {}
-        for p in procs:
-            mine = [(s, e) for s, e, owners, _ in self.transfers if p in owners]
-            max_conc = max(max_conc, _max_overlap(mine))
-        for ph in sorted({ph for _, _, _, ph in self.transfers}):
-            best = 0
-            for p in procs:
-                mine = [(s, e) for s, e, owners, f in self.transfers
-                        if p in owners and f == ph]
-                best = max(best, _max_overlap(mine))
-            phase_conc[ph] = best
+        spans_of: dict[int, list] = {}
+        phase_spans: dict[int, dict[int, list]] = {}
+        for s, e, owners, ph in self.transfers:
+            in_phase = phase_spans.setdefault(ph, {})
+            for p in owners:
+                if p in procs:
+                    spans_of.setdefault(p, []).append((s, e))
+                    in_phase.setdefault(p, []).append((s, e))
+        max_conc = max(map(_max_overlap, spans_of.values()), default=0)
+        phase_conc = {ph: max(map(_max_overlap, phase_spans[ph].values()),
+                              default=0)
+                      for ph in sorted(phase_spans)}
         occupancy = {
             f"p{p}c{c}": busy
             for (p, c), busy in sorted(self.channel_busy.items())
@@ -583,17 +690,18 @@ def run(pattern: CommPattern, assignment: Assignment,
     """Execute one scenario and measure concurrency, matching and sync cost.
 
     ``policy`` picks the channel mapping; None takes the mechanism's default.
-    Refuses to run when the assignment fails matching validation or the
-    policy cannot map it.  Identical inputs always produce identical reports.
+    Refuses to run when an op is unbound, an intended pair cannot match, or
+    the policy cannot map the assignment.  Lost parallelism is not checked
+    here; :func:`mpxlab.semantics.validate_assignment` reports it.  Identical
+    inputs always produce identical reports.
     """
     pool = pool or ChannelPool()
     cost = cost or CostModel()
     mapping = channel_policy(policy, assignment, pool)
-    check = validate_assignment(pattern, assignment)
-    if check.matching_violations:
+    violations = matching_violations(pattern, assignment)
+    if violations:
         raise InvalidAssignmentError(
-            f"{len(check.matching_violations)} matching violations; "
-            f"first: {check.matching_violations[0]}"
+            f"{len(violations)} matching violations; first: {violations[0]}"
         )
     engine = _Engine(pattern, assignment, pool, mapping, cost, seed,
                      partitioned_buffers)

@@ -1,9 +1,12 @@
 """Command-line behavior: output lines, file emission, exit codes."""
 
 import json
+import os
+from concurrent.futures import Future
 
 import pytest
 
+import mpxlab.cli as cli
 import mpxlab.semantics as semantics
 from mpxlab.cli import main
 from mpxlab.semantics import ParallelismVerdict, Reason
@@ -150,6 +153,46 @@ class TestSimulate:
         rb = json.loads((out / "b.report.json").read_text())
         assert ra["mechanism"] == "endpoints"
         assert rb["mechanism"] == "partitioned"
+
+    def test_jobs_capped_by_specs_and_cpus(self, tmp_path, monkeypatch):
+        a = write_spec(tmp_path, "a.json", mechanism="endpoints")
+        b = write_spec(tmp_path, "b.json", mechanism="partitioned")
+        workers = []
+
+        class InlinePool:
+            """Records its worker count and runs each job in this process."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        argv = ["simulate", "--spec", str(a), str(b), "--jobs", "64",
+                "--out", str(tmp_path)]
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert main(argv) == 0
+        assert workers == [2]  # one per spec
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert main(argv) == 0
+        assert workers == [2]  # one CPU: no pool at all
+        assert (tmp_path / "b.report.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, jobs):
+        spec = write_spec(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--spec", str(spec), "--jobs", jobs])
+        assert exc.value.code == 2
 
 
 class TestAssign:

@@ -1,0 +1,167 @@
+"""Indexed match queues and the work ``run()`` does per reported count."""
+
+import sys
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import mpxlab.semantics as semantics
+from mpxlab.errors import IncompleteAssignmentError
+from mpxlab.model import (
+    ANY_SOURCE,
+    ANY_TAG,
+    ContextFamily,
+    InfoHints,
+    MatchContextId,
+    OpDescriptor,
+    OpKind,
+    Tag,
+)
+from mpxlab.patterns import assign_communicators_naive, gen_fan_in
+from mpxlab.semantics import can_match
+from mpxlab.simulator import _Matcher, run
+
+CONTEXTS = [
+    MatchContextId(ContextFamily.COMM, 1),
+    MatchContextId(ContextFamily.COMM, 2),
+    MatchContextId(ContextFamily.ENDPOINT, 3),
+]
+
+
+def _recv(ctx, home, src, tag, index):
+    if ctx.family is ContextFamily.ENDPOINT:
+        return OpDescriptor(OpKind.RECV, (0, index), index, context=ctx,
+                            target=src, tag=tag, endpoint=home)
+    return OpDescriptor(OpKind.RECV, (home, index), index, context=ctx,
+                        target=src, tag=tag)
+
+
+def _send(ctx, origin, dest, tag, index):
+    if ctx.family is ContextFamily.ENDPOINT:
+        return OpDescriptor(OpKind.SEND, (0, index), index, context=ctx,
+                            target=dest, tag=tag, endpoint=origin)
+    return OpDescriptor(OpKind.SEND, (origin, index), index, context=ctx,
+                        target=dest, tag=tag)
+
+
+def _recv_home(desc):
+    if desc.context.family is ContextFamily.ENDPOINT:
+        return desc.endpoint
+    return desc.process
+
+
+def reference_scan(ops, overtaking):
+    """Linear two-queue matching: every position traversed is one attempt."""
+    posted, unexpected, out = [], [], []
+    for index, (kind, desc, end) in enumerate(ops):
+        if kind == "recv":
+            scope = (desc.context, _recv_home(desc))
+            queue = [e for e in unexpected if e[0] == scope]
+            if overtaking:
+                queue.sort(key=lambda e: e[3])  # stable: ties keep arrival order
+            attempts, hit = 0, None
+            for entry in queue:
+                attempts += 1
+                if can_match(entry[1], desc):
+                    hit = entry
+                    break
+            if hit is None:
+                posted.append((scope, desc, index))
+                out.append((attempts, None))
+            else:
+                unexpected.remove(hit)
+                out.append((attempts, (hit[2], hit[3])))
+        else:
+            scope = (desc.context, desc.target)
+            attempts, hit = 0, None
+            for entry in posted:
+                if entry[0] != scope:
+                    continue
+                attempts += 1
+                if can_match(desc, entry[1]):
+                    hit = entry
+                    break
+            if hit is None:
+                unexpected.append((scope, desc, index, end))
+                out.append((attempts, None))
+            else:
+                posted.remove(hit)
+                out.append((attempts, hit[2]))
+    return out, len(unexpected)
+
+
+@st.composite
+def op_sequences(draw):
+    hints = InfoHints(allow_overtaking=draw(st.booleans()),
+                      no_any_tag=draw(st.booleans()),
+                      no_any_source=draw(st.booleans()))
+    ranks = st.integers(0, 2)
+    tags = st.one_of(st.integers(0, 2).map(Tag), st.just(None))
+    recv_srcs = ranks if hints.no_any_source else st.one_of(ranks, st.just(ANY_SOURCE))
+    recv_tags = tags if hints.no_any_tag else st.one_of(tags, st.just(ANY_TAG))
+    ops = []
+    for index in range(draw(st.integers(0, 40))):
+        ctx = draw(st.sampled_from(CONTEXTS))
+        if draw(st.booleans()):
+            desc = _recv(ctx, draw(st.integers(0, 1)), draw(recv_srcs),
+                         draw(recv_tags), index)
+            ops.append(("recv", desc, None))
+        else:
+            desc = _send(ctx, draw(ranks), draw(st.integers(0, 1)),
+                         draw(tags), index)
+            ops.append(("send", desc, draw(st.integers(0, 12))))
+    return hints, ops
+
+
+@settings(max_examples=200, deadline=None)
+@given(op_sequences())
+def test_indexed_queues_match_the_linear_scan(case):
+    hints, ops = case
+    matcher = _Matcher(hints.allow_overtaking)
+    got = []
+    for index, (kind, desc, end) in enumerate(ops):
+        if kind == "recv":
+            got.append(matcher.post(desc, index))
+        else:
+            got.append(matcher.send(desc, index, end))
+    expected, leftovers = reference_scan(ops, hints.allow_overtaking)
+    assert got == expected
+    assert matcher.leftovers() == leftovers
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls of semantics functions under every mpxlab module's name."""
+    calls = Counter()
+    for name in names:
+        original = getattr(semantics, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("mpxlab")
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_run_work_follows_the_reported_counts(monkeypatch):
+    p = gen_fan_in(512)
+    a = assign_communicators_naive(p, num_comms=1)
+    calls = _count_calls(monkeypatch, ("logically_parallel", "can_match"))
+    report = run(p, a)
+    assert report.match_attempts_total == 131_328  # 512 * 513 / 2
+    assert report.matches_total == 512
+    assert calls["logically_parallel"] <= 512
+    assert calls["can_match"] <= 2048
+
+
+def test_run_refuses_an_unbound_op():
+    p = gen_fan_in(4)
+    a = assign_communicators_naive(p, num_comms=1)
+    del a.bindings[p.ops[0].op_id]
+    with pytest.raises(IncompleteAssignmentError):
+        run(p, a)
