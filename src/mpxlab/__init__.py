@@ -37,7 +37,6 @@ from .model import (
     RequestState,
     Tag,
     TagBitLayout,
-    Window,
     create_endpoints_comm,
     decode_tag,
     dup_communicator,

@@ -56,11 +56,11 @@ def _out_dir(args) -> Path:
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    if getattr(args, "mechanism", None):
+    if getattr(args, "mechanism", None) is not None:
         scenario.mechanism = args.mechanism
-    if getattr(args, "policy", None):
+    if getattr(args, "policy", None) is not None:
         scenario.policy = args.policy
-    if getattr(args, "channels", None):
+    if getattr(args, "channels", None) is not None:
         scenario.channel_pool = args.channels
     if getattr(args, "seed", None) is not None:
         scenario.seed = args.seed
@@ -214,14 +214,19 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type for integers of at least ``minimum``; a flag that
+    overrides a spec field takes the spec loader's floor for it."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default $MPXLAB_OUT or .)")
         p.add_argument("--mechanism", choices=list(MECHANISMS))
         p.add_argument("--policy", choices=list(POLICIES))
-        p.add_argument("--channels", type=int, metavar="R")
-        p.add_argument("--seed", type=int)
+        p.add_argument("--channels", type=_int_at_least(1), metavar="R")
+        p.add_argument("--seed", type=_int_at_least(0))
 
     p_analyze = sub.add_parser("analyze", help="object counts, formulas, collisions")
     common(p_analyze)
@@ -251,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run scenarios, write reports")
     common(p_sim, spec_nargs="+")
     p_sim.add_argument("--format", choices=["json", "csv", "both"], default="both")
-    p_sim.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
+    p_sim.add_argument("--jobs", type=_int_at_least(1), default=1, metavar="N",
                        help="worker processes, at most one per spec and CPU")
     p_sim.set_defaults(func=cmd_simulate)
 

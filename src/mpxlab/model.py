@@ -1,8 +1,9 @@
 """Domain types for multithreaded MPI communication scenarios.
 
 Everything a scenario is made of lives here: info hints, tag bit layouts,
-communicators, endpoint communicators, RMA windows, partitioned requests,
-and the operation descriptor that the matching/ordering rules consume.
+communicators, endpoint communicators, partitioned requests, and the
+operation descriptor that the matching/ordering rules consume.  An RMA window
+is a plain id from :class:`IdAllocator`.
 
 Value types are immutable after construction.  The one exception is
 :class:`PartitionedRequest`, whose state transitions are applied only by the
@@ -239,12 +240,6 @@ def dup_communicator(comm: Communicator, ids: IdAllocator,
 
 
 @dataclass(frozen=True)
-class Window:
-    window_id: int
-    hints: InfoHints = InfoHints()
-
-
-@dataclass(frozen=True)
 class EndpointsComm:
     """A communicator whose addressable ranks are per-process endpoints.
 
@@ -435,15 +430,14 @@ PARTITION_KINDS = frozenset({OpKind.PARTITION_READY, OpKind.PARTITION_ARRIVED_TE
 class ContextFamily(Enum):
     COMM = "comm"
     ENDPOINT = "endpoint"
-    WINDOW = "window"
-    PARTITIONED = "partitioned"
 
 
 @dataclass(frozen=True)
 class MatchContextId:
-    """Isolation unit for matching: communicator context, endpoint-bearing
-    context, window, or partitioned request.  ``key`` is the owning object's
-    id within its family."""
+    """Isolation unit for two-sided and collective matching: a communicator
+    context or an endpoint-bearing context.  ``key`` is the owning object's
+    id within its family.  RMA ops address a window id and partitioned ops a
+    (request, partition) slot instead."""
 
     family: ContextFamily
     key: int

@@ -51,8 +51,7 @@ __all__ = [
 
 
 def build_assignment(pattern: CommPattern, mechanism: Mechanism,
-                     variant: str = "", num_comms: int | None = None,
-                     ordering_none: bool = False) -> Assignment:
+                     variant: str = "", num_comms: int | None = None) -> Assignment:
     """Route a (pattern kind, mechanism) combination to its constructor.
 
     Unsupported combinations raise :class:`UnsupportedPatternError` with the
@@ -91,7 +90,7 @@ def build_assignment(pattern: CommPattern, mechanism: Mechanism,
         raise UnsupportedPatternError("windows do not express two-sided traffic")
     if kind is PatternKind.BSPMM_RMA:
         if mechanism is Mechanism.WINDOWS:
-            return assign_bspmm_windows(pattern, ordering_none=ordering_none)
+            return assign_bspmm_windows(pattern)
         if mechanism is Mechanism.ENDPOINTS:
             return assign_bspmm_endpoints(pattern)
         raise UnsupportedPatternError(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from math import prod
 
 from ..errors import DomainError, InvalidArgumentError
@@ -14,7 +15,6 @@ from ..model import (
     OpDescriptor,
     OpKind,
     PartitionedRequest,
-    Window,
 )
 from ..semantics import can_match, requests_match
 
@@ -78,6 +78,9 @@ class CommPattern:
     of distinct communicating threads, and for distinct-direction pairs of a
     single non-corner thread (a corner thread's directions proceed serially
     from its one issue stream).
+
+    ``ops`` is the only per-op record.  ``pairs`` and the index behind
+    :meth:`op` are derived from it on first use.
     """
 
     kind: PatternKind
@@ -86,14 +89,16 @@ class CommPattern:
     iterations: int
     payload_bytes: int
     ops: tuple[PatternOp, ...]
-    pairs: tuple[tuple[int, int], ...] = ()
     communicating_threads: frozenset[int] = frozenset()
     corner_threads: frozenset[int] = frozenset()
-    num_phases: int = 1
     seed: int = 0
 
-    def __post_init__(self):
-        self._by_id = {op.op_id: op for op in self.ops}
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """(send id, receive id) of every send that names its partner, in op
+        order."""
+        return tuple((op.op_id, op.partner) for op in self.ops
+                     if op.kind is OpKind.SEND and op.partner is not None)
 
     @property
     def num_processes(self) -> int:
@@ -106,6 +111,10 @@ class CommPattern:
     @property
     def representative_process(self) -> int:
         return 0
+
+    @cached_property
+    def _by_id(self) -> dict[int, PatternOp]:
+        return {op.op_id: op for op in self.ops}
 
     def op(self, op_id: int) -> PatternOp:
         return self._by_id[op_id]
@@ -132,36 +141,65 @@ class CommPattern:
 class Assignment:
     """A mechanism-specific binding of every pattern operation.
 
-    ``bindings`` maps op ids to fully addressed descriptors.  ``entity_of``
-    maps op ids to the matching entity a channel policy would key on (the
-    communicator, the thread's tag bits, the endpoint, the partition, or the
-    window); distinct-thread ops sharing an entity serialize on its channel.
+    ``bindings`` maps op ids to fully addressed descriptors and is the only
+    per-op record.  ``entity_of`` is derived from it on first use: it maps op
+    ids to the matching entity a channel policy would key on (the thread's
+    tag bits under tags with hints, otherwise the endpoint, the partition,
+    the window or the communicator, in that order); distinct-thread ops
+    sharing an entity serialize on its channel.
     """
 
     mechanism: Mechanism
     hints: InfoHints
     bindings: dict[int, OpDescriptor]
-    entity_of: dict[int, object]
     objects_created: dict[str, int]
     variant: str = ""
     comms: list[Communicator] = field(default_factory=list)
     endpoints_comm: EndpointsComm | None = None
     requests: dict[int, PartitionedRequest] = field(default_factory=dict)
-    request_of_op: dict[int, int] = field(default_factory=dict)
-    windows: list[Window] = field(default_factory=list)
+
+    @cached_property
+    def entity_of(self) -> dict[int, tuple]:
+        tags = self.mechanism is Mechanism.TAGS_WITH_HINTS
+        out = {}
+        for op_id, desc in self.bindings.items():
+            if tags:
+                out[op_id] = ("tag", desc.context.key, desc.thread)
+            elif desc.endpoint is not None:
+                out[op_id] = ("ep", desc.endpoint)
+            elif desc.partition is not None:
+                out[op_id] = ("part",) + desc.partition
+            elif desc.window is not None:
+                out[op_id] = ("win", desc.window)
+            else:
+                out[op_id] = ("comm", desc.context.key)
+        return out
 
     def pair_matches(self, send_id: int, recv_id: int) -> bool:
-        if self.mechanism is Mechanism.PARTITIONED:
-            sreq = self.requests[self.request_of_op[send_id]]
-            rreq = self.requests[self.request_of_op[recv_id]]
-            return requests_match(sreq, rreq)
         send, recv = self.bindings[send_id], self.bindings[recv_id]
+        if self.mechanism is Mechanism.PARTITIONED:
+            return requests_match(self.requests[send.partition[0]],
+                                  self.requests[recv.partition[0]])
         if send.kind is OpKind.SEND and recv.kind is OpKind.RECV:
             return can_match(send, recv)
         return True  # RMA and collectives have no pairwise matching rule
 
     def describe_objects(self) -> str:
         return ", ".join(f"{k}={v}" for k, v in sorted(self.objects_created.items()))
+
+
+def _program_indexes(pattern: CommPattern) -> dict[int, int]:
+    """Issue order within each thread: post all receives, then all other ops,
+    each in (phase, op id) order (the usual nonblocking halo-exchange shape)."""
+    out = {}
+    by_thread: dict[tuple[int, int], list[PatternOp]] = {}
+    for op in pattern.ops:
+        by_thread.setdefault((op.process, op.thread), []).append(op)
+    for ops in by_thread.values():
+        ops.sort(key=lambda o: (0 if o.kind is OpKind.RECV else 1, o.phase, o.op_id))
+        for i, op in enumerate(ops):
+            out[op.op_id] = i
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,7 @@ every iteration.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from ..errors import InvalidArgumentError, UnsupportedPatternError
 from ..model import (
@@ -22,12 +23,18 @@ from ..model import (
     PartitionedRequest,
     Purpose,
     Tag,
-    Window,
     create_endpoints_comm,
     dup_communicator,
     world_communicator,
 )
-from .base import Assignment, CommPattern, Mechanism, PatternKind, PatternOp
+from .base import (
+    Assignment,
+    CommPattern,
+    Mechanism,
+    PatternKind,
+    PatternOp,
+    _program_indexes,
+)
 
 
 def gen_legion(nodes: int, task_threads: int, events: int, seed: int = 0,
@@ -57,7 +64,6 @@ def gen_legion(nodes: int, task_threads: int, events: int, seed: int = 0,
             peer_process=src, peer_thread=src_thread, partner=send_id,
             tag_key=e, is_wildcard_recv=True,
         ))
-    pairs = tuple((op.op_id, op.partner) for op in ops if op.kind is OpKind.SEND)
     return CommPattern(
         kind=PatternKind.LEGION_POLLING,
         process_grid=(nodes,),
@@ -65,7 +71,6 @@ def gen_legion(nodes: int, task_threads: int, events: int, seed: int = 0,
         iterations=1,
         payload_bytes=payload,
         ops=tuple(ops),
-        pairs=pairs,
         seed=seed,
     )
 
@@ -149,7 +154,6 @@ def gen_dynamic_graph(procs: int, threads: int, rounds: int = 2,
                     peer_process=p, peer_thread=t, partner=send_id,
                     phase=r, tag_key=r, is_wildcard_recv=True,
                 ))
-    pairs = tuple((op.op_id, op.partner) for op in ops if op.kind is OpKind.SEND)
     return CommPattern(
         kind=PatternKind.DYNAMIC_GRAPH,
         process_grid=(procs,),
@@ -157,8 +161,6 @@ def gen_dynamic_graph(procs: int, threads: int, rounds: int = 2,
         iterations=1,
         payload_bytes=payload,
         ops=tuple(ops),
-        pairs=pairs,
-        num_phases=rounds,
         seed=seed,
     )
 
@@ -181,7 +183,6 @@ def gen_fan_in(senders: int, payload: int = 8192) -> CommPattern:
             op_id=senders + j, process=1, thread=0, kind=OpKind.RECV,
             peer_process=0, peer_thread=tag, partner=tag, tag_key=tag,
         ))
-    pairs = tuple((i, senders + (senders - 1 - i)) for i in range(senders))
     return CommPattern(
         kind=PatternKind.DYNAMIC_GRAPH,
         process_grid=(2,),
@@ -189,7 +190,6 @@ def gen_fan_in(senders: int, payload: int = 8192) -> CommPattern:
         iterations=1,
         payload_bytes=payload,
         ops=tuple(ops),
-        pairs=pairs,
     )
 
 
@@ -219,47 +219,32 @@ def collective_footprint(mechanism: Mechanism, threads: int,
 # assignments for the irregular patterns
 
 
-def _thread_prog_indexes(pattern: CommPattern) -> dict[int, int]:
-    out: dict[int, int] = {}
-    counters: dict[tuple[int, int], int] = {}
-    for op in pattern.ops:
-        key = (op.process, op.thread)
-        out[op.op_id] = counters.get(key, 0)
-        counters[key] = out[op.op_id] + 1
-    return out
-
-
-def assign_bspmm_windows(pattern: CommPattern,
-                         ordering_none: bool = False) -> Assignment:
+def assign_bspmm_windows(pattern: CommPattern) -> Assignment:
     """All gets and atomic updates on one shared window.
 
-    Relaxing accumulate ordering is the only lever this mechanism has; the
-    window itself stays a single matching entity, so spreading its traffic is
-    left to whatever the channel policy hashes."""
+    Relaxing accumulate ordering (the ``accumulate_ordering_none`` hint) is
+    the only lever this mechanism has; the window itself stays a single
+    matching entity, so spreading its traffic is left to whatever the channel
+    policy hashes."""
     if pattern.kind is not PatternKind.BSPMM_RMA:
         raise UnsupportedPatternError("window assignment expects the RMA pattern")
-    hints = InfoHints(accumulate_ordering_none=ordering_none)
-    ids = IdAllocator()
-    window = Window(ids.fresh_window(), hints)
-    prog = _thread_prog_indexes(pattern)
-    bindings, entity = {}, {}
+    window = IdAllocator().fresh_window()
+    prog = _program_indexes(pattern)
+    bindings = {}
     for op in pattern.ops:
         bindings[op.op_id] = OpDescriptor(
             kind=op.kind,
             source=(op.process, op.thread),
             program_index=prog[op.op_id],
-            window=window.window_id,
+            window=window,
             target=op.peer_process,
             target_location=op.location,
         )
-        entity[op.op_id] = ("win", window.window_id)
     return Assignment(
         mechanism=Mechanism.WINDOWS,
-        hints=hints,
+        hints=InfoHints(),
         bindings=bindings,
-        entity_of=entity,
         objects_created={"windows": 1},
-        windows=[window],
     )
 
 
@@ -272,26 +257,14 @@ def assign_bspmm_endpoints(pattern: CommPattern) -> Assignment:
     ids = IdAllocator()
     world = world_communicator(pattern.num_processes, ids)
     epcomm = create_endpoints_comm(world, pattern.threads_per_process, ids)
-    window = Window(ids.fresh_window())
-    prog = _thread_prog_indexes(pattern)
-    bindings, entity = {}, {}
-    for op in pattern.ops:
-        ep = epcomm.endpoint_rank(op.process, op.thread)
-        bindings[op.op_id] = OpDescriptor(
-            kind=op.kind,
-            source=(op.process, op.thread),
-            program_index=prog[op.op_id],
-            window=window.window_id,
-            target=op.peer_process,
-            target_location=op.location,
-            endpoint=ep,
-        )
-        entity[op.op_id] = ("ep", ep)
+    bindings = {
+        op_id: replace(desc, endpoint=epcomm.endpoint_rank(*desc.source))
+        for op_id, desc in assign_bspmm_windows(pattern).bindings.items()
+    }
     return Assignment(
         mechanism=Mechanism.ENDPOINTS,
         hints=InfoHints(),
         bindings=bindings,
-        entity_of=entity,
         objects_created={
             "windows": 1,
             "endpoints_per_process": pattern.threads_per_process,
@@ -299,7 +272,6 @@ def assign_bspmm_endpoints(pattern: CommPattern) -> Assignment:
         },
         comms=[world],
         endpoints_comm=epcomm,
-        windows=[window],
     )
 
 
@@ -316,8 +288,8 @@ def assign_allreduce(pattern: CommPattern, mechanism: Mechanism) -> Assignment:
     P = pattern.num_processes
     ids = IdAllocator()
     world = world_communicator(P, ids)
-    prog = _thread_prog_indexes(pattern)
-    bindings, entity = {}, {}
+    prog = _program_indexes(pattern)
+    bindings = {}
 
     if mechanism is Mechanism.COMMUNICATORS:
         comms = [dup_communicator(world, ids, purpose=Purpose.PARALLELISM_EXPOSURE)
@@ -332,10 +304,9 @@ def assign_allreduce(pattern: CommPattern, mechanism: Mechanism) -> Assignment:
                 target=op.peer_process,
                 tag=Tag(op.tag_key),
             )
-            entity[op.op_id] = ("comm", comm.context_id)
         return Assignment(
             mechanism=mechanism, hints=InfoHints(), bindings=bindings,
-            entity_of=entity, objects_created={"communicators": T},
+            objects_created={"communicators": T},
             comms=[world] + comms,
         )
 
@@ -353,10 +324,8 @@ def assign_allreduce(pattern: CommPattern, mechanism: Mechanism) -> Assignment:
                 tag=Tag(op.tag_key),
                 endpoint=ep,
             )
-            entity[op.op_id] = ("ep", ep)
         return Assignment(
             mechanism=mechanism, hints=InfoHints(), bindings=bindings,
-            entity_of=entity,
             objects_created={
                 "communicators": 1,
                 "endpoints_per_process": T,
@@ -367,7 +336,6 @@ def assign_allreduce(pattern: CommPattern, mechanism: Mechanism) -> Assignment:
 
     if mechanism is Mechanism.PARTITIONED:
         requests: dict[int, PartitionedRequest] = {}
-        request_of_op: dict[int, int] = {}
         send_req_of_process = {}
         for p in range(P):
             sreq = PartitionedRequest(
@@ -385,19 +353,16 @@ def assign_allreduce(pattern: CommPattern, mechanism: Mechanism) -> Assignment:
             send_req_of_process[p] = sreq.request_id
         for op in pattern.ops:
             rid = send_req_of_process[op.process]
-            request_of_op[op.op_id] = rid
             bindings[op.op_id] = OpDescriptor(
                 kind=OpKind.PARTITION_READY,
                 source=(op.process, op.thread),
                 program_index=prog[op.op_id],
                 partition=(rid, op.thread),
             )
-            entity[op.op_id] = ("part", rid, op.thread)
         return Assignment(
             mechanism=mechanism, hints=InfoHints(), bindings=bindings,
-            entity_of=entity,
             objects_created={"communicators": 1, "requests": len(requests)},
-            comms=[world], requests=requests, request_of_op=request_of_op,
+            comms=[world], requests=requests,
         )
 
     raise UnsupportedPatternError(

@@ -120,10 +120,8 @@ class Scenario:
         num_comms = None
         if self.kind == "fan-in" and mechanism is Mechanism.COMMUNICATORS:
             num_comms = 1 if variant == "naive" else None
-        assignment = build_assignment(
-            pattern, mechanism, variant=variant, num_comms=num_comms,
-            ordering_none=bool(self.hints.get("accumulate_ordering_none")),
-        )
+        assignment = build_assignment(pattern, mechanism, variant=variant,
+                                      num_comms=num_comms)
         overrides = {k: True for k in HINT_FLAGS
                      if self.hints.get(k) and not getattr(assignment.hints, k)}
         if overrides:

@@ -47,6 +47,7 @@ from .base import (
     PatternKind,
     PatternOp,
     STENCIL_KINDS,
+    _program_indexes,
 )
 
 
@@ -173,14 +174,11 @@ def gen_stencil(dims: int, points: int, process_grid, thread_grid,
                     locate[(p, t, d, op_kind)] = op.op_id
                     ops.append(op)
 
-    pairs = []
     linked_ops = []
     for op in ops:
         wanted = OpKind.RECV if op.kind is OpKind.SEND else OpKind.SEND
         partner = locate[(op.peer_process, op.peer_thread, _neg(op.direction),
                           wanted)]
-        if op.kind is OpKind.SEND:
-            pairs.append((op.op_id, partner))
         linked_ops.append(replace(op, partner=partner))
     ops = linked_ops
 
@@ -198,25 +196,9 @@ def gen_stencil(dims: int, points: int, process_grid, thread_grid,
         iterations=iterations,
         payload_bytes=payload,
         ops=tuple(ops),
-        pairs=tuple(pairs),
         communicating_threads=communicating,
         corner_threads=corners,
-        num_phases=len(dirs),
     )
-
-
-def _program_indexes(pattern: CommPattern) -> dict[int, int]:
-    """Issue order within each thread: post all receives, then all sends,
-    each in direction order (the usual nonblocking halo-exchange shape)."""
-    out = {}
-    by_thread: dict[tuple[int, int], list[PatternOp]] = {}
-    for op in pattern.ops:
-        by_thread.setdefault((op.process, op.thread), []).append(op)
-    for ops in by_thread.values():
-        ops.sort(key=lambda o: (0 if o.kind is OpKind.RECV else 1, o.phase, o.op_id))
-        for i, op in enumerate(ops):
-            out[op.op_id] = i
-    return out
 
 
 def _require_stencil(pattern: CommPattern, what: str):
@@ -247,7 +229,7 @@ def assign_communicators_naive(pattern: CommPattern,
         for _ in range(K)
     ]
     prog = _program_indexes(pattern)
-    bindings, entity = {}, {}
+    bindings = {}
     for op in pattern.ops:
         comm = comms[(op.thread if op.kind is OpKind.SEND else op.peer_thread) % K]
         ctx = MatchContextId(ContextFamily.COMM, comm.context_id)
@@ -263,13 +245,11 @@ def assign_communicators_naive(pattern: CommPattern,
             target=target,
             tag=tag,
         )
-        entity[op.op_id] = ("comm", comm.context_id)
     return Assignment(
         mechanism=Mechanism.COMMUNICATORS,
         variant="naive",
         hints=InfoHints(),
         bindings=bindings,
-        entity_of=entity,
         objects_created={"communicators": K},
         comms=[world] + comms,
     )
@@ -423,7 +403,7 @@ def assign_communicators_ideal(pattern: CommPattern) -> Assignment:
         comms.append(comm)
 
     prog = _program_indexes(pattern)
-    bindings, entity = {}, {}
+    bindings = {}
     for op in pattern.ops:
         comm = comm_of_key[_ideal_key(geo, pattern, op)]
         ctx = MatchContextId(ContextFamily.COMM, comm.context_id)
@@ -435,13 +415,11 @@ def assign_communicators_ideal(pattern: CommPattern) -> Assignment:
             target=op.peer_process,
             tag=Tag(op.tag_key),
         )
-        entity[op.op_id] = ("comm", comm.context_id)
     return Assignment(
         mechanism=Mechanism.COMMUNICATORS,
         variant="ideal",
         hints=InfoHints(),
         bindings=bindings,
-        entity_of=entity,
         objects_created={"communicators": len(comm_of_key)},
         comms=comms,
     )
@@ -473,7 +451,7 @@ def assign_tags_with_hints(pattern: CommPattern) -> Assignment:
                             purpose=Purpose.PARALLELISM_EXPOSURE)
     ctx = MatchContextId(ContextFamily.COMM, comm.context_id)
     prog = _program_indexes(pattern)
-    bindings, entity = {}, {}
+    bindings = {}
     for op in pattern.ops:
         if op.kind is OpKind.SEND:
             tag = encode_tag(op.thread, op.peer_thread, op.tag_key, layout)
@@ -487,12 +465,10 @@ def assign_tags_with_hints(pattern: CommPattern) -> Assignment:
             target=op.peer_process,
             tag=tag,
         )
-        entity[op.op_id] = ("tag", comm.context_id, op.thread)
     return Assignment(
         mechanism=Mechanism.TAGS_WITH_HINTS,
         hints=hints,
         bindings=bindings,
-        entity_of=entity,
         objects_created={"communicators": 1},
         comms=[world, comm],
     )
@@ -516,7 +492,7 @@ def assign_endpoints(pattern: CommPattern) -> Assignment:
     epcomm = create_endpoints_comm(world, T, ids)
     ctx = MatchContextId(ContextFamily.ENDPOINT, epcomm.context_id)
     prog = _program_indexes(pattern)
-    bindings, entity = {}, {}
+    bindings = {}
     used_endpoints = set()
     for op in pattern.ops:
         ep = epcomm.endpoint_rank(op.process, op.thread)
@@ -535,13 +511,11 @@ def assign_endpoints(pattern: CommPattern) -> Assignment:
             tag=tag,
             endpoint=ep,
         )
-        entity[op.op_id] = ("ep", ep)
     per_process = len({op.thread for op in pattern.ops if op.process == 0})
     return Assignment(
         mechanism=Mechanism.ENDPOINTS,
         hints=InfoHints(),
         bindings=bindings,
-        entity_of=entity,
         objects_created={
             "communicators": 1,
             "endpoints_per_process": per_process,
@@ -579,8 +553,7 @@ def assign_partitioned(pattern: CommPattern) -> Assignment:
         groups.setdefault(key, []).append(op)
 
     requests: dict[int, PartitionedRequest] = {}
-    request_of_op: dict[int, int] = {}
-    bindings, entity = {}, {}
+    bindings = {}
     slot_of_op: dict[int, tuple[int, int]] = {}
     for key in sorted(groups, key=repr):
         process, kind, direction, peer = key
@@ -597,7 +570,6 @@ def assign_partitioned(pattern: CommPattern) -> Assignment:
         )
         requests[req.request_id] = req
         for index, op in enumerate(members):
-            request_of_op[op.op_id] = req.request_id
             slot_of_op[op.op_id] = (req.request_id, index)
 
     for op in pattern.ops:
@@ -610,12 +582,10 @@ def assign_partitioned(pattern: CommPattern) -> Assignment:
             program_index=prog[op.op_id],
             partition=slot,
         )
-        entity[op.op_id] = ("part",) + slot
     return Assignment(
         mechanism=Mechanism.PARTITIONED,
         hints=InfoHints(),
         bindings=bindings,
-        entity_of=entity,
         objects_created={
             "communicators": 1,
             "requests": len(requests),
@@ -623,5 +593,4 @@ def assign_partitioned(pattern: CommPattern) -> Assignment:
         },
         comms=[world],
         requests=requests,
-        request_of_op=request_of_op,
     )

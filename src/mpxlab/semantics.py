@@ -43,17 +43,6 @@ if TYPE_CHECKING:
 ORACLE_MAX_OPS = 12
 
 
-def match_context_of(op: OpDescriptor) -> MatchContextId:
-    """The isolation unit this op matches within."""
-    if op.context is not None:
-        return op.context
-    if op.window is not None:
-        return MatchContextId(ContextFamily.WINDOW, op.window)
-    if op.partition is not None:
-        return MatchContextId(ContextFamily.PARTITIONED, op.partition[0])
-    raise InvalidArgumentError("descriptor carries no addressing information")
-
-
 def _tags_equal(a: Tag | None, b: Tag | None) -> bool:
     return a is not None and b is not None and not a.is_wildcard \
         and not b.is_wildcard and a.raw == b.raw
@@ -619,7 +608,6 @@ class ValidationReport:
 
     matching_violations: list = field(default_factory=list)
     lost_parallelism: list = field(default_factory=list)
-    contexts_used: int = 0
 
     @property
     def clean(self) -> bool:
@@ -717,7 +705,4 @@ def validate_assignment(pattern: "CommPattern", assignment: "Assignment") -> Val
             consider(x, y)
 
     report.lost_parallelism.sort()
-    report.contexts_used = len(
-        {match_context_of(d) for d in bindings.values()}
-    )
     return report

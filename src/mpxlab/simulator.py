@@ -76,14 +76,13 @@ class CostModel:
     """Abstract tick costs; the defaults are published configuration."""
 
     per_message_issue: int = 1
-    per_match_attempt: int = 1
     per_channel_transfer: int = 4
     sync_wait: int = 2
     probe: int = 1
 
     def __post_init__(self):
-        if min(self.per_message_issue, self.per_match_attempt,
-               self.per_channel_transfer, self.sync_wait, self.probe) < 0:
+        if min(self.per_message_issue, self.per_channel_transfer,
+               self.sync_wait, self.probe) < 0:
             raise MpxlabError("cost constants must be non-negative")
 
 

@@ -187,11 +187,17 @@ class TestSimulate:
         assert workers == [2]  # one CPU: no pool at all
         assert (tmp_path / "b.report.json").exists()
 
-    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
-    def test_jobs_below_one_is_a_usage_error(self, tmp_path, jobs):
+    # the overriding flags take what the spec loader takes for their field
+    # (channel_pool >= 1, seed >= 0); the --jobs ids keep their names
+    @pytest.mark.parametrize("flag,value", [
+        ("--jobs", "0"), ("--jobs", "-3"), ("--jobs", "two"),
+        ("--channels", "0"), ("--channels", "-3"), ("--seed", "-1"),
+    ], ids=["0", "-3", "two", "channels-0", "channels--3", "seed--1"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, flag, value):
         spec = write_spec(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--spec", str(spec), "--jobs", jobs])
+            main(["simulate", "--spec", str(spec), "--out", str(tmp_path),
+                  flag, value])
         assert exc.value.code == 2
 
 

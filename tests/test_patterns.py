@@ -425,3 +425,12 @@ class TestSpecFile:
         assignment = scenario.build_assignment(pattern)
         assert assignment.hints.no_any_tag and assignment.hints.no_any_source
         assert validate_assignment(pattern, assignment).matching_violations == []
+
+    def test_spec_hint_relaxes_window_accumulate_ordering(self):
+        scenario = scenario_from_dict({
+            "kind": "bspmm-rma", "process_grid": [2], "thread_grid": [3],
+            "mechanism": "windows",
+            "hints": {"accumulate_ordering_none": True},
+        })
+        assignment = scenario.build_assignment(scenario.build_pattern())
+        assert assignment.hints.accumulate_ordering_none is True
