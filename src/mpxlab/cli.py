@@ -126,6 +126,7 @@ def _simulate_one(spec_path: str, args) -> str:
         pool=scenario.build_pool(),
         policy=scenario.build_policy(),
         seed=scenario.seed,
+        events=False,  # no report format carries events
     )
     out = _out_dir(args)
     stem = Path(spec_path).stem
@@ -179,8 +180,12 @@ def cmd_assign(args) -> int:
         sys.stdout.write(scenario.to_json())
         return EXIT_OK
     pattern = scenario.build_pattern()
-    assignment = scenario.build_assignment(pattern)
     process = args.process
+    if not 0 <= process < pattern.num_processes:
+        print(f"error: --process {process} is not a process of the spec "
+              f"(0..{pattern.num_processes - 1})", file=sys.stderr)
+        return EXIT_SPEC
+    assignment = scenario.build_assignment(pattern)
     print(f"# mechanism={scenario.mechanism} process={process}")
     print("thread\tdirection\top\tbinding")
     rows = [op for op in pattern.ops if op.process == process]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .errors import (
     DoubleReadyError,
@@ -253,7 +254,7 @@ class EndpointsComm:
     parent: Communicator
     eps_per_process: tuple[int, ...]
 
-    @property
+    @cached_property
     def prefix(self) -> tuple[int, ...]:
         out, acc = [], 0
         for n in self.eps_per_process:

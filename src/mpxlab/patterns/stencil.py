@@ -17,7 +17,6 @@ sheet-structured and deliberately leaves a few slots idle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from math import ceil, log2, prod
 
 from ..errors import InvalidArgumentError, TagOverflowError, UnsupportedPatternError
@@ -141,54 +140,49 @@ def gen_stencil(dims: int, points: int, process_grid, thread_grid,
         raise InvalidArgumentError(f"grids are {geo.dims}-dimensional, dims={dims}")
     dirs = stencil_directions(dims, points)
     dir_index = {d: i for i, d in enumerate(dirs)}
+    neg = {d: _neg(d) for d in dirs}
     kind = {
         (2, 5): PatternKind.STENCIL_2D_5PT,
         (2, 9): PatternKind.STENCIL_2D_9PT,
         (3, 27): PatternKind.STENCIL_3D_27PT,
     }[(dims, points)]
 
-    ops: list[PatternOp] = []
+    threads = [geo.thread_coords(t) for t in range(prod(geo.T))]
+    # the directions a thread's halo crosses do not depend on its process
+    crossings = [[d for d in dirs if geo.crossing(tc, d)] for tc in threads]
+    rows = []  # (process, thread, kind, direction, peer process, peer thread)
     locate: dict[tuple, int] = {}
     for p in range(prod(geo.P)):
         pc = geo.proc_coords(p)
-        for t in range(prod(geo.T)):
-            tc = geo.thread_coords(t)
-            for d in dirs:
-                if not geo.crossing(tc, d):
-                    continue
+        for t, tc in enumerate(threads):
+            for d in crossings[t]:
                 ppc, ptc = geo.neighbor(pc, tc, d)
                 peer_p, peer_t = geo.proc_flat(ppc), geo.thread_flat(ptc)
                 for op_kind in (OpKind.RECV, OpKind.SEND):
-                    traffic = dir_index[d] if op_kind is OpKind.SEND else dir_index[_neg(d)]
-                    op = PatternOp(
-                        op_id=len(ops),
-                        process=p,
-                        thread=t,
-                        kind=op_kind,
-                        direction=d,
-                        peer_process=peer_p,
-                        peer_thread=peer_t,
-                        phase=traffic,
-                        tag_key=traffic,
-                    )
-                    locate[(p, t, d, op_kind)] = op.op_id
-                    ops.append(op)
+                    locate[(p, t, d, op_kind)] = len(rows)
+                    rows.append((p, t, op_kind, d, peer_p, peer_t))
 
-    linked_ops = []
-    for op in ops:
-        wanted = OpKind.RECV if op.kind is OpKind.SEND else OpKind.SEND
-        partner = locate[(op.peer_process, op.peer_thread, _neg(op.direction),
-                          wanted)]
-        linked_ops.append(replace(op, partner=partner))
-    ops = linked_ops
+    ops = []
+    for op_id, (p, t, op_kind, d, peer_p, peer_t) in enumerate(rows):
+        if op_kind is OpKind.SEND:
+            traffic, wanted = dir_index[d], OpKind.RECV
+        else:
+            traffic, wanted = dir_index[neg[d]], OpKind.SEND
+        ops.append(PatternOp(
+            op_id=op_id,
+            process=p,
+            thread=t,
+            kind=op_kind,
+            direction=d,
+            peer_process=peer_p,
+            peer_thread=peer_t,
+            partner=locate[(peer_p, peer_t, neg[d], wanted)],
+            phase=traffic,
+            tag_key=traffic,
+        ))
 
-    communicating = frozenset(
-        t for t in range(prod(geo.T))
-        if any(geo.crossing(geo.thread_coords(t), d) for d in dirs)
-    )
-    corners = frozenset(
-        t for t in range(prod(geo.T)) if geo.is_corner(geo.thread_coords(t))
-    )
+    communicating = frozenset(t for t, ds in enumerate(crossings) if ds)
+    corners = frozenset(t for t, tc in enumerate(threads) if geo.is_corner(tc))
     return CommPattern(
         kind=kind,
         process_grid=tuple(process_grid),

@@ -584,6 +584,9 @@ def oracle_equivalence_check(max_ops: int = 12):
         raise OracleBoundError(
             f"bound {max_ops} exceeds the enumeration limit {ORACLE_MAX_OPS}"
         )
+    if max_ops < 2:
+        # no universe holds a pair to compare: the sweep would pass vacuously
+        raise OracleBoundError(f"bound {max_ops} is below 2, the smallest pair")
     comparisons = 0
     mismatches = []
     for name, universe, hints in equivalence_scenarios(max_ops):

@@ -28,6 +28,7 @@ import io
 import itertools
 import json
 from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -45,7 +46,6 @@ from .patterns.irregular import collective_footprint
 from .semantics import (
     logically_parallel,
     matching_violations,
-    requests_match,
     _serial_bucket_keys,
 )
 
@@ -332,9 +332,33 @@ def _max_overlap(intervals) -> int:
     return best
 
 
+def _pair_requests(requests) -> dict[int, int]:
+    """Pair partitioned requests: send request id -> receive request id.
+
+    Each send, in id order, takes the first untaken receive in id order that
+    :func:`mpxlab.semantics.requests_match` accepts.  Those are the receives
+    with the send's (context, owner, peer, tag) seen from the other side, so
+    the send takes the head of that key's queue.
+    """
+    by_id = sorted(requests, key=lambda r: r.request_id)
+    recvs_of: dict[tuple, deque] = {}
+    for r in by_id:
+        if r.direction is Direction.RECV:
+            recvs_of.setdefault(
+                (r.comm.context_id, r.peer, r.owner, r.tag.raw), deque()
+            ).append(r.request_id)
+    pair_of = {}
+    for s in by_id:
+        if s.direction is Direction.SEND:
+            queue = recvs_of.get((s.comm.context_id, s.owner, s.peer, s.tag.raw))
+            if queue:
+                pair_of[s.request_id] = queue.popleft()
+    return pair_of
+
+
 class _Engine:
     def __init__(self, pattern, assignment, pool, policy, cost, seed,
-                 partitioned_buffers=1):
+                 partitioned_buffers=1, events=True):
         self.pattern = pattern
         self.assignment = assignment
         self.pool = pool
@@ -342,7 +366,8 @@ class _Engine:
         self.cost = cost
         self.seed = seed
         self.partitioned_buffers = max(1, partitioned_buffers)
-        self.events: list[Event] = []
+        # None when the caller reads only the counters: no Event is built
+        self.events: list[Event] | None = [] if events else None
         self.clocks: dict[tuple[int, int], int] = {}
         self.channel_free: dict[tuple[int, int], int] = {}
         self.channel_busy: dict[tuple[int, int], int] = {}
@@ -366,13 +391,15 @@ class _Engine:
         self.clocks[(p, t)] = self.clock(p, t) + dt
 
     def emit(self, time, kind, op_id=None, channel=None):
-        self.events.append(Event(time, kind, op_id, channel, self.iteration))
+        if self.events is not None:
+            self.events.append(Event(time, kind, op_id, channel, self.iteration))
 
     def count_attempts(self, time, op_id, n):
         """The n match attempts of one queue scan: n references to one event."""
         self.attempts += n
-        self.events.extend(
-            [Event(time, EventKind.MATCH_ATTEMPT, op_id, None, self.iteration)] * n)
+        if self.events is not None and n:
+            self.events.extend(
+                [Event(time, EventKind.MATCH_ATTEMPT, op_id, None, self.iteration)] * n)
 
     def serial(self, a_id, b_id) -> bool:
         key = (min(a_id, b_id), max(a_id, b_id))
@@ -419,8 +446,9 @@ class _Engine:
         for r in resources:
             self.channel_free[r] = end
             self.channel_busy[r] = self.channel_busy.get(r, 0) + (end - start)
-        self.emit(start, EventKind.CHANNEL_ACQUIRE, op.op_id, min(resources))
-        self.emit(start, EventKind.TRANSFER, op.op_id, min(resources))
+        if self.events is not None:
+            self.emit(start, EventKind.CHANNEL_ACQUIRE, op.op_id, min(resources))
+            self.emit(start, EventKind.TRANSFER, op.op_id, min(resources))
         self.transfers.append((start, end, tuple(sorted({p for p, _ in resources})),
                                op.phase))
         for key in keys:
@@ -435,18 +463,9 @@ class _Engine:
         pair_of = {}
         reqs_of: dict[int, list] = {}
         if partitioned:
-            by_id = sorted(assignment.requests.values(),
-                           key=lambda r: r.request_id)
-            sends = [r for r in by_id if r.direction is Direction.SEND]
-            recvs = [r for r in by_id if r.direction is Direction.RECV]
-            taken = set()
-            for s in sends:
-                for r in recvs:
-                    if r.request_id not in taken and requests_match(s, r):
-                        pair_of[s.request_id] = r.request_id
-                        taken.add(r.request_id)
-                        break
-            for r in by_id:
+            pair_of = _pair_requests(assignment.requests.values())
+            for r in sorted(assignment.requests.values(),
+                            key=lambda r: r.request_id):
                 reqs_of.setdefault(r.owner, []).append(r)
 
         # per phase: receives, then sends, each in (process, thread, op) order
@@ -623,10 +642,13 @@ class _Engine:
             sweeps = len(msgs) + 1
             consumed = 0
             for _ in range(sweeps):
-                for _ in range(contexts):
-                    self.emit(pc, EventKind.PROBE_ITERATION)
-                    self.probes += 1
-                    pc += cost.probe
+                if self.events is not None:
+                    self.events.extend(
+                        Event(pc + i * cost.probe, EventKind.PROBE_ITERATION,
+                              iteration=self.iteration)
+                        for i in range(contexts))
+                self.probes += contexts
+                pc += contexts * cost.probe
                 if consumed < len(msgs):
                     end, sid = msgs[consumed]
                     consumed += 1
@@ -662,7 +684,8 @@ class _Engine:
             f"p{p}c{c}": busy
             for (p, c), busy in sorted(self.channel_busy.items())
         }
-        self.events.sort(key=lambda ev: ev.time)  # stable: ties keep issue order
+        if self.events is not None:
+            self.events.sort(key=lambda ev: ev.time)  # stable: ties keep issue order
         return SimReport(
             mechanism=assignment.mechanism.value,
             variant=assignment.variant,
@@ -678,17 +701,19 @@ class _Engine:
             memory_footprint_bytes=_footprint(pattern, assignment),
             objects=dict(assignment.objects_created),
             phase_concurrency=phase_conc,
-            events=self.events,
+            events=self.events or [],
         )
 
 
 def run(pattern: CommPattern, assignment: Assignment,
         pool: ChannelPool | None = None, policy: PolicyKind | None = None,
         cost: CostModel | None = None, seed: int = 0,
-        partitioned_buffers: int = 1) -> SimReport:
+        partitioned_buffers: int = 1, events: bool = True) -> SimReport:
     """Execute one scenario and measure concurrency, matching and sync cost.
 
     ``policy`` picks the channel mapping; None takes the mechanism's default.
+    With ``events=False`` the engine keeps only its counters: the report's
+    ``events`` is empty and every other field is the same.
     Refuses to run when an op is unbound, an intended pair cannot match, or
     the policy cannot map the assignment.  Lost parallelism is not checked
     here; :func:`mpxlab.semantics.validate_assignment` reports it.  Identical
@@ -703,7 +728,7 @@ def run(pattern: CommPattern, assignment: Assignment,
             f"{len(violations)} matching violations; first: {violations[0]}"
         )
     engine = _Engine(pattern, assignment, pool, mapping, cost, seed,
-                     partitioned_buffers)
+                     partitioned_buffers, events)
     report = engine.run()
     expected = _expected_messages(pattern, assignment)
     if report.matches_total != expected:

@@ -8,8 +8,11 @@ import pytest
 
 import mpxlab.cli as cli
 import mpxlab.semantics as semantics
+import mpxlab.simulator as simulator
 from mpxlab.cli import main
+from mpxlab.patterns.specfile import load_scenario
 from mpxlab.semantics import ParallelismVerdict, Reason
+from mpxlab.simulator import Event, run
 
 
 def write_spec(tmp_path, name="spec.json", **overrides):
@@ -91,6 +94,32 @@ class TestSimulate:
         assert j1 == j2
         csv_text = (out1 / "spec.report.csv").read_text()
         assert csv_text.splitlines()[1].startswith("endpoints,")
+
+    @pytest.mark.parametrize("kind,mechanism,grids", [
+        ("stencil-2d-9pt", "partitioned", ([2, 2], [3, 3])),
+        ("stencil-3d-27pt", "communicators", ([2, 2, 2], [2, 2, 3])),
+        ("legion-polling", "communicators-naive", ([3], [4])),
+    ])
+    def test_json_report_is_the_library_report_without_events(
+            self, tmp_path, monkeypatch, kind, mechanism, grids):
+        spec = write_spec(tmp_path, kind=kind, mechanism=mechanism,
+                          process_grid=grids[0], thread_grid=grids[1])
+        scenario = load_scenario(spec)
+        pattern = scenario.build_pattern()
+        expected = run(pattern, scenario.build_assignment(pattern),
+                       pool=scenario.build_pool(),
+                       policy=scenario.build_policy(), seed=scenario.seed)
+        built = []
+
+        def counted_event(*args, **kwargs):
+            built.append(args)
+            return Event(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "Event", counted_event)
+        assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path),
+                     "--format", "json"]) == 0
+        assert (tmp_path / "spec.report.json").read_text() == expected.to_json()
+        assert built == []  # no report format carries events
 
     def test_unsupported_combination_exit_code(self, tmp_path):
         spec = write_spec(tmp_path, kind="legion-polling", process_grid=[2],
@@ -227,6 +256,22 @@ class TestAssign:
         assert main(["assign", "--spec", str(spec)]) == 0
         assert "ep:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("process", ["99", "4", "-1"])
+    def test_process_out_of_range_is_a_usage_error(self, tmp_path, capsys,
+                                                   process):
+        spec = write_spec(tmp_path, kind="stencil-2d-5pt")  # 4 processes
+        assert main(["assign", "--spec", str(spec), "--process", process]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "0..3" in captured.err
+
+    def test_last_process_is_in_range(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, kind="stencil-2d-5pt")
+        assert main(["assign", "--spec", str(spec), "--process", "3"]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if line and line[0].isdigit()]
+        assert rows
+
     def test_emit_spec_round_trips(self, tmp_path, capsys):
         spec = write_spec(tmp_path, mechanism="endpoints", seed=9)
         assert main(["assign", "--spec", str(spec), "--emit-spec"]) == 0
@@ -244,6 +289,16 @@ class TestOracleCheck:
 
     def test_bound_too_large(self):
         assert main(["oracle-check", "--bound", "13"]) == 3
+
+    @pytest.mark.parametrize("bound", ["1", "0", "-2"])
+    def test_bound_below_a_pair_is_a_bound_error(self, capsys, bound):
+        # a bound with no pair to compare would pass vacuously
+        assert main(["oracle-check", "--bound", bound]) == 3
+        assert "PASS" not in capsys.readouterr().out
+
+    def test_smallest_bound_compares(self, capsys):
+        assert main(["oracle-check", "--bound", "2"]) == 0
+        assert "PASS (16 comparisons)" in capsys.readouterr().out
 
     def test_injected_classifier_bug_is_caught(self, capsys, monkeypatch):
         real = semantics.logically_parallel

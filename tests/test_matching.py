@@ -19,7 +19,12 @@ from mpxlab.model import (
     OpKind,
     Tag,
 )
-from mpxlab.patterns import assign_communicators_naive, gen_fan_in
+from mpxlab.patterns import (
+    assign_communicators_naive,
+    assign_partitioned,
+    gen_fan_in,
+    gen_stencil,
+)
 from mpxlab.semantics import can_match
 from mpxlab.simulator import _Matcher, run
 
@@ -157,6 +162,17 @@ def test_run_work_follows_the_reported_counts(monkeypatch):
     assert report.matches_total == 512
     assert calls["logically_parallel"] <= 512
     assert calls["can_match"] <= 2048
+
+
+def test_partitioned_pairing_is_linear(monkeypatch):
+    p = gen_stencil(3, 27, [2, 2, 2], [3, 3, 3])
+    a = assign_partitioned(p)
+    calls = _count_calls(monkeypatch, ("requests_match",))
+    run(p, a)
+    # the matching check asks once per intended op pair; pairing the
+    # 784 send requests with the 784 receives adds no call of its own
+    assert len(a.requests) == 1568
+    assert calls["requests_match"] <= len(p.pairs)
 
 
 def test_run_refuses_an_unbound_op():

@@ -1,10 +1,22 @@
 """Engine behavior: determinism, matching cost, sync events, concurrency."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpxlab.channels import ChannelPool
 from mpxlab.errors import InvalidAssignmentError, MpxlabError
-from mpxlab.model import ContextFamily, MatchContextId, OpKind, Tag
+from mpxlab.model import (
+    ContextFamily,
+    Direction,
+    IdAllocator,
+    MatchContextId,
+    OpKind,
+    PartitionedRequest,
+    Tag,
+    dup_communicator,
+    world_communicator,
+)
 from mpxlab.patterns import (
     Mechanism,
     assign_allreduce,
@@ -18,10 +30,12 @@ from mpxlab.patterns import (
     gen_legion,
     gen_stencil,
 )
+from mpxlab.semantics import requests_match
 from mpxlab.simulator import (
     Comparison,
     CostModel,
     EventKind,
+    _pair_requests,
     compare_mechanisms,
     run,
 )
@@ -195,3 +209,74 @@ class TestComparison:
         assert any(line.startswith("endpoints,") for line in lines)
         ratios = comparison.ratios("makespan")
         assert ratios["communicators-ideal"] == 1.0
+
+
+STENCIL_ASSIGNERS = [assign_communicators_ideal, assign_communicators_naive,
+                     assign_tags_with_hints, assign_endpoints, assign_partitioned]
+
+
+class TestEventsOptOut:
+    @pytest.mark.parametrize("assign", STENCIL_ASSIGNERS,
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("pattern", [
+        lambda: gen_stencil(2, 9, [2, 2], [3, 3], iterations=2),
+        lambda: gen_stencil(3, 27, [2, 2, 2], [2, 2, 3]),
+    ], ids=["2d", "3d"])
+    def test_stencil_report_is_the_same_without_events(self, assign, pattern):
+        p = pattern()
+        full = run(p, assign(p))
+        bare = run(p, assign(p), events=False)
+        assert full.events
+        assert bare.events == []
+        assert bare.to_json() == full.to_json()
+
+    @pytest.mark.parametrize("assign", [
+        lambda p: assign_communicators_naive(p, num_comms=3), assign_endpoints,
+    ], ids=["naive", "endpoints"])
+    def test_polling_report_is_the_same_without_events(self, assign):
+        p = gen_legion(3, 4, 16, seed=5)
+        full = run(p, assign(p))
+        bare = run(p, assign(p), events=False)
+        assert full.probe_iterations > 0
+        assert bare.events == []
+        assert bare.to_json() == full.to_json()
+
+
+def first_fit_pairs(requests):
+    """Reference pairing: each send, in id order, takes the first untaken
+    receive in id order that ``requests_match`` accepts."""
+    by_id = sorted(requests, key=lambda r: r.request_id)
+    taken, pairs = set(), {}
+    for s in by_id:
+        for r in by_id:
+            if r.request_id not in taken and requests_match(s, r):
+                pairs[s.request_id] = r.request_id
+                taken.add(r.request_id)
+                break
+    return pairs
+
+
+@st.composite
+def request_sets(draw):
+    # two processes, two tags and two contexts: keys repeat within a set
+    ids = IdAllocator()
+    world = world_communicator(2, ids)
+    comms = [world, dup_communicator(world, ids)]
+    n = draw(st.integers(0, 30))
+    request_ids = draw(st.permutations(range(n)))
+    return [
+        PartitionedRequest(
+            request_id=rid,
+            direction=draw(st.sampled_from(list(Direction))),
+            num_partitions=1, partition_size=1,
+            peer=draw(st.integers(0, 1)), tag=Tag(draw(st.integers(0, 1))),
+            comm=draw(st.sampled_from(comms)), owner=draw(st.integers(0, 1)),
+        )
+        for rid in request_ids
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(request_sets())
+def test_request_pairing_matches_first_fit(requests):
+    assert _pair_requests(requests) == first_fit_pairs(requests)
