@@ -25,14 +25,12 @@ from .model import (
     ContextFamily,
     Direction,
     EndpointsComm,
-    HashType,
     IdAllocator,
     InfoHints,
     MatchContextId,
     OpDescriptor,
     OpKind,
     PartitionedRequest,
-    Placement,
     Purpose,
     RequestState,
     Tag,
@@ -76,13 +74,10 @@ from .semantics import (
     validate_assignment,
 )
 from .simulator import (
-    Comparison,
-    CostModel,
     Event,
     EventKind,
     SimReport,
     channel_policy,
-    compare_mechanisms,
     run,
 )
 

@@ -15,7 +15,6 @@ from enum import Enum
 from .errors import InvalidArgumentError, MappingError
 from .model import (
     ANY_SOURCE,
-    HashType,
     OpDescriptor,
     TagBitLayout,
     decode_tag,
@@ -125,8 +124,6 @@ def map_entity(policy: MappingPolicy, op: OpDescriptor,
             raise MappingError("tag-bit mapping needs a concrete tag")
         src, dst, _ = decode_tag(op.tag, policy.layout)
         n = min(R, policy.layout.num_vcis)
-        if policy.layout.hash_type is HashType.HASHED:
-            return fnv1a(src) % n, fnv1a(dst) % n
         return src % n, dst % n
 
     if kind is PolicyKind.ENDPOINT_IDENTITY:

@@ -13,7 +13,7 @@ single-threaded simulation engine.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -30,34 +30,19 @@ TAG_WIDTH_DEFAULT = 23  # usable tag bits; a common floor across MPI libraries
 ANY_SOURCE = -2
 
 
-class Placement(Enum):
-    """Where the thread-id bits sit inside the encoded tag word."""
-
-    MOST_SIGNIFICANT = "msb"
-    LEAST_SIGNIFICANT = "lsb"
-
-
-class HashType(Enum):
-    """How a library maps thread-id bits extracted from tags onto channels."""
-
-    ONE_TO_ONE = "one-to-one"
-    HASHED = "hashed"
-
-
 @dataclass(frozen=True)
 class TagBitLayout:
     """Partition of the tag word into sender-tid, receiver-tid and app fields.
 
-    ``num_app_bits`` defaults to whatever the tag width leaves over once both
-    thread-id fields are accounted for.
+    The thread-id fields sit above the app field.  ``num_app_bits`` defaults
+    to whatever the tag width leaves over once both thread-id fields are
+    accounted for.  Thread ids map one-to-one onto channels, so the sender
+    and receiver fields must each be able to name every one of ``num_vcis``.
     """
 
     num_vcis: int
     num_tid_bits: int
     num_app_bits: int | None = None
-    placement: Placement = Placement.MOST_SIGNIFICANT
-    hash_type: HashType = HashType.ONE_TO_ONE
-    tag_width: int = TAG_WIDTH_DEFAULT
 
     def __post_init__(self):
         if self.num_vcis < 1:
@@ -66,19 +51,16 @@ class TagBitLayout:
             raise InvalidArgumentError("num_tid_bits must be positive")
         if self.num_app_bits is None:
             object.__setattr__(
-                self, "num_app_bits", self.tag_width - 2 * self.num_tid_bits
+                self, "num_app_bits", TAG_WIDTH_DEFAULT - 2 * self.num_tid_bits
             )
         if self.num_app_bits < 0:
             raise InvalidArgumentError("negative app-bit width")
-        if 2 * self.num_tid_bits + self.num_app_bits > self.tag_width:
+        if 2 * self.num_tid_bits + self.num_app_bits > TAG_WIDTH_DEFAULT:
             raise TagOverflowError(
                 f"layout needs {2 * self.num_tid_bits + self.num_app_bits} bits, "
-                f"tag width is {self.tag_width}"
+                f"tag width is {TAG_WIDTH_DEFAULT}"
             )
-        if (
-            self.hash_type is HashType.ONE_TO_ONE
-            and self.num_vcis > 1 << self.num_tid_bits
-        ):
+        if self.num_vcis > 1 << self.num_tid_bits:
             raise InvalidArgumentError(
                 "one-to-one mapping requires num_vcis <= 2**num_tid_bits"
             )
@@ -86,18 +68,18 @@ class TagBitLayout:
 
 @dataclass(frozen=True)
 class Tag:
-    """A match tag: a raw unsigned value of configurable width.
+    """A match tag: a raw unsigned value of ``TAG_WIDTH_DEFAULT`` bits.
 
     ``ANY_TAG`` is the distinguished wildcard; its raw value is negative and
     therefore outside every encodable range.
     """
 
     raw: int
-    width: int = field(default=TAG_WIDTH_DEFAULT, compare=False)
 
     def __post_init__(self):
-        if self.raw >= 0 and self.raw >= 1 << self.width:
-            raise TagOverflowError(f"raw tag {self.raw} exceeds {self.width} bits")
+        if self.raw >= 1 << TAG_WIDTH_DEFAULT:
+            raise TagOverflowError(
+                f"raw tag {self.raw} exceeds {TAG_WIDTH_DEFAULT} bits")
         if self.raw < 0 and self.raw != -1:
             raise InvalidArgumentError("negative tags are reserved for ANY_TAG")
 
@@ -125,20 +107,11 @@ def encode_tag(src_tid: int, dst_tid: int, app_bits: int, layout: TagBitLayout) 
     ):
         if value < 0 or value >= 1 << nbits:
             raise TagOverflowError(f"{name}={value} does not fit {nbits} bits")
-    if layout.placement is Placement.MOST_SIGNIFICANT:
-        # tid fields above the app field, packed from bit 0 upward
-        raw = (
-            src_tid << (layout.num_tid_bits + layout.num_app_bits)
-            | dst_tid << layout.num_app_bits
-            | app_bits
-        )
-    else:
-        raw = (
-            app_bits << (2 * layout.num_tid_bits)
-            | src_tid << layout.num_tid_bits
-            | dst_tid
-        )
-    return Tag(raw, layout.tag_width)
+    return Tag(
+        src_tid << (layout.num_tid_bits + layout.num_app_bits)
+        | dst_tid << layout.num_app_bits
+        | app_bits
+    )
 
 
 def decode_tag(tag: Tag, layout: TagBitLayout) -> tuple[int, int, int]:
@@ -147,14 +120,9 @@ def decode_tag(tag: Tag, layout: TagBitLayout) -> tuple[int, int, int]:
         raise InvalidArgumentError("cannot decode the wildcard tag")
     tid_mask = (1 << layout.num_tid_bits) - 1
     app_mask = (1 << layout.num_app_bits) - 1 if layout.num_app_bits else 0
-    if layout.placement is Placement.MOST_SIGNIFICANT:
-        src = (tag.raw >> (layout.num_tid_bits + layout.num_app_bits)) & tid_mask
-        dst = (tag.raw >> layout.num_app_bits) & tid_mask
-        app = tag.raw & app_mask
-    else:
-        app = (tag.raw >> (2 * layout.num_tid_bits)) & app_mask
-        src = (tag.raw >> layout.num_tid_bits) & tid_mask
-        dst = tag.raw & tid_mask
+    src = (tag.raw >> (layout.num_tid_bits + layout.num_app_bits)) & tid_mask
+    dst = (tag.raw >> layout.num_app_bits) & tid_mask
+    app = tag.raw & app_mask
     return src, dst, app
 
 

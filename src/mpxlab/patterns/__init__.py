@@ -51,9 +51,11 @@ __all__ = [
 
 
 def build_assignment(pattern: CommPattern, mechanism: Mechanism,
-                     variant: str = "", num_comms: int | None = None) -> Assignment:
+                     variant: str = "") -> Assignment:
     """Route a (pattern kind, mechanism) combination to its constructor.
 
+    The ``"naive"`` communicator variant of the fan-in stressor shares one
+    communicator among all senders: the shared queue it exists to measure.
     Unsupported combinations raise :class:`UnsupportedPatternError` with the
     semantic reason (wildcards, persistence, one-sidedness).
     """
@@ -61,7 +63,7 @@ def build_assignment(pattern: CommPattern, mechanism: Mechanism,
     if kind in STENCIL_KINDS:
         if mechanism is Mechanism.COMMUNICATORS:
             if variant == "naive":
-                return assign_communicators_naive(pattern, num_comms)
+                return assign_communicators_naive(pattern)
             return assign_communicators_ideal(pattern)
         if mechanism is Mechanism.TAGS_WITH_HINTS:
             return assign_tags_with_hints(pattern)
@@ -72,9 +74,11 @@ def build_assignment(pattern: CommPattern, mechanism: Mechanism,
         raise UnsupportedPatternError(
             "windows do not express two-sided halo exchange"
         )
-    if kind in (PatternKind.LEGION_POLLING, PatternKind.DYNAMIC_GRAPH):
+    if kind in (PatternKind.LEGION_POLLING, PatternKind.DYNAMIC_GRAPH,
+                PatternKind.FAN_IN):
         if mechanism is Mechanism.COMMUNICATORS:
-            return assign_communicators_naive(pattern, num_comms)
+            shared = kind is PatternKind.FAN_IN and variant == "naive"
+            return assign_communicators_naive(pattern, 1 if shared else None)
         if mechanism is Mechanism.ENDPOINTS:
             return assign_endpoints(pattern)
         if mechanism is Mechanism.PARTITIONED:

@@ -27,6 +27,7 @@ class PatternKind(Enum):
     BSPMM_RMA = "bspmm-rma"
     MULTITHREADED_ALLREDUCE = "multithreaded-allreduce"
     DYNAMIC_GRAPH = "dynamic-graph"
+    FAN_IN = "fan-in"
 
 
 STENCIL_KINDS = frozenset({

@@ -184,7 +184,7 @@ def gen_fan_in(senders: int, payload: int = 8192) -> CommPattern:
             peer_process=0, peer_thread=tag, partner=tag, tag_key=tag,
         ))
     return CommPattern(
-        kind=PatternKind.DYNAMIC_GRAPH,
+        kind=PatternKind.FAN_IN,
         process_grid=(2,),
         thread_grid=(senders,),
         iterations=1,

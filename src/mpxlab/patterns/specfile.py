@@ -3,10 +3,12 @@ hints, channel pool and policy into one reproducible run.
 
 Recognized keys: ``kind``, ``process_grid``, ``thread_grid``, ``iterations``,
 ``payload_bytes``, ``mechanism``, ``hints``, ``channel_pool``, ``policy``,
-``seed``.  Unknown keys are rejected.  For the irregular kinds the grids are
-reused: a polling pattern reads nodes from ``process_grid[0]`` and task
-threads from ``thread_grid[0] - 1``, and fires ``iterations`` events per task
-thread; the RMA pattern draws twice as many tiles as there are workers.
+``seed``.  Unknown keys are rejected.  A stencil's grids have one entry per
+dimension; every other kind's grids have one entry each, and fan-in runs on
+``process_grid`` ``[2]``.  For the irregular kinds the grids are reused: a
+polling pattern reads nodes from ``process_grid[0]`` and task threads from
+``thread_grid[0] - 1``, and fires ``iterations`` events per task thread; the
+RMA pattern draws twice as many tiles as there are workers.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def _bspmm(s):
 
 
 # pattern kind -> builder of its CommPattern from a Scenario; "fan-in" is the
-# synthetic worst-case matching scenario and has no PatternKind of its own
+# synthetic worst-case matching scenario
 KINDS = {
     "stencil-2d-5pt": _stencil(2, 5),
     "stencil-2d-9pt": _stencil(2, 9),
@@ -68,6 +70,9 @@ KINDS = {
         seed=s.seed, payload=s.payload_bytes),
     "fan-in": lambda s: gen_fan_in(s.thread_grid[0], payload=s.payload_bytes),
 }
+
+# entries per grid: a stencil's dimension count, one for every other kind
+GRID_RANK = {"stencil-2d-5pt": 2, "stencil-2d-9pt": 2, "stencil-3d-27pt": 3}
 
 MECHANISMS = {
     "communicators": (Mechanism.COMMUNICATORS, "ideal"),
@@ -113,15 +118,15 @@ class Scenario:
     # -- resolution ------------------------------------------------------
 
     def build_pattern(self) -> CommPattern:
-        return KINDS[self.kind](self)
+        """The spec's pattern; a size its generator rejects is a spec error."""
+        try:
+            return KINDS[self.kind](self)
+        except InvalidArgumentError as exc:
+            raise SpecFileError(f"{self.kind}: {exc}") from exc
 
     def build_assignment(self, pattern: CommPattern) -> Assignment:
         mechanism, variant = MECHANISMS[self.mechanism]
-        num_comms = None
-        if self.kind == "fan-in" and mechanism is Mechanism.COMMUNICATORS:
-            num_comms = 1 if variant == "naive" else None
-        assignment = build_assignment(pattern, mechanism, variant=variant,
-                                      num_comms=num_comms)
+        assignment = build_assignment(pattern, mechanism, variant=variant)
         overrides = {k: True for k in HINT_FLAGS
                      if self.hints.get(k) and not getattr(assignment.hints, k)}
         if overrides:
@@ -165,6 +170,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
         if (not isinstance(value, list) or not value
                 or not all(_is_int(v) and v > 0 for v in value)):
             raise SpecFileError(f"field {name!r}: expected positive integers")
+        rank = GRID_RANK.get(raw["kind"], 1)
+        if len(value) != rank:
+            raise SpecFileError(
+                f"field {name!r}: {raw['kind']} takes {rank} entries")
         return tuple(value)
 
     def _posint(name, default):
@@ -195,10 +204,13 @@ def scenario_from_dict(raw: dict) -> Scenario:
     seed = raw.get("seed", 0)
     if not _is_int(seed) or seed < 0:
         raise SpecFileError("field 'seed': expected a non-negative integer")
+    process_grid = _grid("process_grid")
+    if raw["kind"] == "fan-in" and process_grid != (2,):
+        raise SpecFileError("field 'process_grid': fan-in runs on [2]")
 
     return Scenario(
         kind=raw["kind"],
-        process_grid=_grid("process_grid"),
+        process_grid=process_grid,
         thread_grid=_grid("thread_grid"),
         iterations=_posint("iterations", 1),
         payload_bytes=_posint("payload_bytes", 8192),

@@ -23,8 +23,6 @@ for every thread but the completing one, plus one barrier per iteration.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 from bisect import bisect_left, insort
@@ -71,19 +69,12 @@ class Event:
     iteration: int = 0
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Abstract tick costs; the defaults are published configuration."""
-
-    per_message_issue: int = 1
-    per_channel_transfer: int = 4
-    sync_wait: int = 2
-    probe: int = 1
-
-    def __post_init__(self):
-        if min(self.per_message_issue, self.per_channel_transfer,
-               self.sync_wait, self.probe) < 0:
-            raise MpxlabError("cost constants must be non-negative")
+# abstract tick costs: one message issue, one channel transfer, one
+# synchronisation wait and one probe
+ISSUE_TICKS = 1
+TRANSFER_TICKS = 4
+SYNC_WAIT_TICKS = 2
+PROBE_TICKS = 1
 
 
 CSV_HEADER = [
@@ -357,15 +348,12 @@ def _pair_requests(requests) -> dict[int, int]:
 
 
 class _Engine:
-    def __init__(self, pattern, assignment, pool, policy, cost, seed,
-                 partitioned_buffers=1, events=True):
+    def __init__(self, pattern, assignment, pool, policy, seed, events=True):
         self.pattern = pattern
         self.assignment = assignment
         self.pool = pool
         self.policy = policy
-        self.cost = cost
         self.seed = seed
-        self.partitioned_buffers = max(1, partitioned_buffers)
         # None when the caller reads only the counters: no Event is built
         self.events: list[Event] | None = [] if events else None
         self.clocks: dict[tuple[int, int], int] = {}
@@ -378,7 +366,6 @@ class _Engine:
         self.probes = 0
         self.transfers: list[tuple[int, int, tuple[int, ...], int]] = []
         self._verdicts: dict[tuple[int, int], bool] = {}
-        self._completion: dict[int, int] = {}
         self._partition_arrivals: dict[int, int] = {}  # latest arrival
         self.iteration = 0
 
@@ -442,7 +429,7 @@ class _Engine:
                 if self.serial(prev_id, op.op_id):
                     start = prev_end
                     break
-        end = start + self.cost.per_channel_transfer
+        end = start + TRANSFER_TICKS
         for r in resources:
             self.channel_free[r] = end
             self.channel_busy[r] = self.channel_busy.get(r, 0) + (end - start)
@@ -453,12 +440,10 @@ class _Engine:
                                op.phase))
         for key in keys:
             insort(buckets.setdefault(key, []), (end, op.op_id))
-        self._completion[op.op_id] = end
         return end
 
     def _run_phased(self):
         pattern, assignment = self.pattern, self.assignment
-        cost = self.cost
         partitioned = assignment.mechanism is Mechanism.PARTITIONED
         pair_of = {}
         reqs_of: dict[int, list] = {}
@@ -517,28 +502,21 @@ class _Engine:
                     f"{leftovers} sends stayed unmatched; the pattern is not closed"
                 )
 
-            # thread completion: each thread waits on its own ops
-            for op in pattern.ops:
-                end = self._completion.get(op.op_id)
-                if end is not None:
-                    key = (op.process, op.thread)
-                    self.clocks[key] = max(self.clock(*key), end)
-
             if partitioned:
-                self._partitioned_iteration_end(reqs_of, it)
+                self._partitioned_iteration_end(reqs_of)
             elif (pattern.kind is PatternKind.MULTITHREADED_ALLREDUCE
                   and assignment.mechanism is Mechanism.COMMUNICATORS):
                 # user-driven intranode reduction step
                 for p in range(pattern.num_processes):
                     for t in range(pattern.threads_per_process):
-                        self.bump(p, t, cost.sync_wait)
+                        self.bump(p, t, SYNC_WAIT_TICKS)
 
     def _post_recv(self, op, matcher):
         desc = self.assignment.bindings[op.op_id]
         p, t = op.process, op.thread
         t_issue = self.clock(p, t)
         self.emit(t_issue, EventKind.ISSUE, op.op_id)
-        self.bump(p, t, self.cost.per_message_issue)
+        self.bump(p, t, ISSUE_TICKS)
         if desc.kind is OpKind.PARTITION_ARRIVED_TEST:
             return  # arrival is tracked on the shared request
         attempts, hit = matcher.post(desc, op.op_id)
@@ -547,14 +525,13 @@ class _Engine:
             s_end = hit[1]
             self.matches += 1
             self.emit(max(t_issue, s_end), EventKind.MATCH_SUCCESS, op.op_id)
-            self._completion[op.op_id] = max(t_issue, s_end)
 
     def _issue_send(self, op, matcher, buckets, pair_of):
         desc = self.assignment.bindings[op.op_id]
         p, t = op.process, op.thread
         t_issue = self.clock(p, t)
         self.emit(t_issue, EventKind.ISSUE, op.op_id)
-        self.bump(p, t, self.cost.per_message_issue)
+        self.bump(p, t, ISSUE_TICKS)
         end = self._schedule_transfer(op, desc, t_issue, buckets)
 
         if desc.kind is OpKind.PARTITION_READY:
@@ -575,13 +552,10 @@ class _Engine:
         if rid is not None:
             self.matches += 1
             self.emit(end, EventKind.MATCH_SUCCESS, op.op_id)
-            self._completion[rid] = end
 
-    def _partitioned_iteration_end(self, reqs_of, it):
+    def _partitioned_iteration_end(self, reqs_of):
         """``reqs_of`` maps each owner process to its requests by id."""
-        pattern, cost = self.pattern, self.cost
-        sync_now = ((it + 1) % self.partitioned_buffers == 0
-                    or it == pattern.iterations - 1)
+        pattern = self.pattern
         for p in range(pattern.num_processes):
             proc_reqs = reqs_of.get(p, ())
             done = 0
@@ -592,32 +566,27 @@ class _Engine:
             all_threads = range(pattern.threads_per_process)
             owner = 0
             done = max([done] + [self.clock(p, t) for t in all_threads])
-            if not sync_now:
-                for r in proc_reqs:
-                    r.wait_all()
-                continue
             for t in all_threads:
                 if t == owner:
                     self.clocks[(p, t)] = done
                     continue
                 self.emit(self.clock(p, t), EventKind.WAIT_BLOCK)
                 self.waitblocks += 1
-                self.clocks[(p, t)] = done + cost.sync_wait
+                self.clocks[(p, t)] = done + SYNC_WAIT_TICKS
                 self.emit(self.clocks[(p, t)], EventKind.WAIT_RELEASE)
             for r in proc_reqs:
                 if not r.wait_all():
                     raise MpxlabError(
                         f"request {r.request_id} incomplete at iteration end"
                     )
-        if sync_now:
-            barrier_time = max(self.clocks.values(), default=0)
-            self.emit(barrier_time, EventKind.BARRIER)
-            self.barriers += 1
-            for key in self.clocks:
-                self.clocks[key] = barrier_time
+        barrier_time = max(self.clocks.values(), default=0)
+        self.emit(barrier_time, EventKind.BARRIER)
+        self.barriers += 1
+        for key in self.clocks:
+            self.clocks[key] = barrier_time
 
     def _run_polling(self):
-        pattern, assignment, cost = self.pattern, self.assignment, self.cost
+        pattern, assignment = self.pattern, self.assignment
         buckets: dict = {}
         incoming: dict[int, list[tuple[int, int]]] = {}
         sends = sorted((op for op in pattern.ops if op.kind is OpKind.SEND),
@@ -626,7 +595,7 @@ class _Engine:
             desc = assignment.bindings[op.op_id]
             t_issue = self.clock(op.process, op.thread)
             self.emit(t_issue, EventKind.ISSUE, op.op_id)
-            self.bump(op.process, op.thread, cost.per_message_issue)
+            self.bump(op.process, op.thread, ISSUE_TICKS)
             end = self._schedule_transfer(op, desc, t_issue, buckets)
             incoming.setdefault(op.peer_process, []).append((end, op.op_id))
 
@@ -644,11 +613,11 @@ class _Engine:
             for _ in range(sweeps):
                 if self.events is not None:
                     self.events.extend(
-                        Event(pc + i * cost.probe, EventKind.PROBE_ITERATION,
+                        Event(pc + i * PROBE_TICKS, EventKind.PROBE_ITERATION,
                               iteration=self.iteration)
                         for i in range(contexts))
                 self.probes += contexts
-                pc += contexts * cost.probe
+                pc += contexts * PROBE_TICKS
                 if consumed < len(msgs):
                     end, sid = msgs[consumed]
                     consumed += 1
@@ -707,8 +676,7 @@ class _Engine:
 
 def run(pattern: CommPattern, assignment: Assignment,
         pool: ChannelPool | None = None, policy: PolicyKind | None = None,
-        cost: CostModel | None = None, seed: int = 0,
-        partitioned_buffers: int = 1, events: bool = True) -> SimReport:
+        seed: int = 0, events: bool = True) -> SimReport:
     """Execute one scenario and measure concurrency, matching and sync cost.
 
     ``policy`` picks the channel mapping; None takes the mechanism's default.
@@ -720,15 +688,13 @@ def run(pattern: CommPattern, assignment: Assignment,
     inputs always produce identical reports.
     """
     pool = pool or ChannelPool()
-    cost = cost or CostModel()
     mapping = channel_policy(policy, assignment, pool)
     violations = matching_violations(pattern, assignment)
     if violations:
         raise InvalidAssignmentError(
             f"{len(violations)} matching violations; first: {violations[0]}"
         )
-    engine = _Engine(pattern, assignment, pool, mapping, cost, seed,
-                     partitioned_buffers, events)
+    engine = _Engine(pattern, assignment, pool, mapping, seed, events)
     report = engine.run()
     expected = _expected_messages(pattern, assignment)
     if report.matches_total != expected:
@@ -747,35 +713,3 @@ def _expected_messages(pattern: CommPattern, assignment: Assignment) -> int:
     sends = sum(1 for op in pattern.ops if op.kind is OpKind.SEND)
     return sends * pattern.iterations
 
-
-@dataclass
-class Comparison:
-    """Per-mechanism reports for one pattern plus derived ratios."""
-
-    rows: list[SimReport]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(CSV_HEADER)
-        for report in self.rows:
-            writer.writerow(report.csv_row())
-        return buf.getvalue()
-
-    def ratios(self, metric: str = "makespan") -> dict[str, float]:
-        base = getattr(self.rows[0], metric)
-        out = {}
-        for report in self.rows:
-            value = getattr(report, metric)
-            label = report.mechanism + (f"-{report.variant}" if report.variant else "")
-            out[label] = value / base if base else float("inf")
-        return out
-
-
-def compare_mechanisms(pattern: CommPattern, assignments: list[Assignment],
-                       pool: ChannelPool | None = None,
-                       cost: CostModel | None = None, seed: int = 0) -> Comparison:
-    """Run the same pattern under several bindings; unsupported combinations
-    raise before any simulation starts."""
-    rows = [run(pattern, a, pool=pool, cost=cost, seed=seed) for a in assignments]
-    return Comparison(rows)

@@ -17,7 +17,6 @@ from mpxlab.channels import (
 from mpxlab.errors import InvalidArgumentError, MappingError
 from mpxlab.model import (
     ContextFamily,
-    HashType,
     IdAllocator,
     MatchContextId,
     OpDescriptor,
@@ -73,16 +72,6 @@ class TestMapEntity:
             policy.channel_of_context(42, pool)
         assert policy.register_communicator(42, pool) == 0
         assert policy.channel_of_context(42, pool) == 0
-
-    def test_determinism(self):
-        layout = TagBitLayout(num_vcis=8, num_tid_bits=3,
-                              hash_type=HashType.HASHED)
-        policy = MappingPolicy(PolicyKind.TAG_BITS_ONE_TO_ONE, layout=layout)
-        ctx = MatchContextId(ContextFamily.COMM, 0)
-        tag = encode_tag(5, 2, 0, layout)
-        op = OpDescriptor(OpKind.SEND, (0, 5), 0, context=ctx, target=1, tag=tag)
-        pool = ChannelPool(8)
-        assert map_entity(policy, op, pool) == map_entity(policy, op, pool)
 
     @given(st.integers(1, 4), st.integers(1, 16))
     def test_one_to_one_injective_over_tids(self, tid_bits, r):

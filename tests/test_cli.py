@@ -61,10 +61,27 @@ class TestAnalyze:
                     {"iterations": True}, {"payload_bytes": True},
                     {"channel_pool": True}, {"seed": False},
                     {"hints": {"allow_overtaking": "no"}},
-                    {"hints": {"no_any_tag": 1}}):
+                    {"hints": {"no_any_tag": 1}},
+                    # grids the kind does not read
+                    {"kind": "stencil-2d-5pt", "process_grid": [2, 2, 2]},
+                    {"kind": "legion-polling", "process_grid": [4, 3],
+                     "thread_grid": [4, 2]},
+                    {"kind": "fan-in", "process_grid": [7], "thread_grid": [8]}):
             spec = write_spec(tmp_path, **bad)
             assert main(["analyze", "--spec", str(spec)]) == 2, bad
             assert main(["assign", "--spec", str(spec), "--emit-spec"]) == 2, bad
+        # a size the pattern generator rejects
+        spec = write_spec(tmp_path, kind="legion-polling", process_grid=[1],
+                          thread_grid=[4])
+        assert main(["analyze", "--spec", str(spec)]) == 2
+
+    def test_fan_in_is_its_own_kind(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, kind="fan-in", process_grid=[2],
+                          thread_grid=[8])
+        assert main(["analyze", "--spec", str(spec)]) == 0
+        out = capsys.readouterr().out
+        assert "kind: fan-in" in out
+        assert "communicators-naive: communicators=1" in out
 
     def test_policy_override_changes_collision_lines(self, tmp_path, capsys):
         spec = write_spec(tmp_path, channel_pool=30)

@@ -16,7 +16,6 @@ from mpxlab.model import (
     IdAllocator,
     InfoHints,
     PartitionedRequest,
-    Placement,
     RequestState,
     Tag,
     TagBitLayout,
@@ -73,9 +72,8 @@ class TestTagCodec:
     def test_roundtrip(self, data):
         tid_bits = data.draw(st.integers(1, 8))
         app_bits = data.draw(st.integers(0, 23 - 2 * tid_bits))
-        placement = data.draw(st.sampled_from(list(Placement)))
         layout = TagBitLayout(num_vcis=1, num_tid_bits=tid_bits,
-                              num_app_bits=app_bits, placement=placement)
+                              num_app_bits=app_bits)
         src = data.draw(st.integers(0, (1 << tid_bits) - 1))
         dst = data.draw(st.integers(0, (1 << tid_bits) - 1))
         app = data.draw(st.integers(0, (1 << app_bits) - 1)) if app_bits else 0

@@ -372,6 +372,15 @@ class TestDispatcher:
         with pytest.raises(UnsupportedPatternError):
             build_assignment(p, Mechanism.WINDOWS)
 
+    def test_fan_in_naive_shares_one_communicator(self):
+        p = gen_fan_in(8)
+        a = build_assignment(p, Mechanism.COMMUNICATORS, variant="naive")
+        assert a.objects_created["communicators"] == 1
+        spec = scenario_from_dict({"kind": "fan-in", "process_grid": [2],
+                                   "thread_grid": [8],
+                                   "mechanism": "communicators-naive"})
+        assert a.bindings == spec.build_assignment(spec.build_pattern()).bindings
+
     def test_incomplete_assignment_detected(self):
         p = gen_stencil(2, 5, [2, 2], [3, 3])
         a = assign_endpoints(p)

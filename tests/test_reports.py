@@ -23,16 +23,16 @@ _GRIDS = {
     "multithreaded-allreduce": ([3], [4]),
 }
 
+_STENCIL = ("communicators", "communicators-naive", "tags", "endpoints",
+            "partitioned")
+_TWO_SIDED = ("communicators", "communicators-naive", "endpoints")
 _MECHANISMS = {
-    "stencil-2d-5pt": ("communicators", "communicators-naive", "tags",
-                       "endpoints", "partitioned"),
-    "stencil-2d-9pt": ("communicators", "communicators-naive", "tags",
-                       "endpoints", "partitioned"),
-    "stencil-3d-27pt": ("communicators", "communicators-naive", "tags",
-                        "endpoints", "partitioned"),
-    "legion-polling": ("communicators", "communicators-naive", "endpoints"),
-    "dynamic-graph": ("communicators", "communicators-naive", "endpoints"),
-    "fan-in": ("communicators", "communicators-naive", "endpoints"),
+    "stencil-2d-5pt": _STENCIL,
+    "stencil-2d-9pt": _STENCIL,
+    "stencil-3d-27pt": _STENCIL,
+    "legion-polling": _TWO_SIDED,
+    "dynamic-graph": _TWO_SIDED,
+    "fan-in": _TWO_SIDED,
     "bspmm-rma": ("windows", "endpoints"),
     "multithreaded-allreduce": ("communicators", "endpoints", "partitioned"),
 }
@@ -61,8 +61,7 @@ def hashes(spec: dict) -> tuple[str, str]:
             hashlib.sha256(repr(trace).encode()).hexdigest())
 
 
-# (report JSON, event trace) digests, taken before the tick costs became
-# module constants and the partitioned sync lost its buffer-count option
+# (report JSON, event trace) digests of each case
 PINS = {
     "stencil-2d-5pt/communicators": ("ac0b3fa50a3be2604c4cb88e0b7648e6408d92fea4572ba61f463691ea726efc",
         "705383b534e61164187325e787117559b3bb3c4430f64b0ab8103d0dad556272"),

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpxlab.channels import ChannelPool
-from mpxlab.errors import InvalidAssignmentError, MpxlabError
+from mpxlab.errors import InvalidAssignmentError
 from mpxlab.model import (
     ContextFamily,
     Direction,
@@ -31,14 +31,7 @@ from mpxlab.patterns import (
     gen_stencil,
 )
 from mpxlab.semantics import requests_match
-from mpxlab.simulator import (
-    Comparison,
-    CostModel,
-    EventKind,
-    _pair_requests,
-    compare_mechanisms,
-    run,
-)
+from mpxlab.simulator import EventKind, _pair_requests, run
 
 
 class TestBasics:
@@ -79,10 +72,6 @@ class TestBasics:
         )
         with pytest.raises(InvalidAssignmentError):
             run(p, a)
-
-    def test_cost_model_validation(self):
-        with pytest.raises(MpxlabError):
-            CostModel(per_channel_transfer=-1)
 
     def test_event_log_invariants(self):
         p = gen_stencil(2, 9, [2, 2], [3, 3], iterations=2)
@@ -144,12 +133,6 @@ class TestPartitionedSync:
             assert report.sync_wait_events == 0
             assert report.barriers_total == 0
 
-    def test_double_buffering_skips_intermediate_syncs(self):
-        p = gen_stencil(2, 5, [2, 2], [3, 3], iterations=4)
-        single = run(p, assign_partitioned(p), partitioned_buffers=1)
-        double = run(p, assign_partitioned(p), partitioned_buffers=2)
-        assert double.barriers_total < single.barriers_total
-
 
 class TestConcurrencyRatios:
     @pytest.mark.parametrize("t", [3, 4, 5])
@@ -194,21 +177,6 @@ class TestAllreduce:
         part = run(p, assign_allreduce(p, Mechanism.PARTITIONED))
         assert eps.memory_footprint_bytes > comm.memory_footprint_bytes
         assert part.memory_footprint_bytes <= comm.memory_footprint_bytes
-
-
-class TestComparison:
-    def test_csv_table(self):
-        p = gen_stencil(2, 5, [2, 2], [3, 3])
-        comparison = compare_mechanisms(
-            p, [assign_communicators_ideal(p), assign_endpoints(p),
-                assign_partitioned(p)])
-        csv_text = comparison.to_csv()
-        lines = csv_text.strip().splitlines()
-        assert lines[0].startswith("mechanism,makespan,max_concurrency")
-        assert len(lines) == 4
-        assert any(line.startswith("endpoints,") for line in lines)
-        ratios = comparison.ratios("makespan")
-        assert ratios["communicators-ideal"] == 1.0
 
 
 STENCIL_ASSIGNERS = [assign_communicators_ideal, assign_communicators_naive,
