@@ -55,6 +55,8 @@ class PolicyKind(Enum):
     ENDPOINT_IDENTITY = "endpoint-identity"
     PARTITION_INDEX = "partition-index"
 
+    __hash__ = object.__hash__  # see model.OpKind
+
 
 @dataclass
 class MappingPolicy:

@@ -176,10 +176,10 @@ def _binding_label(assignment, op_id) -> str:
 
 def cmd_assign(args) -> int:
     scenario = _apply_overrides(load_scenario(args.spec), args)
+    pattern = scenario.build_pattern()  # a size its generator rejects exits 2
     if args.emit_spec:
         sys.stdout.write(scenario.to_json())
         return EXIT_OK
-    pattern = scenario.build_pattern()
     process = args.process
     if not 0 <= process < pattern.num_processes:
         print(f"error: --process {process} is not a process of the spec "

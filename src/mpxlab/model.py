@@ -279,6 +279,8 @@ class Direction(Enum):
     SEND = "send"
     RECV = "recv"
 
+    __hash__ = object.__hash__  # see OpKind
+
 
 class RequestState(Enum):
     INACTIVE = "inactive"
@@ -389,6 +391,11 @@ class OpKind(Enum):
     PARTITION_ARRIVED_TEST = "parrived"
     WIN_FLUSH = "win-flush"  # window synchronization issued alongside RMA
 
+    # Members are singletons that compare by identity, so an identity hash
+    # agrees with ==; Enum's own hash runs Python code on every dict or
+    # set lookup.  The hot enums of the engine all do the same.
+    __hash__ = object.__hash__
+
 
 TWO_SIDED = frozenset({OpKind.SEND, OpKind.RECV})
 RMA_KINDS = frozenset({OpKind.PUT, OpKind.GET, OpKind.ACCUMULATE,
@@ -399,6 +406,8 @@ PARTITION_KINDS = frozenset({OpKind.PARTITION_READY, OpKind.PARTITION_ARRIVED_TE
 class ContextFamily(Enum):
     COMM = "comm"
     ENDPOINT = "endpoint"
+
+    __hash__ = object.__hash__  # see OpKind
 
 
 @dataclass(frozen=True)

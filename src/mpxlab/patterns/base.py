@@ -29,6 +29,8 @@ class PatternKind(Enum):
     DYNAMIC_GRAPH = "dynamic-graph"
     FAN_IN = "fan-in"
 
+    __hash__ = object.__hash__  # see model.OpKind
+
 
 STENCIL_KINDS = frozenset({
     PatternKind.STENCIL_2D_5PT,
@@ -43,6 +45,8 @@ class Mechanism(Enum):
     ENDPOINTS = "endpoints"
     PARTITIONED = "partitioned"
     WINDOWS = "windows"
+
+    __hash__ = object.__hash__  # see model.OpKind
 
 
 @dataclass(frozen=True)

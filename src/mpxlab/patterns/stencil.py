@@ -17,6 +17,7 @@ sheet-structured and deliberately leaves a few slots idle.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from math import ceil, log2, prod
 
 from ..errors import InvalidArgumentError, TagOverflowError, UnsupportedPatternError
@@ -111,17 +112,6 @@ class StencilGeometry:
     def crossing(self, tc, d) -> bool:
         return any(not 0 <= tc[i] + d[i] < self.T[i] for i in range(self.dims))
 
-    def neighbor(self, pc, tc, d):
-        """Torus neighbor of a thread patch: (peer process coords, peer thread
-        coords)."""
-        ppc, ptc = [], []
-        for i in range(self.dims):
-            g = pc[i] * self.T[i] + tc[i] + d[i]
-            g %= self.P[i] * self.T[i]
-            ppc.append(g // self.T[i])
-            ptc.append(g % self.T[i])
-        return tuple(ppc), tuple(ptc)
-
     def is_corner(self, tc) -> bool:
         return all(c in (0, n - 1) for c, n in zip(tc, self.T))
 
@@ -134,13 +124,18 @@ def gen_stencil(dims: int, points: int, process_grid, thread_grid,
     its patch borders across the process boundary.  Ops carry a per-direction
     tag and a phase index so the simulator can drive one traffic direction at
     a time.
+
+    The torus makes every process's ops a translate of process 0's, so the
+    ops of process 0 are built once as a template and stamped for every
+    process: op ``i`` of the template becomes op ``p * len(template) + i`` of
+    process ``p``, and its peer process is ``p`` moved by the template's
+    process carry along each crossed axis.
     """
     geo = StencilGeometry(process_grid, thread_grid)
     if geo.dims != dims:
         raise InvalidArgumentError(f"grids are {geo.dims}-dimensional, dims={dims}")
     dirs = stencil_directions(dims, points)
     dir_index = {d: i for i, d in enumerate(dirs)}
-    neg = {d: _neg(d) for d in dirs}
     kind = {
         (2, 5): PatternKind.STENCIL_2D_5PT,
         (2, 9): PatternKind.STENCIL_2D_9PT,
@@ -150,36 +145,48 @@ def gen_stencil(dims: int, points: int, process_grid, thread_grid,
     threads = [geo.thread_coords(t) for t in range(prod(geo.T))]
     # the directions a thread's halo crosses do not depend on its process
     crossings = [[d for d in dirs if geo.crossing(tc, d)] for tc in threads]
-    rows = []  # (process, thread, kind, direction, peer process, peer thread)
-    locate: dict[tuple, int] = {}
-    for p in range(prod(geo.P)):
-        pc = geo.proc_coords(p)
-        for t, tc in enumerate(threads):
-            for d in crossings[t]:
-                ppc, ptc = geo.neighbor(pc, tc, d)
-                peer_p, peer_t = geo.proc_flat(ppc), geo.thread_flat(ptc)
-                for op_kind in (OpKind.RECV, OpKind.SEND):
-                    locate[(p, t, d, op_kind)] = len(rows)
-                    rows.append((p, t, op_kind, d, peer_p, peer_t))
+    template = []  # (thread, kind, direction, peer thread, carry, phase)
+    slot: dict[tuple, int] = {}
+    for t, tc in enumerate(threads):
+        for d in crossings[t]:
+            moved = [c + o for c, o in zip(tc, d)]
+            carry = tuple(m // n for m, n in zip(moved, geo.T))
+            peer_t = geo.thread_flat([m % n for m, n in zip(moved, geo.T)])
+            for op_kind in (OpKind.RECV, OpKind.SEND):
+                slot[(t, d, op_kind)] = len(template)
+                traffic = dir_index[d if op_kind is OpKind.SEND else _neg(d)]
+                template.append((t, op_kind, d, peer_t, carry, traffic))
 
-    ops = []
-    for op_id, (p, t, op_kind, d, peer_p, peer_t) in enumerate(rows):
-        if op_kind is OpKind.SEND:
-            traffic, wanted = dir_index[d], OpKind.RECV
-        else:
-            traffic, wanted = dir_index[neg[d]], OpKind.SEND
-        ops.append(PatternOp(
-            op_id=op_id,
+    # the process each carry leads to, from every process
+    procs = [geo.proc_coords(p) for p in range(prod(geo.P))]
+    moves = {
+        carry: [geo.proc_flat([(c + k) % n for c, k, n in zip(pc, carry, geo.P)])
+                for pc in procs]
+        for carry in {row[4] for row in template}
+    }
+    rows = [
+        (t, op_kind, d, peer_t, moves[carry], traffic,
+         slot[(peer_t, _neg(d),
+               OpKind.SEND if op_kind is OpKind.RECV else OpKind.RECV)])
+        for t, op_kind, d, peer_t, carry, traffic in template
+    ]
+    n0 = len(rows)
+    ops = [
+        PatternOp(
+            op_id=p * n0 + i,
             process=p,
             thread=t,
             kind=op_kind,
             direction=d,
-            peer_process=peer_p,
+            peer_process=to[p],
             peer_thread=peer_t,
-            partner=locate[(peer_p, peer_t, neg[d], wanted)],
+            partner=to[p] * n0 + partner_slot,
             phase=traffic,
             tag_key=traffic,
-        ))
+        )
+        for p in range(len(procs))
+        for i, (t, op_kind, d, peer_t, to, traffic, partner_slot) in enumerate(rows)
+    ]
 
     communicating = frozenset(t for t, ds in enumerate(crossings) if ds)
     corners = frozenset(t for t, tc in enumerate(threads) if geo.is_corner(tc))
@@ -222,13 +229,14 @@ def assign_communicators_naive(pattern: CommPattern,
         dup_communicator(world, ids, purpose=Purpose.PARALLELISM_EXPOSURE)
         for _ in range(K)
     ]
+    contexts = [MatchContextId(ContextFamily.COMM, c.context_id) for c in comms]
     prog = _program_indexes(pattern)
+    tag_of = cache(Tag)
     bindings = {}
     for op in pattern.ops:
-        comm = comms[(op.thread if op.kind is OpKind.SEND else op.peer_thread) % K]
-        ctx = MatchContextId(ContextFamily.COMM, comm.context_id)
+        ctx = contexts[(op.thread if op.kind is OpKind.SEND else op.peer_thread) % K]
         target = op.peer_process
-        tag = Tag(op.tag_key)
+        tag = tag_of(op.tag_key)
         if op.is_wildcard_recv:
             target, tag = ANY_SOURCE, ANY_TAG
         bindings[op.op_id] = OpDescriptor(
@@ -257,33 +265,40 @@ def _positive_rep(d):
     return d if d > tuple([0] * len(d)) else _neg(d)
 
 
-def _pair_key(geo: StencilGeometry, pattern: CommPattern, op: PatternOp):
-    """Communicator key of the exchange pair this op belongs to.
+def _ideal_key_rule(geo: StencilGeometry, kind: PatternKind, tc, d):
+    """How the ideal communicator key of an op at thread coords ``tc`` in
+    direction ``d`` depends on its process coordinates ``pc``.
 
-    The pair is identified by its positive-direction sender; the parity bit
-    of the first crossed boundary alternates between adjacent pairs of one
+    Returns ``(axis, shift, keys)``.  An exchange pair is keyed by its
+    positive-direction sender and by the parity bit of the first boundary
+    that sender crosses; the bit alternates between adjacent pairs of one
     chain, which is exactly the mirroring that keeps facing processes on the
-    same communicator and same-process neighbors apart.  Requires even
-    process dims along communicating axes for the alternation to close
-    around the torus.
+    same communicator and same-process neighbors apart.  That boundary is
+    ``(pc[axis] + shift) % P[axis]``, so the key is ``keys[boundary % 2]``
+    on every grid, odd process dims included.  A 2D 9-point corner-to-corner
+    exchange whose uncrossed coordinates align folds into one communicator
+    per four-corner orbit instead; then ``axis`` and ``keys`` are None and
+    the key is ``("corner", (pc + shift) % P)``, anchored at the process
+    owning the orbit's all-minimum corner.
     """
-    d = op.direction
-    rep = _positive_rep(d)
-    pc = geo.proc_coords(op.process)
-    tc = geo.thread_coords(op.thread)
-    if d == rep:
-        s_pc, s_tc = pc, tc
-    else:
-        s_pc, s_tc = geo.neighbor(pc, tc, d)
+    moved = [c + o for c, o in zip(tc, d)]
+    ptc = tuple(m % n for m, n in zip(moved, geo.T))
+    if kind is PatternKind.STENCIL_2D_9PT:
+        crossed = [not 0 <= m < n for m, n in zip(moved, geo.T)]
+        aligned = all(c or tc[i] == ptc[i] for i, c in enumerate(crossed))
+        if geo.is_corner(tc) and geo.is_corner(ptc) and aligned:
+            return None, tuple(int(c == n - 1) for c, n in zip(tc, geo.T)), None
 
+    rep = _positive_rep(d)
+    # the positive-direction sender is this op's thread or its peer
+    s_tc = tc if d == rep else ptc
     cross_pos = {
         c: (geo.T[c] - 1 if rep[c] > 0 else 0)
         for c in range(geo.dims) if rep[c] != 0
     }
-    crossed = [c for c, pos in cross_pos.items() if s_tc[c] == pos]
-    c0 = min(crossed)
-    boundary = (s_pc[c0] + 1) % geo.P[c0] if rep[c0] > 0 else s_pc[c0]
-    bit = boundary % 2
+    c0 = min(c for c, pos in cross_pos.items() if s_tc[c] == pos)
+    carry = 0 if d == rep else moved[c0] // geo.T[c0]
+    shift = carry + (1 if rep[c0] > 0 else 0)
 
     nonzero = sum(1 for c in rep if c != 0)
     if nonzero == 1:
@@ -298,34 +313,7 @@ def _pair_key(geo: StencilGeometry, pattern: CommPattern, op: PatternOp):
             slot = ("x", s_tc[1], s_tc[2])
     else:
         slot = ("full",) + s_tc
-    return ("pair", rep, bit, slot)
-
-
-def _corner_orbit_key(geo: StencilGeometry, op: PatternOp):
-    """Key shared by the four-corner orbit a corner-to-corner exchange sits
-    in: anchored at the process owning the all-minimum corner of the orbit."""
-    pc = geo.proc_coords(op.process)
-    tc = geo.thread_coords(op.thread)
-    anchor = tuple(
-        (pc[i] + (1 if tc[i] == geo.T[i] - 1 else 0)) % geo.P[i]
-        for i in range(geo.dims)
-    )
-    return ("corner", anchor)
-
-
-def _ideal_key(geo, pattern, op):
-    if pattern.kind is PatternKind.STENCIL_2D_9PT:
-        tc = geo.thread_coords(op.thread)
-        d = op.direction
-        _, ptc = geo.neighbor(geo.proc_coords(op.process), tc, d)
-        crossed = [not 0 <= tc[i] + d[i] < geo.T[i] for i in range(geo.dims)]
-        aligned = all(c or tc[i] == ptc[i]
-                      for i, c in enumerate(crossed))
-        # corner-to-corner exchanges whose uncrossed coordinates align fold
-        # into one communicator per corner orbit
-        if geo.is_corner(tc) and geo.is_corner(ptc) and aligned:
-            return _corner_orbit_key(geo, op)
-    return _pair_key(geo, pattern, op)
+    return c0, shift, tuple(("pair", rep, bit, slot) for bit in (0, 1))
 
 
 def _full_slot_space(geo: StencilGeometry, dirs) -> list:
@@ -381,40 +369,54 @@ def assign_communicators_ideal(pattern: CommPattern) -> Assignment:
                    PatternKind.STENCIL_3D_27PT: 27}[pattern.kind]
     )
 
+    procs = [geo.proc_coords(p) for p in range(pattern.num_processes)]
+    rules: dict[tuple, tuple] = {}
+    op_keys = []
+    for op in pattern.ops:
+        rule = rules.get((op.thread, op.direction))
+        if rule is None:
+            rule = rules[(op.thread, op.direction)] = _ideal_key_rule(
+                geo, pattern.kind, geo.thread_coords(op.thread), op.direction)
+        axis, shift, by_bit = rule
+        pc = procs[op.process]
+        if by_bit is None:
+            op_keys.append(("corner", tuple(
+                (c + s) % n for c, s, n in zip(pc, shift, geo.P))))
+        else:
+            op_keys.append(by_bit[(pc[axis] + shift) % geo.P[axis] % 2])
+
     if pattern.kind is PatternKind.STENCIL_3D_27PT:
         keys = _full_slot_space(geo, dirs)
     else:
-        keys = sorted({_ideal_key(geo, pattern, op) for op in pattern.ops},
-                      key=repr)
+        keys = set(op_keys)
 
     ids = IdAllocator()
     world = world_communicator(pattern.num_processes, ids)
-    comm_of_key = {}
+    ctx_of_key = {}
     comms = [world]
     for key in sorted(keys, key=repr):
         comm = dup_communicator(world, ids, purpose=Purpose.PARALLELISM_EXPOSURE)
-        comm_of_key[key] = comm
+        ctx_of_key[key] = MatchContextId(ContextFamily.COMM, comm.context_id)
         comms.append(comm)
 
     prog = _program_indexes(pattern)
+    tag_of = cache(Tag)
     bindings = {}
-    for op in pattern.ops:
-        comm = comm_of_key[_ideal_key(geo, pattern, op)]
-        ctx = MatchContextId(ContextFamily.COMM, comm.context_id)
+    for op, key in zip(pattern.ops, op_keys):
         bindings[op.op_id] = OpDescriptor(
             kind=op.kind,
             source=(op.process, op.thread),
             program_index=prog[op.op_id],
-            context=ctx,
+            context=ctx_of_key[key],
             target=op.peer_process,
-            tag=Tag(op.tag_key),
+            tag=tag_of(op.tag_key),
         )
     return Assignment(
         mechanism=Mechanism.COMMUNICATORS,
         variant="ideal",
         hints=InfoHints(),
         bindings=bindings,
-        objects_created={"communicators": len(comm_of_key)},
+        objects_created={"communicators": len(ctx_of_key)},
         comms=comms,
     )
 
@@ -445,12 +447,16 @@ def assign_tags_with_hints(pattern: CommPattern) -> Assignment:
                             purpose=Purpose.PARALLELISM_EXPOSURE)
     ctx = MatchContextId(ContextFamily.COMM, comm.context_id)
     prog = _program_indexes(pattern)
+    tags: dict[tuple[int, int, int], Tag] = {}
     bindings = {}
     for op in pattern.ops:
         if op.kind is OpKind.SEND:
-            tag = encode_tag(op.thread, op.peer_thread, op.tag_key, layout)
+            fields = (op.thread, op.peer_thread, op.tag_key)
         else:
-            tag = encode_tag(op.peer_thread, op.thread, op.tag_key, layout)
+            fields = (op.peer_thread, op.thread, op.tag_key)
+        tag = tags.get(fields)
+        if tag is None:
+            tag = tags[fields] = encode_tag(*fields, layout)
         bindings[op.op_id] = OpDescriptor(
             kind=op.kind,
             source=(op.process, op.thread),
@@ -486,6 +492,7 @@ def assign_endpoints(pattern: CommPattern) -> Assignment:
     epcomm = create_endpoints_comm(world, T, ids)
     ctx = MatchContextId(ContextFamily.ENDPOINT, epcomm.context_id)
     prog = _program_indexes(pattern)
+    tag_of = cache(Tag)
     bindings = {}
     used_endpoints = set()
     for op in pattern.ops:
@@ -495,7 +502,7 @@ def assign_endpoints(pattern: CommPattern) -> Assignment:
             target, tag = ANY_SOURCE, ANY_TAG
         else:
             target = epcomm.endpoint_rank(op.peer_process, op.peer_thread)
-            tag = Tag(op.tag_key)
+            tag = tag_of(op.tag_key)
         bindings[op.op_id] = OpDescriptor(
             kind=op.kind,
             source=(op.process, op.thread),
@@ -547,6 +554,7 @@ def assign_partitioned(pattern: CommPattern) -> Assignment:
         groups.setdefault(key, []).append(op)
 
     requests: dict[int, PartitionedRequest] = {}
+    tag_of = cache(Tag)
     bindings = {}
     slot_of_op: dict[int, tuple[int, int]] = {}
     for key in sorted(groups, key=repr):
@@ -558,7 +566,7 @@ def assign_partitioned(pattern: CommPattern) -> Assignment:
             num_partitions=len(members),
             partition_size=pattern.payload_bytes,
             peer=peer,
-            tag=Tag(members[0].tag_key),
+            tag=tag_of(members[0].tag_key),
             comm=world,
             owner=process,
         )

@@ -625,9 +625,10 @@ def _serial_bucket_keys(op: OpDescriptor, hints: InfoHints):
     """
     keys = []
     if op.kind in TWO_SIDED:
-        ctx = op.context
+        # the context as its (family, key) pair: a plain tuple hashes in C
+        ctx = (op.context.family, op.context.key)
         if hints.wildcards_possible:
-            scope = op.endpoint if ctx.family is ContextFamily.ENDPOINT else None
+            scope = op.endpoint if ctx[0] is ContextFamily.ENDPOINT else None
             keys.append(("ctx", ctx, scope))
         else:
             if op.kind is OpKind.SEND:
@@ -637,7 +638,7 @@ def _serial_bucket_keys(op: OpDescriptor, hints: InfoHints):
                 keys.append(("r", ctx, op.endpoint, op.target,
                              op.tag.raw if op.tag else None))
     elif op.kind is OpKind.COLLECTIVE:
-        keys.append(("coll", op.context))
+        keys.append(("coll", op.context.family, op.context.key))
     elif op.kind is OpKind.ACCUMULATE and not hints.accumulate_ordering_none:
         keys.append(("atomic", op.window, op.target, op.target_location))
     return keys

@@ -286,8 +286,10 @@ class _Matcher:
         attempts, hit = (0, None) if queue is None else queue.take(
             _recv_covers(desc, queue))
         if hit is None:
-            self.posted.setdefault(scope, _Queue()).add(
-                _recv_bucket(desc), next(self._seq), op_id)
+            posted = self.posted.get(scope)
+            if posted is None:
+                posted = self.posted[scope] = _Queue()
+            posted.add(_recv_bucket(desc), next(self._seq), op_id)
         return attempts, hit
 
     def send(self, desc, op_id, end) -> tuple[int, int | None]:
@@ -299,27 +301,31 @@ class _Matcher:
             _send_covers(desc))
         if hit is None:
             seq = next(self._seq)
-            self.unexpected.setdefault(scope, _Queue()).add(
-                _send_bucket(desc), (end, seq) if self.overtaking else seq,
-                (op_id, end))
+            unexpected = self.unexpected.get(scope)
+            if unexpected is None:
+                unexpected = self.unexpected[scope] = _Queue()
+            unexpected.add(_send_bucket(desc),
+                           (end, seq) if self.overtaking else seq, (op_id, end))
         return attempts, hit
 
     def leftovers(self) -> int:
         return sum(len(q.order) for q in self.unexpected.values())
 
 
-def _max_overlap(intervals) -> int:
-    if not intervals:
-        return 0
-    points = []
-    for s, e in intervals:
-        points.append((s, 1))
-        points.append((e, -1))
-    points.sort()
-    best = cur = 0
-    for _, delta in points:
-        cur += delta
-        best = max(best, cur)
+def _max_overlap(starts) -> int:
+    """Most transfers in flight at once, given their start ticks.
+
+    Every transfer lasts ``TRANSFER_TICKS`` and ends before one starting at
+    its end tick, so the count peaks at some start: the transfers then in
+    flight are those that started in the window of ``TRANSFER_TICKS`` ticks
+    up to and including it.
+    """
+    starts = sorted(starts)
+    best = lo = 0
+    for hi, s in enumerate(starts):
+        while starts[lo] <= s - TRANSFER_TICKS:
+            lo += 1
+        best = max(best, hi - lo + 1)
     return best
 
 
@@ -408,12 +414,20 @@ class _Engine:
 
     def _schedule_transfer(self, op, desc, t_issue, buckets):
         lch, rch = map_entity(self.policy, desc, self.pool)
-        resources = {(op.process, lch)}
+        local = (op.process, lch)
         peer = op.peer_process
         if peer is None and desc.partition is not None:
             peer = self.assignment.requests[desc.partition[0]].peer
-        if peer is not None:
-            resources.add((peer, rch))
+        # the channel instances the transfer holds, and the processes owning
+        # them, each without repeats
+        if peer is None or (peer, rch) == local:
+            resources = (local,)
+        else:
+            resources = (local, (peer, rch))
+        if peer is None or peer == op.process:
+            owners = (op.process,)
+        else:
+            owners = (min(op.process, peer), max(op.process, peer))
         start = t_issue
         for r in resources:
             start = max(start, self.channel_free.get(r, 0))
@@ -436,8 +450,7 @@ class _Engine:
         if self.events is not None:
             self.emit(start, EventKind.CHANNEL_ACQUIRE, op.op_id, min(resources))
             self.emit(start, EventKind.TRANSFER, op.op_id, min(resources))
-        self.transfers.append((start, end, tuple(sorted({p for p, _ in resources})),
-                               op.phase))
+        self.transfers.append((start, end, owners, op.phase))
         for key in keys:
             insort(buckets.setdefault(key, []), (end, op.op_id))
         return end
@@ -637,18 +650,18 @@ class _Engine:
             or [0]
         )
         procs = range(pattern.num_processes)
-        spans_of: dict[int, list] = {}
-        phase_spans: dict[int, dict[int, list]] = {}
-        for s, e, owners, ph in self.transfers:
-            in_phase = phase_spans.setdefault(ph, {})
+        starts_of: dict[int, list] = {}
+        phase_starts: dict[int, dict[int, list]] = {}
+        for s, _, owners, ph in self.transfers:
+            in_phase = phase_starts.setdefault(ph, {})
             for p in owners:
                 if p in procs:
-                    spans_of.setdefault(p, []).append((s, e))
-                    in_phase.setdefault(p, []).append((s, e))
-        max_conc = max(map(_max_overlap, spans_of.values()), default=0)
-        phase_conc = {ph: max(map(_max_overlap, phase_spans[ph].values()),
+                    starts_of.setdefault(p, []).append(s)
+                    in_phase.setdefault(p, []).append(s)
+        max_conc = max(map(_max_overlap, starts_of.values()), default=0)
+        phase_conc = {ph: max(map(_max_overlap, phase_starts[ph].values()),
                               default=0)
-                      for ph in sorted(phase_spans)}
+                      for ph in sorted(phase_starts)}
         occupancy = {
             f"p{p}c{c}": busy
             for (p, c), busy in sorted(self.channel_busy.items())

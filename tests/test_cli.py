@@ -74,6 +74,7 @@ class TestAnalyze:
         spec = write_spec(tmp_path, kind="legion-polling", process_grid=[1],
                           thread_grid=[4])
         assert main(["analyze", "--spec", str(spec)]) == 2
+        assert main(["assign", "--spec", str(spec), "--emit-spec"]) == 2
 
     def test_fan_in_is_its_own_kind(self, tmp_path, capsys):
         spec = write_spec(tmp_path, kind="fan-in", process_grid=[2],

@@ -31,7 +31,13 @@ from mpxlab.patterns import (
     gen_stencil,
 )
 from mpxlab.semantics import requests_match
-from mpxlab.simulator import EventKind, _pair_requests, run
+from mpxlab.simulator import (
+    TRANSFER_TICKS,
+    EventKind,
+    _max_overlap,
+    _pair_requests,
+    run,
+)
 
 
 class TestBasics:
@@ -248,3 +254,22 @@ def request_sets(draw):
 @given(request_sets())
 def test_request_pairing_matches_first_fit(requests):
     assert _pair_requests(requests) == first_fit_pairs(requests)
+
+
+def endpoint_sweep(intervals):
+    """Reference overlap: sort every (start, +1) and (end, -1) endpoint and
+    sweep; an end sorts before a start at the same tick."""
+    points = sorted([(s, 1) for s, _ in intervals]
+                    + [(e, -1) for _, e in intervals])
+    best = cur = 0
+    for _, delta in points:
+        cur += delta
+        best = max(best, cur)
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=60))
+def test_windowed_overlap_matches_endpoint_sweep(starts):
+    intervals = [(s, s + TRANSFER_TICKS) for s in starts]
+    assert _max_overlap(starts) == endpoint_sweep(intervals)

@@ -1,0 +1,242 @@
+"""The stamped stencil generator and the memoised assignment keys against
+per-op references kept here.
+
+``gen_stencil`` builds process 0's ops once and stamps them for every
+process; ``assign_communicators_ideal`` computes each key once per (thread,
+direction, boundary parity); ``assign_tags_with_hints`` encodes each distinct
+tag once.  The references below recompute every coordinate, torus neighbor,
+key and tag per op, the way the generator and the assignments did before
+they were stamped and memoised.
+"""
+
+from math import prod
+
+import pytest
+
+from mpxlab.model import (
+    ContextFamily,
+    IdAllocator,
+    InfoHints,
+    MatchContextId,
+    OpDescriptor,
+    OpKind,
+    Purpose,
+    Tag,
+    dup_communicator,
+    encode_tag,
+    world_communicator,
+)
+from mpxlab.patterns import (
+    Assignment,
+    CommPattern,
+    Mechanism,
+    PatternKind,
+    PatternOp,
+    StencilGeometry,
+    assign_communicators_ideal,
+    assign_communicators_naive,
+    assign_endpoints,
+    assign_tags_with_hints,
+    gen_stencil,
+    stencil_directions,
+)
+from mpxlab.patterns.base import _program_indexes
+from mpxlab.patterns.stencil import _full_slot_space, _neg, _positive_rep
+
+_KINDS = {
+    (2, 5): PatternKind.STENCIL_2D_5PT,
+    (2, 9): PatternKind.STENCIL_2D_9PT,
+    (3, 27): PatternKind.STENCIL_3D_27PT,
+}
+
+
+def neighbor(geo, pc, tc, d):
+    """Torus neighbor of a thread patch, from its global coordinates:
+    (peer process coords, peer thread coords)."""
+    ppc, ptc = [], []
+    for i in range(geo.dims):
+        g = (pc[i] * geo.T[i] + tc[i] + d[i]) % (geo.P[i] * geo.T[i])
+        ppc.append(g // geo.T[i])
+        ptc.append(g % geo.T[i])
+    return tuple(ppc), tuple(ptc)
+
+
+def reference_gen_stencil(dims, points, process_grid, thread_grid,
+                          iterations=1, payload=8192):
+    """Every op of every process, with its torus neighbor computed and its
+    partner looked up per op."""
+    geo = StencilGeometry(process_grid, thread_grid)
+    dirs = stencil_directions(dims, points)
+    dir_index = {d: i for i, d in enumerate(dirs)}
+    threads = [geo.thread_coords(t) for t in range(prod(geo.T))]
+    crossings = [[d for d in dirs if geo.crossing(tc, d)] for tc in threads]
+    rows, locate = [], {}
+    for p in range(prod(geo.P)):
+        pc = geo.proc_coords(p)
+        for t, tc in enumerate(threads):
+            for d in crossings[t]:
+                ppc, ptc = neighbor(geo, pc, tc, d)
+                peer_p, peer_t = geo.proc_flat(ppc), geo.thread_flat(ptc)
+                for op_kind in (OpKind.RECV, OpKind.SEND):
+                    locate[(p, t, d, op_kind)] = len(rows)
+                    rows.append((p, t, op_kind, d, peer_p, peer_t))
+    ops = []
+    for op_id, (p, t, op_kind, d, peer_p, peer_t) in enumerate(rows):
+        if op_kind is OpKind.SEND:
+            traffic, wanted = dir_index[d], OpKind.RECV
+        else:
+            traffic, wanted = dir_index[_neg(d)], OpKind.SEND
+        ops.append(PatternOp(
+            op_id=op_id, process=p, thread=t, kind=op_kind, direction=d,
+            peer_process=peer_p, peer_thread=peer_t,
+            partner=locate[(peer_p, peer_t, _neg(d), wanted)],
+            phase=traffic, tag_key=traffic,
+        ))
+    return CommPattern(
+        kind=_KINDS[(dims, points)],
+        process_grid=tuple(process_grid),
+        thread_grid=tuple(thread_grid),
+        iterations=iterations,
+        payload_bytes=payload,
+        ops=tuple(ops),
+        communicating_threads=frozenset(t for t, ds in enumerate(crossings) if ds),
+        corner_threads=frozenset(t for t, tc in enumerate(threads)
+                                 if geo.is_corner(tc)),
+    )
+
+
+def reference_pair_key(geo, op):
+    """Key of the exchange pair of one op, from its sender's coordinates."""
+    d = op.direction
+    rep = _positive_rep(d)
+    pc = geo.proc_coords(op.process)
+    tc = geo.thread_coords(op.thread)
+    if d == rep:
+        s_pc, s_tc = pc, tc
+    else:
+        s_pc, s_tc = neighbor(geo, pc, tc, d)
+    cross_pos = {c: (geo.T[c] - 1 if rep[c] > 0 else 0)
+                 for c in range(geo.dims) if rep[c] != 0}
+    c0 = min(c for c, pos in cross_pos.items() if s_tc[c] == pos)
+    boundary = (s_pc[c0] + 1) % geo.P[c0] if rep[c0] > 0 else s_pc[c0]
+    nonzero = sum(1 for c in rep if c != 0)
+    if nonzero == 1:
+        axis = next(c for c in range(geo.dims) if rep[c] != 0)
+        slot = ("perp",) + tuple(v for i, v in enumerate(s_tc) if i != axis)
+    elif geo.dims == 3 and nonzero == 3:
+        if s_tc[2] == cross_pos[2]:
+            slot = ("z", s_tc[0], s_tc[1])
+        elif s_tc[1] == cross_pos[1]:
+            slot = ("y", s_tc[0], s_tc[2])
+        else:
+            slot = ("x", s_tc[1], s_tc[2])
+    else:
+        slot = ("full",) + s_tc
+    return ("pair", rep, boundary % 2, slot)
+
+
+def reference_ideal_key(geo, pattern, op):
+    if pattern.kind is PatternKind.STENCIL_2D_9PT:
+        tc = geo.thread_coords(op.thread)
+        d = op.direction
+        pc = geo.proc_coords(op.process)
+        _, ptc = neighbor(geo, pc, tc, d)
+        crossed = [not 0 <= tc[i] + d[i] < geo.T[i] for i in range(geo.dims)]
+        aligned = all(c or tc[i] == ptc[i] for i, c in enumerate(crossed))
+        if geo.is_corner(tc) and geo.is_corner(ptc) and aligned:
+            return ("corner", tuple(
+                (pc[i] + (1 if tc[i] == geo.T[i] - 1 else 0)) % geo.P[i]
+                for i in range(geo.dims)))
+    return reference_pair_key(geo, op)
+
+
+def reference_ideal(pattern):
+    """The ideal communicator map with every key computed per op."""
+    geo = StencilGeometry(pattern.process_grid, pattern.thread_grid)
+    if pattern.kind is PatternKind.STENCIL_3D_27PT:
+        keys = _full_slot_space(geo, stencil_directions(3, 27))
+    else:
+        keys = {reference_ideal_key(geo, pattern, op) for op in pattern.ops}
+    ids = IdAllocator()
+    world = world_communicator(pattern.num_processes, ids)
+    comm_of_key, comms = {}, [world]
+    for key in sorted(keys, key=repr):
+        comm = dup_communicator(world, ids, purpose=Purpose.PARALLELISM_EXPOSURE)
+        comm_of_key[key] = comm
+        comms.append(comm)
+    prog = _program_indexes(pattern)
+    bindings = {
+        op.op_id: OpDescriptor(
+            kind=op.kind, source=(op.process, op.thread),
+            program_index=prog[op.op_id],
+            context=MatchContextId(
+                ContextFamily.COMM,
+                comm_of_key[reference_ideal_key(geo, pattern, op)].context_id),
+            target=op.peer_process, tag=Tag(op.tag_key),
+        )
+        for op in pattern.ops
+    }
+    return Assignment(mechanism=Mechanism.COMMUNICATORS, variant="ideal",
+                      hints=InfoHints(), bindings=bindings,
+                      objects_created={"communicators": len(comm_of_key)},
+                      comms=comms)
+
+
+# process dims of 1, 3 and even sizes; thread dims of 1 and 2
+GRIDS = [
+    (2, 5, [1, 3], [2, 1]),
+    (2, 5, [3, 2], [2, 2]),
+    (2, 5, [4, 1], [3, 2]),
+    (2, 9, [1, 2], [2, 1]),
+    (2, 9, [3, 3], [2, 2]),
+    (2, 9, [2, 4], [3, 3]),
+    (2, 9, [3, 1], [1, 3]),
+    (3, 27, [1, 2, 3], [2, 1, 2]),
+    (3, 27, [2, 2, 2], [2, 2, 2]),
+    (3, 27, [3, 1, 2], [2, 3, 2]),
+]
+IDS = [f"{dims}d{points}-p{'x'.join(map(str, pg))}-t{'x'.join(map(str, tg))}"
+       for dims, points, pg, tg in GRIDS]
+
+
+@pytest.mark.parametrize("dims,points,pgrid,tgrid", GRIDS, ids=IDS)
+def test_stamped_ops_equal_the_per_op_generator(dims, points, pgrid, tgrid):
+    stamped = gen_stencil(dims, points, pgrid, tgrid, iterations=2, payload=64)
+    reference = reference_gen_stencil(dims, points, pgrid, tgrid,
+                                      iterations=2, payload=64)
+    assert stamped.ops == reference.ops
+    assert stamped == reference
+
+
+@pytest.mark.parametrize("dims,points,pgrid,tgrid", GRIDS, ids=IDS)
+def test_memoised_ideal_keys_equal_per_op_keys(dims, points, pgrid, tgrid):
+    pattern = gen_stencil(dims, points, pgrid, tgrid)
+    memoised = assign_communicators_ideal(pattern)
+    reference = reference_ideal(pattern)
+    assert memoised.bindings == reference.bindings
+    assert memoised.objects_created == reference.objects_created
+    assert memoised.comms == reference.comms
+
+
+@pytest.mark.parametrize("dims,points,pgrid,tgrid", GRIDS, ids=IDS)
+def test_tags_equal_per_op_encoding(dims, points, pgrid, tgrid):
+    pattern = gen_stencil(dims, points, pgrid, tgrid)
+    assignment = assign_tags_with_hints(pattern)
+    layout = assignment.hints.tag_vci_bits
+    for op in pattern.ops:
+        if op.kind is OpKind.SEND:
+            tag = encode_tag(op.thread, op.peer_thread, op.tag_key, layout)
+        else:
+            tag = encode_tag(op.peer_thread, op.thread, op.tag_key, layout)
+        assert assignment.bindings[op.op_id].tag == tag
+
+
+@pytest.mark.parametrize("assign", [assign_communicators_ideal,
+                                    assign_communicators_naive,
+                                    assign_tags_with_hints, assign_endpoints])
+def test_assignments_share_one_object_per_value(assign):
+    pattern = gen_stencil(3, 27, [2, 1, 3], [2, 2, 2])
+    descs = assign(pattern).bindings.values()
+    for field in ("tag", "context"):
+        values = [getattr(d, field) for d in descs]
+        assert len({id(v) for v in values}) == len(set(values)), field
