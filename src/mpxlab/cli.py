@@ -8,6 +8,7 @@ Output files land in --out, then $MPXLAB_OUT, then the working directory.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -118,6 +119,18 @@ def cmd_analyze(args) -> int:
 
 
 def _simulate_one(spec_path: str, args) -> str:
+    # The model holds no reference cycles: the cyclic collector would only
+    # rescan its records, so it pauses per scenario and then resumes.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _simulate(spec_path, args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _simulate(spec_path: str, args) -> str:
     scenario = _apply_overrides(load_scenario(spec_path), args)
     pattern = scenario.build_pattern()
     assignment = scenario.build_assignment(pattern)

@@ -7,7 +7,9 @@ is a plain id from :class:`IdAllocator`.
 
 Value types are immutable after construction.  The one exception is
 :class:`PartitionedRequest`, whose state transitions are applied only by the
-single-threaded simulation engine.
+single-threaded simulation engine.  The per-op records (:class:`Tag`,
+:class:`MatchContextId`, :class:`OpDescriptor`) are slotted: a scenario
+builds tens of thousands of them, and none carries a ``__dict__``.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class TagBitLayout:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tag:
     """A match tag: a raw unsigned value of ``TAG_WIDTH_DEFAULT`` bits.
 
@@ -410,7 +412,7 @@ class ContextFamily(Enum):
     __hash__ = object.__hash__  # see OpKind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchContextId:
     """Isolation unit for two-sided and collective matching: a communicator
     context or an endpoint-bearing context.  ``key`` is the owning object's
@@ -421,7 +423,7 @@ class MatchContextId:
     key: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpDescriptor:
     """One communication operation with its full matching coordinates.
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import count, cycle
 from math import prod
+from operator import attrgetter
 
 from ..errors import DomainError, InvalidArgumentError
 from ..model import (
@@ -49,7 +52,7 @@ class Mechanism(Enum):
     __hash__ = object.__hash__  # see model.OpKind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatternOp:
     """One per-iteration operation of a communication pattern.
 
@@ -84,8 +87,11 @@ class CommPattern:
     single non-corner thread (a corner thread's directions proceed serially
     from its one issue stream).
 
-    ``ops`` is the only per-op record.  ``pairs`` and the index behind
-    :meth:`op` are derived from it on first use.
+    ``ops`` is the only per-op record.  ``pairs`` is derived from it on
+    each use, and the index behind :meth:`op` on first use.  A nonzero
+    ``stamp`` declares every process's ops a copy of process 0's: op ``i`` of
+    process ``p`` is ``ops[p * stamp + i]``, with that op id, and has the
+    thread, kind and phase of op ``i``.
     """
 
     kind: PatternKind
@@ -97,8 +103,9 @@ class CommPattern:
     communicating_threads: frozenset[int] = frozenset()
     corner_threads: frozenset[int] = frozenset()
     seed: int = 0
+    stamp: int = field(default=0, compare=False)
 
-    @cached_property
+    @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """(send id, receive id) of every send that names its partner, in op
         order."""
@@ -195,15 +202,25 @@ class Assignment:
 
 def _program_indexes(pattern: CommPattern) -> dict[int, int]:
     """Issue order within each thread: post all receives, then all other ops,
-    each in (phase, op id) order (the usual nonblocking halo-exchange shape)."""
-    out = {}
-    by_thread: dict[tuple[int, int], list[PatternOp]] = {}
-    for op in pattern.ops:
-        by_thread.setdefault((op.process, op.thread), []).append(op)
-    for ops in by_thread.values():
-        ops.sort(key=lambda o: (0 if o.kind is OpKind.RECV else 1, o.phase, o.op_id))
-        for i, op in enumerate(ops):
-            out[op.op_id] = i
+    each in (phase, op id) order (the usual nonblocking halo-exchange shape).
+
+    A stamped pattern orders process 0's ops and repeats their indexes.
+    """
+    ops = pattern.ops[:pattern.stamp] if pattern.stamp else pattern.ops
+    in_order, op_id = attrgetter("phase", "op_id"), attrgetter("op_id")
+    # per thread: its receives, then the rest
+    by_thread: dict[tuple[int, int], tuple[list, list]] = defaultdict(
+        lambda: ([], []))
+    for op in ops:
+        by_thread[op.process, op.thread][op.kind is not OpKind.RECV].append(op)
+    out: dict[int, int] = {}
+    for recvs, rest in by_thread.values():
+        recvs.sort(key=in_order)
+        rest.sort(key=in_order)
+        out.update(zip(map(op_id, recvs + rest), count()))
+    if pattern.stamp:
+        return dict(zip(range(len(pattern.ops)),
+                        cycle([out[op.op_id] for op in ops])))
     return out
 
 

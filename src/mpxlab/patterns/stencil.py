@@ -199,6 +199,7 @@ def gen_stencil(dims: int, points: int, process_grid, thread_grid,
         ops=tuple(ops),
         communicating_threads=communicating,
         corner_threads=corners,
+        stamp=n0,
     )
 
 

@@ -617,31 +617,26 @@ class ValidationReport:
         return not self.matching_violations and not self.lost_parallelism
 
 
-def _serial_bucket_keys(op: OpDescriptor, hints: InfoHints):
-    """Bucket keys under which this op could be classifier-serial with peers.
+def _serial_bucket_key(op: OpDescriptor, hints: InfoHints):
+    """The bucket key under which this op could be classifier-serial with
+    peers, or None when no peer can be.
 
     Only ops sharing a bucket can yield a non-parallel verdict, which keeps
     validation near-linear instead of quadratic in the pattern size.
     """
-    keys = []
     if op.kind in TWO_SIDED:
         # the context as its (family, key) pair: a plain tuple hashes in C
         ctx = (op.context.family, op.context.key)
         if hints.wildcards_possible:
             scope = op.endpoint if ctx[0] is ContextFamily.ENDPOINT else None
-            keys.append(("ctx", ctx, scope))
-        else:
-            if op.kind is OpKind.SEND:
-                keys.append(("s", ctx, op.endpoint, op.target,
-                             op.tag.raw if op.tag else None))
-            else:
-                keys.append(("r", ctx, op.endpoint, op.target,
-                             op.tag.raw if op.tag else None))
-    elif op.kind is OpKind.COLLECTIVE:
-        keys.append(("coll", op.context.family, op.context.key))
-    elif op.kind is OpKind.ACCUMULATE and not hints.accumulate_ordering_none:
-        keys.append(("atomic", op.window, op.target, op.target_location))
-    return keys
+            return ("ctx", ctx, scope)
+        return ("s" if op.kind is OpKind.SEND else "r", ctx, op.endpoint,
+                op.target, op.tag.raw if op.tag else None)
+    if op.kind is OpKind.COLLECTIVE:
+        return ("coll", op.context.family, op.context.key)
+    if op.kind is OpKind.ACCUMULATE and not hints.accumulate_ordering_none:
+        return ("atomic", op.window, op.target, op.target_location)
+    return None
 
 
 def matching_violations(pattern: "CommPattern", assignment: "Assignment") -> list:
@@ -683,7 +678,8 @@ def validate_assignment(pattern: "CommPattern", assignment: "Assignment") -> Val
     for pop in ops:
         desc = bindings[pop.op_id]
         by_entity.setdefault(assignment.entity_of[pop.op_id], []).append(pop)
-        for key in _serial_bucket_keys(desc, hints):
+        key = _serial_bucket_key(desc, hints)
+        if key is not None:
             by_bucket.setdefault(key, []).append(pop)
 
     seen = set()

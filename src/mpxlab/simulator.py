@@ -26,9 +26,10 @@ from __future__ import annotations
 import itertools
 import json
 from bisect import bisect_left, insort
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from operator import attrgetter
 
 from .channels import (
     ChannelPool,
@@ -38,13 +39,13 @@ from .channels import (
     map_entity,
 )
 from .errors import InvalidAssignmentError, MpxlabError, UnsupportedPatternError
-from .model import ANY_SOURCE, ANY_TAG, ContextFamily, Direction, OpKind
+from .model import ANY_SOURCE, ANY_TAG, TWO_SIDED, ContextFamily, Direction, OpKind
 from .patterns.base import Assignment, CommPattern, Mechanism, PatternKind
 from .patterns.irregular import collective_footprint
 from .semantics import (
     logically_parallel,
     matching_violations,
-    _serial_bucket_keys,
+    _serial_bucket_key,
 )
 
 
@@ -60,7 +61,7 @@ class EventKind(Enum):
     PROBE_ITERATION = "probe-iteration"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     time: int
     kind: EventKind
@@ -183,15 +184,31 @@ def _footprint(pattern: CommPattern, assignment: Assignment) -> int:
     return total
 
 
-def _recv_scope(desc):
+def _recv_keys(desc):
+    """(scope, bucket) of a receive: where it is posted, and its exact
+    (source, tag) selector, with either part possibly a wildcard."""
     home = (desc.endpoint
             if desc.context.family is ContextFamily.ENDPOINT
             else desc.process)
-    return (desc.context.family, desc.context.key, home)
+    bucket = None if desc.tag is None else (desc.target, desc.tag.raw)
+    return (desc.context.family, desc.context.key, home), bucket
 
 
-def _send_scope(desc):
-    return (desc.context.family, desc.context.key, desc.target)
+def _send_keys(desc):
+    """(scope, bucket) of a send: the rank it is addressed to, and its exact
+    (source, tag)."""
+    bucket = None if desc.tag is None else (desc.origin_rank, desc.tag.raw)
+    return (desc.context.family, desc.context.key, desc.target), bucket
+
+
+def _send_covers(bucket):
+    """The posted-queue buckets whose receives can take a send from
+    ``bucket``: its exact (source, tag) and the three wildcard combinations."""
+    if bucket is None:
+        return ()
+    src, tag = bucket
+    return (bucket, (ANY_SOURCE, tag), (src, ANY_TAG.raw),
+            (ANY_SOURCE, ANY_TAG.raw))
 
 
 class _Queue:
@@ -230,37 +247,18 @@ class _Queue:
         del self.order[rank]
         return rank + 1, item
 
-
-def _recv_bucket(desc):
-    if desc.kind is not OpKind.RECV or desc.tag is None:
-        return None
-    return (desc.target, ANY_TAG.raw if desc.tag.is_wildcard else desc.tag.raw)
-
-
-def _send_bucket(desc):
-    return None if desc.tag is None else (desc.origin_rank, desc.tag.raw)
-
-
-def _send_covers(desc):
-    """The posted-queue buckets whose receives can take this send."""
-    if desc.tag is None:
-        return ()
-    src, tag = desc.origin_rank, desc.tag.raw
-    return {(src, tag), (ANY_SOURCE, tag), (src, ANY_TAG.raw),
-            (ANY_SOURCE, ANY_TAG.raw)}
-
-
-def _recv_covers(desc, queue):
-    """The unexpected-queue buckets whose sends this receive can take."""
-    if desc.kind is not OpKind.RECV or desc.tag is None:
-        return ()
-    src, tag = desc.target, desc.tag
-    if src != ANY_SOURCE and not tag.is_wildcard:
-        return ((src, tag.raw),)
-    return [b for b in queue.buckets
-            if b is not None
-            and (src == ANY_SOURCE or b[0] == src)
-            and (tag.is_wildcard or b[1] == tag.raw)]
+    def covering(self, selector):
+        """The buckets whose sends a receive with this (source, tag)
+        selector can take."""
+        if selector is None:
+            return ()
+        src, tag = selector
+        if src != ANY_SOURCE and tag != ANY_TAG.raw:
+            return (selector,)
+        return [b for b in self.buckets
+                if b is not None
+                and (src == ANY_SOURCE or b[0] == src)
+                and (tag == ANY_TAG.raw or b[1] == tag)]
 
 
 class _Matcher:
@@ -269,7 +267,8 @@ class _Matcher:
     Within a scope the context and the receiving rank already agree, so a
     send matches a receive exactly when the receive's source selector covers
     the send's origin rank and its tag selector covers the send's tag: the
-    triplet rule of :func:`mpxlab.semantics.can_match`.
+    triplet rule of :func:`mpxlab.semantics.can_match`.  Callers pass the
+    keys of :func:`_recv_keys` and :func:`_send_keys`.
     """
 
     def __init__(self, overtaking: bool):
@@ -278,34 +277,32 @@ class _Matcher:
         self.unexpected: dict = {}
         self._seq = itertools.count()
 
-    def post(self, desc, op_id) -> tuple[int, tuple[int, int] | None]:
+    def post(self, scope, bucket, op_id) -> tuple[int, tuple[int, int] | None]:
         """Post a receive; return (attempts, (send id, send end) of the
         message it matched, or None when it was queued)."""
-        scope = _recv_scope(desc)
         queue = self.unexpected.get(scope)
         attempts, hit = (0, None) if queue is None else queue.take(
-            _recv_covers(desc, queue))
+            queue.covering(bucket))
         if hit is None:
             posted = self.posted.get(scope)
             if posted is None:
                 posted = self.posted[scope] = _Queue()
-            posted.add(_recv_bucket(desc), next(self._seq), op_id)
+            posted.add(bucket, next(self._seq), op_id)
         return attempts, hit
 
-    def send(self, desc, op_id, end) -> tuple[int, int | None]:
+    def send(self, scope, bucket, op_id, end) -> tuple[int, int | None]:
         """Deliver a message that lands at ``end``; return (attempts, id of
         the receive it matched, or None when it was queued)."""
-        scope = _send_scope(desc)
         queue = self.posted.get(scope)
         attempts, hit = (0, None) if queue is None else queue.take(
-            _send_covers(desc))
+            _send_covers(bucket))
         if hit is None:
             seq = next(self._seq)
             unexpected = self.unexpected.get(scope)
             if unexpected is None:
                 unexpected = self.unexpected[scope] = _Queue()
-            unexpected.add(_send_bucket(desc),
-                           (end, seq) if self.overtaking else seq, (op_id, end))
+            unexpected.add(bucket, (end, seq) if self.overtaking else seq,
+                           (op_id, end))
         return attempts, hit
 
     def leftovers(self) -> int:
@@ -353,6 +350,10 @@ def _pair_requests(requests) -> dict[int, int]:
     return pair_of
 
 
+# issue order of the engine's loops
+_BY_THREAD = attrgetter("process", "thread", "op_id")
+
+
 class _Engine:
     def __init__(self, pattern, assignment, pool, policy, seed, events=True):
         self.pattern = pattern
@@ -362,9 +363,11 @@ class _Engine:
         self.seed = seed
         # None when the caller reads only the counters: no Event is built
         self.events: list[Event] | None = [] if events else None
-        self.clocks: dict[tuple[int, int], int] = {}
-        self.channel_free: dict[tuple[int, int], int] = {}
-        self.channel_busy: dict[tuple[int, int], int] = {}
+        # thread (p, t) reads clock slot p * T + t, and channel c of process
+        # p is instance p * R + c
+        self.clocks = [0] * (pattern.num_processes * pattern.threads_per_process)
+        self.channel_free: dict[int, int] = {}
+        self.channel_busy: dict[int, int] = {}
         self.attempts = 0
         self.matches = 0
         self.waitblocks = 0
@@ -377,22 +380,17 @@ class _Engine:
 
     # -- small helpers ------------------------------------------------
 
-    def clock(self, p, t) -> int:
-        return self.clocks.get((p, t), 0)
-
-    def bump(self, p, t, dt):
-        self.clocks[(p, t)] = self.clock(p, t) + dt
-
     def emit(self, time, kind, op_id=None, channel=None):
         if self.events is not None:
             self.events.append(Event(time, kind, op_id, channel, self.iteration))
 
-    def count_attempts(self, time, op_id, n):
-        """The n match attempts of one queue scan: n references to one event."""
-        self.attempts += n
-        if self.events is not None and n:
-            self.events.extend(
-                [Event(time, EventKind.MATCH_ATTEMPT, op_id, None, self.iteration)] * n)
+    def _scanned(self, op_id, attempts, at, matched_at):
+        """The events of one queue scan: its attempts at tick ``at``, then
+        its match at ``matched_at`` unless that is None."""
+        self.events += [Event(at, EventKind.MATCH_ATTEMPT, op_id, None,
+                              self.iteration)] * attempts
+        if matched_at is not None:
+            self.emit(matched_at, EventKind.MATCH_SUCCESS, op_id)
 
     def serial(self, a_id, b_id) -> bool:
         key = (min(a_id, b_id), max(a_id, b_id))
@@ -403,6 +401,56 @@ class _Engine:
             self._verdicts[key] = not verdict.parallel
         return self._verdicts[key]
 
+    def _plan(self, ops, pair_of):
+        """One row per op of ``ops``, in their order: all the loops read of
+        it, built once per run.  A receive's row is (op id, clock slot,
+        matching scope, bucket).  Any other op's row is (op id, clock slot,
+        phase, local channel instance, remote instance, owner processes,
+        serial-bucket key prefixed with the process, matching scope, bucket,
+        (send request, index, paired receive request) of a partition it
+        readies), each part None when the op has none.  Equal keys, scopes,
+        buckets and owner tuples are one object.
+        """
+        assignment, policy, pool = self.assignment, self.policy, self.pool
+        bindings, hints, requests = (assignment.bindings, assignment.hints,
+                                     assignment.requests)
+        T, R = self.pattern.threads_per_process, pool.num_channels
+        share = {}.setdefault
+        rows = []
+        for op in ops:
+            desc = bindings[op.op_id]
+            p, kind = op.process, desc.kind
+            slot = p * T + op.thread
+            scope = bucket = None
+            if kind in TWO_SIDED:
+                scope, bucket = (_send_keys if kind is OpKind.SEND
+                                 else _recv_keys)(desc)
+                scope, bucket = share(scope, scope), share(bucket, bucket)
+            if op.kind is OpKind.RECV:
+                # partition arrival is tracked on the shared request
+                rows.append((op.op_id, slot, scope, bucket))
+                continue
+            lch, rch = map_entity(policy, desc, pool)
+            local = p * R + lch
+            peer, part = op.peer_process, None
+            if desc.partition is not None:
+                rid, idx = desc.partition
+                req = requests[rid]
+                if peer is None:
+                    peer = req.peer
+                if kind is OpKind.PARTITION_READY:
+                    paired = pair_of.get(rid)
+                    part = (req, idx, None if paired is None else requests[paired])
+            remote = None if peer is None else peer * R + rch
+            owners = (p,) if peer is None or peer == p else (min(p, peer), max(p, peer))
+            key = _serial_bucket_key(desc, hints)
+            if key is not None:
+                key = share((p, key), (p, key))
+            rows.append((op.op_id, slot, op.phase, local,
+                         None if remote == local else remote,
+                         share(owners, owners), key, scope, bucket, part))
+        return rows
+
     # -- main loops ----------------------------------------------------
 
     def run(self) -> SimReport:
@@ -412,47 +460,35 @@ class _Engine:
             self._run_phased()
         return self._report()
 
-    def _schedule_transfer(self, op, desc, t_issue, buckets):
-        lch, rch = map_entity(self.policy, desc, self.pool)
-        local = (op.process, lch)
-        peer = op.peer_process
-        if peer is None and desc.partition is not None:
-            peer = self.assignment.requests[desc.partition[0]].peer
-        # the channel instances the transfer holds, and the processes owning
-        # them, each without repeats
-        if peer is None or (peer, rch) == local:
-            resources = (local,)
-        else:
-            resources = (local, (peer, rch))
-        if peer is None or peer == op.process:
-            owners = (op.process,)
-        else:
-            owners = (min(op.process, peer), max(op.process, peer))
-        start = t_issue
-        for r in resources:
-            start = max(start, self.channel_free.get(r, 0))
-        keys = [(op.process, key)
-                for key in _serial_bucket_keys(desc, self.assignment.hints)]
-        # each bucket is sorted by (end, op id): scanning from the latest end,
-        # the first serial peer, or the first that ends by ``start``, settles
-        # the maximum over every serial peer
-        for key in keys:
-            for prev_end, prev_id in reversed(buckets.get(key, ())):
-                if prev_end <= start:
-                    break
-                if self.serial(prev_id, op.op_id):
-                    start = prev_end
-                    break
+    def _schedule_transfer(self, op_id, phase, local, remote, owners, key,
+                           t_issue, buckets):
+        free, busy = self.channel_free, self.channel_busy
+        start = max(t_issue, free.get(local, 0))
+        if remote is not None:
+            start = max(start, free.get(remote, 0))
+        # the serial bucket is sorted by (end, op id): scanning from the latest
+        # end, the first serial peer, or the first that ends by ``start``,
+        # settles the maximum over every serial peer
+        for prev_end, prev_id in reversed(buckets.get(key, ())):
+            if prev_end <= start:
+                break
+            if self.serial(prev_id, op_id):
+                start = prev_end
+                break
         end = start + TRANSFER_TICKS
-        for r in resources:
-            self.channel_free[r] = end
-            self.channel_busy[r] = self.channel_busy.get(r, 0) + (end - start)
+        free[local] = end
+        busy[local] = busy.get(local, 0) + TRANSFER_TICKS
+        if remote is not None:
+            free[remote] = end
+            busy[remote] = busy.get(remote, 0) + TRANSFER_TICKS
         if self.events is not None:
-            self.emit(start, EventKind.CHANNEL_ACQUIRE, op.op_id, min(resources))
-            self.emit(start, EventKind.TRANSFER, op.op_id, min(resources))
-        self.transfers.append((start, end, owners, op.phase))
-        for key in keys:
-            insort(buckets.setdefault(key, []), (end, op.op_id))
+            channel = divmod(local if remote is None else min(local, remote),
+                             self.pool.num_channels)
+            self.emit(start, EventKind.CHANNEL_ACQUIRE, op_id, channel)
+            self.emit(start, EventKind.TRANSFER, op_id, channel)
+        self.transfers.append((start, end, owners, phase))
+        if key is not None:
+            insort(buckets.setdefault(key, []), (end, op_id))
         return end
 
     def _run_phased(self):
@@ -467,26 +503,21 @@ class _Engine:
                 reqs_of.setdefault(r.owner, []).append(r)
 
         # per phase: receives, then sends, each in (process, thread, op) order
-        by_phase: dict[int, list] = {}
-        for op in sorted(pattern.ops,
-                         key=lambda op: (op.process, op.thread, op.op_id)):
-            by_phase.setdefault(op.phase, []).append(op)
-        schedule = [
-            ([op for op in ops if op.kind is OpKind.RECV],
-             [op for op in ops if op.kind is not OpKind.RECV])
-            for _, ops in sorted(by_phase.items())
-        ]
-        for p in range(pattern.num_processes):
-            for t in range(pattern.threads_per_process):
-                self.clocks.setdefault((p, t), 0)
+        ops = sorted(pattern.ops, key=_BY_THREAD)
+        by_phase: dict[int, tuple[list, list]] = defaultdict(lambda: ([], []))
+        for op, row in zip(ops, self._plan(ops, pair_of)):
+            by_phase[op.phase][op.kind is not OpKind.RECV].append(row)
+        schedule = [by_phase[phase] for phase in sorted(by_phase)]
+        clocks, events = self.clocks, self.events
+        arrivals = self._partition_arrivals
 
         for it in range(pattern.iterations):
             self.iteration = it
             if partitioned:
-                t0 = max(self.clocks.values(), default=0)
+                t0 = max(clocks)
                 for rid in sorted(assignment.requests):
                     assignment.requests[rid].start()
-                for sid, rid in sorted(pair_of.items()):
+                for _ in pair_of:
                     self.emit(t0, EventKind.MATCH_ATTEMPT)
                     self.emit(t0, EventKind.MATCH_SUCCESS)
                     self.attempts += 1
@@ -494,20 +525,47 @@ class _Engine:
 
             matcher = _Matcher(assignment.hints.allow_overtaking)
             buckets: dict = {}
-            for recv_like, send_like in schedule:
+            for recv_rows, send_rows in schedule:
                 mark = len(self.transfers)
-                for op in recv_like:
-                    self._post_recv(op, matcher)
-                for op in send_like:
-                    self._issue_send(op, matcher, buckets, pair_of)
+                for op_id, slot, scope, bucket in recv_rows:
+                    t_issue = clocks[slot]
+                    clocks[slot] = t_issue + ISSUE_TICKS
+                    if events is not None:
+                        self.emit(t_issue, EventKind.ISSUE, op_id)
+                    if scope is not None:
+                        attempts, hit = matcher.post(scope, bucket, op_id)
+                        self.attempts += attempts
+                        self.matches += hit is not None
+                        if events is not None:
+                            self._scanned(op_id, attempts, t_issue, None if hit
+                                          is None else max(t_issue, hit[1]))
+                for (op_id, slot, phase, local, remote, owners, key,
+                     scope, bucket, part) in send_rows:
+                    t_issue = clocks[slot]
+                    clocks[slot] = t_issue + ISSUE_TICKS
+                    if events is not None:
+                        self.emit(t_issue, EventKind.ISSUE, op_id)
+                    end = self._schedule_transfer(op_id, phase, local, remote,
+                                                  owners, key, t_issue, buckets)
+                    if part is not None:
+                        req, idx, peer_req = part
+                        req.pready(idx)
+                        if peer_req is not None:
+                            peer_req.deliver(idx)
+                            rid = peer_req.request_id
+                            arrivals[rid] = max(arrivals.get(rid, end), end)
+                    if scope is not None:  # a send: nothing else matches
+                        attempts, rid = matcher.send(scope, bucket, op_id, end)
+                        self.attempts += attempts
+                        self.matches += rid is not None
+                        if events is not None:
+                            self._scanned(op_id, attempts, end,
+                                          None if rid is None else end)
                 # one traffic direction at a time: the next phase starts after
                 # this one drains, so per-phase concurrency is well defined
-                phase_end = max(
-                    [e for _, e, _, _ in self.transfers[mark:]]
-                    + list(self.clocks.values()) + [0]
-                )
-                for key in self.clocks:
-                    self.clocks[key] = phase_end
+                phase_end = max([e for _, e, _, _ in self.transfers[mark:]]
+                                + clocks)
+                clocks[:] = [phase_end] * len(clocks)
 
             leftovers = matcher.leftovers()
             if leftovers:
@@ -520,97 +578,51 @@ class _Engine:
             elif (pattern.kind is PatternKind.MULTITHREADED_ALLREDUCE
                   and assignment.mechanism is Mechanism.COMMUNICATORS):
                 # user-driven intranode reduction step
-                for p in range(pattern.num_processes):
-                    for t in range(pattern.threads_per_process):
-                        self.bump(p, t, SYNC_WAIT_TICKS)
-
-    def _post_recv(self, op, matcher):
-        desc = self.assignment.bindings[op.op_id]
-        p, t = op.process, op.thread
-        t_issue = self.clock(p, t)
-        self.emit(t_issue, EventKind.ISSUE, op.op_id)
-        self.bump(p, t, ISSUE_TICKS)
-        if desc.kind is OpKind.PARTITION_ARRIVED_TEST:
-            return  # arrival is tracked on the shared request
-        attempts, hit = matcher.post(desc, op.op_id)
-        self.count_attempts(t_issue, op.op_id, attempts)
-        if hit is not None:
-            s_end = hit[1]
-            self.matches += 1
-            self.emit(max(t_issue, s_end), EventKind.MATCH_SUCCESS, op.op_id)
-
-    def _issue_send(self, op, matcher, buckets, pair_of):
-        desc = self.assignment.bindings[op.op_id]
-        p, t = op.process, op.thread
-        t_issue = self.clock(p, t)
-        self.emit(t_issue, EventKind.ISSUE, op.op_id)
-        self.bump(p, t, ISSUE_TICKS)
-        end = self._schedule_transfer(op, desc, t_issue, buckets)
-
-        if desc.kind is OpKind.PARTITION_READY:
-            rid, idx = desc.partition
-            req = self.assignment.requests[rid]
-            req.pready(idx)
-            peer_rid = pair_of.get(rid)
-            if peer_rid is not None:
-                peer_req = self.assignment.requests[peer_rid]
-                peer_req.deliver(idx)
-                arrivals = self._partition_arrivals
-                arrivals[peer_rid] = max(arrivals.get(peer_rid, end), end)
-            return
-        if desc.kind is not OpKind.SEND:
-            return  # collectives and RMA carry no pairwise matching
-        attempts, rid = matcher.send(desc, op.op_id, end)
-        self.count_attempts(end, op.op_id, attempts)
-        if rid is not None:
-            self.matches += 1
-            self.emit(end, EventKind.MATCH_SUCCESS, op.op_id)
+                clocks[:] = [c + SYNC_WAIT_TICKS for c in clocks]
 
     def _partitioned_iteration_end(self, reqs_of):
         """``reqs_of`` maps each owner process to its requests by id."""
-        pattern = self.pattern
-        for p in range(pattern.num_processes):
+        T, clocks = self.pattern.threads_per_process, self.clocks
+        for p in range(self.pattern.num_processes):
             proc_reqs = reqs_of.get(p, ())
             done = 0
             for r in proc_reqs:
                 if r.direction is Direction.RECV:
                     done = max(done, self._partition_arrivals.get(
                         r.request_id, 0))
-            all_threads = range(pattern.threads_per_process)
-            owner = 0
-            done = max([done] + [self.clock(p, t) for t in all_threads])
-            for t in all_threads:
-                if t == owner:
-                    self.clocks[(p, t)] = done
-                    continue
-                self.emit(self.clock(p, t), EventKind.WAIT_BLOCK)
+            # thread 0 of each process completes the requests; the others wait
+            done = max([done] + clocks[p * T:(p + 1) * T])
+            clocks[p * T] = done
+            for slot in range(p * T + 1, (p + 1) * T):
+                self.emit(clocks[slot], EventKind.WAIT_BLOCK)
                 self.waitblocks += 1
-                self.clocks[(p, t)] = done + SYNC_WAIT_TICKS
-                self.emit(self.clocks[(p, t)], EventKind.WAIT_RELEASE)
+                clocks[slot] = done + SYNC_WAIT_TICKS
+                self.emit(clocks[slot], EventKind.WAIT_RELEASE)
             for r in proc_reqs:
                 if not r.wait_all():
                     raise MpxlabError(
                         f"request {r.request_id} incomplete at iteration end"
                     )
-        barrier_time = max(self.clocks.values(), default=0)
+        barrier_time = max(clocks)
         self.emit(barrier_time, EventKind.BARRIER)
         self.barriers += 1
-        for key in self.clocks:
-            self.clocks[key] = barrier_time
+        clocks[:] = [barrier_time] * len(clocks)
 
     def _run_polling(self):
         pattern, assignment = self.pattern, self.assignment
+        clocks, T = self.clocks, pattern.threads_per_process
         buckets: dict = {}
         incoming: dict[int, list[tuple[int, int]]] = {}
         sends = sorted((op for op in pattern.ops if op.kind is OpKind.SEND),
-                       key=lambda op: (op.process, op.thread, op.op_id))
-        for op in sends:
-            desc = assignment.bindings[op.op_id]
-            t_issue = self.clock(op.process, op.thread)
-            self.emit(t_issue, EventKind.ISSUE, op.op_id)
-            self.bump(op.process, op.thread, ISSUE_TICKS)
-            end = self._schedule_transfer(op, desc, t_issue, buckets)
-            incoming.setdefault(op.peer_process, []).append((end, op.op_id))
+                       key=_BY_THREAD)
+        for op, (op_id, slot, phase, local, remote, owners, key, *_) in zip(
+                sends, self._plan(sends, {})):
+            t_issue = clocks[slot]
+            clocks[slot] = t_issue + ISSUE_TICKS
+            self.emit(t_issue, EventKind.ISSUE, op_id)
+            end = self._schedule_transfer(op_id, phase, local, remote, owners,
+                                          key, t_issue, buckets)
+            incoming.setdefault(op.peer_process, []).append((end, op_id))
 
         if assignment.mechanism is Mechanism.COMMUNICATORS:
             contexts = assignment.objects_created["communicators"]
@@ -619,8 +631,8 @@ class _Engine:
 
         for node in sorted(incoming):
             msgs = sorted(incoming[node])
-            poller = 0
-            pc = self.clock(node, poller)
+            poller = node * T  # thread 0 polls
+            pc = clocks[poller]
             sweeps = len(msgs) + 1
             consumed = 0
             for _ in range(sweeps):
@@ -639,16 +651,13 @@ class _Engine:
                     self.matches += 1
                     self.emit(pc, EventKind.MATCH_ATTEMPT, sid)
                     self.emit(pc, EventKind.MATCH_SUCCESS, sid)
-            self.clocks[(node, poller)] = pc
+            clocks[poller] = pc
 
     # -- reporting ------------------------------------------------------
 
     def _report(self) -> SimReport:
         pattern, assignment = self.pattern, self.assignment
-        makespan = max(
-            [t for t in self.clocks.values()] + [e for _, e, _, _ in self.transfers]
-            or [0]
-        )
+        makespan = max([e for _, e, _, _ in self.transfers] + self.clocks)
         procs = range(pattern.num_processes)
         starts_of: dict[int, list] = {}
         phase_starts: dict[int, dict[int, list]] = {}
@@ -662,9 +671,10 @@ class _Engine:
         phase_conc = {ph: max(map(_max_overlap, phase_starts[ph].values()),
                               default=0)
                       for ph in sorted(phase_starts)}
+        R = self.pool.num_channels
         occupancy = {
-            f"p{p}c{c}": busy
-            for (p, c), busy in sorted(self.channel_busy.items())
+            "p{}c{}".format(*divmod(instance, R)): busy
+            for instance, busy in sorted(self.channel_busy.items())
         }
         if self.events is not None:
             self.events.sort(key=lambda ev: ev.time)  # stable: ties keep issue order

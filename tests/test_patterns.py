@@ -1,5 +1,7 @@
 """Pattern generators, assignment constructors, and resource formulas."""
 
+from dataclasses import replace
+
 import pytest
 
 from mpxlab.errors import (
@@ -34,9 +36,12 @@ from mpxlab.patterns import (
     min_channels_3d,
     min_communicators_3d,
 )
+from mpxlab.patterns.base import STENCIL_KINDS, _program_indexes
 from mpxlab.patterns.specfile import Scenario, scenario_from_dict
 from mpxlab.semantics import Reason, logically_parallel, validate_assignment
 from mpxlab.errors import SpecFileError
+
+import test_reports
 
 
 class TestFormulas:
@@ -443,3 +448,37 @@ class TestSpecFile:
         })
         assignment = scenario.build_assignment(scenario.build_pattern())
         assert assignment.hints.accumulate_ordering_none is True
+
+
+# --------------------------------------------------------------------------
+# issue order
+
+
+def reference_program_indexes(pattern):
+    """The issue-order rule with one Python sort key per op: within each
+    thread, receives first, then the rest, each in (phase, op id) order."""
+    out, by_thread = {}, {}
+    for op in pattern.ops:
+        by_thread.setdefault((op.process, op.thread), []).append(op)
+    for ops in by_thread.values():
+        ops.sort(key=lambda o: (0 if o.kind is OpKind.RECV else 1, o.phase, o.op_id))
+        for i, op in enumerate(ops):
+            out[op.op_id] = i
+    return out
+
+
+ISSUE_ORDER_SPECS = {
+    spec["kind"]: spec for spec in test_reports.SPECS.values()
+} | {"stencil-3d-27pt odd": {"kind": "stencil-3d-27pt",
+                             "process_grid": [3, 1, 2], "thread_grid": [2, 3, 2],
+                             "iterations": 1}}
+
+
+@pytest.mark.parametrize("name", sorted(ISSUE_ORDER_SPECS))
+def test_issue_order_follows_the_keyed_rule(name):
+    pattern = scenario_from_dict(ISSUE_ORDER_SPECS[name]).build_pattern()
+    expected = reference_program_indexes(pattern)
+    assert bool(pattern.stamp) == (pattern.kind in STENCIL_KINDS)
+    assert _program_indexes(pattern) == expected
+    # the same ops without the stamp declared take the per-thread sort
+    assert _program_indexes(replace(pattern, stamp=0)) == expected

@@ -131,3 +131,18 @@ def test_every_case_is_pinned():
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_report_and_trace_are_pinned(name):
     assert hashes(SPECS[name]) == PINS[name]
+
+
+def report(spec: dict, events: bool):
+    scenario = scenario_from_dict(spec)
+    pattern = scenario.build_pattern()
+    return run(pattern, scenario.build_assignment(pattern),
+               pool=scenario.build_pool(), policy=scenario.build_policy(),
+               seed=scenario.seed, events=events)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_event_mode_changes_no_report_byte(name):
+    with_events, without = report(SPECS[name], True), report(SPECS[name], False)
+    assert with_events.events and without.events == []
+    assert without.to_json() == with_events.to_json()

@@ -1,0 +1,123 @@
+"""Time spent in cyclic garbage collections during `mpxlab simulate` calls.
+
+Run from the repository root, on one or more scenario spec files:
+
+    python3 tools/gc_share.py --repeat 3 spec1.json spec2.json
+    python3 tools/gc_share.py --src other/checkout/src spec1.json
+
+Each spec is simulated ``--repeat`` times in-process, two ways:
+
+- ``cli``: ``mpxlab.cli.main(["simulate", ...])``, as a user runs it;
+- ``library``: ``build_pattern``, ``build_assignment``, ``run`` and
+  ``to_json`` called in turn with the collector on, as a library caller
+  (and the benchmark's traced pass) runs them.
+
+Every collection is timed through ``gc.callbacks``.  Per spec and way, the
+script prints the median wall time, the collections run per generation,
+and the median share of the wall time spent collecting.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import gc
+import io
+import statistics
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class CollectionClock:
+    """Sums the seconds and counts the runs of the cyclic collector."""
+
+    def __init__(self):
+        self.seconds = 0.0
+        self.runs = [0, 0, 0]
+        self._start = None
+
+    def __call__(self, phase, info):
+        if phase == "start":
+            self._start = perf_counter()
+        elif self._start is not None:
+            self.seconds += perf_counter() - self._start
+            self.runs[info["generation"]] += 1
+            self._start = None
+
+    @contextlib.contextmanager
+    def counting(self):
+        gc.callbacks.append(self)
+        try:
+            yield self
+        finally:
+            gc.callbacks.remove(self)
+
+
+def simulate_cli(spec: Path, out: Path):
+    from mpxlab import cli
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["simulate", "--spec", str(spec), "--out", str(out),
+                         "--format", "json"])
+    if code != 0:
+        raise SystemExit(f"{spec}: mpxlab simulate exited {code}")
+
+
+def simulate_library(spec: Path, out: Path):
+    from mpxlab.patterns.specfile import load_scenario
+    from mpxlab.simulator import run
+
+    scenario = load_scenario(spec)
+    pattern = scenario.build_pattern()
+    assignment = scenario.build_assignment(pattern)
+    report = run(pattern, assignment, pool=scenario.build_pool(),
+                 policy=scenario.build_policy(), seed=scenario.seed,
+                 events=False)
+    (out / f"{spec.stem}.report.json").write_text(report.to_json())
+
+
+def measure(call, spec: Path, out: Path, repeat: int) -> dict:
+    walls, shares, runs = [], [], [0, 0, 0]
+    for _ in range(repeat):
+        gc.collect()
+        with CollectionClock().counting() as clock:
+            start = perf_counter()
+            call(spec, out)
+            wall = perf_counter() - start
+        walls.append(wall)
+        shares.append(clock.seconds / wall)
+        runs = [a + b for a, b in zip(runs, clock.runs)]
+    return {"wall_s": statistics.median(walls),
+            "share": statistics.median(shares),
+            "runs": [n / repeat for n in runs]}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("specs", nargs="+", type=Path)
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the mpxlab sources to import (default: ./src)")
+    parser.add_argument("--repeat", type=int, default=3)
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    sys.path.insert(0, str(args.src.resolve()))
+
+    print(f"{'spec':24s} {'way':8s} {'wall s':>8s} {'gc share':>9s} "
+          f"{'runs per call (gen 0/1/2)':>26s}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for spec in args.specs:
+            for way, call in (("cli", simulate_cli), ("library", simulate_library)):
+                m = measure(call, spec, Path(tmp), args.repeat)
+                runs = "/".join(f"{n:g}" for n in m["runs"])
+                print(f"{spec.stem:24s} {way:8s} {m['wall_s']:8.3f} "
+                      f"{m['share']:9.1%} {runs:>26s}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
