@@ -124,13 +124,6 @@ class CommPattern:
     def representative_process(self) -> int:
         return 0
 
-    @cached_property
-    def _by_id(self) -> dict[int, PatternOp]:
-        return {op.op_id: op for op in self.ops}
-
-    def op(self, op_id: int) -> PatternOp:
-        return self._by_id[op_id]
-
     def intended_concurrent(self, a: PatternOp, b: PatternOp) -> bool:
         if a.op_id == b.op_id or a.process != b.process:
             return False

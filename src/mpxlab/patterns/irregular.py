@@ -75,18 +75,18 @@ def gen_legion(nodes: int, task_threads: int, events: int, seed: int = 0,
     )
 
 
-def gen_bspmm(procs: int, threads: int, tiles: int, units_per_thread: int = 2,
-              seed: int = 0, payload: int = 8192) -> CommPattern:
-    """Get-compute-update tile multiplication: each work unit issues two gets
-    and one atomic update against a single shared window; some units update
-    the same destination tile."""
+def gen_bspmm(procs: int, threads: int, tiles: int, seed: int = 0,
+              payload: int = 8192) -> CommPattern:
+    """Get-compute-update tile multiplication: each thread runs two work
+    units, each of two gets and one atomic update against a single shared
+    window; some units update the same destination tile."""
     if procs < 1 or threads < 1 or tiles < 1:
         raise InvalidArgumentError("counts must be positive")
     rng = random.Random(seed)
     ops: list[PatternOp] = []
     for p in range(procs):
         for t in range(threads):
-            for _ in range(units_per_thread):
+            for _ in range(2):
                 a, b, c = (rng.randrange(tiles) for _ in range(3))
                 for kind, tile in ((OpKind.GET, a), (OpKind.GET, b),
                                    (OpKind.ACCUMULATE, c)):

@@ -73,12 +73,13 @@ KINDS = {
     "fan-in": lambda s: gen_fan_in(s.thread_grid[0], payload=s.payload_bytes),
 }
 
-# most ops per process and thread, by kind: two per direction of a stencil,
-# six per RMA worker, else at most two per iteration (a send and a receive)
+# most ops per process, thread and iteration, by kind: two per direction of
+# a stencil, six per RMA worker, else two (a send and a receive)
 OPS_PER_THREAD = {"stencil-2d-5pt": 8, "stencil-2d-9pt": 16,
                   "stencil-3d-27pt": 52, "bspmm-rma": 6}
-# a spec that could exceed this many ops is refused before it is generated:
-# at about 1 KB per op while it simulates, the cap stands near 1 GB
+# a spec that could issue more ops than this over all its iterations is
+# refused before it is generated: at about 1 KB per op while it simulates,
+# the cap stands near 1 GB, and the engine's work grows with the iterations
 MAX_OPS = 1_000_000
 
 # entries per grid: a stencil's dimension count, one for every other kind
@@ -128,17 +129,18 @@ class Scenario:
     # -- resolution ------------------------------------------------------
 
     def ops_bound(self) -> int:
-        """An upper bound on the op count of the spec's pattern, in O(1)."""
-        return (OPS_PER_THREAD.get(self.kind, 2 * self.iterations)
+        """An upper bound on the ops the spec's pattern issues over all its
+        iterations, in O(1)."""
+        return (OPS_PER_THREAD.get(self.kind, 2) * self.iterations
                 * prod(self.process_grid) * prod(self.thread_grid))
 
     def build_pattern(self) -> CommPattern:
         """The spec's pattern; a size its generator rejects is a spec error,
-        and one that could exceed ``MAX_OPS`` ops a domain error."""
+        and one that could issue more than ``MAX_OPS`` ops a domain error."""
         bound = self.ops_bound()
         if bound > MAX_OPS:
-            raise DomainError(f"{self.kind}: up to {bound} ops, above the cap "
-                              f"of {MAX_OPS}")
+            raise DomainError(f"{self.kind}: up to {bound} ops over all "
+                              f"iterations, above the cap of {MAX_OPS}")
         try:
             return KINDS[self.kind](self)
         except InvalidArgumentError as exc:

@@ -4,7 +4,8 @@ Time is abstract integer ticks; all claims the engine supports are ratios or
 counts, never wall-clock predictions.  Threads are simulation actors stepped
 in (process, thread) order, transfers serialize per channel instance (one
 per (process, channel index)), and operations whose classifier verdict is
-serial are ordered even when they land on distinct channels.
+serial are ordered even when they land on distinct channels.  One loop runs
+every kind; in a polling pattern, each node's thread 0 polls at phase end.
 
 Matching bookkeeping follows the posted/unexpected two-queue scheme: a
 receive first scans the unexpected queue, a message scans the posted queue,
@@ -350,7 +351,7 @@ def _pair_requests(requests) -> dict[int, int]:
     return pair_of
 
 
-# issue order of the engine's loops
+# issue order of the engine loop
 _BY_THREAD = attrgetter("process", "thread", "op_id")
 
 
@@ -402,19 +403,22 @@ class _Engine:
         return self._verdicts[key]
 
     def _plan(self, ops, pair_of):
-        """One row per op of ``ops``, in their order: all the loops read of
+        """One row per op of ``ops``, in their order: all the loop reads of
         it, built once per run.  A receive's row is (op id, clock slot,
         matching scope, bucket).  Any other op's row is (op id, clock slot,
         phase, local channel instance, remote instance, owner processes,
         serial-bucket key prefixed with the process, matching scope, bucket,
         (send request, index, paired receive request) of a partition it
         readies), each part None when the op has none.  Equal keys, scopes,
-        buckets and owner tuples are one object.
+        buckets and owner tuples are one object.  In a polling pattern, whose
+        receives are never posted, a send's row holds its destination node
+        in place of a matching scope.
         """
         assignment, policy, pool = self.assignment, self.policy, self.pool
         bindings, hints, requests = (assignment.bindings, assignment.hints,
                                      assignment.requests)
         T, R = self.pattern.threads_per_process, pool.num_channels
+        polled = self.pattern.kind is PatternKind.LEGION_POLLING
         share = {}.setdefault
         rows = []
         for op in ops:
@@ -422,7 +426,9 @@ class _Engine:
             p, kind = op.process, desc.kind
             slot = p * T + op.thread
             scope = bucket = None
-            if kind in TWO_SIDED:
+            if polled:
+                scope = op.peer_process
+            elif kind in TWO_SIDED:
                 scope, bucket = (_send_keys if kind is OpKind.SEND
                                  else _recv_keys)(desc)
                 scope, bucket = share(scope, scope), share(bucket, bucket)
@@ -451,13 +457,10 @@ class _Engine:
                          share(owners, owners), key, scope, bucket, part))
         return rows
 
-    # -- main loops ----------------------------------------------------
+    # -- main loop: run() reports once the loop's plan rows are freed --
 
     def run(self) -> SimReport:
-        if self.pattern.kind is PatternKind.LEGION_POLLING:
-            self._run_polling()
-        else:
-            self._run_phased()
+        self._run_phased()
         return self._report()
 
     def _schedule_transfer(self, op_id, phase, local, remote, owners, key,
@@ -494,6 +497,7 @@ class _Engine:
     def _run_phased(self):
         pattern, assignment = self.pattern, self.assignment
         partitioned = assignment.mechanism is Mechanism.PARTITIONED
+        polled = pattern.kind is PatternKind.LEGION_POLLING
         pair_of = {}
         reqs_of: dict[int, list] = {}
         if partitioned:
@@ -504,6 +508,8 @@ class _Engine:
 
         # per phase: receives, then sends, each in (process, thread, op) order
         ops = sorted(pattern.ops, key=_BY_THREAD)
+        if polled:  # a polling thread posts no receive
+            ops = [op for op in ops if op.kind is not OpKind.RECV]
         by_phase: dict[int, tuple[list, list]] = defaultdict(lambda: ([], []))
         for op, row in zip(ops, self._plan(ops, pair_of)):
             by_phase[op.phase][op.kind is not OpKind.RECV].append(row)
@@ -527,6 +533,7 @@ class _Engine:
             buckets: dict = {}
             for recv_rows, send_rows in schedule:
                 mark = len(self.transfers)
+                incoming: dict[int, list[tuple[int, int]]] = {}
                 for op_id, slot, scope, bucket in recv_rows:
                     t_issue = clocks[slot]
                     clocks[slot] = t_issue + ISSUE_TICKS
@@ -554,13 +561,17 @@ class _Engine:
                             peer_req.deliver(idx)
                             rid = peer_req.request_id
                             arrivals[rid] = max(arrivals.get(rid, end), end)
-                    if scope is not None:  # a send: nothing else matches
+                    if polled:  # the scope is the destination node
+                        incoming.setdefault(scope, []).append((end, op_id))
+                    elif scope is not None:  # a send: nothing else matches
                         attempts, rid = matcher.send(scope, bucket, op_id, end)
                         self.attempts += attempts
                         self.matches += rid is not None
                         if events is not None:
                             self._scanned(op_id, attempts, end,
                                           None if rid is None else end)
+                for node in sorted(incoming):
+                    self._poll(node, sorted(incoming[node]))
                 # one traffic direction at a time: the next phase starts after
                 # this one drains, so per-phase concurrency is well defined
                 phase_end = max([e for _, e, _, _ in self.transfers[mark:]]
@@ -608,50 +619,29 @@ class _Engine:
         self.barriers += 1
         clocks[:] = [barrier_time] * len(clocks)
 
-    def _run_polling(self):
-        pattern, assignment = self.pattern, self.assignment
-        clocks, T = self.clocks, pattern.threads_per_process
-        buckets: dict = {}
-        incoming: dict[int, list[tuple[int, int]]] = {}
-        sends = sorted((op for op in pattern.ops if op.kind is OpKind.SEND),
-                       key=_BY_THREAD)
-        for op, (op_id, slot, phase, local, remote, owners, key, *_) in zip(
-                sends, self._plan(sends, {})):
-            t_issue = clocks[slot]
-            clocks[slot] = t_issue + ISSUE_TICKS
-            self.emit(t_issue, EventKind.ISSUE, op_id)
-            end = self._schedule_transfer(op_id, phase, local, remote, owners,
-                                          key, t_issue, buckets)
-            incoming.setdefault(op.peer_process, []).append((end, op_id))
-
-        if assignment.mechanism is Mechanism.COMMUNICATORS:
-            contexts = assignment.objects_created["communicators"]
-        else:
-            contexts = 1
-
-        for node in sorted(incoming):
-            msgs = sorted(incoming[node])
-            poller = node * T  # thread 0 polls
-            pc = clocks[poller]
-            sweeps = len(msgs) + 1
-            consumed = 0
-            for _ in range(sweeps):
-                if self.events is not None:
-                    self.events.extend(
-                        Event(pc + i * PROBE_TICKS, EventKind.PROBE_ITERATION,
-                              iteration=self.iteration)
-                        for i in range(contexts))
-                self.probes += contexts
-                pc += contexts * PROBE_TICKS
-                if consumed < len(msgs):
-                    end, sid = msgs[consumed]
-                    consumed += 1
-                    pc = max(pc, end)
-                    self.attempts += 1
-                    self.matches += 1
-                    self.emit(pc, EventKind.MATCH_ATTEMPT, sid)
-                    self.emit(pc, EventKind.MATCH_SUCCESS, sid)
-            clocks[poller] = pc
+    def _poll(self, node, msgs):
+        """Thread 0 of ``node`` sweeps every context once per message, in
+        (arrival, send id) order and not before it arrives, and once more."""
+        assignment = self.assignment
+        contexts = (assignment.objects_created["communicators"]
+                    if assignment.mechanism is Mechanism.COMMUNICATORS else 1)
+        poller = node * self.pattern.threads_per_process
+        pc = self.clocks[poller]
+        for end, sid in msgs + [(None, None)]:
+            if self.events is not None:
+                self.events.extend(
+                    Event(pc + i * PROBE_TICKS, EventKind.PROBE_ITERATION,
+                          iteration=self.iteration)
+                    for i in range(contexts))
+            self.probes += contexts
+            pc += contexts * PROBE_TICKS
+            if sid is not None:
+                pc = max(pc, end)
+                self.attempts += 1
+                self.matches += 1
+                self.emit(pc, EventKind.MATCH_ATTEMPT, sid)
+                self.emit(pc, EventKind.MATCH_SUCCESS, sid)
+        self.clocks[poller] = pc
 
     # -- reporting ------------------------------------------------------
 

@@ -15,7 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # one small spec per mechanism; the irregular kinds bring in wildcard
-# receives, the polling loop and one-sided windows
+# receives, the polling step and one-sided windows
 SPECS = {
     "communicators": {"kind": "stencil-3d-27pt", "process_grid": [2, 2, 2],
                       "thread_grid": [2, 2, 2]},

@@ -95,8 +95,9 @@ class TestGenStencil:
 
     def test_matched_pairs_are_mutual(self):
         p = gen_stencil(2, 9, [2, 2], [3, 3])
+        by_id = {op.op_id: op for op in p.ops}
         for send_id, recv_id in p.pairs:
-            send, recv = p.op(send_id), p.op(recv_id)
+            send, recv = by_id[send_id], by_id[recv_id]
             assert send.kind is OpKind.SEND and recv.kind is OpKind.RECV
             assert (recv.peer_process, recv.peer_thread) == (send.process,
                                                              send.thread)
@@ -135,8 +136,9 @@ class TestNaiveAssignment:
         p = gen_stencil(2, 5, [2, 2], [3, 3])
         a = assign_communicators_naive(p)
         lost = set(validate_assignment(p, a).lost_parallelism)
+        by_id = {op.op_id: op for op in p.ops}
         for send_id, _ in p.pairs:
-            send = p.op(send_id)
+            send = by_id[send_id]
             if send.process != 0:
                 continue
             for op in p.ops:
@@ -158,9 +160,10 @@ class TestNaiveAssignment:
         naive = validate_assignment(p, assign_communicators_naive(p))
         ideal = validate_assignment(p, assign_communicators_ideal(p))
         assert ideal.lost_parallelism == []
+        by_id = {op.op_id: op for op in p.ops}
         cross_thread_pairs = [
             (x, y) for x, y in naive.lost_parallelism
-            if p.op(x).thread != p.op(y).thread
+            if by_id[x].thread != by_id[y].thread
         ]
         assert cross_thread_pairs
 

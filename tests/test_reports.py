@@ -1,4 +1,5 @@
-"""Pinned reports: one small spec per supported (kind, mechanism) pair.
+"""Pinned reports: one small spec per supported (kind, mechanism) pair, and
+a wider polling case.
 
 Each case pins two SHA-256 digests: one of the report JSON and one of the
 event trace, as (time, kind, op id, channel, iteration) tuples.  A change
@@ -47,6 +48,13 @@ SPECS = {
     for kind, grids in _GRIDS.items()
     for mechanism in _MECHANISMS[kind]
 }
+# 48 messages on 8 nodes; under one shared context, 14 of them land on a
+# node at the same tick as another, so the polling order breaks the tie
+SPECS.update({
+    f"legion-polling-8-nodes/{mechanism}": {
+        **SPECS[f"legion-polling/{mechanism}"], "process_grid": [8]}
+    for mechanism in ("communicators-naive", "endpoints")
+})
 
 
 def hashes(spec: dict) -> tuple[str, str]:
@@ -99,6 +107,10 @@ PINS = {
         "9f8740d7bd197859ada8bbd0caec51d75a4e4751ee46dc42a009d733744e64f9"),
     "legion-polling/endpoints": ("76f4461d4e4d63a61f8e923c420dee30ad3ce791c91ab7cd5f239549dc784f65",
         "36db199b586aca32c485a15ab3d5e812bedc7e54c99972c4499c997a8a9abd0c"),
+    "legion-polling-8-nodes/communicators-naive": ("bbc0a6da0ed75d391a66018bf2625a30d123bd301aef85383d7a79ccf9473040",
+        "81fa57c48ebf49da69e51e1bb75e11b49ac65e163827eb639f87bc2588ad9be1"),
+    "legion-polling-8-nodes/endpoints": ("5cc47b3feac952d903ad444962e2fa92d1f689fe607c3c0f59772809441716cb",
+        "e847728ce2cf216857bb7715149dc33bea2b0e5f783ad90429c237504342cddf"),
     "dynamic-graph/communicators": ("45b8e006237737fdeecb9f59335353310748a8812b269f1885f77d65ae5949c0",
         "9ee8e3a2032db690fa70d7960c972596f4a595cf7838f6bfb283d0a65cabe326"),
     "dynamic-graph/communicators-naive": ("45b8e006237737fdeecb9f59335353310748a8812b269f1885f77d65ae5949c0",

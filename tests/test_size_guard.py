@@ -1,6 +1,7 @@
 """Specs too large to simulate are refused before any op is built.
 
-``Scenario.build_pattern`` bounds ``len(pattern.ops)`` from the spec alone
+``Scenario.build_pattern`` bounds the ops a pattern issues over all its
+iterations, ``len(pattern.ops) * pattern.iterations``, from the spec alone
 and refuses a spec whose bound exceeds ``MAX_OPS``; the CLI then exits 3.
 """
 
@@ -39,13 +40,18 @@ def bound(spec: dict) -> int:
     return scenario_from_dict(spec).ops_bound()
 
 
-def benchmark_specs() -> list[dict]:
+def perfbench():
+    """The benchmark script ``perfbench/run.py``, imported as a module."""
     sys.path.insert(0, str(PERFBENCH))
     try:
-        import run as perfbench
+        import run
     finally:
         sys.path.remove(str(PERFBENCH))
-    return [spec for workload in perfbench.WORKLOADS.values()
+    return run
+
+
+def benchmark_specs() -> list[dict]:
+    return [spec for workload in perfbench().WORKLOADS.values()
             for spec in workload.values()]
 
 
@@ -56,7 +62,8 @@ def test_every_kind_has_a_bound():
 @pytest.mark.parametrize("name", sorted(test_reports.SPECS))
 def test_the_bound_holds(name):
     spec = test_reports.SPECS[name]
-    assert len(scenario_from_dict(spec).build_pattern().ops) <= bound(spec)
+    pattern = scenario_from_dict(spec).build_pattern()
+    assert len(pattern.ops) * pattern.iterations <= bound(spec)
 
 
 def test_every_demo_test_and_benchmark_spec_is_under_the_cap():
@@ -66,18 +73,33 @@ def test_every_demo_test_and_benchmark_spec_is_under_the_cap():
     assert max(map(bound, specs)) <= MAX_OPS
 
 
-@pytest.mark.parametrize("command", ["simulate", "analyze"])
-def test_an_oversized_spec_exits_3_within_a_second(tmp_path, capsys, command):
+def refused_within_a_second(tmp_path, capsys, command, body, ops):
     spec = tmp_path / "huge.json"
-    spec.write_text(json.dumps({"kind": "stencil-3d-27pt",
-                                "process_grid": [1000, 1000, 1000],
-                                "thread_grid": [4, 4, 4]}))
+    spec.write_text(json.dumps(body))
     start = time.perf_counter()
     code = main([command, "--spec", str(spec), "--out", str(tmp_path)])
     assert time.perf_counter() - start < 1.0
     assert code == 3
     err = capsys.readouterr().err
-    assert "3328000000000 ops" in err and f"cap of {MAX_OPS}" in err
+    assert f"{ops} ops" in err and f"cap of {MAX_OPS}" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_an_oversized_spec_exits_3_within_a_second(tmp_path, capsys, command):
+    refused_within_a_second(
+        tmp_path, capsys, command,
+        {"kind": "stencil-3d-27pt", "process_grid": [1000, 1000, 1000],
+         "thread_grid": [4, 4, 4]}, 3328000000000)
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_a_spec_with_too_many_iterations_exits_3_within_a_second(
+        tmp_path, capsys, command):
+    # 72 ops per iteration: the grids alone pass the cap
+    refused_within_a_second(
+        tmp_path, capsys, command,
+        {"kind": "stencil-2d-5pt", "process_grid": [2, 2],
+         "thread_grid": [3, 3], "iterations": 1_000_000_000}, 288000000000)
 
 
 def test_build_pattern_refuses_over_the_cap():
