@@ -94,8 +94,9 @@ class MappingPolicy:
 def communicator_key(op: OpDescriptor) -> int:
     """The id a communicator policy keys one operation on: its context, else
     its window (one matching entity, like a context), else its request."""
-    if op.context is not None:
-        return op.context.key
+    context = op.context
+    if context is not None:
+        return context.key
     if op.window is not None:
         return op.window
     if op.partition is not None:
@@ -122,9 +123,10 @@ def map_entity(policy: MappingPolicy, op: OpDescriptor,
     if kind is PolicyKind.TAG_BITS_ONE_TO_ONE:
         if policy.layout is None:
             raise MappingError("tag-bit mapping needs a TagBitLayout")
-        if op.tag is None or op.tag.is_wildcard:
+        tag = op.tag
+        if tag is None or tag.is_wildcard:
             raise MappingError("tag-bit mapping needs a concrete tag")
-        src, dst, _ = decode_tag(op.tag, policy.layout)
+        src, dst, _ = decode_tag(tag, policy.layout)
         n = min(R, policy.layout.num_vcis)
         return src % n, dst % n
 

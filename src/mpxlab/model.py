@@ -7,9 +7,12 @@ is a plain id from :class:`IdAllocator`.
 
 Value types are immutable after construction.  The one exception is
 :class:`PartitionedRequest`, whose state transitions are applied only by the
-single-threaded simulation engine.  The per-op records (:class:`Tag`,
-:class:`MatchContextId`, :class:`OpDescriptor`) are slotted: a scenario
-builds tens of thousands of them, and none carries a ``__dict__``.
+single-threaded simulation engine.  :class:`OpDescriptor`, built once per
+op, is a ``NamedTuple``: a scenario builds tens of thousands of them, and a
+tuple is built without the per-field setter calls of a frozen dataclass.
+Its constructor, ``_make`` and ``_replace`` check the addressing rule.
+:class:`Tag` and :class:`MatchContextId` stay frozen, slotted dataclasses:
+there is one object per distinct value, shared by every op that uses it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     DoubleReadyError,
@@ -423,18 +427,7 @@ class MatchContextId:
     key: int
 
 
-@dataclass(frozen=True, slots=True)
-class OpDescriptor:
-    """One communication operation with its full matching coordinates.
-
-    ``source`` is the issuing (process, thread).  For two-sided operations
-    ``target`` is the peer process rank, or the peer endpoint rank when the
-    context family is ENDPOINT, or ``ANY_SOURCE`` on a wildcard receive.
-    ``endpoint`` carries the global rank of the endpoint the op is issued at.
-    Exactly one addressing family (context / window / partition) is populated,
-    as dictated by ``kind``.
-    """
-
+class _OpFields(NamedTuple):
     kind: OpKind
     source: tuple[int, int]
     program_index: int
@@ -446,20 +439,48 @@ class OpDescriptor:
     target_location: int | None = None
     partition: tuple[int, int] | None = None
 
-    def __post_init__(self):
-        if self.kind in TWO_SIDED or self.kind is OpKind.COLLECTIVE:
-            if self.context is None or self.window is not None or self.partition is not None:
-                raise InvalidArgumentError(f"{self.kind.value} ops address a context")
-            if self.context.family is ContextFamily.ENDPOINT and self.endpoint is None:
+
+class OpDescriptor(_OpFields):
+    """One communication operation with its full matching coordinates.
+
+    ``source`` is the issuing (process, thread).  For two-sided operations
+    ``target`` is the peer process rank, or the peer endpoint rank when the
+    context family is ENDPOINT, or ``ANY_SOURCE`` on a wildcard receive.
+    ``endpoint`` carries the global rank of the endpoint the op is issued at.
+    Exactly one addressing family (context / window / partition) is populated,
+    as dictated by ``kind``; the constructor, ``_make`` and ``_replace`` all
+    check it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind, source, program_index, context=None, target=None,
+                tag=None, endpoint=None, window=None, target_location=None,
+                partition=None):
+        if kind in TWO_SIDED or kind is OpKind.COLLECTIVE:
+            if context is None or window is not None or partition is not None:
+                raise InvalidArgumentError(f"{kind.value} ops address a context")
+            if context.family is ContextFamily.ENDPOINT and endpoint is None:
                 raise InvalidArgumentError("endpoint-context ops need an endpoint rank")
-        elif self.kind in RMA_KINDS:
-            if self.window is None or self.context is not None or self.partition is not None:
-                raise InvalidArgumentError(f"{self.kind.value} ops address a window")
-        elif self.kind in PARTITION_KINDS:
-            if self.partition is None or self.context is not None or self.window is not None:
+        elif kind in RMA_KINDS:
+            if window is None or context is not None or partition is not None:
+                raise InvalidArgumentError(f"{kind.value} ops address a window")
+        elif kind in PARTITION_KINDS:
+            if partition is None or context is not None or window is not None:
                 raise InvalidArgumentError(
-                    f"{self.kind.value} ops address a partitioned request"
+                    f"{kind.value} ops address a partitioned request"
                 )
+        return tuple.__new__(cls, (kind, source, program_index, context, target,
+                                   tag, endpoint, window, target_location,
+                                   partition))
+
+    @classmethod
+    def _make(cls, iterable):
+        # the tuple's own _make skips __new__; _replace builds through this
+        fields = tuple(iterable)
+        if len(fields) != len(cls._fields):
+            raise TypeError(f"expected {len(cls._fields)} fields, got {len(fields)}")
+        return cls(*fields)
 
     @property
     def process(self) -> int:

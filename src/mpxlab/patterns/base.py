@@ -9,6 +9,7 @@ from functools import cached_property
 from itertools import count, cycle
 from math import prod
 from operator import attrgetter
+from typing import NamedTuple
 
 from ..errors import DomainError, InvalidArgumentError
 from ..model import (
@@ -52,14 +53,15 @@ class Mechanism(Enum):
     __hash__ = object.__hash__  # see model.OpKind
 
 
-@dataclass(frozen=True, slots=True)
-class PatternOp:
+class PatternOp(NamedTuple):
     """One per-iteration operation of a communication pattern.
 
     ``direction`` is the neighbor offset for stencils; ``partner`` names the
     remote pattern op this one matches; ``phase`` groups ops that travel
     together (per traffic direction for stencils).  ``tag_key`` is the
     application-level tag value before any mechanism-specific encoding.
+    A tuple, like every record built once per op (see :mod:`mpxlab.model`);
+    hot loops unpack it by field position.
     """
 
     op_id: int
@@ -127,14 +129,15 @@ class CommPattern:
     def intended_concurrent(self, a: PatternOp, b: PatternOp) -> bool:
         if a.op_id == b.op_id or a.process != b.process:
             return False
-        if a.thread != b.thread:
+        thread = a.thread
+        if thread != b.thread:
             if self.kind in STENCIL_KINDS:
-                return (a.thread in self.communicating_threads
+                return (thread in self.communicating_threads
                         and b.thread in self.communicating_threads)
             return True
         if self.kind in STENCIL_KINDS:
             return (
-                a.thread not in self.corner_threads
+                thread not in self.corner_threads
                 and a.direction is not None
                 and b.direction is not None
                 and a.direction != b.direction
@@ -215,6 +218,13 @@ def _program_indexes(pattern: CommPattern) -> dict[int, int]:
         return dict(zip(range(len(pattern.ops)),
                         cycle([out[op.op_id] for op in ops])))
     return out
+
+
+def _sources(pattern: CommPattern) -> list[list[tuple[int, int]]]:
+    """``[p][t]`` is the (process, thread) tuple every descriptor that thread
+    issues shares as its ``source``: one tuple per thread, not per op."""
+    T = pattern.threads_per_process
+    return [[(p, t) for t in range(T)] for p in range(pattern.num_processes)]
 
 
 # --------------------------------------------------------------------------

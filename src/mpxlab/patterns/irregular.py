@@ -9,7 +9,6 @@ every iteration.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 from ..errors import InvalidArgumentError, UnsupportedPatternError
 from ..model import (
@@ -34,6 +33,7 @@ from .base import (
     PatternKind,
     PatternOp,
     _program_indexes,
+    _sources,
 )
 
 
@@ -230,11 +230,12 @@ def assign_bspmm_windows(pattern: CommPattern) -> Assignment:
         raise UnsupportedPatternError("window assignment expects the RMA pattern")
     window = IdAllocator().fresh_window()
     prog = _program_indexes(pattern)
+    source_of = _sources(pattern)
     bindings = {}
     for op in pattern.ops:
         bindings[op.op_id] = OpDescriptor(
             kind=op.kind,
-            source=(op.process, op.thread),
+            source=source_of[op.process][op.thread],
             program_index=prog[op.op_id],
             window=window,
             target=op.peer_process,
@@ -258,7 +259,7 @@ def assign_bspmm_endpoints(pattern: CommPattern) -> Assignment:
     world = world_communicator(pattern.num_processes, ids)
     epcomm = create_endpoints_comm(world, pattern.threads_per_process, ids)
     bindings = {
-        op_id: replace(desc, endpoint=epcomm.endpoint_rank(*desc.source))
+        op_id: desc._replace(endpoint=epcomm.endpoint_rank(*desc.source))
         for op_id, desc in assign_bspmm_windows(pattern).bindings.items()
     }
     return Assignment(
@@ -289,6 +290,7 @@ def assign_allreduce(pattern: CommPattern, mechanism: Mechanism) -> Assignment:
     ids = IdAllocator()
     world = world_communicator(P, ids)
     prog = _program_indexes(pattern)
+    source_of = _sources(pattern)
     bindings = {}
 
     if mechanism is Mechanism.COMMUNICATORS:
@@ -298,7 +300,7 @@ def assign_allreduce(pattern: CommPattern, mechanism: Mechanism) -> Assignment:
             comm = comms[op.thread]
             bindings[op.op_id] = OpDescriptor(
                 kind=OpKind.COLLECTIVE,
-                source=(op.process, op.thread),
+                source=source_of[op.process][op.thread],
                 program_index=prog[op.op_id],
                 context=MatchContextId(ContextFamily.COMM, comm.context_id),
                 target=op.peer_process,
@@ -317,7 +319,7 @@ def assign_allreduce(pattern: CommPattern, mechanism: Mechanism) -> Assignment:
             ep = epcomm.endpoint_rank(op.process, op.thread)
             bindings[op.op_id] = OpDescriptor(
                 kind=OpKind.COLLECTIVE,
-                source=(op.process, op.thread),
+                source=source_of[op.process][op.thread],
                 program_index=prog[op.op_id],
                 context=ctx,
                 target=op.peer_process,
@@ -355,7 +357,7 @@ def assign_allreduce(pattern: CommPattern, mechanism: Mechanism) -> Assignment:
             rid = send_req_of_process[op.process]
             bindings[op.op_id] = OpDescriptor(
                 kind=OpKind.PARTITION_READY,
-                source=(op.process, op.thread),
+                source=source_of[op.process][op.thread],
                 program_index=prog[op.op_id],
                 partition=(rid, op.thread),
             )

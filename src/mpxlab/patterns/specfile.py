@@ -77,6 +77,8 @@ KINDS = {
 # a stencil, six per RMA worker, else two (a send and a receive)
 OPS_PER_THREAD = {"stencil-2d-5pt": 8, "stencil-2d-9pt": 16,
                   "stencil-3d-27pt": 52, "bspmm-rma": 6}
+# kinds whose generators read no ``iterations``: they run once at any value
+RUNS_ONCE = {"bspmm-rma", "multithreaded-allreduce", "fan-in"}
 # a spec that could issue more ops than this over all its iterations is
 # refused before it is generated: at about 1 KB per op while it simulates,
 # the cap stands near 1 GB, and the engine's work grows with the iterations
@@ -130,8 +132,9 @@ class Scenario:
 
     def ops_bound(self) -> int:
         """An upper bound on the ops the spec's pattern issues over all its
-        iterations, in O(1)."""
-        return (OPS_PER_THREAD.get(self.kind, 2) * self.iterations
+        iterations, in O(1); a kind that runs once counts one iteration."""
+        iterations = 1 if self.kind in RUNS_ONCE else self.iterations
+        return (OPS_PER_THREAD.get(self.kind, 2) * iterations
                 * prod(self.process_grid) * prod(self.thread_grid))
 
     def build_pattern(self) -> CommPattern:

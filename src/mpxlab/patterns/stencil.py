@@ -48,6 +48,7 @@ from .base import (
     PatternOp,
     STENCIL_KINDS,
     _program_indexes,
+    _sources,
 )
 
 
@@ -171,19 +172,12 @@ def gen_stencil(dims: int, points: int, process_grid, thread_grid,
         for t, op_kind, d, peer_t, carry, traffic in template
     ]
     n0 = len(rows)
+    # positional: (op id, process, thread, kind, direction, peer process,
+    # peer thread, partner, phase, tag key, location, wildcard receive)
+    make = PatternOp._make
     ops = [
-        PatternOp(
-            op_id=p * n0 + i,
-            process=p,
-            thread=t,
-            kind=op_kind,
-            direction=d,
-            peer_process=to[p],
-            peer_thread=peer_t,
-            partner=to[p] * n0 + partner_slot,
-            phase=traffic,
-            tag_key=traffic,
-        )
+        make((p * n0 + i, p, t, op_kind, d, to[p], peer_t,
+              to[p] * n0 + partner_slot, traffic, traffic, None, False))
         for p in range(len(procs))
         for i, (t, op_kind, d, peer_t, to, traffic, partner_slot) in enumerate(rows)
     ]
@@ -232,6 +226,7 @@ def assign_communicators_naive(pattern: CommPattern,
     ]
     contexts = [MatchContextId(ContextFamily.COMM, c.context_id) for c in comms]
     prog = _program_indexes(pattern)
+    source_of = _sources(pattern)
     tag_of = cache(Tag)
     bindings = {}
     for op in pattern.ops:
@@ -242,7 +237,7 @@ def assign_communicators_naive(pattern: CommPattern,
             target, tag = ANY_SOURCE, ANY_TAG
         bindings[op.op_id] = OpDescriptor(
             kind=op.kind,
-            source=(op.process, op.thread),
+            source=source_of[op.process][op.thread],
             program_index=prog[op.op_id],
             context=ctx,
             target=target,
@@ -401,12 +396,13 @@ def assign_communicators_ideal(pattern: CommPattern) -> Assignment:
         comms.append(comm)
 
     prog = _program_indexes(pattern)
+    source_of = _sources(pattern)
     tag_of = cache(Tag)
     bindings = {}
     for op, key in zip(pattern.ops, op_keys):
         bindings[op.op_id] = OpDescriptor(
             kind=op.kind,
-            source=(op.process, op.thread),
+            source=source_of[op.process][op.thread],
             program_index=prog[op.op_id],
             context=ctx_of_key[key],
             target=op.peer_process,
@@ -448,6 +444,7 @@ def assign_tags_with_hints(pattern: CommPattern) -> Assignment:
                             purpose=Purpose.PARALLELISM_EXPOSURE)
     ctx = MatchContextId(ContextFamily.COMM, comm.context_id)
     prog = _program_indexes(pattern)
+    source_of = _sources(pattern)
     tags: dict[tuple[int, int, int], Tag] = {}
     bindings = {}
     for op in pattern.ops:
@@ -460,7 +457,7 @@ def assign_tags_with_hints(pattern: CommPattern) -> Assignment:
             tag = tags[fields] = encode_tag(*fields, layout)
         bindings[op.op_id] = OpDescriptor(
             kind=op.kind,
-            source=(op.process, op.thread),
+            source=source_of[op.process][op.thread],
             program_index=prog[op.op_id],
             context=ctx,
             target=op.peer_process,
@@ -493,6 +490,7 @@ def assign_endpoints(pattern: CommPattern) -> Assignment:
     epcomm = create_endpoints_comm(world, T, ids)
     ctx = MatchContextId(ContextFamily.ENDPOINT, epcomm.context_id)
     prog = _program_indexes(pattern)
+    source_of = _sources(pattern)
     tag_of = cache(Tag)
     bindings = {}
     used_endpoints = set()
@@ -506,7 +504,7 @@ def assign_endpoints(pattern: CommPattern) -> Assignment:
             tag = tag_of(op.tag_key)
         bindings[op.op_id] = OpDescriptor(
             kind=op.kind,
-            source=(op.process, op.thread),
+            source=source_of[op.process][op.thread],
             program_index=prog[op.op_id],
             context=ctx,
             target=target,
@@ -548,6 +546,7 @@ def assign_partitioned(pattern: CommPattern) -> Assignment:
     ids = IdAllocator()
     world = world_communicator(pattern.num_processes, ids)
     prog = _program_indexes(pattern)
+    source_of = _sources(pattern)
 
     groups: dict[tuple, list[PatternOp]] = {}
     for op in pattern.ops:
@@ -581,7 +580,7 @@ def assign_partitioned(pattern: CommPattern) -> Assignment:
                 else OpKind.PARTITION_ARRIVED_TEST)
         bindings[op.op_id] = OpDescriptor(
             kind=kind,
-            source=(op.process, op.thread),
+            source=source_of[op.process][op.thread],
             program_index=prog[op.op_id],
             partition=slot,
         )

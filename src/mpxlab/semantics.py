@@ -56,22 +56,22 @@ def can_match(send: OpDescriptor, recv: OpDescriptor) -> bool:
     tags (or ANY_TAG).  Under an endpoint context both rank comparisons use
     global endpoint ranks.
     """
-    if send.kind is not OpKind.SEND or recv.kind is not OpKind.RECV:
+    # the fields by position: one unpack per record, no property calls
+    skind, (sorigin, _), _, sctx, starget, stag, sep, _, _, _ = send
+    rkind, (rhome, _), _, rctx, rtarget, rtag, rep, _, _, _ = recv
+    if skind is not OpKind.SEND or rkind is not OpKind.RECV:
         return False
-    sctx, rctx = send.context, recv.context
-    if sctx is None or rctx is None or sctx != rctx:
+    if sctx is None or rctx is None or (sctx is not rctx and sctx != rctx):
         return False
     if sctx.family is ContextFamily.ENDPOINT:
-        if send.target != recv.endpoint:
-            return False
-    else:
-        if send.target != recv.process:
-            return False
-    if recv.target != ANY_SOURCE and recv.target != send.origin_rank:
+        sorigin, rhome = sep, rep
+    if starget != rhome:
         return False
-    if recv.tag is None or send.tag is None:
+    if rtarget != ANY_SOURCE and rtarget != sorigin:
         return False
-    return recv.tag.is_wildcard or recv.tag.raw == send.tag.raw
+    if rtag is None or stag is None:
+        return False
+    return rtag.is_wildcard or rtag.raw == stag.raw
 
 
 def requests_match(send_req: PartitionedRequest, recv_req: PartitionedRequest) -> bool:
@@ -104,53 +104,60 @@ def ordered_before(a: OpDescriptor, b: OpDescriptor, hints: InfoHints) -> bool:
     without the accumulate-ordering relaxation; and collectives issued on the
     same communicator.
     """
-    if a.process != b.process:
+    # the fields by position: one unpack per record, no property calls
+    ak, (ap, at), ai, actx, atarget, atag, aep, awin, aloc, _ = a
+    bk, (bp, bt), bi, bctx, btarget, btag, bep, bwin, bloc, _ = b
+    if ap != bp:
         return False
 
-    if OpKind.WIN_FLUSH in (a.kind, b.kind):
+    if ak is OpKind.WIN_FLUSH or bk is OpKind.WIN_FLUSH:
         # a flush synchronizes against every in-flight op on its window;
         # modeled as an ordering edge rather than a liveness hazard
-        if a.kind in RMA_KINDS and b.kind in RMA_KINDS and a.window == b.window:
+        if ak in RMA_KINDS and bk in RMA_KINDS and awin == bwin:
             return _thread_order(a, b)
         return False
 
-    if a.kind is OpKind.ACCUMULATE and b.kind is OpKind.ACCUMULATE:
+    if ak is OpKind.ACCUMULATE and bk is OpKind.ACCUMULATE:
         if (
-            a.window == b.window
-            and a.target == b.target
-            and a.endpoint == b.endpoint  # distinct endpoints: distinct origins
-            and a.target_location is not None
-            and a.target_location == b.target_location
+            awin == bwin
+            and atarget == btarget
+            and aep == bep  # distinct endpoints: distinct origins
+            and aloc is not None
+            and aloc == bloc
             and not hints.accumulate_ordering_none
         ):
             return _thread_order(a, b)
         return False
 
-    if a.kind is OpKind.COLLECTIVE and b.kind is OpKind.COLLECTIVE:
-        if a.context == b.context:
+    if ak is OpKind.COLLECTIVE and bk is OpKind.COLLECTIVE:
+        if actx == bctx:
             return _thread_order(a, b)
         return False
 
-    if a.kind in TWO_SIDED and b.kind in TWO_SIDED:
-        if a.kind is not b.kind:
+    if ak in TWO_SIDED and bk in TWO_SIDED:
+        if ak is not bk:
             return False  # a send is never ordered against a receive
-        if a.thread != b.thread or a.program_index >= b.program_index:
+        if at != bt or ai >= bi:
             return False
-        if a.context != b.context or hints.allow_overtaking:
+        if actx != bctx or hints.allow_overtaking:
             return False
-        if a.kind is OpKind.SEND:
-            if a.origin_rank != b.origin_rank or a.target != b.target:
+        if ak is OpKind.SEND:
+            # one process, one context: the origin ranks differ only as
+            # endpoints do
+            if actx.family is ContextFamily.ENDPOINT and aep != bep:
+                return False
+            if atarget != btarget:
                 return False
             # nonovertaking binds the pair when one receive could match both
-            return _tags_equal(a.tag, b.tag) or not hints.no_any_tag
+            return _tags_equal(atag, btag) or not hints.no_any_tag
         # two posted receives: ordered when one message could match both
-        if a.endpoint != b.endpoint:
+        if aep != bep:
             return False  # distinct endpoints are distinct ranks
         tags_overlap = (
-            a.tag.is_wildcard or b.tag.is_wildcard or a.tag.raw == b.tag.raw
+            atag.is_wildcard or btag.is_wildcard or atag.raw == btag.raw
         )
         srcs_overlap = (
-            a.target == ANY_SOURCE or b.target == ANY_SOURCE or a.target == b.target
+            atarget == ANY_SOURCE or btarget == ANY_SOURCE or atarget == btarget
         )
         return tags_overlap and srcs_overlap
 
@@ -219,25 +226,26 @@ def logically_parallel(a: OpDescriptor, b: OpDescriptor,
     if a.process != b.process:
         raise InvalidArgumentError("classifier compares ops of one process")
 
+    ak, bk = a.kind, b.kind
     if ordered_before(a, b, hints) or ordered_before(b, a, hints):
-        if (a.kind is OpKind.ACCUMULATE and b.kind is OpKind.ACCUMULATE):
+        if (ak is OpKind.ACCUMULATE and bk is OpKind.ACCUMULATE):
             return _verdict(False, Reason.ATOMIC_SAME_LOCATION)
-        if a.kind is OpKind.COLLECTIVE:
+        if ak is OpKind.COLLECTIVE:
             return _verdict(False, Reason.COLLECTIVE_SERIAL_ON_COMM)
         # covers two-sided program order and window-flush edges alike
         return _verdict(False, Reason.ORDERED_SAME_TRIPLET)
 
-    if a.kind is OpKind.COLLECTIVE and b.kind is OpKind.COLLECTIVE:
+    if ak is OpKind.COLLECTIVE and bk is OpKind.COLLECTIVE:
         if a.context == b.context:
             return _verdict(False, Reason.COLLECTIVE_SERIAL_ON_COMM)
         return _verdict(True, Reason.DIFFERENT_COMMUNICATORS)
 
-    if a.kind in PARTITION_KINDS and b.kind in PARTITION_KINDS:
+    if ak in PARTITION_KINDS and bk in PARTITION_KINDS:
         if a.partition[0] == b.partition[0]:
             return _verdict(True, Reason.PARTITION_SAME_REQUEST)
         return _verdict(True, Reason.DIFFERENT_COMMUNICATORS)
 
-    if a.kind in RMA_KINDS and b.kind in RMA_KINDS:
+    if ak in RMA_KINDS and bk in RMA_KINDS:
         if a.window != b.window:
             return _verdict(True, Reason.DIFFERENT_WINDOWS)
         if a.endpoint is not None and b.endpoint is not None \
@@ -245,7 +253,7 @@ def logically_parallel(a: OpDescriptor, b: OpDescriptor,
             return _verdict(True, Reason.DIFFERENT_ENDPOINTS)
         return _verdict(True, Reason.RMA_UNORDERED)
 
-    if a.kind in TWO_SIDED and b.kind in TWO_SIDED:
+    if ak in TWO_SIDED and bk in TWO_SIDED:
         return _two_sided_verdict(a, b, hints)
 
     # mixed families never share a matching domain
@@ -624,17 +632,19 @@ def _serial_bucket_key(op: OpDescriptor, hints: InfoHints):
     Only ops sharing a bucket can yield a non-parallel verdict, which keeps
     validation near-linear instead of quadratic in the pattern size.
     """
-    if op.kind in TWO_SIDED:
+    kind, context = op.kind, op.context
+    if kind in TWO_SIDED:
         # the context as its (family, key) pair: a plain tuple hashes in C
-        ctx = (op.context.family, op.context.key)
+        ctx = (context.family, context.key)
         if hints.wildcards_possible:
             scope = op.endpoint if ctx[0] is ContextFamily.ENDPOINT else None
             return ("ctx", ctx, scope)
-        return ("s" if op.kind is OpKind.SEND else "r", ctx, op.endpoint,
-                op.target, op.tag.raw if op.tag else None)
-    if op.kind is OpKind.COLLECTIVE:
-        return ("coll", op.context.family, op.context.key)
-    if op.kind is OpKind.ACCUMULATE and not hints.accumulate_ordering_none:
+        tag = op.tag
+        return ("s" if kind is OpKind.SEND else "r", ctx, op.endpoint,
+                op.target, tag.raw if tag else None)
+    if kind is OpKind.COLLECTIVE:
+        return ("coll", context.family, context.key)
+    if kind is OpKind.ACCUMULATE and not hints.accumulate_ordering_none:
         return ("atomic", op.window, op.target, op.target_location)
     return None
 
@@ -668,7 +678,7 @@ def validate_assignment(pattern: "CommPattern", assignment: "Assignment") -> Val
     """
     report = ValidationReport(matching_violations(pattern, assignment))
     hints = assignment.hints
-    bindings = assignment.bindings
+    bindings, entity_of = assignment.bindings, assignment.entity_of
 
     # lost parallelism, representative process: patterns are torus-symmetric
     probe = pattern.representative_process
@@ -677,7 +687,7 @@ def validate_assignment(pattern: "CommPattern", assignment: "Assignment") -> Val
     by_bucket: dict = {}
     for pop in ops:
         desc = bindings[pop.op_id]
-        by_entity.setdefault(assignment.entity_of[pop.op_id], []).append(pop)
+        by_entity.setdefault(entity_of[pop.op_id], []).append(pop)
         key = _serial_bucket_key(desc, hints)
         if key is not None:
             by_bucket.setdefault(key, []).append(pop)
@@ -685,18 +695,16 @@ def validate_assignment(pattern: "CommPattern", assignment: "Assignment") -> Val
     seen = set()
 
     def consider(x, y):
-        pair = (min(x.op_id, y.op_id), max(x.op_id, y.op_id))
+        xid, yid = x.op_id, y.op_id
+        pair = (xid, yid) if xid < yid else (yid, xid)
         if pair in seen:
             return
         seen.add(pair)
         if not pattern.intended_concurrent(x, y):
             return
-        va, vb = bindings[x.op_id], bindings[y.op_id]
-        serial = not logically_parallel(va, vb, hints).parallel
-        shared_entity = (
-            x.thread != y.thread
-            and assignment.entity_of[x.op_id] == assignment.entity_of[y.op_id]
-        )
+        serial = not logically_parallel(bindings[xid], bindings[yid],
+                                        hints).parallel
+        shared_entity = x.thread != y.thread and entity_of[xid] == entity_of[yid]
         if serial or shared_entity:
             report.lost_parallelism.append(pair)
 

@@ -31,6 +31,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import attrgetter
+from typing import NamedTuple
 
 from .channels import (
     ChannelPool,
@@ -62,8 +63,10 @@ class EventKind(Enum):
     PROBE_ITERATION = "probe-iteration"
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
+    """One traced engine step; a tuple, as a run may build hundreds of
+    thousands."""
+
     time: int
     kind: EventKind
     op_id: int | None = None
@@ -188,18 +191,23 @@ def _footprint(pattern: CommPattern, assignment: Assignment) -> int:
 def _recv_keys(desc):
     """(scope, bucket) of a receive: where it is posted, and its exact
     (source, tag) selector, with either part possibly a wildcard."""
-    home = (desc.endpoint
-            if desc.context.family is ContextFamily.ENDPOINT
-            else desc.process)
-    bucket = None if desc.tag is None else (desc.target, desc.tag.raw)
-    return (desc.context.family, desc.context.key, home), bucket
+    context, tag = desc.context, desc.tag
+    family = context.family
+    home = (desc.endpoint if family is ContextFamily.ENDPOINT
+            else desc.source[0])
+    bucket = None if tag is None else (desc.target, tag.raw)
+    return (family, context.key, home), bucket
 
 
 def _send_keys(desc):
     """(scope, bucket) of a send: the rank it is addressed to, and its exact
-    (source, tag)."""
-    bucket = None if desc.tag is None else (desc.origin_rank, desc.tag.raw)
-    return (desc.context.family, desc.context.key, desc.target), bucket
+    (source, tag), the source being its origin rank."""
+    context, tag = desc.context, desc.tag
+    family = context.family
+    origin = (desc.endpoint if family is ContextFamily.ENDPOINT
+              else desc.source[0])
+    bucket = None if tag is None else (origin, tag.raw)
+    return (family, context.key, desc.target), bucket
 
 
 def _send_covers(bucket):
@@ -403,16 +411,17 @@ class _Engine:
         return self._verdicts[key]
 
     def _plan(self, ops, pair_of):
-        """One row per op of ``ops``, in their order: all the loop reads of
-        it, built once per run.  A receive's row is (op id, clock slot,
-        matching scope, bucket).  Any other op's row is (op id, clock slot,
-        phase, local channel instance, remote instance, owner processes,
-        serial-bucket key prefixed with the process, matching scope, bucket,
-        (send request, index, paired receive request) of a partition it
-        readies), each part None when the op has none.  Equal keys, scopes,
-        buckets and owner tuples are one object.  In a polling pattern, whose
-        receives are never posted, a send's row holds its destination node
-        in place of a matching scope.
+        """The rows of ``ops`` by phase: per phase, the receives' rows and
+        the other ops' rows, each in the order of ``ops``.  A row is all the
+        loop reads of an op, built once per run.  A receive's row is (op id,
+        clock slot, matching scope, bucket).  Any other op's row is (op id,
+        clock slot, phase, local channel instance, remote instance, owner
+        processes, serial-bucket key prefixed with the process, matching
+        scope, bucket, (send request, index, paired receive request) of a
+        partition it readies), each part None when the op has none.  Equal
+        keys, scopes, buckets and owner tuples are one object.  A polling
+        pattern's receives are never posted and get no row; its sends' rows
+        hold their destination node in place of a matching scope.
         """
         assignment, policy, pool = self.assignment, self.policy, self.pool
         bindings, hints, requests = (assignment.bindings, assignment.hints,
@@ -420,27 +429,31 @@ class _Engine:
         T, R = self.pattern.threads_per_process, pool.num_channels
         polled = self.pattern.kind is PatternKind.LEGION_POLLING
         share = {}.setdefault
-        rows = []
-        for op in ops:
-            desc = bindings[op.op_id]
-            p, kind = op.process, desc.kind
-            slot = p * T + op.thread
+        by_phase: dict[int, tuple[list, list]] = defaultdict(lambda: ([], []))
+        # PatternOp fields by position: one unpack costs less than six reads
+        for op_id, p, t, op_kind, _, peer, _, _, phase, _, _, _ in ops:
+            if polled and op_kind is OpKind.RECV:
+                continue  # a polling thread posts no receive
+            recv_rows, rows = by_phase[phase]
+            desc = bindings[op_id]
+            kind, partition = desc.kind, desc.partition
+            slot = p * T + t
             scope = bucket = None
             if polled:
-                scope = op.peer_process
+                scope = peer
             elif kind in TWO_SIDED:
                 scope, bucket = (_send_keys if kind is OpKind.SEND
                                  else _recv_keys)(desc)
                 scope, bucket = share(scope, scope), share(bucket, bucket)
-            if op.kind is OpKind.RECV:
+            if op_kind is OpKind.RECV:
                 # partition arrival is tracked on the shared request
-                rows.append((op.op_id, slot, scope, bucket))
+                recv_rows.append((op_id, slot, scope, bucket))
                 continue
             lch, rch = map_entity(policy, desc, pool)
             local = p * R + lch
-            peer, part = op.peer_process, None
-            if desc.partition is not None:
-                rid, idx = desc.partition
+            part = None
+            if partition is not None:
+                rid, idx = partition
                 req = requests[rid]
                 if peer is None:
                     peer = req.peer
@@ -452,10 +465,10 @@ class _Engine:
             key = _serial_bucket_key(desc, hints)
             if key is not None:
                 key = share((p, key), (p, key))
-            rows.append((op.op_id, slot, op.phase, local,
+            rows.append((op_id, slot, phase, local,
                          None if remote == local else remote,
                          share(owners, owners), key, scope, bucket, part))
-        return rows
+        return by_phase
 
     # -- main loop: run() reports once the loop's plan rows are freed --
 
@@ -507,12 +520,7 @@ class _Engine:
                 reqs_of.setdefault(r.owner, []).append(r)
 
         # per phase: receives, then sends, each in (process, thread, op) order
-        ops = sorted(pattern.ops, key=_BY_THREAD)
-        if polled:  # a polling thread posts no receive
-            ops = [op for op in ops if op.kind is not OpKind.RECV]
-        by_phase: dict[int, tuple[list, list]] = defaultdict(lambda: ([], []))
-        for op, row in zip(ops, self._plan(ops, pair_of)):
-            by_phase[op.phase][op.kind is not OpKind.RECV].append(row)
+        by_phase = self._plan(sorted(pattern.ops, key=_BY_THREAD), pair_of)
         schedule = [by_phase[phase] for phase in sorted(by_phase)]
         clocks, events = self.clocks, self.events
         arrivals = self._partition_arrivals

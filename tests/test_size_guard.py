@@ -3,6 +3,7 @@
 ``Scenario.build_pattern`` bounds the ops a pattern issues over all its
 iterations, ``len(pattern.ops) * pattern.iterations``, from the spec alone
 and refuses a spec whose bound exceeds ``MAX_OPS``; the CLI then exits 3.
+A kind that reads no ``iterations`` counts one.
 """
 
 import json
@@ -100,6 +101,17 @@ def test_a_spec_with_too_many_iterations_exits_3_within_a_second(
         tmp_path, capsys, command,
         {"kind": "stencil-2d-5pt", "process_grid": [2, 2],
          "thread_grid": [3, 3], "iterations": 1_000_000_000}, 288000000000)
+
+
+@pytest.mark.parametrize("iterations", [1, 40_000, 1_000_000_000])
+def test_a_kind_that_runs_once_counts_one_iteration(iterations):
+    # fan-in reads no iterations: 16 ops at any value, none refused
+    scenario = scenario_from_dict({"kind": "fan-in", "process_grid": [2],
+                                   "thread_grid": [8],
+                                   "iterations": iterations})
+    assert scenario.ops_bound() == 32
+    pattern = scenario.build_pattern()
+    assert len(pattern.ops) == 16 and pattern.iterations == 1
 
 
 def test_build_pattern_refuses_over_the_cap():

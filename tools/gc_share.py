@@ -4,6 +4,7 @@ Run from the repository root, on one or more scenario spec files:
 
     python3 tools/gc_share.py --repeat 3 spec1.json spec2.json
     python3 tools/gc_share.py --src other/checkout/src spec1.json
+    python3 tools/gc_share.py --stages --repeat 5 spec1.json
 
 Each spec is simulated ``--repeat`` times in-process, two ways:
 
@@ -15,6 +16,12 @@ Each spec is simulated ``--repeat`` times in-process, two ways:
 Every collection is timed through ``gc.callbacks``.  Per spec and way, the
 script prints the median wall time, the collections run per generation,
 and the median share of the wall time spent collecting.
+
+With ``--stages`` the script instead prints, per spec, the median wall time
+of each library stage of one call: ``build_pattern`` (generate),
+``build_assignment`` (assign), ``run`` (without events, as ``simulate``
+calls it) and ``to_json``, with the collector on, and their sum; a last
+row sums each stage over the specs.
 """
 
 from __future__ import annotations
@@ -67,17 +74,48 @@ def simulate_cli(spec: Path, out: Path):
         raise SystemExit(f"{spec}: mpxlab simulate exited {code}")
 
 
-def simulate_library(spec: Path, out: Path):
+STAGES = ("generate", "assign", "run", "to_json")
+
+
+def simulate_library(spec: Path, out: Path) -> dict[str, float]:
+    """One library call; the wall seconds of each of its stages."""
     from mpxlab.patterns.specfile import load_scenario
     from mpxlab.simulator import run
 
     scenario = load_scenario(spec)
+    marks = [perf_counter()]
     pattern = scenario.build_pattern()
+    marks.append(perf_counter())
     assignment = scenario.build_assignment(pattern)
+    marks.append(perf_counter())
     report = run(pattern, assignment, pool=scenario.build_pool(),
                  policy=scenario.build_policy(), seed=scenario.seed,
                  events=False)
-    (out / f"{spec.stem}.report.json").write_text(report.to_json())
+    marks.append(perf_counter())
+    text = report.to_json()
+    marks.append(perf_counter())
+    (out / f"{spec.stem}.report.json").write_text(text)
+    return {stage: b - a for stage, a, b in zip(STAGES, marks, marks[1:])}
+
+
+def print_stages(specs: list[Path], out: Path, repeat: int):
+    def row(name, seconds):
+        print(f"{name:24s} " + " ".join(f"{s:10.4f}" for s in seconds)
+              + f" {sum(seconds):10.4f}")
+
+    print(f"{'spec':24s} " + " ".join(f"{s + ' s':>10s}" for s in STAGES)
+          + f" {'total s':>10s}")
+    totals = [0.0] * len(STAGES)
+    for spec in specs:
+        calls = []
+        for _ in range(repeat):
+            gc.collect()
+            calls.append(simulate_library(spec, out))
+        medians = [statistics.median(c[s] for c in calls) for s in STAGES]
+        totals = [t + m for t, m in zip(totals, medians)]
+        row(spec.stem, medians)
+    if len(specs) > 1:
+        row("(sum of medians)", totals)
 
 
 def measure(call, spec: Path, out: Path, repeat: int) -> dict:
@@ -102,14 +140,19 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the mpxlab sources to import (default: ./src)")
     parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--stages", action="store_true",
+                        help="print the median seconds of each library stage "
+                             "instead of the collector's share")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     sys.path.insert(0, str(args.src.resolve()))
-
-    print(f"{'spec':24s} {'way':8s} {'wall s':>8s} {'gc share':>9s} "
-          f"{'runs per call (gen 0/1/2)':>26s}")
     with tempfile.TemporaryDirectory() as tmp:
+        if args.stages:
+            print_stages(args.specs, Path(tmp), args.repeat)
+            return 0
+        print(f"{'spec':24s} {'way':8s} {'wall s':>8s} {'gc share':>9s} "
+              f"{'runs per call (gen 0/1/2)':>26s}")
         for spec in args.specs:
             for way, call in (("cli", simulate_cli), ("library", simulate_library)):
                 m = measure(call, spec, Path(tmp), args.repeat)
