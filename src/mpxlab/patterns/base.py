@@ -107,6 +107,11 @@ class CommPattern:
     seed: int = 0
     stamp: int = field(default=0, compare=False)
 
+    def __post_init__(self):
+        # the engine derives every iteration from the first
+        if self.iterations < 1:
+            raise InvalidArgumentError("iterations must be positive")
+
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """(send id, receive id) of every send that names its partner, in op
@@ -172,7 +177,7 @@ class Assignment:
         out = {}
         for op_id, desc in self.bindings.items():
             if tags:
-                out[op_id] = ("tag", desc.context.key, desc.thread)
+                out[op_id] = ("tag", desc.context.key, desc.source[1])
             elif desc.endpoint is not None:
                 out[op_id] = ("ep", desc.endpoint)
             elif desc.partition is not None:

@@ -14,7 +14,7 @@ RMA pattern draws twice as many tiles as there are workers.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from math import prod
 
 from ..channels import ChannelPool, PolicyKind
@@ -31,11 +31,6 @@ from . import (
     gen_legion,
     gen_stencil,
 )
-
-_ALLOWED_KEYS = {
-    "kind", "process_grid", "thread_grid", "iterations", "payload_bytes",
-    "mechanism", "hints", "channel_pool", "policy", "seed",
-}
 
 
 def _stencil(dims, points):
@@ -80,8 +75,8 @@ OPS_PER_THREAD = {"stencil-2d-5pt": 8, "stencil-2d-9pt": 16,
 # kinds whose generators read no ``iterations``: they run once at any value
 RUNS_ONCE = {"bspmm-rma", "multithreaded-allreduce", "fan-in"}
 # a spec that could issue more ops than this over all its iterations is
-# refused before it is generated: at about 1 KB per op while it simulates,
-# the cap stands near 1 GB, and the engine's work grows with the iterations
+# refused before it is generated, with exit 3: the engine simulates one
+# iteration, but the cap bounds the op instances and trace a run stands for
 MAX_OPS = 1_000_000
 
 # entries per grid: a stencil's dimension count, one for every other kind
@@ -171,6 +166,9 @@ class Scenario:
     def build_policy(self) -> PolicyKind | None:
         """The spec's channel policy; None leaves the mechanism's default."""
         return None if self.policy is None else POLICIES[self.policy]
+
+
+_ALLOWED_KEYS = {f.name for f in fields(Scenario)}
 
 
 def _is_int(value) -> bool:

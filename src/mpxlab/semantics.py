@@ -89,9 +89,7 @@ def requests_match(send_req: PartitionedRequest, recv_req: PartitionedRequest) -
 def _thread_order(a: OpDescriptor, b: OpDescriptor) -> bool:
     """Deterministic precedence for constraint pairs: program order within a
     thread, (thread, index) lexicographic across threads."""
-    if a.thread == b.thread:
-        return a.program_index < b.program_index
-    return (a.thread, a.program_index) < (b.thread, b.program_index)
+    return (a.source[1], a.program_index) < (b.source[1], b.program_index)
 
 
 def ordered_before(a: OpDescriptor, b: OpDescriptor, hints: InfoHints) -> bool:
@@ -223,7 +221,7 @@ def logically_parallel(a: OpDescriptor, b: OpDescriptor,
     """
     if a == b:
         raise InvalidArgumentError("need two distinct operations")
-    if a.process != b.process:
+    if a.source[0] != b.source[0]:
         raise InvalidArgumentError("classifier compares ops of one process")
 
     ak, bk = a.kind, b.kind

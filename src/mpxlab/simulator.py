@@ -7,6 +7,12 @@ per (process, channel index)), and operations whose classifier verdict is
 serial are ordered even when they land on distinct channels.  One loop runs
 every kind; in a polling pattern, each node's thread 0 polls at phase end.
 
+The engine runs one iteration and derives the rest.  Each phase ends with
+every clock past its transfers, and the queues start empty each iteration,
+so iteration ``i`` is the first shifted by ``i`` makespans: makespan, counts
+and occupancy scale by the iteration count, the concurrencies are the
+first iteration's, and a trace repeats the first iteration's events.
+
 Matching bookkeeping follows the posted/unexpected two-queue scheme: a
 receive first scans the unexpected queue, a message scans the posted queue,
 and every position traversed counts one match attempt.  Wildcard receives
@@ -188,26 +194,18 @@ def _footprint(pattern: CommPattern, assignment: Assignment) -> int:
     return total
 
 
-def _recv_keys(desc):
-    """(scope, bucket) of a receive: where it is posted, and its exact
-    (source, tag) selector, with either part possibly a wildcard."""
+def _keys(desc):
+    """(scope, bucket) of a two-sided op.  A receive is posted at its own
+    rank and selects a (source, tag), either part possibly a wildcard; a
+    send is addressed to its target and carries (its own rank, tag)."""
     context, tag = desc.context, desc.tag
     family = context.family
-    home = (desc.endpoint if family is ContextFamily.ENDPOINT
+    rank = (desc.endpoint if family is ContextFamily.ENDPOINT
             else desc.source[0])
-    bucket = None if tag is None else (desc.target, tag.raw)
+    home, source = ((desc.target, rank) if desc.kind is OpKind.SEND
+                    else (rank, desc.target))
+    bucket = None if tag is None else (source, tag.raw)
     return (family, context.key, home), bucket
-
-
-def _send_keys(desc):
-    """(scope, bucket) of a send: the rank it is addressed to, and its exact
-    (source, tag), the source being its origin rank."""
-    context, tag = desc.context, desc.tag
-    family = context.family
-    origin = (desc.endpoint if family is ContextFamily.ENDPOINT
-              else desc.source[0])
-    bucket = None if tag is None else (origin, tag.raw)
-    return (family, context.key, desc.target), bucket
 
 
 def _send_covers(bucket):
@@ -277,7 +275,7 @@ class _Matcher:
     send matches a receive exactly when the receive's source selector covers
     the send's origin rank and its tag selector covers the send's tag: the
     triplet rule of :func:`mpxlab.semantics.can_match`.  Callers pass the
-    keys of :func:`_recv_keys` and :func:`_send_keys`.
+    keys of :func:`_keys`.
     """
 
     def __init__(self, overtaking: bool):
@@ -384,20 +382,17 @@ class _Engine:
         self.probes = 0
         self.transfers: list[tuple[int, int, tuple[int, ...], int]] = []
         self._verdicts: dict[tuple[int, int], bool] = {}
-        self._partition_arrivals: dict[int, int] = {}  # latest arrival
-        self.iteration = 0
 
     # -- small helpers ------------------------------------------------
 
     def emit(self, time, kind, op_id=None, channel=None):
         if self.events is not None:
-            self.events.append(Event(time, kind, op_id, channel, self.iteration))
+            self.events.append(Event(time, kind, op_id, channel))
 
     def _scanned(self, op_id, attempts, at, matched_at):
         """The events of one queue scan: its attempts at tick ``at``, then
         its match at ``matched_at`` unless that is None."""
-        self.events += [Event(at, EventKind.MATCH_ATTEMPT, op_id, None,
-                              self.iteration)] * attempts
+        self.events += [Event(at, EventKind.MATCH_ATTEMPT, op_id)] * attempts
         if matched_at is not None:
             self.emit(matched_at, EventKind.MATCH_SUCCESS, op_id)
 
@@ -442,8 +437,7 @@ class _Engine:
             if polled:
                 scope = peer
             elif kind in TWO_SIDED:
-                scope, bucket = (_send_keys if kind is OpKind.SEND
-                                 else _recv_keys)(desc)
+                scope, bucket = _keys(desc)
                 scope, bucket = share(scope, scope), share(bucket, bucket)
             if op_kind is OpKind.RECV:
                 # partition arrival is tracked on the shared request
@@ -473,7 +467,7 @@ class _Engine:
     # -- main loop: run() reports once the loop's plan rows are freed --
 
     def run(self) -> SimReport:
-        self._run_phased()
+        self._iteration()
         return self._report()
 
     def _schedule_transfer(self, op_id, phase, local, remote, owners, key,
@@ -507,108 +501,104 @@ class _Engine:
             insort(buckets.setdefault(key, []), (end, op_id))
         return end
 
-    def _run_phased(self):
+    def _iteration(self):
+        """Run one iteration from the current clocks, channel and request
+        state; it ends with all clocks equal, none before a transfer's end."""
         pattern, assignment = self.pattern, self.assignment
         partitioned = assignment.mechanism is Mechanism.PARTITIONED
         polled = pattern.kind is PatternKind.LEGION_POLLING
         pair_of = {}
         reqs_of: dict[int, list] = {}
+        arrivals: dict[int, int] = {}  # receive request id -> latest arrival
+        clocks, events = self.clocks, self.events
         if partitioned:
             pair_of = _pair_requests(assignment.requests.values())
+            t0 = max(clocks)
             for r in sorted(assignment.requests.values(),
                             key=lambda r: r.request_id):
+                r.start()
                 reqs_of.setdefault(r.owner, []).append(r)
+            for _ in pair_of:
+                self.emit(t0, EventKind.MATCH_ATTEMPT)
+                self.emit(t0, EventKind.MATCH_SUCCESS)
+            self.attempts += len(pair_of)
+            self.matches += len(pair_of)
 
         # per phase: receives, then sends, each in (process, thread, op) order
         by_phase = self._plan(sorted(pattern.ops, key=_BY_THREAD), pair_of)
-        schedule = [by_phase[phase] for phase in sorted(by_phase)]
-        clocks, events = self.clocks, self.events
-        arrivals = self._partition_arrivals
-
-        for it in range(pattern.iterations):
-            self.iteration = it
-            if partitioned:
-                t0 = max(clocks)
-                for rid in sorted(assignment.requests):
-                    assignment.requests[rid].start()
-                for _ in pair_of:
-                    self.emit(t0, EventKind.MATCH_ATTEMPT)
-                    self.emit(t0, EventKind.MATCH_SUCCESS)
-                    self.attempts += 1
-                    self.matches += 1
-
-            matcher = _Matcher(assignment.hints.allow_overtaking)
-            buckets: dict = {}
-            for recv_rows, send_rows in schedule:
-                mark = len(self.transfers)
-                incoming: dict[int, list[tuple[int, int]]] = {}
-                for op_id, slot, scope, bucket in recv_rows:
-                    t_issue = clocks[slot]
-                    clocks[slot] = t_issue + ISSUE_TICKS
+        matcher = _Matcher(assignment.hints.allow_overtaking)
+        buckets: dict = {}
+        for phase in sorted(by_phase):
+            recv_rows, send_rows = by_phase[phase]
+            mark = len(self.transfers)
+            incoming: dict[int, list[tuple[int, int]]] = {}
+            for op_id, slot, scope, bucket in recv_rows:
+                t_issue = clocks[slot]
+                clocks[slot] = t_issue + ISSUE_TICKS
+                if events is not None:
+                    self.emit(t_issue, EventKind.ISSUE, op_id)
+                if scope is not None:
+                    attempts, hit = matcher.post(scope, bucket, op_id)
+                    self.attempts += attempts
+                    self.matches += hit is not None
                     if events is not None:
-                        self.emit(t_issue, EventKind.ISSUE, op_id)
-                    if scope is not None:
-                        attempts, hit = matcher.post(scope, bucket, op_id)
-                        self.attempts += attempts
-                        self.matches += hit is not None
-                        if events is not None:
-                            self._scanned(op_id, attempts, t_issue, None if hit
-                                          is None else max(t_issue, hit[1]))
-                for (op_id, slot, phase, local, remote, owners, key,
-                     scope, bucket, part) in send_rows:
-                    t_issue = clocks[slot]
-                    clocks[slot] = t_issue + ISSUE_TICKS
+                        self._scanned(op_id, attempts, t_issue, None if hit
+                                      is None else max(t_issue, hit[1]))
+            for (op_id, slot, phase, local, remote, owners, key,
+                 scope, bucket, part) in send_rows:
+                t_issue = clocks[slot]
+                clocks[slot] = t_issue + ISSUE_TICKS
+                if events is not None:
+                    self.emit(t_issue, EventKind.ISSUE, op_id)
+                end = self._schedule_transfer(op_id, phase, local, remote,
+                                              owners, key, t_issue, buckets)
+                if part is not None:
+                    req, idx, peer_req = part
+                    req.pready(idx)
+                    if peer_req is not None:
+                        peer_req.deliver(idx)
+                        rid = peer_req.request_id
+                        arrivals[rid] = max(arrivals.get(rid, end), end)
+                if polled:  # the scope is the destination node
+                    incoming.setdefault(scope, []).append((end, op_id))
+                elif scope is not None:  # a send: nothing else matches
+                    attempts, rid = matcher.send(scope, bucket, op_id, end)
+                    self.attempts += attempts
+                    self.matches += rid is not None
                     if events is not None:
-                        self.emit(t_issue, EventKind.ISSUE, op_id)
-                    end = self._schedule_transfer(op_id, phase, local, remote,
-                                                  owners, key, t_issue, buckets)
-                    if part is not None:
-                        req, idx, peer_req = part
-                        req.pready(idx)
-                        if peer_req is not None:
-                            peer_req.deliver(idx)
-                            rid = peer_req.request_id
-                            arrivals[rid] = max(arrivals.get(rid, end), end)
-                    if polled:  # the scope is the destination node
-                        incoming.setdefault(scope, []).append((end, op_id))
-                    elif scope is not None:  # a send: nothing else matches
-                        attempts, rid = matcher.send(scope, bucket, op_id, end)
-                        self.attempts += attempts
-                        self.matches += rid is not None
-                        if events is not None:
-                            self._scanned(op_id, attempts, end,
-                                          None if rid is None else end)
-                for node in sorted(incoming):
-                    self._poll(node, sorted(incoming[node]))
-                # one traffic direction at a time: the next phase starts after
-                # this one drains, so per-phase concurrency is well defined
-                phase_end = max([e for _, e, _, _ in self.transfers[mark:]]
-                                + clocks)
-                clocks[:] = [phase_end] * len(clocks)
+                        self._scanned(op_id, attempts, end,
+                                      None if rid is None else end)
+            for node in sorted(incoming):
+                self._poll(node, sorted(incoming[node]))
+            # one traffic direction at a time: the next phase starts after
+            # this one drains, so per-phase concurrency is well defined
+            phase_end = max([e for _, e, _, _ in self.transfers[mark:]]
+                            + clocks)
+            clocks[:] = [phase_end] * len(clocks)
 
-            leftovers = matcher.leftovers()
-            if leftovers:
-                raise MpxlabError(
-                    f"{leftovers} sends stayed unmatched; the pattern is not closed"
-                )
+        leftovers = matcher.leftovers()
+        if leftovers:
+            raise MpxlabError(
+                f"{leftovers} sends stayed unmatched; the pattern is not closed"
+            )
 
-            if partitioned:
-                self._partitioned_iteration_end(reqs_of)
-            elif (pattern.kind is PatternKind.MULTITHREADED_ALLREDUCE
-                  and assignment.mechanism is Mechanism.COMMUNICATORS):
-                # user-driven intranode reduction step
-                clocks[:] = [c + SYNC_WAIT_TICKS for c in clocks]
+        if partitioned:
+            self._partitioned_iteration_end(reqs_of, arrivals)
+        elif (pattern.kind is PatternKind.MULTITHREADED_ALLREDUCE
+              and assignment.mechanism is Mechanism.COMMUNICATORS):
+            # user-driven intranode reduction step
+            clocks[:] = [c + SYNC_WAIT_TICKS for c in clocks]
 
-    def _partitioned_iteration_end(self, reqs_of):
-        """``reqs_of`` maps each owner process to its requests by id."""
+    def _partitioned_iteration_end(self, reqs_of, arrivals):
+        """``reqs_of`` maps each owner process to its requests by id, and
+        ``arrivals`` each receive request to its latest partition arrival."""
         T, clocks = self.pattern.threads_per_process, self.clocks
         for p in range(self.pattern.num_processes):
             proc_reqs = reqs_of.get(p, ())
             done = 0
             for r in proc_reqs:
                 if r.direction is Direction.RECV:
-                    done = max(done, self._partition_arrivals.get(
-                        r.request_id, 0))
+                    done = max(done, arrivals.get(r.request_id, 0))
             # thread 0 of each process completes the requests; the others wait
             done = max([done] + clocks[p * T:(p + 1) * T])
             clocks[p * T] = done
@@ -638,8 +628,7 @@ class _Engine:
         for end, sid in msgs + [(None, None)]:
             if self.events is not None:
                 self.events.extend(
-                    Event(pc + i * PROBE_TICKS, EventKind.PROBE_ITERATION,
-                          iteration=self.iteration)
+                    Event(pc + i * PROBE_TICKS, EventKind.PROBE_ITERATION)
                     for i in range(contexts))
             self.probes += contexts
             pc += contexts * PROBE_TICKS
@@ -654,8 +643,11 @@ class _Engine:
     # -- reporting ------------------------------------------------------
 
     def _report(self) -> SimReport:
+        """The report of ``pattern.iterations`` shifted copies of the one
+        iteration run; no transfer window spans two of them."""
         pattern, assignment = self.pattern, self.assignment
-        makespan = max([e for _, e, _, _ in self.transfers] + self.clocks)
+        n = pattern.iterations
+        span = max([e for _, e, _, _ in self.transfers] + self.clocks)
         procs = range(pattern.num_processes)
         starts_of: dict[int, list] = {}
         phase_starts: dict[int, dict[int, list]] = {}
@@ -671,22 +663,28 @@ class _Engine:
                       for ph in sorted(phase_starts)}
         R = self.pool.num_channels
         occupancy = {
-            "p{}c{}".format(*divmod(instance, R)): busy
+            "p{}c{}".format(*divmod(instance, R)): n * busy
             for instance, busy in sorted(self.channel_busy.items())
         }
         if self.events is not None:
-            self.events.sort(key=lambda ev: ev.time)  # stable: ties keep issue order
+            # stable: ties keep issue order, and iteration i's events all
+            # fall in [i * span, (i + 1) * span], after iteration i - 1's
+            events = self.events
+            events.sort(key=lambda ev: ev.time)
+            events += [Event(time + i * span, kind, op_id, channel, i)
+                       for i in range(1, n)
+                       for time, kind, op_id, channel, _ in events]
         return SimReport(
             mechanism=assignment.mechanism.value,
             variant=assignment.variant,
             seed=self.seed,
-            makespan=makespan,
+            makespan=n * span,
             max_concurrent_transfers=max_conc,
-            match_attempts_total=self.attempts,
-            matches_total=self.matches,
-            sync_wait_events=self.waitblocks,
-            probe_iterations=self.probes,
-            barriers_total=self.barriers,
+            match_attempts_total=n * self.attempts,
+            matches_total=n * self.matches,
+            sync_wait_events=n * self.waitblocks,
+            probe_iterations=n * self.probes,
+            barriers_total=n * self.barriers,
             channel_occupancy=occupancy,
             memory_footprint_bytes=_footprint(pattern, assignment),
             objects=dict(assignment.objects_created),
@@ -728,9 +726,9 @@ def run(pattern: CommPattern, assignment: Assignment,
 
 def _expected_messages(pattern: CommPattern, assignment: Assignment) -> int:
     if assignment.mechanism is Mechanism.PARTITIONED:
-        n_pairs = sum(1 for r in assignment.requests.values()
-                      if r.direction is Direction.SEND)
-        return n_pairs * pattern.iterations
-    sends = sum(1 for op in pattern.ops if op.kind is OpKind.SEND)
+        sends = sum(1 for r in assignment.requests.values()
+                    if r.direction is Direction.SEND)
+    else:
+        sends = sum(1 for op in pattern.ops if op.kind is OpKind.SEND)
     return sends * pattern.iterations
 

@@ -26,7 +26,7 @@ from mpxlab.patterns import (
     gen_stencil,
 )
 from mpxlab.semantics import can_match
-from mpxlab.simulator import _Matcher, _recv_keys, _send_keys, run
+from mpxlab.simulator import _Matcher, _keys, run
 
 CONTEXTS = [
     MatchContextId(ContextFamily.COMM, 1),
@@ -128,9 +128,9 @@ def test_indexed_queues_match_the_linear_scan(case):
     got = []
     for index, (kind, desc, end) in enumerate(ops):
         if kind == "recv":
-            got.append(matcher.post(*_recv_keys(desc), index))
+            got.append(matcher.post(*_keys(desc), index))
         else:
-            got.append(matcher.send(*_send_keys(desc), index, end))
+            got.append(matcher.send(*_keys(desc), index, end))
     expected, leftovers = reference_scan(ops, hints.allow_overtaking)
     assert got == expected
     assert matcher.leftovers() == leftovers
