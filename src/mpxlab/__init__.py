@@ -13,7 +13,6 @@ from .channels import (
     OMNI_PATH_HFI_CONTEXTS,
     PolicyKind,
     collision_report,
-    grouping_mismatch_demo,
     map_communicators,
     map_endpoints,
     map_entity,

@@ -212,38 +212,3 @@ def map_endpoints(endpoint_ranks, pool: ChannelPool) -> list[MappedEntity]:
         for rank in endpoint_ranks
     ]
 
-
-def grouping_mismatch_demo(comms, pool: ChannelPool,
-                           purpose_aware: bool = False) -> CollisionReport:
-    """Allocate channels to communicators with and without purpose knowledge.
-
-    The unaware path maps every communicator round-robin in creation order,
-    the way a library that cannot tell grouping communicators apart from
-    parallelism communicators would.  The aware path (a hypothetical hint)
-    gives parallelism communicators dedicated channels first and confines
-    grouping communicators to whatever remains.
-    """
-    from .model import Purpose  # local import: avoids a cycle at module load
-
-    comms = list(comms)
-    if not comms:
-        raise InvalidArgumentError("need at least one communicator")
-    entities = []
-    if not purpose_aware:
-        for i, comm in enumerate(comms):
-            ch = i % pool.num_channels
-            entities.append(MappedEntity((comm.purpose.value, comm.context_id), ch, ch))
-        return collision_report(entities, pool)
-
-    par = [c for c in comms if c.purpose is Purpose.PARALLELISM_EXPOSURE]
-    grp = [c for c in comms if c.purpose is not Purpose.PARALLELISM_EXPOSURE]
-    for i, comm in enumerate(par):
-        ch = i % pool.num_channels
-        entities.append(MappedEntity((comm.purpose.value, comm.context_id), ch, ch))
-    reserved = min(len(par), pool.num_channels)
-    spare = pool.num_channels - reserved
-    for i, comm in enumerate(grp):
-        # grouping traffic never touches a reserved channel unless none remain
-        ch = reserved + (i % spare) if spare > 0 else i % pool.num_channels
-        entities.append(MappedEntity((comm.purpose.value, comm.context_id), ch, ch))
-    return collision_report(entities, pool)

@@ -5,7 +5,8 @@ Recognized keys: ``kind``, ``process_grid``, ``thread_grid``, ``iterations``,
 ``payload_bytes``, ``mechanism``, ``hints``, ``channel_pool``, ``policy``,
 ``seed``.  Unknown keys are rejected.  A stencil's grids have one entry per
 dimension; every other kind's grids have one entry each, and fan-in runs on
-``process_grid`` ``[2]``.  For the irregular kinds the grids are reused: a
+``process_grid`` ``[2]``.  The kinds that run once (``RUNS_ONCE``) take no
+``iterations`` but 1.  For the irregular kinds the grids are reused: a
 polling pattern reads nodes from ``process_grid[0]`` and task threads from
 ``thread_grid[0] - 1``, and fires ``iterations`` events per task thread; the
 RMA pattern draws twice as many tiles as there are workers.
@@ -72,7 +73,8 @@ KINDS = {
 # a stencil, six per RMA worker, else two (a send and a receive)
 OPS_PER_THREAD = {"stencil-2d-5pt": 8, "stencil-2d-9pt": 16,
                   "stencil-3d-27pt": 52, "bspmm-rma": 6}
-# kinds whose generators read no ``iterations``: they run once at any value
+# kinds whose generators read no ``iterations``: they run once, and a spec
+# of one of them takes no ``iterations`` but 1
 RUNS_ONCE = {"bspmm-rma", "multithreaded-allreduce", "fan-in"}
 # a spec that could issue more ops than this over all its iterations is
 # refused before it is generated, with exit 3: the engine simulates one
@@ -127,9 +129,8 @@ class Scenario:
 
     def ops_bound(self) -> int:
         """An upper bound on the ops the spec's pattern issues over all its
-        iterations, in O(1); a kind that runs once counts one iteration."""
-        iterations = 1 if self.kind in RUNS_ONCE else self.iterations
-        return (OPS_PER_THREAD.get(self.kind, 2) * iterations
+        iterations, in O(1)."""
+        return (OPS_PER_THREAD.get(self.kind, 2) * self.iterations
                 * prod(self.process_grid) * prod(self.thread_grid))
 
     def build_pattern(self) -> CommPattern:
@@ -231,7 +232,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if raw["kind"] == "fan-in" and process_grid != (2,):
         raise SpecFileError("field 'process_grid': fan-in runs on [2]")
 
-    return Scenario(
+    scenario = Scenario(
         kind=raw["kind"],
         process_grid=process_grid,
         thread_grid=_grid("thread_grid"),
@@ -243,6 +244,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
         policy=policy,
         seed=seed,
     )
+    if scenario.kind in RUNS_ONCE and scenario.iterations != 1:
+        raise SpecFileError(f"field 'iterations': {scenario.kind} runs once")
+    return scenario
 
 
 def load_scenario(path) -> Scenario:

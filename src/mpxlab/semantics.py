@@ -203,8 +203,8 @@ class ParallelismVerdict:
             )
 
 
-def _verdict(parallel: bool, reason: Reason) -> ParallelismVerdict:
-    return ParallelismVerdict(parallel, reason)
+# one verdict per reason: the classifier returns these, building none per call
+_VERDICT = {r: ParallelismVerdict(r in PARALLEL_REASONS, r) for r in Reason}
 
 
 def logically_parallel(a: OpDescriptor, b: OpDescriptor,
@@ -227,54 +227,54 @@ def logically_parallel(a: OpDescriptor, b: OpDescriptor,
     ak, bk = a.kind, b.kind
     if ordered_before(a, b, hints) or ordered_before(b, a, hints):
         if (ak is OpKind.ACCUMULATE and bk is OpKind.ACCUMULATE):
-            return _verdict(False, Reason.ATOMIC_SAME_LOCATION)
+            return _VERDICT[Reason.ATOMIC_SAME_LOCATION]
         if ak is OpKind.COLLECTIVE:
-            return _verdict(False, Reason.COLLECTIVE_SERIAL_ON_COMM)
+            return _VERDICT[Reason.COLLECTIVE_SERIAL_ON_COMM]
         # covers two-sided program order and window-flush edges alike
-        return _verdict(False, Reason.ORDERED_SAME_TRIPLET)
+        return _VERDICT[Reason.ORDERED_SAME_TRIPLET]
 
     if ak is OpKind.COLLECTIVE and bk is OpKind.COLLECTIVE:
         if a.context == b.context:
-            return _verdict(False, Reason.COLLECTIVE_SERIAL_ON_COMM)
-        return _verdict(True, Reason.DIFFERENT_COMMUNICATORS)
+            return _VERDICT[Reason.COLLECTIVE_SERIAL_ON_COMM]
+        return _VERDICT[Reason.DIFFERENT_COMMUNICATORS]
 
     if ak in PARTITION_KINDS and bk in PARTITION_KINDS:
         if a.partition[0] == b.partition[0]:
-            return _verdict(True, Reason.PARTITION_SAME_REQUEST)
-        return _verdict(True, Reason.DIFFERENT_COMMUNICATORS)
+            return _VERDICT[Reason.PARTITION_SAME_REQUEST]
+        return _VERDICT[Reason.DIFFERENT_COMMUNICATORS]
 
     if ak in RMA_KINDS and bk in RMA_KINDS:
         if a.window != b.window:
-            return _verdict(True, Reason.DIFFERENT_WINDOWS)
+            return _VERDICT[Reason.DIFFERENT_WINDOWS]
         if a.endpoint is not None and b.endpoint is not None \
                 and a.endpoint != b.endpoint:
-            return _verdict(True, Reason.DIFFERENT_ENDPOINTS)
-        return _verdict(True, Reason.RMA_UNORDERED)
+            return _VERDICT[Reason.DIFFERENT_ENDPOINTS]
+        return _VERDICT[Reason.RMA_UNORDERED]
 
     if ak in TWO_SIDED and bk in TWO_SIDED:
         return _two_sided_verdict(a, b, hints)
 
     # mixed families never share a matching domain
-    return _verdict(True, Reason.DISJOINT_TARGETS)
+    return _VERDICT[Reason.DISJOINT_TARGETS]
 
 
 def _two_sided_verdict(a, b, hints) -> ParallelismVerdict:
     if a.context != b.context:
-        return _verdict(True, Reason.DIFFERENT_COMMUNICATORS)
+        return _VERDICT[Reason.DIFFERENT_COMMUNICATORS]
     if a.context.family is ContextFamily.ENDPOINT and a.endpoint != b.endpoint:
-        return _verdict(True, Reason.DIFFERENT_ENDPOINTS)
+        return _VERDICT[Reason.DIFFERENT_ENDPOINTS]
 
     if a.kind is OpKind.SEND and b.kind is OpKind.SEND:
         if a.target != b.target:
-            return _verdict(True, Reason.DISJOINT_TARGETS)
+            return _VERDICT[Reason.DISJOINT_TARGETS]
         competing = _tags_equal(a.tag, b.tag) or not hints.no_any_tag
         if not competing:
-            return _verdict(True, Reason.TAG_RELAXED_NO_WILDCARDS)
+            return _VERDICT[Reason.TAG_RELAXED_NO_WILDCARDS]
         if hints.allow_overtaking:
-            return _verdict(True, Reason.OVERTAKING_SENDS_ONLY)
+            return _VERDICT[Reason.OVERTAKING_SENDS_ONLY]
         if _tags_equal(a.tag, b.tag):
-            return _verdict(False, Reason.ORDERED_SAME_TRIPLET)
-        return _verdict(False, Reason.WILDCARD_RISK)
+            return _VERDICT[Reason.ORDERED_SAME_TRIPLET]
+        return _VERDICT[Reason.WILDCARD_RISK]
 
     if a.kind is OpKind.RECV and b.kind is OpKind.RECV:
         tags_overlap = (
@@ -286,14 +286,14 @@ def _two_sided_verdict(a, b, hints) -> ParallelismVerdict:
             or a.target == b.target or not hints.no_any_source
         )
         if not (tags_overlap and srcs_overlap):
-            return _verdict(True, Reason.TAG_RELAXED_NO_WILDCARDS)
+            return _VERDICT[Reason.TAG_RELAXED_NO_WILDCARDS]
         if not hints.wildcards_possible:
-            return _verdict(False, Reason.ORDERED_SAME_TRIPLET)
-        return _verdict(False, Reason.WILDCARD_RISK)
+            return _VERDICT[Reason.ORDERED_SAME_TRIPLET]
+        return _VERDICT[Reason.WILDCARD_RISK]
 
     # one send, one receive: their potential match sets never intersect
     # (a receive only pairs with remote traffic addressed to it)
-    return _verdict(True, Reason.DISJOINT_TARGETS)
+    return _VERDICT[Reason.DISJOINT_TARGETS]
 
 
 # --------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Time is abstract integer ticks; all claims the engine supports are ratios or
 counts, never wall-clock predictions.  Threads are simulation actors stepped
-in (process, thread) order, transfers serialize per channel instance (one
-per (process, channel index)), and operations whose classifier verdict is
-serial are ordered even when they land on distinct channels.  One loop runs
+in (process, thread) order, and transfers serialize in issue order per
+(process, channel) instance, which orders classifier-serial ops as well:
+every policy maps two of one process to a common instance.  One loop runs
 every kind; in a polling pattern, each node's thread 0 polls at phase end.
 
 The engine runs one iteration and derives the rest.  Each phase ends with
@@ -50,11 +50,7 @@ from .errors import InvalidAssignmentError, MpxlabError, UnsupportedPatternError
 from .model import ANY_SOURCE, ANY_TAG, TWO_SIDED, ContextFamily, Direction, OpKind
 from .patterns.base import Assignment, CommPattern, Mechanism, PatternKind
 from .patterns.irregular import collective_footprint
-from .semantics import (
-    logically_parallel,
-    matching_violations,
-    _serial_bucket_key,
-)
+from .semantics import matching_violations
 
 
 class EventKind(Enum):
@@ -381,7 +377,6 @@ class _Engine:
         self.barriers = 0
         self.probes = 0
         self.transfers: list[tuple[int, int, tuple[int, ...], int]] = []
-        self._verdicts: dict[tuple[int, int], bool] = {}
 
     # -- small helpers ------------------------------------------------
 
@@ -396,31 +391,21 @@ class _Engine:
         if matched_at is not None:
             self.emit(matched_at, EventKind.MATCH_SUCCESS, op_id)
 
-    def serial(self, a_id, b_id) -> bool:
-        key = (min(a_id, b_id), max(a_id, b_id))
-        if key not in self._verdicts:
-            da = self.assignment.bindings[key[0]]
-            db = self.assignment.bindings[key[1]]
-            verdict = logically_parallel(da, db, self.assignment.hints)
-            self._verdicts[key] = not verdict.parallel
-        return self._verdicts[key]
-
     def _plan(self, ops, pair_of):
         """The rows of ``ops`` by phase: per phase, the receives' rows and
         the other ops' rows, each in the order of ``ops``.  A row is all the
         loop reads of an op, built once per run.  A receive's row is (op id,
         clock slot, matching scope, bucket).  Any other op's row is (op id,
         clock slot, phase, local channel instance, remote instance, owner
-        processes, serial-bucket key prefixed with the process, matching
-        scope, bucket, (send request, index, paired receive request) of a
-        partition it readies), each part None when the op has none.  Equal
-        keys, scopes, buckets and owner tuples are one object.  A polling
-        pattern's receives are never posted and get no row; its sends' rows
-        hold their destination node in place of a matching scope.
+        processes, matching scope, bucket, (send request, index, paired
+        receive request) of a partition it readies), each part None when
+        the op has none.  Equal scopes, buckets and owner tuples are one
+        object.  A polling pattern's receives are never posted and get no
+        row; its sends' rows hold their destination node in place of a
+        matching scope.
         """
         assignment, policy, pool = self.assignment, self.policy, self.pool
-        bindings, hints, requests = (assignment.bindings, assignment.hints,
-                                     assignment.requests)
+        bindings, requests = assignment.bindings, assignment.requests
         T, R = self.pattern.threads_per_process, pool.num_channels
         polled = self.pattern.kind is PatternKind.LEGION_POLLING
         share = {}.setdefault
@@ -456,12 +441,9 @@ class _Engine:
                     part = (req, idx, None if paired is None else requests[paired])
             remote = None if peer is None else peer * R + rch
             owners = (p,) if peer is None or peer == p else (min(p, peer), max(p, peer))
-            key = _serial_bucket_key(desc, hints)
-            if key is not None:
-                key = share((p, key), (p, key))
             rows.append((op_id, slot, phase, local,
                          None if remote == local else remote,
-                         share(owners, owners), key, scope, bucket, part))
+                         share(owners, owners), scope, bucket, part))
         return by_phase
 
     # -- main loop: run() reports once the loop's plan rows are freed --
@@ -470,21 +452,11 @@ class _Engine:
         self._iteration()
         return self._report()
 
-    def _schedule_transfer(self, op_id, phase, local, remote, owners, key,
-                           t_issue, buckets):
+    def _schedule_transfer(self, op_id, phase, local, remote, owners, t_issue):
         free, busy = self.channel_free, self.channel_busy
         start = max(t_issue, free.get(local, 0))
         if remote is not None:
             start = max(start, free.get(remote, 0))
-        # the serial bucket is sorted by (end, op id): scanning from the latest
-        # end, the first serial peer, or the first that ends by ``start``,
-        # settles the maximum over every serial peer
-        for prev_end, prev_id in reversed(buckets.get(key, ())):
-            if prev_end <= start:
-                break
-            if self.serial(prev_id, op_id):
-                start = prev_end
-                break
         end = start + TRANSFER_TICKS
         free[local] = end
         busy[local] = busy.get(local, 0) + TRANSFER_TICKS
@@ -497,8 +469,6 @@ class _Engine:
             self.emit(start, EventKind.CHANNEL_ACQUIRE, op_id, channel)
             self.emit(start, EventKind.TRANSFER, op_id, channel)
         self.transfers.append((start, end, owners, phase))
-        if key is not None:
-            insort(buckets.setdefault(key, []), (end, op_id))
         return end
 
     def _iteration(self):
@@ -527,7 +497,6 @@ class _Engine:
         # per phase: receives, then sends, each in (process, thread, op) order
         by_phase = self._plan(sorted(pattern.ops, key=_BY_THREAD), pair_of)
         matcher = _Matcher(assignment.hints.allow_overtaking)
-        buckets: dict = {}
         for phase in sorted(by_phase):
             recv_rows, send_rows = by_phase[phase]
             mark = len(self.transfers)
@@ -544,14 +513,14 @@ class _Engine:
                     if events is not None:
                         self._scanned(op_id, attempts, t_issue, None if hit
                                       is None else max(t_issue, hit[1]))
-            for (op_id, slot, phase, local, remote, owners, key,
+            for (op_id, slot, phase, local, remote, owners,
                  scope, bucket, part) in send_rows:
                 t_issue = clocks[slot]
                 clocks[slot] = t_issue + ISSUE_TICKS
                 if events is not None:
                     self.emit(t_issue, EventKind.ISSUE, op_id)
                 end = self._schedule_transfer(op_id, phase, local, remote,
-                                              owners, key, t_issue, buckets)
+                                              owners, t_issue)
                 if part is not None:
                     req, idx, peer_req = part
                     req.pready(idx)

@@ -1,5 +1,9 @@
 """Channel pool mapping policies and collision accounting."""
 
+import runpy
+from functools import cache
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,7 +13,6 @@ from mpxlab.channels import (
     OMNI_PATH_HFI_CONTEXTS,
     PolicyKind,
     collision_report,
-    grouping_mismatch_demo,
     map_communicators,
     map_endpoints,
     map_entity,
@@ -115,6 +118,17 @@ class TestCollisionReport:
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
             collision_report([], ChannelPool(4))
+
+
+@cache
+def _collisions_demo() -> dict:
+    """The globals of the channel-collisions demo, run once."""
+    return runpy.run_path(str(Path(__file__).resolve().parent.parent
+                              / "demos" / "demo_channel_collisions.py"))
+
+
+def grouping_mismatch_demo(*args, **kwargs):
+    return _collisions_demo()["grouping_mismatch_demo"](*args, **kwargs)
 
 
 def _comm_population(n_grouping, n_parallelism):

@@ -66,7 +66,14 @@ class TestAnalyze:
                     {"kind": "stencil-2d-5pt", "process_grid": [2, 2, 2]},
                     {"kind": "legion-polling", "process_grid": [4, 3],
                      "thread_grid": [4, 2]},
-                    {"kind": "fan-in", "process_grid": [7], "thread_grid": [8]}):
+                    {"kind": "fan-in", "process_grid": [7], "thread_grid": [8]},
+                    # iterations on a kind that runs once
+                    {"kind": "fan-in", "process_grid": [2],
+                     "thread_grid": [8], "iterations": 2},
+                    {"kind": "bspmm-rma", "process_grid": [2],
+                     "thread_grid": [3], "iterations": 2},
+                    {"kind": "multithreaded-allreduce", "process_grid": [3],
+                     "thread_grid": [4], "iterations": 7}):
             spec = write_spec(tmp_path, **bad)
             assert main(["analyze", "--spec", str(spec)]) == 2, bad
             assert main(["assign", "--spec", str(spec), "--emit-spec"]) == 2, bad

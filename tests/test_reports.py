@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from mpxlab.patterns.specfile import scenario_from_dict
+from mpxlab.patterns.specfile import RUNS_ONCE, scenario_from_dict
 from mpxlab.simulator import run
 
 _GRIDS = {
@@ -38,11 +38,13 @@ _MECHANISMS = {
     "multithreaded-allreduce": ("communicators", "endpoints", "partitioned"),
 }
 
-# partitioned stencils run three iterations: one barrier per iteration
+# partitioned runs take three iterations: one barrier per iteration; a kind
+# that runs once takes one
 SPECS = {
     f"{kind}/{mechanism}": {
         "kind": kind, "process_grid": grids[0], "thread_grid": grids[1],
-        "iterations": 3 if mechanism == "partitioned" else 2,
+        "iterations": (1 if kind in RUNS_ONCE
+                       else 3 if mechanism == "partitioned" else 2),
         "payload_bytes": 1024, "mechanism": mechanism, "seed": 3,
     }
     for kind, grids in _GRIDS.items()

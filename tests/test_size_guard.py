@@ -3,7 +3,7 @@
 ``Scenario.build_pattern`` bounds the ops a pattern issues over all its
 iterations, ``len(pattern.ops) * pattern.iterations``, from the spec alone
 and refuses a spec whose bound exceeds ``MAX_OPS``; the CLI then exits 3.
-A kind that reads no ``iterations`` counts one.
+A kind that reads no ``iterations`` takes only 1.
 """
 
 import json
@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from mpxlab.cli import main
-from mpxlab.errors import DomainError
+from mpxlab.errors import DomainError, SpecFileError
 from mpxlab.patterns.specfile import KINDS, MAX_OPS, OPS_PER_THREAD, scenario_from_dict
 
 import test_determinism
@@ -105,10 +105,14 @@ def test_a_spec_with_too_many_iterations_exits_3_within_a_second(
 
 @pytest.mark.parametrize("iterations", [1, 40_000, 1_000_000_000])
 def test_a_kind_that_runs_once_counts_one_iteration(iterations):
-    # fan-in reads no iterations: 16 ops at any value, none refused
-    scenario = scenario_from_dict({"kind": "fan-in", "process_grid": [2],
-                                   "thread_grid": [8],
-                                   "iterations": iterations})
+    # fan-in reads no iterations: it takes 1, and builds 16 ops
+    spec = {"kind": "fan-in", "process_grid": [2], "thread_grid": [8],
+            "iterations": iterations}
+    if iterations != 1:
+        with pytest.raises(SpecFileError, match="fan-in runs once"):
+            scenario_from_dict(spec)
+        return
+    scenario = scenario_from_dict(spec)
     assert scenario.ops_bound() == 32
     pattern = scenario.build_pattern()
     assert len(pattern.ops) == 16 and pattern.iterations == 1
