@@ -13,14 +13,14 @@ so iteration ``i`` is the first shifted by ``i`` makespans: makespan, counts
 and occupancy scale by the iteration count, the concurrencies are the
 first iteration's, and a trace repeats the first iteration's events.
 
-Matching bookkeeping follows the posted/unexpected two-queue scheme: a
-receive first scans the unexpected queue, a message scans the posted queue,
-and every position traversed counts one match attempt.  Wildcard receives
-take the earliest-posted matchable message; under ``allow_overtaking`` the
-scan order becomes earliest-by-arrival (a published deterministic rule in
-place of the standard's nondeterminism).  The queues are indexed by exact
-(source, tag), so the count of a scan comes from the rank of its match
-rather than from walking the queue.
+Matching uses one posted-receive queue per scope.  A phase posts its
+receives before its sends issue, and every generator pairs a send with a
+receive of the same phase, so every receive is posted before its message
+arrives: a receive only posts, and a send takes the earliest-posted
+matching receive, each queue position it traverses counting one attempt.
+A send that finds none is refused as a pattern that is not closed.  The
+queue is indexed by exact (source, tag), so the count of a scan comes from
+the rank of its match rather than from walking the queue.
 
 Partitioned requests match once per message: one attempt and one success per
 request pair per iteration, independent of the partition count.  Their
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -215,14 +215,15 @@ def _send_covers(bucket):
 
 
 class _Queue:
-    """One scope's posted or unexpected queue, indexed by exact (source, tag).
+    """One scope's posted queue, indexed by exact (source, tag).
 
-    ``order`` holds the scan-order keys of the live entries, sorted, and each
-    bucket holds its entries sorted by the same key.  The entry a linear scan
-    would stop at is the smallest head among the buckets a selector covers;
+    ``order`` holds the posting numbers of the live entries, ascending, and
+    each bucket holds its (posting number, item) entries in the same order;
+    posting numbers only grow, so both are appended to.  The entry a linear
+    scan would stop at is the smallest head among the buckets a send covers;
     the positions that scan traverses are its rank in ``order`` plus one, or
     the whole queue when no bucket has an entry.  Entries that nothing can
-    match live in bucket None, which no selector covers.
+    match live in bucket None, which no send covers.
     """
 
     __slots__ = ("order", "buckets")
@@ -232,8 +233,8 @@ class _Queue:
         self.buckets: dict = {}
 
     def add(self, bucket, key, item):
-        insort(self.order, key)
-        insort(self.buckets.setdefault(bucket, []), (key, item))
+        self.order.append(key)
+        self.buckets.setdefault(bucket, []).append((key, item))
 
     def take(self, covered) -> tuple[int, object]:
         """Remove the first entry in scan order among the ``covered``
@@ -250,22 +251,9 @@ class _Queue:
         del self.order[rank]
         return rank + 1, item
 
-    def covering(self, selector):
-        """The buckets whose sends a receive with this (source, tag)
-        selector can take."""
-        if selector is None:
-            return ()
-        src, tag = selector
-        if src != ANY_SOURCE and tag != ANY_TAG.raw:
-            return (selector,)
-        return [b for b in self.buckets
-                if b is not None
-                and (src == ANY_SOURCE or b[0] == src)
-                and (tag == ANY_TAG.raw or b[1] == tag)]
-
 
 class _Matcher:
-    """The posted and unexpected queues of every matching scope.
+    """The posted queue of every matching scope.
 
     Within a scope the context and the receiving rank already agree, so a
     send matches a receive exactly when the receive's source selector covers
@@ -274,42 +262,23 @@ class _Matcher:
     keys of :func:`_keys`.
     """
 
-    def __init__(self, overtaking: bool):
-        self.overtaking = overtaking
-        self.posted: dict = {}
-        self.unexpected: dict = {}
+    def __init__(self):
+        self.posted: defaultdict = defaultdict(_Queue)
+        self.unmatched = 0  # sends that found no posted receive
         self._seq = itertools.count()
 
-    def post(self, scope, bucket, op_id) -> tuple[int, tuple[int, int] | None]:
-        """Post a receive; return (attempts, (send id, send end) of the
-        message it matched, or None when it was queued)."""
-        queue = self.unexpected.get(scope)
-        attempts, hit = (0, None) if queue is None else queue.take(
-            queue.covering(bucket))
-        if hit is None:
-            posted = self.posted.get(scope)
-            if posted is None:
-                posted = self.posted[scope] = _Queue()
-            posted.add(bucket, next(self._seq), op_id)
-        return attempts, hit
+    def post(self, scope, bucket, op_id):
+        """Post a receive."""
+        self.posted[scope].add(bucket, next(self._seq), op_id)
 
-    def send(self, scope, bucket, op_id, end) -> tuple[int, int | None]:
-        """Deliver a message that lands at ``end``; return (attempts, id of
-        the receive it matched, or None when it was queued)."""
+    def send(self, scope, bucket) -> tuple[int, int | None]:
+        """Deliver a message; return (attempts, id of the receive it
+        matched, or None when no posted receive takes it)."""
         queue = self.posted.get(scope)
         attempts, hit = (0, None) if queue is None else queue.take(
             _send_covers(bucket))
-        if hit is None:
-            seq = next(self._seq)
-            unexpected = self.unexpected.get(scope)
-            if unexpected is None:
-                unexpected = self.unexpected[scope] = _Queue()
-            unexpected.add(bucket, (end, seq) if self.overtaking else seq,
-                           (op_id, end))
+        self.unmatched += hit is None
         return attempts, hit
-
-    def leftovers(self) -> int:
-        return sum(len(q.order) for q in self.unexpected.values())
 
 
 def _max_overlap(starts) -> int:
@@ -383,13 +352,6 @@ class _Engine:
     def emit(self, time, kind, op_id=None, channel=None):
         if self.events is not None:
             self.events.append(Event(time, kind, op_id, channel))
-
-    def _scanned(self, op_id, attempts, at, matched_at):
-        """The events of one queue scan: its attempts at tick ``at``, then
-        its match at ``matched_at`` unless that is None."""
-        self.events += [Event(at, EventKind.MATCH_ATTEMPT, op_id)] * attempts
-        if matched_at is not None:
-            self.emit(matched_at, EventKind.MATCH_SUCCESS, op_id)
 
     def _plan(self, ops, pair_of):
         """The rows of ``ops`` by phase: per phase, the receives' rows and
@@ -473,7 +435,9 @@ class _Engine:
 
     def _iteration(self):
         """Run one iteration from the current clocks, channel and request
-        state; it ends with all clocks equal, none before a transfer's end."""
+        state; it ends with all clocks equal, none before a transfer's end.
+        ``run()`` runs it once from zero clocks; the full-loop reference of
+        ``tests/test_iterations.py`` repeats it on carried state."""
         pattern, assignment = self.pattern, self.assignment
         partitioned = assignment.mechanism is Mechanism.PARTITIONED
         polled = pattern.kind is PatternKind.LEGION_POLLING
@@ -496,7 +460,7 @@ class _Engine:
 
         # per phase: receives, then sends, each in (process, thread, op) order
         by_phase = self._plan(sorted(pattern.ops, key=_BY_THREAD), pair_of)
-        matcher = _Matcher(assignment.hints.allow_overtaking)
+        matcher = _Matcher()
         for phase in sorted(by_phase):
             recv_rows, send_rows = by_phase[phase]
             mark = len(self.transfers)
@@ -507,12 +471,7 @@ class _Engine:
                 if events is not None:
                     self.emit(t_issue, EventKind.ISSUE, op_id)
                 if scope is not None:
-                    attempts, hit = matcher.post(scope, bucket, op_id)
-                    self.attempts += attempts
-                    self.matches += hit is not None
-                    if events is not None:
-                        self._scanned(op_id, attempts, t_issue, None if hit
-                                      is None else max(t_issue, hit[1]))
+                    matcher.post(scope, bucket, op_id)
             for (op_id, slot, phase, local, remote, owners,
                  scope, bucket, part) in send_rows:
                 t_issue = clocks[slot]
@@ -531,12 +490,14 @@ class _Engine:
                 if polled:  # the scope is the destination node
                     incoming.setdefault(scope, []).append((end, op_id))
                 elif scope is not None:  # a send: nothing else matches
-                    attempts, rid = matcher.send(scope, bucket, op_id, end)
+                    attempts, rid = matcher.send(scope, bucket)
                     self.attempts += attempts
                     self.matches += rid is not None
                     if events is not None:
-                        self._scanned(op_id, attempts, end,
-                                      None if rid is None else end)
+                        events += [Event(end, EventKind.MATCH_ATTEMPT,
+                                         op_id)] * attempts
+                        if rid is not None:
+                            self.emit(end, EventKind.MATCH_SUCCESS, op_id)
             for node in sorted(incoming):
                 self._poll(node, sorted(incoming[node]))
             # one traffic direction at a time: the next phase starts after
@@ -545,10 +506,10 @@ class _Engine:
                             + clocks)
             clocks[:] = [phase_end] * len(clocks)
 
-        leftovers = matcher.leftovers()
-        if leftovers:
+        if matcher.unmatched:
             raise MpxlabError(
-                f"{leftovers} sends stayed unmatched; the pattern is not closed"
+                f"{matcher.unmatched} sends found no posted receive; the "
+                f"pattern is not closed"
             )
 
         if partitioned:

@@ -1,7 +1,9 @@
 """Command-line behavior: output lines, file emission, exit codes."""
 
+import itertools
 import json
 import os
+import re
 from concurrent.futures import Future
 
 import pytest
@@ -197,6 +199,19 @@ class TestSimulate:
         report = json.loads((tmp_path / "spec.report.json").read_text())
         assert report["mechanism"] == "partitioned"
 
+    def test_channels_and_seed_overrides_equal_the_spec_fields(self, tmp_path):
+        spec = write_spec(tmp_path)
+        by_flags, by_spec, plain = (tmp_path / d for d in ("f", "s", "p"))
+        assert main(["simulate", "--spec", str(spec), "--out", str(by_flags),
+                     "--channels", "8", "--seed", "5"]) == 0
+        assert main(["simulate", "--spec", str(spec), "--out", str(plain)]) == 0
+        spec = write_spec(tmp_path, channel_pool=8, seed=5)
+        assert main(["simulate", "--spec", str(spec), "--out", str(by_spec)]) == 0
+        report = (by_flags / "spec.report.json").read_bytes()
+        assert report == (by_spec / "spec.report.json").read_bytes()
+        assert report != (plain / "spec.report.json").read_bytes()
+        assert json.loads(report)["seed"] == 5
+
     def test_parallel_jobs_keep_outputs_isolated(self, tmp_path):
         a = write_spec(tmp_path, "a.json", mechanism="endpoints")
         b = write_spec(tmp_path, "b.json", mechanism="partitioned")
@@ -280,6 +295,27 @@ class TestAssign:
         spec = write_spec(tmp_path, mechanism="endpoints")
         assert main(["assign", "--spec", str(spec)]) == 0
         assert "ep:" in capsys.readouterr().out
+
+    def test_3d_directions_print_axis_labels(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, kind="stencil-3d-27pt",
+                          process_grid=[2, 2, 2], thread_grid=[2, 2, 2])
+        assert main(["assign", "--spec", str(spec)]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()
+                if line and line[0].isdigit()]
+        labels = {"".join(axis + ("-" if c < 0 else "+")
+                          for axis, c in zip("xyz", d) if c)
+                  for d in itertools.product((-1, 0, 1), repeat=3) if any(d)}
+        assert len(labels) == 26 and "x-y+" in labels
+        assert {r[1] for r in rows} == labels
+
+    def test_window_bindings_show_target_locations(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, kind="bspmm-rma", process_grid=[2],
+                          thread_grid=[2], mechanism="windows")
+        assert main(["assign", "--spec", str(spec)]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()
+                if line and line[0].isdigit()]
+        assert rows
+        assert all(re.fullmatch(r"win:\d+ loc:\d+", r[3]) for r in rows)
 
     @pytest.mark.parametrize("process", ["99", "4", "-1"])
     def test_process_out_of_range_is_a_usage_error(self, tmp_path, capsys,

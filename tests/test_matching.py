@@ -1,14 +1,15 @@
-"""Indexed match queues and the work ``run()`` does per reported count."""
+"""The indexed posted queue and the work ``run()`` does per reported count."""
 
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpxlab.semantics as semantics
-from mpxlab.errors import IncompleteAssignmentError
+from mpxlab.errors import IncompleteAssignmentError, MpxlabError
 from mpxlab.model import (
     ANY_SOURCE,
     ANY_TAG,
@@ -57,50 +58,35 @@ def _recv_home(desc):
     return desc.process
 
 
-def reference_scan(ops, overtaking):
-    """Linear two-queue matching: every position traversed is one attempt."""
-    posted, unexpected, out = [], [], []
-    for index, (kind, desc, end) in enumerate(ops):
+def reference_scan(ops):
+    """Linear posted-queue matching: every position a send traverses is one
+    attempt, and a send that finds no receive is a leftover."""
+    posted, out, leftovers = [], [], 0
+    for index, (kind, desc) in enumerate(ops):
         if kind == "recv":
-            scope = (desc.context, _recv_home(desc))
-            queue = [e for e in unexpected if e[0] == scope]
-            if overtaking:
-                queue.sort(key=lambda e: e[3])  # stable: ties keep arrival order
-            attempts, hit = 0, None
-            for entry in queue:
-                attempts += 1
-                if can_match(entry[1], desc):
-                    hit = entry
-                    break
-            if hit is None:
-                posted.append((scope, desc, index))
-                out.append((attempts, None))
-            else:
-                unexpected.remove(hit)
-                out.append((attempts, (hit[2], hit[3])))
+            posted.append(((desc.context, _recv_home(desc)), desc, index))
+            continue
+        scope = (desc.context, desc.target)
+        attempts, hit = 0, None
+        for entry in posted:
+            if entry[0] != scope:
+                continue
+            attempts += 1
+            if can_match(desc, entry[1]):
+                hit = entry
+                break
+        if hit is None:
+            leftovers += 1
+            out.append((attempts, None))
         else:
-            scope = (desc.context, desc.target)
-            attempts, hit = 0, None
-            for entry in posted:
-                if entry[0] != scope:
-                    continue
-                attempts += 1
-                if can_match(desc, entry[1]):
-                    hit = entry
-                    break
-            if hit is None:
-                unexpected.append((scope, desc, index, end))
-                out.append((attempts, None))
-            else:
-                posted.remove(hit)
-                out.append((attempts, hit[2]))
-    return out, len(unexpected)
+            posted.remove(hit)
+            out.append((attempts, hit[2]))
+    return out, leftovers
 
 
 @st.composite
 def op_sequences(draw):
-    hints = InfoHints(allow_overtaking=draw(st.booleans()),
-                      no_any_tag=draw(st.booleans()),
+    hints = InfoHints(no_any_tag=draw(st.booleans()),
                       no_any_source=draw(st.booleans()))
     ranks = st.integers(0, 2)
     tags = st.one_of(st.integers(0, 2).map(Tag), st.just(None))
@@ -112,28 +98,27 @@ def op_sequences(draw):
         if draw(st.booleans()):
             desc = _recv(ctx, draw(st.integers(0, 1)), draw(recv_srcs),
                          draw(recv_tags), index)
-            ops.append(("recv", desc, None))
+            ops.append(("recv", desc))
         else:
             desc = _send(ctx, draw(ranks), draw(st.integers(0, 1)),
                          draw(tags), index)
-            ops.append(("send", desc, draw(st.integers(0, 12))))
-    return hints, ops
+            ops.append(("send", desc))
+    return ops
 
 
 @settings(max_examples=200, deadline=None)
 @given(op_sequences())
-def test_indexed_queues_match_the_linear_scan(case):
-    hints, ops = case
-    matcher = _Matcher(hints.allow_overtaking)
+def test_indexed_queues_match_the_linear_scan(ops):
+    matcher = _Matcher()
     got = []
-    for index, (kind, desc, end) in enumerate(ops):
+    for index, (kind, desc) in enumerate(ops):
         if kind == "recv":
-            got.append(matcher.post(*_keys(desc), index))
+            matcher.post(*_keys(desc), index)
         else:
-            got.append(matcher.send(*_keys(desc), index, end))
-    expected, leftovers = reference_scan(ops, hints.allow_overtaking)
+            got.append(matcher.send(*_keys(desc)))
+    expected, leftovers = reference_scan(ops)
     assert got == expected
-    assert matcher.leftovers() == leftovers
+    assert matcher.unmatched == leftovers
 
 
 def _count_calls(monkeypatch, names):
@@ -180,4 +165,15 @@ def test_run_refuses_an_unbound_op():
     a = assign_communicators_naive(p, num_comms=1)
     del a.bindings[p.ops[0].op_id]
     with pytest.raises(IncompleteAssignmentError):
+        run(p, a)
+
+
+def test_a_receive_posted_after_its_send_is_refused():
+    # the receives of a 2-sender fan-in moved a phase after their sends:
+    # each send finds an empty posted queue
+    p = gen_fan_in(2)
+    p = replace(p, ops=tuple(op._replace(phase=1) if op.kind is OpKind.RECV
+                             else op for op in p.ops))
+    a = assign_communicators_naive(p, num_comms=1)
+    with pytest.raises(MpxlabError, match="2 sends found no posted receive"):
         run(p, a)

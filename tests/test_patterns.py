@@ -1,6 +1,8 @@
 """Pattern generators, assignment constructors, and resource formulas."""
 
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -37,7 +39,7 @@ from mpxlab.patterns import (
     min_communicators_3d,
 )
 from mpxlab.patterns.base import STENCIL_KINDS, _program_indexes
-from mpxlab.patterns.specfile import Scenario, scenario_from_dict
+from mpxlab.patterns.specfile import RUNS_ONCE, Scenario, scenario_from_dict
 from mpxlab.semantics import Reason, logically_parallel, validate_assignment
 from mpxlab.errors import SpecFileError
 
@@ -485,3 +487,39 @@ def test_issue_order_follows_the_keyed_rule(name):
     assert _program_indexes(pattern) == expected
     # the same ops without the stamp declared take the per-thread sort
     assert _program_indexes(replace(pattern, stamp=0)) == expected
+
+
+# --------------------------------------------------------------------------
+# the engine's matching precondition
+
+
+def _sweep_grids():
+    """The (even, odd) grids of each kind in ``tools/digest_sweep.py``."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "digest_sweep.py"
+    spec = importlib.util.spec_from_file_location("digest_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.GRIDS
+
+
+SWEEP_GRIDS = _sweep_grids()
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEP_GRIDS))
+def test_every_send_pairs_with_a_receive_of_its_phase(kind):
+    # the engine posts a phase's receives before its sends and keeps no
+    # unexpected-message queue: a send whose receive posts in a later phase
+    # finds no receive and the run is refused
+    for process_grid, thread_grid in SWEEP_GRIDS[kind]:
+        for seed in range(5):
+            pattern = scenario_from_dict({
+                "kind": kind, "process_grid": process_grid,
+                "thread_grid": thread_grid, "seed": seed,
+                "iterations": 1 if kind in RUNS_ONCE else 3,
+            }).build_pattern()
+            ops = {op.op_id: op for op in pattern.ops}
+            sends = sum(op.kind is OpKind.SEND for op in pattern.ops)
+            assert len(pattern.pairs) == sends
+            for s, r in pattern.pairs:
+                assert ops[r].kind is OpKind.RECV
+                assert ops[r].phase == ops[s].phase
