@@ -89,11 +89,13 @@ class CommPattern:
     single non-corner thread (a corner thread's directions proceed serially
     from its one issue stream).
 
-    ``ops`` is the only per-op record.  ``pairs`` is derived from it on
-    each use, and the index behind :meth:`op` on first use.  A nonzero
-    ``stamp`` declares every process's ops a copy of process 0's: op ``i`` of
-    process ``p`` is ``ops[p * stamp + i]``, with that op id, and has the
-    thread, kind and phase of op ``i``.
+    ``ops`` is the only per-op record; ``pairs`` is derived from it on each
+    use.  A nonzero ``stamp`` declares every process's ops a copy of
+    process 0's: op ``i`` of process ``p`` is ``ops[p * stamp + i]``, with
+    that op id.  It shares the thread, kind, phase, direction, peer thread,
+    tag key and wildcard flag of op ``i``, and its peer process is ``p``
+    moved by the same torus offset that takes 0 to op ``i``'s peer.  The
+    assigners compute those shared fields once, over :attr:`template`.
     """
 
     kind: PatternKind
@@ -111,6 +113,12 @@ class CommPattern:
         # the engine derives every iteration from the first
         if self.iterations < 1:
             raise InvalidArgumentError("iterations must be positive")
+
+    @property
+    def template(self) -> tuple[PatternOp, ...]:
+        """The ops every op copies: process 0's when stamped, else all of
+        them.  Op ``j`` copies ``template[j % len(template)]``."""
+        return self.ops[:self.stamp or None]
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -207,7 +215,7 @@ def _program_indexes(pattern: CommPattern) -> dict[int, int]:
 
     A stamped pattern orders process 0's ops and repeats their indexes.
     """
-    ops = pattern.ops[:pattern.stamp] if pattern.stamp else pattern.ops
+    ops = pattern.template
     in_order, op_id = attrgetter("phase", "op_id"), attrgetter("op_id")
     # per thread: its receives, then the rest
     by_thread: dict[tuple[int, int], tuple[list, list]] = defaultdict(

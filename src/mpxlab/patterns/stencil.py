@@ -197,6 +197,16 @@ def gen_stencil(dims: int, points: int, process_grid, thread_grid,
     )
 
 
+def _stamped(pattern: CommPattern, rows):
+    """Each op with the row its assigner built for the template op it
+    copies.  A row holds the fields every copy shares; the loop over these
+    pairs fills in what depends on the process.  ``rows`` yields one row per
+    template op: a stamped pattern's are kept and reused by every process,
+    an unstamped pattern's are used as they come, so it gets no per-op
+    table."""
+    return zip(pattern.ops, itertools.cycle(rows) if pattern.stamp else rows)
+
+
 def _require_stencil(pattern: CommPattern, what: str):
     if pattern.kind not in STENCIL_KINDS:
         raise UnsupportedPatternError(f"{what} assignment needs a stencil pattern")
@@ -226,23 +236,23 @@ def assign_communicators_naive(pattern: CommPattern,
     ]
     contexts = [MatchContextId(ContextFamily.COMM, c.context_id) for c in comms]
     prog = _program_indexes(pattern)
-    source_of = _sources(pattern)
     tag_of = cache(Tag)
-    bindings = {}
-    for op in pattern.ops:
+
+    def row(op):
+        """(kind, thread, program index, context, tag, wildcard)"""
         ctx = contexts[(op.thread if op.kind is OpKind.SEND else op.peer_thread) % K]
-        target = op.peer_process
-        tag = tag_of(op.tag_key)
-        if op.is_wildcard_recv:
-            target, tag = ANY_SOURCE, ANY_TAG
-        bindings[op.op_id] = OpDescriptor(
-            kind=op.kind,
-            source=source_of[op.process][op.thread],
-            program_index=prog[op.op_id],
-            context=ctx,
-            target=target,
-            tag=tag,
-        )
+        tag = tag_of(op.tag_key)  # a wildcard's key too: Tag refuses an oversized one
+        wild = op.is_wildcard_recv
+        return (op.kind, op.thread, prog[op.op_id], ctx,
+                ANY_TAG if wild else tag, wild)
+
+    source_of = _sources(pattern)
+    bindings = {}
+    for (op_id, p, _, _, _, peer, _, _, _, _, _, _), (
+            kind, t, index, ctx, tag, wild) in _stamped(
+                pattern, map(row, pattern.template)):
+        bindings[op_id] = OpDescriptor(kind, source_of[p][t], index, ctx,
+                                       ANY_SOURCE if wild else peer, tag)
     return Assignment(
         mechanism=Mechanism.COMMUNICATORS,
         variant="naive",
@@ -364,27 +374,35 @@ def assign_communicators_ideal(pattern: CommPattern) -> Assignment:
         geo.dims, {PatternKind.STENCIL_2D_5PT: 5, PatternKind.STENCIL_2D_9PT: 9,
                    PatternKind.STENCIL_3D_27PT: 27}[pattern.kind]
     )
+    prog = _program_indexes(pattern)
+    tag_of = cache(Tag)
 
     procs = [geo.proc_coords(p) for p in range(pattern.num_processes)]
-    rules: dict[tuple, tuple] = {}
-    op_keys = []
-    for op in pattern.ops:
+    corner_keys = tuple(("corner", pc) for pc in procs)
+    # per (thread, direction): (selector, keys); the op of process p takes
+    # keys[selector[p]], its boundary parity bit or its corner orbit's anchor
+    rules: dict[tuple, tuple[list, tuple]] = {}
+    selectors: dict[tuple, list] = {}
+    rows = []
+    for op in pattern.template:
         rule = rules.get((op.thread, op.direction))
         if rule is None:
-            rule = rules[(op.thread, op.direction)] = _ideal_key_rule(
+            axis, shift, by_bit = _ideal_key_rule(
                 geo, pattern.kind, geo.thread_coords(op.thread), op.direction)
-        axis, shift, by_bit = rule
-        pc = procs[op.process]
-        if by_bit is None:
-            op_keys.append(("corner", tuple(
-                (c + s) % n for c, s, n in zip(pc, shift, geo.P))))
-        else:
-            op_keys.append(by_bit[(pc[axis] + shift) % geo.P[axis] % 2])
+            selector = selectors.get((axis, shift))
+            if selector is None:
+                selector = selectors[(axis, shift)] = [
+                    geo.proc_flat([(c + s) % n for c, s, n in zip(pc, shift, geo.P)])
+                    if by_bit is None else (pc[axis] + shift) % geo.P[axis] % 2
+                    for pc in procs]
+            rule = rules[(op.thread, op.direction)] = (
+                selector, corner_keys if by_bit is None else by_bit)
+        rows.append((op.kind, op.thread, prog[op.op_id], rule, tag_of(op.tag_key)))
 
     if pattern.kind is PatternKind.STENCIL_3D_27PT:
         keys = _full_slot_space(geo, dirs)
     else:
-        keys = set(op_keys)
+        keys = {by[i] for sel, by in rules.values() for i in set(sel)}
 
     ids = IdAllocator()
     world = world_communicator(pattern.num_processes, ids)
@@ -395,19 +413,16 @@ def assign_communicators_ideal(pattern: CommPattern) -> Assignment:
         ctx_of_key[key] = MatchContextId(ContextFamily.COMM, comm.context_id)
         comms.append(comm)
 
-    prog = _program_indexes(pattern)
+    # a key no process takes has no communicator and is never selected
+    contexts = {by: [ctx_of_key.get(key) for key in by] for _, by in rules.values()}
+    template = [(kind, t, index, selector, contexts[by], tag)
+                for kind, t, index, (selector, by), tag in rows]
     source_of = _sources(pattern)
-    tag_of = cache(Tag)
     bindings = {}
-    for op, key in zip(pattern.ops, op_keys):
-        bindings[op.op_id] = OpDescriptor(
-            kind=op.kind,
-            source=source_of[op.process][op.thread],
-            program_index=prog[op.op_id],
-            context=ctx_of_key[key],
-            target=op.peer_process,
-            tag=tag_of(op.tag_key),
-        )
+    for (op_id, p, _, _, _, peer, _, _, _, _, _, _), (
+            kind, t, index, selector, ctxs, tag) in _stamped(pattern, template):
+        bindings[op_id] = OpDescriptor(kind, source_of[p][t], index,
+                                       ctxs[selector[p]], peer, tag)
     return Assignment(
         mechanism=Mechanism.COMMUNICATORS,
         variant="ideal",
@@ -428,7 +443,7 @@ def assign_tags_with_hints(pattern: CommPattern) -> Assignment:
     _require_stencil(pattern, "tag-bit")
     T = pattern.threads_per_process
     tid_bits = max(1, ceil(log2(T))) if T > 1 else 1
-    max_app = max((op.tag_key for op in pattern.ops), default=0)
+    max_app = max((op.tag_key for op in pattern.template), default=0)
     app_bits = max(1, max_app.bit_length())
     if 2 * tid_bits + app_bits > 23:
         raise TagOverflowError(
@@ -444,10 +459,9 @@ def assign_tags_with_hints(pattern: CommPattern) -> Assignment:
                             purpose=Purpose.PARALLELISM_EXPOSURE)
     ctx = MatchContextId(ContextFamily.COMM, comm.context_id)
     prog = _program_indexes(pattern)
-    source_of = _sources(pattern)
     tags: dict[tuple[int, int, int], Tag] = {}
-    bindings = {}
-    for op in pattern.ops:
+    template = []  # (kind, thread, program index, tag)
+    for op in pattern.template:
         if op.kind is OpKind.SEND:
             fields = (op.thread, op.peer_thread, op.tag_key)
         else:
@@ -455,14 +469,12 @@ def assign_tags_with_hints(pattern: CommPattern) -> Assignment:
         tag = tags.get(fields)
         if tag is None:
             tag = tags[fields] = encode_tag(*fields, layout)
-        bindings[op.op_id] = OpDescriptor(
-            kind=op.kind,
-            source=source_of[op.process][op.thread],
-            program_index=prog[op.op_id],
-            context=ctx,
-            target=op.peer_process,
-            tag=tag,
-        )
+        template.append((op.kind, op.thread, prog[op.op_id], tag))
+    source_of = _sources(pattern)
+    bindings = {}
+    for (op_id, p, _, _, _, peer, _, _, _, _, _, _), (
+            kind, t, index, tag) in _stamped(pattern, template):
+        bindings[op_id] = OpDescriptor(kind, source_of[p][t], index, ctx, peer, tag)
     return Assignment(
         mechanism=Mechanism.TAGS_WITH_HINTS,
         hints=hints,
@@ -490,28 +502,28 @@ def assign_endpoints(pattern: CommPattern) -> Assignment:
     epcomm = create_endpoints_comm(world, T, ids)
     ctx = MatchContextId(ContextFamily.ENDPOINT, epcomm.context_id)
     prog = _program_indexes(pattern)
-    source_of = _sources(pattern)
     tag_of = cache(Tag)
+    # per template op: (kind, thread, program index, peer thread, tag); a
+    # wildcard receive has no peer thread and the tag ANY_TAG
+    template = (
+        (op.kind, op.thread, prog[op.op_id], None, ANY_TAG)
+        if op.is_wildcard_recv else
+        (op.kind, op.thread, prog[op.op_id], op.peer_thread, tag_of(op.tag_key))
+        for op in pattern.template
+    )
+    # endpoint t of process p is global rank first[p] + t
+    first = epcomm.prefix
+    source_of = _sources(pattern)
     bindings = {}
     used_endpoints = set()
-    for op in pattern.ops:
-        ep = epcomm.endpoint_rank(op.process, op.thread)
+    for (op_id, p, _, _, _, peer, _, _, _, _, _, _), (
+            kind, t, index, peer_t, tag) in _stamped(pattern, template):
+        ep = first[p] + t
         used_endpoints.add(ep)
-        if op.is_wildcard_recv:
-            target, tag = ANY_SOURCE, ANY_TAG
-        else:
-            target = epcomm.endpoint_rank(op.peer_process, op.peer_thread)
-            tag = tag_of(op.tag_key)
-        bindings[op.op_id] = OpDescriptor(
-            kind=op.kind,
-            source=source_of[op.process][op.thread],
-            program_index=prog[op.op_id],
-            context=ctx,
-            target=target,
-            tag=tag,
-            endpoint=ep,
-        )
-    per_process = len({op.thread for op in pattern.ops if op.process == 0})
+        bindings[op_id] = OpDescriptor(
+            kind, source_of[p][t], index, ctx,
+            ANY_SOURCE if peer_t is None else first[peer] + peer_t, tag, ep)
+    per_process = len({op.thread for op in pattern.template if op.process == 0})
     return Assignment(
         mechanism=Mechanism.ENDPOINTS,
         hints=InfoHints(),
@@ -546,44 +558,59 @@ def assign_partitioned(pattern: CommPattern) -> Assignment:
     ids = IdAllocator()
     world = world_communicator(pattern.num_processes, ids)
     prog = _program_indexes(pattern)
-    source_of = _sources(pattern)
+    ops, template = pattern.ops, pattern.template
+    n0 = len(template)
 
-    groups: dict[tuple, list[PatternOp]] = {}
-    for op in pattern.ops:
+    # requests of the template: its ops by (process, kind, direction, peer
+    # process), each group ordered by thread.  A stamped copy moves every
+    # peer by the same torus offset, so two ops share a peer in one copy
+    # exactly when they do in every copy: the groups hold at every process.
+    groups: dict[tuple, list[int]] = {}
+    for i, op in enumerate(template):
         key = (op.process, op.kind, op.direction, op.peer_process)
-        groups.setdefault(key, []).append(op)
+        groups.setdefault(key, []).append(i)
+    members = [sorted(group, key=lambda i: template[i].thread)
+               for group in groups.values()]
+    slot = [(0, 0)] * n0  # template op -> (group, partition index)
+    for g, group in enumerate(members):
+        for index, i in enumerate(group):
+            slot[i] = (g, index)
 
+    # every copy's (request key, group), ids going in the repr order of keys
+    keyed = []
+    for base in range(0, len(ops), n0 or 1):
+        for g, group in enumerate(members):
+            op = ops[base + group[0]]
+            keyed.append(((op.process, op.kind, op.direction, op.peer_process),
+                          g))
+    keyed.sort(key=lambda item: repr(item[0]))
     requests: dict[int, PartitionedRequest] = {}
+    # [p][g]: the id of group g's request at process p
+    request_of = [[0] * len(members) for _ in range(pattern.num_processes)]
     tag_of = cache(Tag)
-    bindings = {}
-    slot_of_op: dict[int, tuple[int, int]] = {}
-    for key in sorted(groups, key=repr):
-        process, kind, direction, peer = key
-        members = sorted(groups[key], key=lambda o: o.thread)
+    for (process, kind, _, peer), g in keyed:
         req = PartitionedRequest(
             request_id=ids.fresh_request(),
             direction=Direction.SEND if kind is OpKind.SEND else Direction.RECV,
-            num_partitions=len(members),
+            num_partitions=len(members[g]),
             partition_size=pattern.payload_bytes,
             peer=peer,
-            tag=tag_of(members[0].tag_key),
+            tag=tag_of(template[members[g][0]].tag_key),
             comm=world,
             owner=process,
         )
         requests[req.request_id] = req
-        for index, op in enumerate(members):
-            slot_of_op[op.op_id] = (req.request_id, index)
+        request_of[process][g] = req.request_id
 
-    for op in pattern.ops:
-        slot = slot_of_op[op.op_id]
-        kind = (OpKind.PARTITION_READY if op.kind is OpKind.SEND
-                else OpKind.PARTITION_ARRIVED_TEST)
-        bindings[op.op_id] = OpDescriptor(
-            kind=kind,
-            source=source_of[op.process][op.thread],
-            program_index=prog[op.op_id],
-            partition=slot,
-        )
+    rows = [(OpKind.PARTITION_READY if op.kind is OpKind.SEND
+             else OpKind.PARTITION_ARRIVED_TEST, op.thread, prog[op.op_id])
+            + slot[i] for i, op in enumerate(template)]
+    source_of = _sources(pattern)
+    bindings = {}
+    for (op_id, p, _, _, _, _, _, _, _, _, _, _), (
+            kind, t, index, g, part) in _stamped(pattern, rows):
+        bindings[op_id] = OpDescriptor(kind, source_of[p][t], index,
+                                       partition=(request_of[p][g], part))
     return Assignment(
         mechanism=Mechanism.PARTITIONED,
         hints=InfoHints(),

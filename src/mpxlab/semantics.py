@@ -647,21 +647,35 @@ def _serial_bucket_key(op: OpDescriptor, hints: InfoHints):
     return None
 
 
-def matching_violations(pattern: "CommPattern", assignment: "Assignment") -> list:
-    """Intended send/receive pairs whose bound descriptors fail the matching
-    rule, as (send id, receive id, why) triples.
-
-    Raises :class:`IncompleteAssignmentError` when an op is left unbound.
-    This is the whole check the engine makes before simulating.
-    """
+def check_bound(pattern: "CommPattern", assignment: "Assignment"):
+    """Raise :class:`IncompleteAssignmentError` when an op is left unbound."""
     missing = [op.op_id for op in pattern.ops if op.op_id not in assignment.bindings]
     if missing:
         raise IncompleteAssignmentError(
             f"assignment leaves {len(missing)} ops unbound (first: {missing[0]})"
         )
+
+
+def pair_violations(assignment: "Assignment", pairs) -> list:
+    """The (send id, receive id, why) triples of the (send id, receive id)
+    ``pairs`` whose bound descriptors fail the matching rule, in order."""
     return [(send_id, recv_id, "bound contexts cannot match")
-            for send_id, recv_id in pattern.pairs
+            for send_id, recv_id in pairs
             if not assignment.pair_matches(send_id, recv_id)]
+
+
+def matching_violations(pattern: "CommPattern", assignment: "Assignment") -> list:
+    """Intended send/receive pairs whose bound descriptors fail the matching
+    rule, as (send id, receive id, why) triples, in the order of
+    ``pattern.pairs``.
+
+    Raises :class:`IncompleteAssignmentError` when an op is left unbound.
+    :func:`mpxlab.simulator.run` finds the same list without checking every
+    pair: it checks only the pairs its engine did not pair itself, and runs
+    this full check only when the engine fails.
+    """
+    check_bound(pattern, assignment)
+    return pair_violations(assignment, pattern.pairs)
 
 
 def validate_assignment(pattern: "CommPattern", assignment: "Assignment") -> ValidationReport:

@@ -20,7 +20,9 @@ arrives: a receive only posts, and a send takes the earliest-posted
 matching receive, each queue position it traverses counting one attempt.
 A send that finds none is refused as a pattern that is not closed.  The
 queue is indexed by exact (source, tag), so the count of a scan comes from
-the rank of its match rather than from walking the queue.
+the rank of its match rather than from walking the queue.  A send matched
+with its intended partner confirms that pair; ``run()`` checks only the
+pairs the engine did not confirm against the matching rule.
 
 Partitioned requests match once per message: one attempt and one success per
 request pair per iteration, independent of the partition count.  Their
@@ -50,7 +52,7 @@ from .errors import InvalidAssignmentError, MpxlabError, UnsupportedPatternError
 from .model import ANY_SOURCE, ANY_TAG, TWO_SIDED, ContextFamily, Direction, OpKind
 from .patterns.base import Assignment, CommPattern, Mechanism, PatternKind
 from .patterns.irregular import collective_footprint
-from .semantics import matching_violations
+from .semantics import check_bound, matching_violations, pair_violations
 
 
 class EventKind(Enum):
@@ -346,6 +348,9 @@ class _Engine:
         self.barriers = 0
         self.probes = 0
         self.transfers: list[tuple[int, int, tuple[int, ...], int]] = []
+        # (send, partner) of every send this run did not pair with its
+        # partner; run() checks only these against the matching rule
+        self.unconfirmed: list[tuple[int, int | None]] = []
 
     # -- small helpers ------------------------------------------------
 
@@ -361,19 +366,26 @@ class _Engine:
         clock slot, phase, local channel instance, remote instance, owner
         processes, matching scope, bucket, (send request, index, paired
         receive request) of a partition it readies), each part None when
-        the op has none.  Equal scopes, buckets and owner tuples are one
-        object.  A polling pattern's receives are never posted and get no
-        row; its sends' rows hold their destination node in place of a
-        matching scope.
+        the op has none, and its intended partner.  Equal scopes, buckets
+        and owner tuples are one object.  A polling pattern's receives are
+        never posted and get no row; its sends' rows hold their destination
+        node in place of a matching scope.
+
+        Sends the matcher never sees are confirmed or recorded here: under
+        partitioned, a send is confirmed when ``pair_of`` pairs its request
+        with its partner's and recorded otherwise; every send of a polling
+        pattern is recorded.
         """
         assignment, policy, pool = self.assignment, self.policy, self.pool
         bindings, requests = assignment.bindings, assignment.requests
         T, R = self.pattern.threads_per_process, pool.num_channels
         polled = self.pattern.kind is PatternKind.LEGION_POLLING
+        partitioned = assignment.mechanism is Mechanism.PARTITIONED
+        unconfirmed = self.unconfirmed
         share = {}.setdefault
         by_phase: dict[int, tuple[list, list]] = defaultdict(lambda: ([], []))
         # PatternOp fields by position: one unpack costs less than six reads
-        for op_id, p, t, op_kind, _, peer, _, _, phase, _, _, _ in ops:
+        for op_id, p, t, op_kind, _, peer, _, partner, phase, _, _, _ in ops:
             if polled and op_kind is OpKind.RECV:
                 continue  # a polling thread posts no receive
             recv_rows, rows = by_phase[phase]
@@ -392,7 +404,7 @@ class _Engine:
                 continue
             lch, rch = map_entity(policy, desc, pool)
             local = p * R + lch
-            part = None
+            part = paired = None
             if partition is not None:
                 rid, idx = partition
                 req = requests[rid]
@@ -401,11 +413,17 @@ class _Engine:
                 if kind is OpKind.PARTITION_READY:
                     paired = pair_of.get(rid)
                     part = (req, idx, None if paired is None else requests[paired])
+            if partitioned:
+                mate = getattr(bindings.get(partner), "partition", None)
+                if paired is None or mate is None or mate[0] != paired:
+                    unconfirmed.append((op_id, partner))
+            elif polled:
+                unconfirmed.append((op_id, partner))
             remote = None if peer is None else peer * R + rch
             owners = (p,) if peer is None or peer == p else (min(p, peer), max(p, peer))
             rows.append((op_id, slot, phase, local,
                          None if remote == local else remote,
-                         share(owners, owners), scope, bucket, part))
+                         share(owners, owners), scope, bucket, part, partner))
         return by_phase
 
     # -- main loop: run() reports once the loop's plan rows are freed --
@@ -444,7 +462,7 @@ class _Engine:
         pair_of = {}
         reqs_of: dict[int, list] = {}
         arrivals: dict[int, int] = {}  # receive request id -> latest arrival
-        clocks, events = self.clocks, self.events
+        clocks, events, unconfirmed = self.clocks, self.events, self.unconfirmed
         if partitioned:
             pair_of = _pair_requests(assignment.requests.values())
             t0 = max(clocks)
@@ -473,7 +491,7 @@ class _Engine:
                 if scope is not None:
                     matcher.post(scope, bucket, op_id)
             for (op_id, slot, phase, local, remote, owners,
-                 scope, bucket, part) in send_rows:
+                 scope, bucket, part, partner) in send_rows:
                 t_issue = clocks[slot]
                 clocks[slot] = t_issue + ISSUE_TICKS
                 if events is not None:
@@ -493,6 +511,8 @@ class _Engine:
                     attempts, rid = matcher.send(scope, bucket)
                     self.attempts += attempts
                     self.matches += rid is not None
+                    if rid != partner:
+                        unconfirmed.append((op_id, partner))
                     if events is not None:
                         events += [Event(end, EventKind.MATCH_ATTEMPT,
                                          op_id)] * attempts
@@ -574,20 +594,23 @@ class _Engine:
 
     def _report(self) -> SimReport:
         """The report of ``pattern.iterations`` shifted copies of the one
-        iteration run; no transfer window spans two of them."""
+        iteration run; no transfer window spans two of them.
+
+        Nor does one span two phases: a phase ends once all its transfers
+        have, and the next phase starts no earlier.  So a process's most
+        transfers in flight at once are those of one phase, and the run's
+        concurrency is the largest phase concurrency.
+        """
         pattern, assignment = self.pattern, self.assignment
         n = pattern.iterations
         span = max([e for _, e, _, _ in self.transfers] + self.clocks)
         procs = range(pattern.num_processes)
-        starts_of: dict[int, list] = {}
         phase_starts: dict[int, dict[int, list]] = {}
         for s, _, owners, ph in self.transfers:
             in_phase = phase_starts.setdefault(ph, {})
             for p in owners:
                 if p in procs:
-                    starts_of.setdefault(p, []).append(s)
                     in_phase.setdefault(p, []).append(s)
-        max_conc = max(map(_max_overlap, starts_of.values()), default=0)
         phase_conc = {ph: max(map(_max_overlap, phase_starts[ph].values()),
                               default=0)
                       for ph in sorted(phase_starts)}
@@ -609,7 +632,7 @@ class _Engine:
             variant=assignment.variant,
             seed=self.seed,
             makespan=n * span,
-            max_concurrent_transfers=max_conc,
+            max_concurrent_transfers=max(phase_conc.values(), default=0),
             match_attempts_total=n * self.attempts,
             matches_total=n * self.matches,
             sync_wait_events=n * self.waitblocks,
@@ -631,20 +654,40 @@ def run(pattern: CommPattern, assignment: Assignment,
     ``policy`` picks the channel mapping; None takes the mechanism's default.
     With ``events=False`` the engine keeps only its counters: the report's
     ``events`` is empty and every other field is the same.
-    Refuses to run when an op is unbound, an intended pair cannot match, or
-    the policy cannot map the assignment.  Lost parallelism is not checked
-    here; :func:`mpxlab.semantics.validate_assignment` reports it.  Identical
-    inputs always produce identical reports.
+    Refuses to run when the policy cannot map the assignment, an op is
+    unbound, or an intended pair cannot match, checked in that order and
+    before any failure of the engine itself.  Lost parallelism is not
+    checked here; :func:`mpxlab.semantics.validate_assignment` reports it.
+    Identical inputs always produce identical reports.
+
+    The pairs are checked after the engine runs.  A send the matcher paired
+    with its partner meets the matching rule, as does a partitioned send
+    whose request was paired with its partner's, so only the other pairs go
+    through :meth:`Assignment.pair_matches`.  When the engine fails, every
+    pair is checked, and a pair that cannot match is the refusal.  A run
+    refused for its pairs leaves the partitioned requests in the state it
+    found them.
     """
     pool = pool or ChannelPool()
     mapping = channel_policy(policy, assignment, pool)
-    violations = matching_violations(pattern, assignment)
+    check_bound(pattern, assignment)
+    found = [(r, r.state, r.partition_flags) for r in assignment.requests.values()]
+    engine = _Engine(pattern, assignment, pool, mapping, seed, events)
+    try:
+        report = engine.run()
+        # in send id order: generators number ops in order, as pattern.pairs
+        violations = pair_violations(assignment, sorted(
+            {pair for pair in engine.unconfirmed if pair[1] is not None}))
+    except Exception:
+        violations = matching_violations(pattern, assignment)
+        if not violations:
+            raise
     if violations:
+        for request, state, flags in found:
+            request.state, request.partition_flags = state, flags
         raise InvalidAssignmentError(
             f"{len(violations)} matching violations; first: {violations[0]}"
         )
-    engine = _Engine(pattern, assignment, pool, mapping, seed, events)
-    report = engine.run()
     expected = _expected_messages(pattern, assignment)
     if report.matches_total != expected:
         raise MpxlabError(

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from mpxlab.errors import InvalidArgumentError
 from mpxlab.patterns.specfile import scenario_from_dict
-from mpxlab.simulator import _Engine, channel_policy, run
+from mpxlab.simulator import _Engine, _max_overlap, channel_policy, run
 
 from test_reports import _MECHANISMS
 
@@ -33,11 +33,11 @@ _GRIDS = {
 CASES = [(kind, mechanism) for kind in _GRIDS for mechanism in _MECHANISMS[kind]]
 
 
-def scenario(kind, mechanism, odd, policy=None, seed=3):
+def scenario(kind, mechanism, odd, policy=None, seed=3, channels=8):
     process_grid, thread_grid = _GRIDS[kind][odd]
     spec = {"kind": kind, "process_grid": process_grid,
             "thread_grid": thread_grid, "payload_bytes": 1024,
-            "mechanism": mechanism, "channel_pool": 8, "seed": seed}
+            "mechanism": mechanism, "channel_pool": channels, "seed": seed}
     if policy is not None:
         spec["policy"] = policy
     return scenario_from_dict(spec)
@@ -95,6 +95,42 @@ def test_the_engine_work_does_not_grow_with_iterations(mechanism):
             == reports[1].max_concurrent_transfers)
     assert reports[50].phase_concurrency == reports[1].phase_concurrency
     assert reports[50].makespan == 50 * reports[1].makespan
+
+
+@pytest.mark.parametrize("kind,mechanism", CASES,
+                         ids=[f"{k}/{m}" for k, m in CASES])
+@pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+@pytest.mark.parametrize("channels", [1, 2, 16])
+def test_concurrency_is_the_largest_phase_concurrency(kind, mechanism, odd,
+                                                      channels):
+    """``_report`` takes the run's concurrency from the phases.  A phase
+    ends once all its transfers have ended, and the next phase starts no
+    earlier, so no ``TRANSFER_TICKS`` window spans two phases: a process's
+    most transfers in flight over the whole run are those of one phase.
+    Here the per-process count is taken over every transfer start."""
+    sc = scenario(kind, mechanism, odd, channels=channels)
+    pattern = sc.build_pattern()
+    assignment, pool = sc.build_assignment(pattern), sc.build_pool()
+    engine = _Engine(pattern, assignment, pool,
+                     channel_policy(None, assignment, pool), sc.seed,
+                     events=False)
+    report = engine.run()
+    assert engine.transfers
+    # the transfers in run order: each phase's starts follow every earlier end
+    ended = None
+    for ph in sorted({ph for _, _, _, ph in engine.transfers}):
+        spans = [(s, e) for s, e, _, p in engine.transfers if p == ph]
+        if ended is not None:
+            assert min(s for s, _ in spans) >= ended
+        ended = max(e for _, e in spans)
+    starts_of = {}
+    for s, _, owners, _ in engine.transfers:
+        for p in owners:
+            if p < pattern.num_processes:
+                starts_of.setdefault(p, []).append(s)
+    whole_run = max(map(_max_overlap, starts_of.values()))
+    assert report.max_concurrent_transfers == whole_run
+    assert whole_run == max(report.phase_concurrency.values())
 
 
 @pytest.mark.parametrize("iterations", [0, -1])

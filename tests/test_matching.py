@@ -27,7 +27,7 @@ from mpxlab.patterns import (
     gen_stencil,
 )
 from mpxlab.semantics import can_match
-from mpxlab.simulator import _Matcher, _keys, run
+from mpxlab.simulator import _Engine, _Matcher, _keys, run
 
 CONTEXTS = [
     MatchContextId(ContextFamily.COMM, 1),
@@ -154,16 +154,26 @@ def test_partitioned_pairing_is_linear(monkeypatch):
     a = assign_partitioned(p)
     calls = _count_calls(monkeypatch, ("requests_match",))
     run(p, a)
-    # the matching check asks once per intended op pair; pairing the
-    # 784 send requests with the 784 receives adds no call of its own
+    # pairing the 784 send requests with the 784 receives calls no
+    # requests_match, and pairs every send's request with its partner's,
+    # so the matching check has no pair left to ask about
     assert len(a.requests) == 1568
-    assert calls["requests_match"] <= len(p.pairs)
+    assert calls["requests_match"] == 0
 
 
-def test_run_refuses_an_unbound_op():
+def test_run_refuses_an_unbound_op(monkeypatch):
+    # before any simulation, and before a pair that cannot match
     p = gen_fan_in(4)
     a = assign_communicators_naive(p, num_comms=1)
+    _, recv_id = p.pairs[-1]
+    a.bindings[recv_id] = a.bindings[recv_id]._replace(tag=Tag(99))
     del a.bindings[p.ops[0].op_id]
+
+    def never(self):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(_Engine, "run", never)
+    monkeypatch.setattr(_Engine, "_iteration", never)
     with pytest.raises(IncompleteAssignmentError):
         run(p, a)
 

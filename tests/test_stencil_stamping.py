@@ -1,27 +1,35 @@
-"""The stamped stencil generator and the memoised assignment keys against
-per-op references kept here.
+"""The stamped stencil generator and assigners against per-op references
+kept here.
 
 ``gen_stencil`` builds process 0's ops once and stamps them for every
-process; ``assign_communicators_ideal`` computes each key once per (thread,
-direction, boundary parity); ``assign_tags_with_hints`` encodes each distinct
-tag once.  The references below recompute every coordinate, torus neighbor,
-key and tag per op, the way the generator and the assignments did before
-they were stamped and memoised.
+process.  Each stencil assigner computes the fields every copy of an op
+shares once, over ``CommPattern.template``, and fills in per op only what
+depends on the process; ``assign_communicators_ideal`` keys once per
+(thread, direction, boundary parity).  The references below recompute every
+coordinate, torus neighbor, key, tag, endpoint rank and request per op, the
+way the generator and the assigners did before they were stamped.
 """
 
-from math import prod
+from dataclasses import replace
+from math import ceil, log2, prod
 
 import pytest
 
 from mpxlab.model import (
+    ANY_SOURCE,
+    ANY_TAG,
     ContextFamily,
+    Direction,
     IdAllocator,
     InfoHints,
     MatchContextId,
     OpDescriptor,
     OpKind,
     Purpose,
+    PartitionedRequest,
     Tag,
+    TagBitLayout,
+    create_endpoints_comm,
     dup_communicator,
     encode_tag,
     world_communicator,
@@ -36,12 +44,17 @@ from mpxlab.patterns import (
     assign_communicators_ideal,
     assign_communicators_naive,
     assign_endpoints,
+    assign_partitioned,
     assign_tags_with_hints,
+    gen_dynamic_graph,
+    gen_fan_in,
+    gen_legion,
     gen_stencil,
     stencil_directions,
 )
-from mpxlab.patterns.base import _program_indexes
 from mpxlab.patterns.stencil import _full_slot_space, _neg, _positive_rep
+
+from test_patterns import reference_program_indexes
 
 _KINDS = {
     (2, 5): PatternKind.STENCIL_2D_5PT,
@@ -164,7 +177,7 @@ def reference_ideal(pattern):
         comm = dup_communicator(world, ids, purpose=Purpose.PARALLELISM_EXPOSURE)
         comm_of_key[key] = comm
         comms.append(comm)
-    prog = _program_indexes(pattern)
+    prog = reference_program_indexes(pattern)
     bindings = {
         op.op_id: OpDescriptor(
             kind=op.kind, source=(op.process, op.thread),
@@ -180,6 +193,145 @@ def reference_ideal(pattern):
                       hints=InfoHints(), bindings=bindings,
                       objects_created={"communicators": len(comm_of_key)},
                       comms=comms)
+
+
+def reference_naive(pattern, num_comms=None):
+    """Per-thread communicators, every field computed per op."""
+    ids = IdAllocator()
+    world = world_communicator(pattern.num_processes, ids)
+    K = num_comms if num_comms is not None else pattern.threads_per_process
+    comms = [dup_communicator(world, ids, purpose=Purpose.PARALLELISM_EXPOSURE)
+             for _ in range(K)]
+    prog = reference_program_indexes(pattern)
+    bindings = {}
+    for op in pattern.ops:
+        comm = comms[(op.thread if op.kind is OpKind.SEND else op.peer_thread) % K]
+        wild = op.is_wildcard_recv
+        bindings[op.op_id] = OpDescriptor(
+            kind=op.kind, source=(op.process, op.thread),
+            program_index=prog[op.op_id],
+            context=MatchContextId(ContextFamily.COMM, comm.context_id),
+            target=ANY_SOURCE if wild else op.peer_process,
+            tag=ANY_TAG if wild else Tag(op.tag_key),
+        )
+    return Assignment(mechanism=Mechanism.COMMUNICATORS, variant="naive",
+                      hints=InfoHints(), bindings=bindings,
+                      objects_created={"communicators": K},
+                      comms=[world] + comms)
+
+
+def reference_tags(pattern):
+    """Tag bits with hints, every tag encoded per op."""
+    T = pattern.threads_per_process
+    tid_bits = max(1, ceil(log2(T))) if T > 1 else 1
+    app_bits = max(1, max(op.tag_key for op in pattern.ops).bit_length())
+    layout = TagBitLayout(num_vcis=min(T, 1 << tid_bits), num_tid_bits=tid_bits,
+                          num_app_bits=app_bits)
+    hints = InfoHints(no_any_tag=True, no_any_source=True, tag_vci_bits=layout)
+    ids = IdAllocator()
+    world = world_communicator(pattern.num_processes, ids)
+    comm = dup_communicator(world, ids, hints=hints,
+                            purpose=Purpose.PARALLELISM_EXPOSURE)
+    prog = reference_program_indexes(pattern)
+    bindings = {}
+    for op in pattern.ops:
+        send = op.kind is OpKind.SEND
+        bindings[op.op_id] = OpDescriptor(
+            kind=op.kind, source=(op.process, op.thread),
+            program_index=prog[op.op_id],
+            context=MatchContextId(ContextFamily.COMM, comm.context_id),
+            target=op.peer_process,
+            tag=encode_tag(op.thread if send else op.peer_thread,
+                           op.peer_thread if send else op.thread,
+                           op.tag_key, layout),
+        )
+    return Assignment(mechanism=Mechanism.TAGS_WITH_HINTS, hints=hints,
+                      bindings=bindings, objects_created={"communicators": 1},
+                      comms=[world, comm])
+
+
+def reference_endpoints(pattern):
+    """One endpoint per thread, every rank looked up per op."""
+    ids = IdAllocator()
+    world = world_communicator(pattern.num_processes, ids)
+    epcomm = create_endpoints_comm(world, pattern.threads_per_process, ids)
+    prog = reference_program_indexes(pattern)
+    bindings = {}
+    for op in pattern.ops:
+        wild = op.is_wildcard_recv
+        bindings[op.op_id] = OpDescriptor(
+            kind=op.kind, source=(op.process, op.thread),
+            program_index=prog[op.op_id],
+            context=MatchContextId(ContextFamily.ENDPOINT, epcomm.context_id),
+            target=(ANY_SOURCE if wild
+                    else epcomm.endpoint_rank(op.peer_process, op.peer_thread)),
+            tag=ANY_TAG if wild else Tag(op.tag_key),
+            endpoint=epcomm.endpoint_rank(op.process, op.thread),
+        )
+    return Assignment(
+        mechanism=Mechanism.ENDPOINTS, hints=InfoHints(), bindings=bindings,
+        objects_created={
+            "communicators": 1,
+            "endpoints_per_process": len({op.thread for op in pattern.ops
+                                          if op.process == 0}),
+            "endpoints_total": len({(op.process, op.thread)
+                                    for op in pattern.ops}),
+        },
+        comms=[world], endpoints_comm=epcomm)
+
+
+def reference_partitioned(pattern):
+    """One request per (process, kind, direction, peer process) of all ops,
+    ids given in the repr order of those keys."""
+    ids = IdAllocator()
+    world = world_communicator(pattern.num_processes, ids)
+    prog = reference_program_indexes(pattern)
+    groups = {}
+    for op in pattern.ops:
+        groups.setdefault((op.process, op.kind, op.direction, op.peer_process),
+                          []).append(op)
+    requests, slot = {}, {}
+    for key in sorted(groups, key=repr):
+        process, kind, _, peer = key
+        members = sorted(groups[key], key=lambda o: o.thread)
+        req = PartitionedRequest(
+            ids.fresh_request(),
+            Direction.SEND if kind is OpKind.SEND else Direction.RECV,
+            len(members), pattern.payload_bytes, peer,
+            Tag(members[0].tag_key), world, process)
+        requests[req.request_id] = req
+        for index, op in enumerate(members):
+            slot[op.op_id] = (req.request_id, index)
+    bindings = {
+        op.op_id: OpDescriptor(
+            kind=(OpKind.PARTITION_READY if op.kind is OpKind.SEND
+                  else OpKind.PARTITION_ARRIVED_TEST),
+            source=(op.process, op.thread), program_index=prog[op.op_id],
+            partition=slot[op.op_id])
+        for op in pattern.ops
+    }
+    return Assignment(
+        mechanism=Mechanism.PARTITIONED, hints=InfoHints(), bindings=bindings,
+        objects_created={"communicators": 1, "requests": len(requests),
+                         "requests_per_process":
+                             len(requests) // pattern.num_processes},
+        comms=[world], requests=requests)
+
+
+def request_fields(assignment):
+    return [(rid, r.request_id, r.direction, r.num_partitions, r.peer, r.tag,
+             r.owner) for rid, r in assignment.requests.items()]
+
+
+def assert_same_assignment(got, expected):
+    assert got.mechanism is expected.mechanism
+    assert got.variant == expected.variant
+    assert got.hints == expected.hints
+    assert list(got.bindings.items()) == list(expected.bindings.items())
+    assert got.objects_created == expected.objects_created
+    assert got.comms == expected.comms
+    assert got.endpoints_comm == expected.endpoints_comm
+    assert request_fields(got) == request_fields(expected)
 
 
 # process dims of 1, 3 and even sizes; thread dims of 1 and 2
@@ -212,10 +364,10 @@ def test_stamped_ops_equal_the_per_op_generator(dims, points, pgrid, tgrid):
 def test_memoised_ideal_keys_equal_per_op_keys(dims, points, pgrid, tgrid):
     pattern = gen_stencil(dims, points, pgrid, tgrid)
     memoised = assign_communicators_ideal(pattern)
-    reference = reference_ideal(pattern)
-    assert memoised.bindings == reference.bindings
-    assert memoised.objects_created == reference.objects_created
-    assert memoised.comms == reference.comms
+    assert_same_assignment(memoised, reference_ideal(pattern))
+    # the same ops without the stamp declared: every op is its own template
+    assert_same_assignment(
+        assign_communicators_ideal(replace(pattern, stamp=0)), memoised)
 
 
 @pytest.mark.parametrize("dims,points,pgrid,tgrid", GRIDS, ids=IDS)
@@ -240,3 +392,44 @@ def test_assignments_share_one_object_per_value(assign):
     for field in ("tag", "context"):
         values = [getattr(d, field) for d in descs]
         assert len({id(v) for v in values}) == len(set(values)), field
+
+
+# the ideal map has its own test above
+ASSIGNERS = {
+    "naive": (assign_communicators_naive, reference_naive),
+    "tags": (assign_tags_with_hints, reference_tags),
+    "endpoints": (assign_endpoints, reference_endpoints),
+    "partitioned": (assign_partitioned, reference_partitioned),
+}
+
+
+@pytest.mark.parametrize("dims,points,pgrid,tgrid", GRIDS, ids=IDS)
+@pytest.mark.parametrize("name", sorted(ASSIGNERS))
+def test_stamped_assigners_equal_per_op_references(name, dims, points, pgrid,
+                                                   tgrid):
+    assign, reference = ASSIGNERS[name]
+    pattern = gen_stencil(dims, points, pgrid, tgrid, payload=64)
+    stamped = assign(pattern)
+    assert_same_assignment(stamped, reference(pattern))
+    # the same ops without the stamp declared: every op is its own template
+    assert_same_assignment(assign(replace(pattern, stamp=0)), stamped)
+
+
+# the non-stencil callers of the shared assigners: patterns with no stamp
+IRREGULAR = {
+    "legion-polling": lambda: gen_legion(4, 3, 40, seed=5),
+    "dynamic-graph": lambda: gen_dynamic_graph(4, 3, rounds=3, seed=2),
+    "fan-in": lambda: gen_fan_in(9),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(IRREGULAR))
+@pytest.mark.parametrize("name", ["naive", "endpoints"])
+def test_unstamped_callers_equal_per_op_references(name, kind):
+    assign, reference = ASSIGNERS[name]
+    pattern = IRREGULAR[kind]()
+    assert not pattern.stamp
+    assert_same_assignment(assign(pattern), reference(pattern))
+    if name == "naive":
+        assert_same_assignment(assign(pattern, num_comms=2),
+                               reference(pattern, num_comms=2))

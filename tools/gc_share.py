@@ -5,6 +5,7 @@ Run from the repository root, on one or more scenario spec files:
     python3 tools/gc_share.py --repeat 3 spec1.json spec2.json
     python3 tools/gc_share.py --src other/checkout/src spec1.json
     python3 tools/gc_share.py --stages --repeat 5 spec1.json
+    python3 tools/gc_share.py --stages --json stages.json spec1.json
 
 Each spec is simulated ``--repeat`` times in-process, two ways:
 
@@ -21,7 +22,9 @@ With ``--stages`` the script instead prints, per spec, the median wall time
 of each library stage of one call: ``build_pattern`` (generate),
 ``build_assignment`` (assign), ``run`` (without events, as ``simulate``
 calls it) and ``to_json``, with the collector on, and their sum; a last
-row sums each stage over the specs.
+row sums each stage over the specs.  ``--json PATH`` also writes those
+medians to PATH: ``{"repeat": N, "specs": {name: {stage: seconds}},
+"sum": {stage: seconds}}``.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import argparse
 import contextlib
 import gc
 import io
+import json
 import statistics
 import sys
 import tempfile
@@ -98,7 +102,9 @@ def simulate_library(spec: Path, out: Path) -> dict[str, float]:
     return {stage: b - a for stage, a, b in zip(STAGES, marks, marks[1:])}
 
 
-def print_stages(specs: list[Path], out: Path, repeat: int):
+def print_stages(specs: list[Path], out: Path, repeat: int) -> dict:
+    """Print the stage medians of each spec; return them as ``--json``
+    writes them."""
     def row(name, seconds):
         print(f"{name:24s} " + " ".join(f"{s:10.4f}" for s in seconds)
               + f" {sum(seconds):10.4f}")
@@ -106,6 +112,7 @@ def print_stages(specs: list[Path], out: Path, repeat: int):
     print(f"{'spec':24s} " + " ".join(f"{s + ' s':>10s}" for s in STAGES)
           + f" {'total s':>10s}")
     totals = [0.0] * len(STAGES)
+    per_spec = {}
     for spec in specs:
         calls = []
         for _ in range(repeat):
@@ -113,9 +120,11 @@ def print_stages(specs: list[Path], out: Path, repeat: int):
             calls.append(simulate_library(spec, out))
         medians = [statistics.median(c[s] for c in calls) for s in STAGES]
         totals = [t + m for t, m in zip(totals, medians)]
+        per_spec[spec.stem] = dict(zip(STAGES, medians))
         row(spec.stem, medians)
     if len(specs) > 1:
         row("(sum of medians)", totals)
+    return {"repeat": repeat, "specs": per_spec, "sum": dict(zip(STAGES, totals))}
 
 
 def measure(call, spec: Path, out: Path, repeat: int) -> dict:
@@ -143,13 +152,19 @@ def main(argv=None) -> int:
     parser.add_argument("--stages", action="store_true",
                         help="print the median seconds of each library stage "
                              "instead of the collector's share")
+    parser.add_argument("--json", type=Path, metavar="PATH",
+                        help="with --stages, also write the medians to PATH")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
+    if args.json and not args.stages:
+        parser.error("--json needs --stages")
     sys.path.insert(0, str(args.src.resolve()))
     with tempfile.TemporaryDirectory() as tmp:
         if args.stages:
-            print_stages(args.specs, Path(tmp), args.repeat)
+            stages = print_stages(args.specs, Path(tmp), args.repeat)
+            if args.json:
+                args.json.write_text(json.dumps(stages, indent=1) + "\n")
             return 0
         print(f"{'spec':24s} {'way':8s} {'wall s':>8s} {'gc share':>9s} "
               f"{'runs per call (gen 0/1/2)':>26s}")
