@@ -31,7 +31,6 @@ from .model import (
     OpKind,
     PartitionedRequest,
     Purpose,
-    RequestState,
     Tag,
     TagBitLayout,
     create_endpoints_comm,

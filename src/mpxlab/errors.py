@@ -18,11 +18,11 @@ class TagOverflowError(MpxlabError, ValueError):
 
 
 class DoubleReadyError(MpxlabError, RuntimeError):
-    """A partition was marked ready twice within one activation."""
+    """A partition was marked ready twice in one iteration."""
 
 
 class InvalidTransitionError(MpxlabError, RuntimeError):
-    """A partitioned-request event is illegal in the current state."""
+    """A pready op names a receive request or runs outside a partitioned run."""
 
 
 class DomainError(MpxlabError, ValueError):

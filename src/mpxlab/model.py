@@ -5,12 +5,11 @@ communicators, endpoint communicators, partitioned requests, and the
 operation descriptor that the matching/ordering rules consume.  An RMA window
 is a plain id from :class:`IdAllocator`.
 
-Value types are immutable after construction.  The one exception is
-:class:`PartitionedRequest`, whose state transitions are applied only by the
-single-threaded simulation engine.  :class:`OpDescriptor`, built once per
-op, is a ``NamedTuple``: a scenario builds tens of thousands of them, and a
-tuple is built without the per-field setter calls of a frozen dataclass.
-Its constructor, ``_make`` and ``_replace`` check the addressing rule.
+Every value type is immutable after construction.  :class:`OpDescriptor`,
+built once per op, is a ``NamedTuple``: a scenario builds tens of thousands
+of them, and a tuple is built without the per-field setter calls of a
+frozen dataclass.  Its constructor, ``_make`` and ``_replace`` check the
+addressing rule.
 :class:`Tag` and :class:`MatchContextId` stay frozen, slotted dataclasses:
 there is one object per distinct value, shared by every op that uses it.
 """
@@ -23,12 +22,7 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import (
-    DoubleReadyError,
-    InvalidArgumentError,
-    InvalidTransitionError,
-    TagOverflowError,
-)
+from .errors import InvalidArgumentError, TagOverflowError
 
 TAG_WIDTH_DEFAULT = 23  # usable tag bits; a common floor across MPI libraries
 
@@ -288,102 +282,28 @@ class Direction(Enum):
     __hash__ = object.__hash__  # see OpKind
 
 
-class RequestState(Enum):
-    INACTIVE = "inactive"
-    ACTIVE = "active"
-    COMPLETING = "completing"
-    COMPLETE = "complete"
-
-
+@dataclass(frozen=True)
 class PartitionedRequest:
     """Persistent partitioned message: one request, many partition slots.
 
-    State transitions only along INACTIVE -> ACTIVE -> COMPLETING -> COMPLETE
-    -> ACTIVE (re-activation for the next iteration).  For a send request the
-    per-partition flags record Pready calls; for a receive request they record
-    partition arrival.  All flags reset on re-activation.
+    A plain value: the engine keeps each run's readied and arrived
+    partitions itself, so running an assignment never changes its requests.
     """
 
-    def __init__(self, request_id: int, direction: Direction, num_partitions: int,
-                 partition_size: int, peer: int, tag: Tag, comm: Communicator,
-                 owner: int):
-        if num_partitions < 1:
+    request_id: int
+    direction: Direction
+    num_partitions: int
+    partition_size: int
+    peer: int
+    tag: Tag
+    comm: Communicator
+    owner: int
+
+    def __post_init__(self):
+        if self.num_partitions < 1:
             raise InvalidArgumentError("num_partitions must be positive")
-        if partition_size < 1:
+        if self.partition_size < 1:
             raise InvalidArgumentError("partition_size must be positive")
-        self.request_id = request_id
-        self.direction = direction
-        self.num_partitions = num_partitions
-        self.partition_size = partition_size
-        self.peer = peer
-        self.tag = tag
-        self.comm = comm
-        self.owner = owner
-        self.state = RequestState.INACTIVE
-        self.partition_flags = [False] * num_partitions
-
-    def _check_partition(self, i: int):
-        if not 0 <= i < self.num_partitions:
-            raise InvalidArgumentError(
-                f"partition {i} out of range 0..{self.num_partitions - 1}"
-            )
-
-    def start(self):
-        if self.state not in (RequestState.INACTIVE, RequestState.COMPLETE):
-            raise InvalidTransitionError(f"start while {self.state.value}")
-        self.state = RequestState.ACTIVE
-        self.partition_flags = [False] * self.num_partitions
-
-    def pready(self, i: int):
-        # COMPLETING is allowed: one thread may already be blocked in the
-        # wait while the others still contribute their partitions
-        self._check_partition(i)
-        if self.direction is not Direction.SEND:
-            raise InvalidTransitionError("pready on a receive request")
-        if self.state not in (RequestState.ACTIVE, RequestState.COMPLETING):
-            raise InvalidTransitionError(f"pready while {self.state.value}")
-        if self.partition_flags[i]:
-            raise DoubleReadyError(f"partition {i} already marked ready")
-        self.partition_flags[i] = True
-        if self.state is RequestState.COMPLETING and all(self.partition_flags):
-            self.state = RequestState.COMPLETE
-
-    def parrived(self, i: int) -> bool:
-        """Pure arrival query; never changes state."""
-        self._check_partition(i)
-        if self.direction is not Direction.RECV:
-            raise InvalidTransitionError("parrived on a send request")
-        if self.state not in (RequestState.ACTIVE, RequestState.COMPLETING,
-                              RequestState.COMPLETE):
-            raise InvalidTransitionError(f"parrived while {self.state.value}")
-        return self.partition_flags[i]
-
-    def deliver(self, i: int):
-        """Engine-side: mark partition ``i`` of a receive request as arrived."""
-        self._check_partition(i)
-        if self.direction is not Direction.RECV:
-            raise InvalidTransitionError("deliver on a send request")
-        self.partition_flags[i] = True
-        if self.state is RequestState.COMPLETING and all(self.partition_flags):
-            self.state = RequestState.COMPLETE
-
-    def wait_all(self) -> bool:
-        """Attempt completion.  Returns True when the request completed.
-
-        When partitions are still outstanding the request parks in the
-        COMPLETING state; the caller (the simulation engine) records the wait
-        and retries after further deliveries.  Waiting on an already complete
-        request returns immediately.
-        """
-        if self.state is RequestState.COMPLETE:
-            return True
-        if self.state not in (RequestState.ACTIVE, RequestState.COMPLETING):
-            raise InvalidTransitionError(f"wait_all while {self.state.value}")
-        if all(self.partition_flags):
-            self.state = RequestState.COMPLETE
-            return True
-        self.state = RequestState.COMPLETING
-        return False
 
 
 class OpKind(Enum):

@@ -6,7 +6,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import count, cycle
+from itertools import count
 from math import prod
 from operator import attrgetter
 from typing import NamedTuple
@@ -213,7 +213,8 @@ def _program_indexes(pattern: CommPattern) -> dict[int, int]:
     """Issue order within each thread: post all receives, then all other ops,
     each in (phase, op id) order (the usual nonblocking halo-exchange shape).
 
-    A stamped pattern orders process 0's ops and repeats their indexes.
+    A stamped pattern maps only its template's ops: every copy of template
+    op ``j`` issues at op ``j``'s index.
     """
     ops = pattern.template
     in_order, op_id = attrgetter("phase", "op_id"), attrgetter("op_id")
@@ -227,9 +228,6 @@ def _program_indexes(pattern: CommPattern) -> dict[int, int]:
         recvs.sort(key=in_order)
         rest.sort(key=in_order)
         out.update(zip(map(op_id, recvs + rest), count()))
-    if pattern.stamp:
-        return dict(zip(range(len(pattern.ops)),
-                        cycle([out[op.op_id] for op in ops])))
     return out
 
 

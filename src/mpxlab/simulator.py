@@ -48,7 +48,9 @@ from .channels import (
     communicator_key,
     map_entity,
 )
-from .errors import InvalidAssignmentError, MpxlabError, UnsupportedPatternError
+from .errors import (DoubleReadyError, InvalidArgumentError,
+                     InvalidAssignmentError, InvalidTransitionError,
+                     MpxlabError, UnsupportedPatternError)
 from .model import ANY_SOURCE, ANY_TAG, TWO_SIDED, ContextFamily, Direction, OpKind
 from .patterns.base import Assignment, CommPattern, Mechanism, PatternKind
 from .patterns.irregular import collective_footprint
@@ -300,6 +302,13 @@ def _max_overlap(starts) -> int:
     return best
 
 
+def _check_index(request, i):
+    """Refuse partition ``i`` when ``request`` has no such partition."""
+    if not 0 <= i < request.num_partitions:
+        raise InvalidArgumentError(
+            f"partition {i} out of range 0..{request.num_partitions - 1}")
+
+
 def _pair_requests(requests) -> dict[int, int]:
     """Pair partitioned requests: send request id -> receive request id.
 
@@ -364,8 +373,8 @@ class _Engine:
         loop reads of an op, built once per run.  A receive's row is (op id,
         clock slot, matching scope, bucket).  Any other op's row is (op id,
         clock slot, phase, local channel instance, remote instance, owner
-        processes, matching scope, bucket, (send request, index, paired
-        receive request) of a partition it readies), each part None when
+        processes, matching scope, bucket, (send request id, index, paired
+        receive request id) of a partition it readies), each part None when
         the op has none, and its intended partner.  Equal scopes, buckets
         and owner tuples are one object.  A polling pattern's receives are
         never posted and get no row; its sends' rows hold their destination
@@ -412,7 +421,7 @@ class _Engine:
                     peer = req.peer
                 if kind is OpKind.PARTITION_READY:
                     paired = pair_of.get(rid)
-                    part = (req, idx, None if paired is None else requests[paired])
+                    part = (rid, idx, paired)
             if partitioned:
                 mate = getattr(bindings.get(partner), "partition", None)
                 if paired is None or mate is None or mate[0] != paired:
@@ -452,23 +461,25 @@ class _Engine:
         return end
 
     def _iteration(self):
-        """Run one iteration from the current clocks, channel and request
-        state; it ends with all clocks equal, none before a transfer's end.
-        ``run()`` runs it once from zero clocks; the full-loop reference of
+        """Run one iteration from the current clocks and channel state; it
+        ends with all clocks equal, none before a transfer's end.  ``run()``
+        runs it once from zero clocks; the full-loop reference of
         ``tests/test_iterations.py`` repeats it on carried state."""
         pattern, assignment = self.pattern, self.assignment
+        requests = assignment.requests
         partitioned = assignment.mechanism is Mechanism.PARTITIONED
         polled = pattern.kind is PatternKind.LEGION_POLLING
         pair_of = {}
         reqs_of: dict[int, list] = {}
+        # request id -> the partitions readied (a send request) or arrived
+        # (a receive request) this iteration
+        filled: dict[int, set[int]] = {rid: set() for rid in requests}
         arrivals: dict[int, int] = {}  # receive request id -> latest arrival
         clocks, events, unconfirmed = self.clocks, self.events, self.unconfirmed
         if partitioned:
-            pair_of = _pair_requests(assignment.requests.values())
+            pair_of = _pair_requests(requests.values())
             t0 = max(clocks)
-            for r in sorted(assignment.requests.values(),
-                            key=lambda r: r.request_id):
-                r.start()
+            for r in sorted(requests.values(), key=lambda r: r.request_id):
                 reqs_of.setdefault(r.owner, []).append(r)
             for _ in pair_of:
                 self.emit(t0, EventKind.MATCH_ATTEMPT)
@@ -499,12 +510,20 @@ class _Engine:
                 end = self._schedule_transfer(op_id, phase, local, remote,
                                               owners, t_issue)
                 if part is not None:
-                    req, idx, peer_req = part
-                    req.pready(idx)
-                    if peer_req is not None:
-                        peer_req.deliver(idx)
-                        rid = peer_req.request_id
-                        arrivals[rid] = max(arrivals.get(rid, end), end)
+                    rid, idx, peer_rid = part
+                    req, readied = requests[rid], filled[rid]
+                    _check_index(req, idx)
+                    if req.direction is not Direction.SEND:
+                        raise InvalidTransitionError("pready on a receive request")
+                    if not partitioned:  # only a partitioned run starts requests
+                        raise InvalidTransitionError("pready while inactive")
+                    if idx in readied:
+                        raise DoubleReadyError(f"partition {idx} already marked ready")
+                    readied.add(idx)
+                    if peer_rid is not None:
+                        _check_index(requests[peer_rid], idx)
+                        filled[peer_rid].add(idx)
+                        arrivals[peer_rid] = max(arrivals.get(peer_rid, end), end)
                 if polled:  # the scope is the destination node
                     incoming.setdefault(scope, []).append((end, op_id))
                 elif scope is not None:  # a send: nothing else matches
@@ -533,14 +552,15 @@ class _Engine:
             )
 
         if partitioned:
-            self._partitioned_iteration_end(reqs_of, arrivals)
+            self._partitioned_iteration_end(reqs_of, filled, arrivals)
         elif (pattern.kind is PatternKind.MULTITHREADED_ALLREDUCE
               and assignment.mechanism is Mechanism.COMMUNICATORS):
             # user-driven intranode reduction step
             clocks[:] = [c + SYNC_WAIT_TICKS for c in clocks]
 
-    def _partitioned_iteration_end(self, reqs_of, arrivals):
-        """``reqs_of`` maps each owner process to its requests by id, and
+    def _partitioned_iteration_end(self, reqs_of, filled, arrivals):
+        """``reqs_of`` maps each owner process to its requests by id,
+        ``filled`` each request to its readied or arrived partitions, and
         ``arrivals`` each receive request to its latest partition arrival."""
         T, clocks = self.pattern.threads_per_process, self.clocks
         for p in range(self.pattern.num_processes):
@@ -558,7 +578,7 @@ class _Engine:
                 clocks[slot] = done + SYNC_WAIT_TICKS
                 self.emit(clocks[slot], EventKind.WAIT_RELEASE)
             for r in proc_reqs:
-                if not r.wait_all():
+                if len(filled[r.request_id]) < r.num_partitions:
                     raise MpxlabError(
                         f"request {r.request_id} incomplete at iteration end"
                     )
@@ -664,14 +684,11 @@ def run(pattern: CommPattern, assignment: Assignment,
     with its partner meets the matching rule, as does a partitioned send
     whose request was paired with its partner's, so only the other pairs go
     through :meth:`Assignment.pair_matches`.  When the engine fails, every
-    pair is checked, and a pair that cannot match is the refusal.  A run
-    refused for its pairs leaves the partitioned requests in the state it
-    found them.
+    pair is checked, and a pair that cannot match is the refusal.
     """
     pool = pool or ChannelPool()
     mapping = channel_policy(policy, assignment, pool)
     check_bound(pattern, assignment)
-    found = [(r, r.state, r.partition_flags) for r in assignment.requests.values()]
     engine = _Engine(pattern, assignment, pool, mapping, seed, events)
     try:
         report = engine.run()
@@ -683,8 +700,6 @@ def run(pattern: CommPattern, assignment: Assignment,
         if not violations:
             raise
     if violations:
-        for request, state, flags in found:
-            request.state, request.partition_flags = state, flags
         raise InvalidAssignmentError(
             f"{len(violations)} matching violations; first: {violations[0]}"
         )

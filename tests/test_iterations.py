@@ -3,8 +3,8 @@
 Every phase ends with all clocks at its end and the matching queues start
 empty each iteration, so iteration ``i`` is the first shifted by ``i``
 makespans.  ``full_loop`` is the reference: it runs the one-iteration body
-``n`` times on one engine, carrying clocks, channel state and request state
-across, and must give the same report and event trace as ``run()``.
+``n`` times on one engine, carrying clocks and channel state across, and
+must give the same report and event trace as ``run()``.
 """
 
 from dataclasses import replace

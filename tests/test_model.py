@@ -1,14 +1,11 @@
-"""Domain-type behavior: tag codec, endpoint ranks, partitioned lifecycle."""
+"""Domain-type behavior: tag codec, endpoint ranks, partitioned requests."""
+
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mpxlab.errors import (
-    DoubleReadyError,
-    InvalidArgumentError,
-    InvalidTransitionError,
-    TagOverflowError,
-)
+from mpxlab.errors import InvalidArgumentError, TagOverflowError
 from mpxlab.model import (
     ANY_SOURCE,
     ANY_TAG,
@@ -16,7 +13,6 @@ from mpxlab.model import (
     IdAllocator,
     InfoHints,
     PartitionedRequest,
-    RequestState,
     Tag,
     TagBitLayout,
     create_endpoints_comm,
@@ -27,13 +23,12 @@ from mpxlab.model import (
 )
 
 
-def make_request(direction=Direction.SEND, partitions=4, ids=None, owner=0, peer=1):
-    ids = ids or IdAllocator()
-    comm = world_communicator(2, ids)
+def make_request():
+    ids = IdAllocator()
     return PartitionedRequest(
-        request_id=ids.fresh_request(), direction=direction,
-        num_partitions=partitions, partition_size=64, peer=peer,
-        tag=Tag(5), comm=comm, owner=owner,
+        request_id=ids.fresh_request(), direction=Direction.SEND,
+        num_partitions=4, partition_size=64, peer=1,
+        tag=Tag(5), comm=world_communicator(2, ids), owner=0,
     )
 
 
@@ -140,62 +135,17 @@ class TestCommunicators:
         assert not hints.wildcards_possible
 
 
-class TestPartitionedLifecycle:
-    def test_full_send_lifecycle(self):
-        req = make_request(partitions=4)
-        req.start()
-        for i in range(4):
-            req.pready(i)
-        done = req.wait_all()
-        assert done and req.state is RequestState.COMPLETE
-        assert all(req.partition_flags)
-        # re-activation clears the flags
-        req.start()
-        assert req.state is RequestState.ACTIVE
-        assert not any(req.partition_flags)
+class TestPartitionedRequest:
+    def test_counts_must_be_positive(self):
+        for counts in ({"num_partitions": 0}, {"partition_size": 0}):
+            with pytest.raises(InvalidArgumentError):
+                replace(make_request(), **counts)
 
-    def test_double_ready(self):
+    def test_a_request_is_a_value(self):
         req = make_request()
-        req.start()
-        req.pready(2)
-        with pytest.raises(DoubleReadyError):
-            req.pready(2)
-
-    def test_pready_on_recv_request(self):
-        req = make_request(direction=Direction.RECV)
-        req.start()
-        with pytest.raises(InvalidTransitionError):
-            req.pready(0)
-
-    def test_parrived_tracks_peer_pready(self):
-        # two-process exchange: the receive side sees a partition only after
-        # the sender contributed it and the engine delivered the transfer
-        ids = IdAllocator()
-        send = make_request(Direction.SEND, partitions=2, ids=ids, owner=0, peer=1)
-        recv = make_request(Direction.RECV, partitions=2, ids=ids, owner=1, peer=0)
-        send.start()
-        recv.start()
-        assert recv.parrived(1) is False
-        send.pready(1)
-        recv.deliver(1)
-        assert recv.parrived(1) is True
-
-    def test_never_complete_with_unset_flags(self):
-        req = make_request(partitions=3)
-        req.start()
-        req.pready(0)
-        done = req.wait_all()
-        assert not done and req.state is RequestState.COMPLETING
-        req.pready(1)
-        req.pready(2)
-        done = req.wait_all()
-        assert done and req.state is RequestState.COMPLETE
-
-    def test_start_only_from_inactive_or_complete(self):
-        req = make_request()
-        req.start()
-        with pytest.raises(InvalidTransitionError):
-            req.start()
+        with pytest.raises(FrozenInstanceError):
+            req.tag = Tag(6)
+        assert replace(req) == req
 
 
 class TestWildcardGuards:

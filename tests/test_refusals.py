@@ -43,9 +43,11 @@ def corrupt(assignment, send_id, recv_id, field):
     others let it run, as a receive moved to another request does."""
     send, recv = assignment.bindings[send_id], assignment.bindings[recv_id]
     if field == "request tag":
-        request = assignment.requests[recv.partition[0]]
-        request.tag = Tag(request.tag.raw + 1)
-        return assignment
+        rid = recv.partition[0]
+        request = assignment.requests[rid]
+        return replace(assignment, requests={
+            **assignment.requests,
+            rid: replace(request, tag=Tag(request.tag.raw + 1))})
     if field == "request":
         # another receive request, one the send's cannot pair with
         requests = assignment.requests
@@ -138,18 +140,14 @@ def test_a_send_matched_off_its_partner_runs_when_its_pair_can_match():
     assert report.matches_total == 2
 
 
-
 def test_a_refused_run_leaves_the_requests_as_it_found_them():
-    scenario, pattern, assignment = build("stencil-2d-5pt/partitioned")
+    scenario, pattern, clean = build("stencil-2d-5pt/partitioned")
     send_id, recv_id = pattern.pairs[0]
-    request = assignment.requests[assignment.bindings[recv_id].partition[0]]
-    tag = request.tag
-    assignment = corrupt(assignment, send_id, recv_id, "request tag")
-    states = [(r.state, r.partition_flags) for r in assignment.requests.values()]
+    # shares every request but the corrupted one with the clean assignment
+    corrupted = corrupt(clean, send_id, recv_id, "request tag")
     with pytest.raises(InvalidAssignmentError):
-        simulate(scenario, pattern, assignment)
-    assert [(r.state, r.partition_flags)
-            for r in assignment.requests.values()] == states
-    request.tag = tag
-    assert simulate(scenario, pattern, assignment).to_json() \
-        == simulate(*build("stencil-2d-5pt/partitioned")).to_json()
+        simulate(scenario, pattern, corrupted)
+    fresh = build("stencil-2d-5pt/partitioned")
+    assert clean.requests == fresh[2].requests
+    assert simulate(scenario, pattern, clean).to_json() \
+        == simulate(*fresh).to_json()

@@ -1,11 +1,20 @@
 """Engine behavior: determinism, matching cost, sync events, concurrency."""
 
+import copy
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpxlab.channels import ChannelPool
-from mpxlab.errors import InvalidAssignmentError
+from mpxlab.channels import ChannelPool, PolicyKind
+from mpxlab.errors import (
+    DoubleReadyError,
+    InvalidArgumentError,
+    InvalidAssignmentError,
+    InvalidTransitionError,
+    MpxlabError,
+)
 from mpxlab.model import (
     ContextFamily,
     Direction,
@@ -30,6 +39,7 @@ from mpxlab.patterns import (
     gen_legion,
     gen_stencil,
 )
+from mpxlab.patterns.specfile import scenario_from_dict
 from mpxlab.semantics import requests_match
 from mpxlab.simulator import (
     TRANSFER_TICKS,
@@ -38,6 +48,8 @@ from mpxlab.simulator import (
     _pair_requests,
     run,
 )
+
+from test_reports import SPECS
 
 
 class TestBasics:
@@ -138,6 +150,107 @@ class TestPartitionedSync:
             report = run(p, a)
             assert report.sync_wait_events == 0
             assert report.barriers_total == 0
+
+
+def rebind(assignment, op_id, partition):
+    desc = assignment.bindings[op_id]
+    return replace(assignment, bindings={**assignment.bindings,
+                                         op_id: desc._replace(partition=partition)})
+
+
+def readies(assignment):
+    """(op id, (request id, index)) of every pready op, in op id order."""
+    return [(op_id, desc.partition)
+            for op_id, desc in sorted(assignment.bindings.items())
+            if desc.kind is OpKind.PARTITION_READY]
+
+
+class TestPartitionedRefusals:
+    """Each partitioned check refuses the same way on every run: the engine
+    keeps a run's partition flags itself, so a refused run leaves nothing
+    behind for the next."""
+
+    @staticmethod
+    def refused_twice(pattern, assignment, error, **options):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error) as refused:
+                run(pattern, assignment, **options)
+            assert type(refused.value) is error
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1]
+        return messages[0]
+
+    def test_a_partition_readied_twice(self):
+        p = gen_stencil(2, 5, [2, 2], [3, 3])
+        a = assign_partitioned(p)
+        ready = readies(a)
+        op_id, (rid, idx) = ready[0]
+        sibling = next(part for _, part in ready
+                       if part[0] == rid and part[1] != idx)
+        a = rebind(a, op_id, sibling)
+        assert self.refused_twice(p, a, DoubleReadyError) \
+            == f"partition {sibling[1]} already marked ready"
+
+    def test_pready_on_a_receive_request(self):
+        # the allreduce ops name no partner, so no pair check comes first
+        p = gen_allreduce(2, 4, 128)
+        a = assign_allreduce(p, Mechanism.PARTITIONED)
+        op_id, (_, idx) = readies(a)[0]
+        owner = a.bindings[op_id].process
+        recv = next(r for r in a.requests.values()
+                    if r.direction is Direction.RECV and r.owner == owner)
+        a = rebind(a, op_id, (recv.request_id, idx))
+        assert self.refused_twice(p, a, InvalidTransitionError) \
+            == "pready on a receive request"
+
+    def test_a_partition_out_of_range(self):
+        p = gen_stencil(2, 5, [2, 2], [3, 3])
+        a = assign_partitioned(p)
+        op_id, (rid, _) = readies(a)[0]
+        n = a.requests[rid].num_partitions
+        a = rebind(a, op_id, (rid, n))
+        assert self.refused_twice(p, a, InvalidArgumentError) \
+            == f"partition {n} out of range 0..{n - 1}"
+
+    def test_an_incomplete_request(self):
+        p = gen_stencil(2, 5, [2, 2], [3, 3])
+        a = assign_partitioned(p)
+        rid, request = next((rid, r) for rid, r in sorted(a.requests.items())
+                            if r.direction is Direction.SEND)
+        a = replace(a, requests={**a.requests, rid: replace(
+            request, num_partitions=request.num_partitions + 1)})
+        assert self.refused_twice(p, a, MpxlabError) \
+            == f"request {rid} incomplete at iteration end"
+
+    def test_pready_outside_a_partitioned_run(self):
+        # only a partitioned run starts its requests
+        p = gen_allreduce(2, 4, 128)
+        a = replace(assign_allreduce(p, Mechanism.PARTITIONED),
+                    mechanism=Mechanism.ENDPOINTS)
+        assert self.refused_twice(p, a, InvalidTransitionError,
+                                  policy=PolicyKind.PARTITION_INDEX) \
+            == "pready while inactive"
+
+
+def inputs(pattern, assignment):
+    """Every field of the pattern, the assignment and each request."""
+    return copy.deepcopy((vars(pattern), vars(assignment), {
+        rid: vars(r) for rid, r in assignment.requests.items()}))
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_run_never_writes_its_inputs(name):
+    scenario = scenario_from_dict(SPECS[name])
+    pattern = scenario.build_pattern()
+    assignment = scenario.build_assignment(pattern)
+    before = inputs(pattern, assignment)
+    reports = [run(pattern, assignment, pool=scenario.build_pool(),
+                   policy=scenario.build_policy(), seed=scenario.seed)
+               for _ in range(2)]
+    assert inputs(pattern, assignment) == before
+    assert reports[0].to_json() == reports[1].to_json()
+    assert reports[0].events == reports[1].events
 
 
 class TestConcurrencyRatios:
