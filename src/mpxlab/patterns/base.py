@@ -95,7 +95,9 @@ class CommPattern:
     that op id.  It shares the thread, kind, phase, direction, peer thread,
     tag key and wildcard flag of op ``i``, and its peer process is ``p``
     moved by the same torus offset that takes 0 to op ``i``'s peer.  The
-    assigners compute those shared fields once, over :attr:`template`.
+    template lists its ops by thread, so the ops are in (process, thread,
+    op id) order.  The assigners compute those shared fields once, over
+    :attr:`template`, and the engine reads them once per template op.
     """
 
     kind: PatternKind

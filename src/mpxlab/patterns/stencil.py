@@ -207,6 +207,28 @@ def _stamped(pattern: CommPattern, rows):
     return zip(pattern.ops, itertools.cycle(rows) if pattern.stamp else rows)
 
 
+def _kind_check():
+    """A check of the first row of each kind against the addressing rule
+    of the :class:`OpDescriptor` constructor.  The rule reads an op's kind,
+    its context's family and whether it has a context, endpoint, window or
+    partition.  Within one assigner every row of a kind has the same such
+    shape, and a copy differs from its row only in its source, target and
+    the value of its context, endpoint or partition, so each kind is
+    checked once and the descriptors are built unchecked with
+    ``_new(OpDescriptor, fields)``."""
+    checked = set()
+
+    def check(kind, context=None, endpoint=None, partition=None):
+        if kind not in checked:
+            OpDescriptor(kind, (0, 0), 0, context, None, None, endpoint,
+                         None, None, partition)
+            checked.add(kind)
+    return check
+
+
+_new = tuple.__new__
+
+
 def _require_stencil(pattern: CommPattern, what: str):
     if pattern.kind not in STENCIL_KINDS:
         raise UnsupportedPatternError(f"{what} assignment needs a stencil pattern")
@@ -237,12 +259,14 @@ def assign_communicators_naive(pattern: CommPattern,
     contexts = [MatchContextId(ContextFamily.COMM, c.context_id) for c in comms]
     prog = _program_indexes(pattern)
     tag_of = cache(Tag)
+    check = _kind_check()
 
     def row(op):
         """(kind, thread, program index, context, tag, wildcard)"""
         ctx = contexts[(op.thread if op.kind is OpKind.SEND else op.peer_thread) % K]
         tag = tag_of(op.tag_key)  # a wildcard's key too: Tag refuses an oversized one
         wild = op.is_wildcard_recv
+        check(op.kind, ctx)
         return (op.kind, op.thread, prog[op.op_id], ctx,
                 ANY_TAG if wild else tag, wild)
 
@@ -251,8 +275,9 @@ def assign_communicators_naive(pattern: CommPattern,
     for (op_id, p, _, _, _, peer, _, _, _, _, _, _), (
             kind, t, index, ctx, tag, wild) in _stamped(
                 pattern, map(row, pattern.template)):
-        bindings[op_id] = OpDescriptor(kind, source_of[p][t], index, ctx,
-                                       ANY_SOURCE if wild else peer, tag)
+        bindings[op_id] = _new(OpDescriptor, (
+            kind, source_of[p][t], index, ctx, ANY_SOURCE if wild else peer,
+            tag, None, None, None, None))
     return Assignment(
         mechanism=Mechanism.COMMUNICATORS,
         variant="naive",
@@ -415,14 +440,19 @@ def assign_communicators_ideal(pattern: CommPattern) -> Assignment:
 
     # a key no process takes has no communicator and is never selected
     contexts = {by: [ctx_of_key.get(key) for key in by] for _, by in rules.values()}
-    template = [(kind, t, index, selector, contexts[by], tag)
-                for kind, t, index, (selector, by), tag in rows]
+    check = _kind_check()
+    template = []
+    for kind, t, index, (selector, by), tag in rows:
+        ctxs = contexts[by]
+        check(kind, ctxs[selector[0]])
+        template.append((kind, t, index, selector, ctxs, tag))
     source_of = _sources(pattern)
     bindings = {}
     for (op_id, p, _, _, _, peer, _, _, _, _, _, _), (
             kind, t, index, selector, ctxs, tag) in _stamped(pattern, template):
-        bindings[op_id] = OpDescriptor(kind, source_of[p][t], index,
-                                       ctxs[selector[p]], peer, tag)
+        bindings[op_id] = _new(OpDescriptor, (
+            kind, source_of[p][t], index, ctxs[selector[p]], peer, tag,
+            None, None, None, None))
     return Assignment(
         mechanism=Mechanism.COMMUNICATORS,
         variant="ideal",
@@ -460,6 +490,7 @@ def assign_tags_with_hints(pattern: CommPattern) -> Assignment:
     ctx = MatchContextId(ContextFamily.COMM, comm.context_id)
     prog = _program_indexes(pattern)
     tags: dict[tuple[int, int, int], Tag] = {}
+    check = _kind_check()
     template = []  # (kind, thread, program index, tag)
     for op in pattern.template:
         if op.kind is OpKind.SEND:
@@ -469,12 +500,15 @@ def assign_tags_with_hints(pattern: CommPattern) -> Assignment:
         tag = tags.get(fields)
         if tag is None:
             tag = tags[fields] = encode_tag(*fields, layout)
+        check(op.kind, ctx)
         template.append((op.kind, op.thread, prog[op.op_id], tag))
     source_of = _sources(pattern)
     bindings = {}
     for (op_id, p, _, _, _, peer, _, _, _, _, _, _), (
             kind, t, index, tag) in _stamped(pattern, template):
-        bindings[op_id] = OpDescriptor(kind, source_of[p][t], index, ctx, peer, tag)
+        bindings[op_id] = _new(OpDescriptor, (kind, source_of[p][t], index,
+                                              ctx, peer, tag, None, None, None,
+                                              None))
     return Assignment(
         mechanism=Mechanism.TAGS_WITH_HINTS,
         hints=hints,
@@ -503,26 +537,31 @@ def assign_endpoints(pattern: CommPattern) -> Assignment:
     ctx = MatchContextId(ContextFamily.ENDPOINT, epcomm.context_id)
     prog = _program_indexes(pattern)
     tag_of = cache(Tag)
-    # per template op: (kind, thread, program index, peer thread, tag); a
-    # wildcard receive has no peer thread and the tag ANY_TAG
-    template = (
-        (op.kind, op.thread, prog[op.op_id], None, ANY_TAG)
-        if op.is_wildcard_recv else
-        (op.kind, op.thread, prog[op.op_id], op.peer_thread, tag_of(op.tag_key))
-        for op in pattern.template
-    )
     # endpoint t of process p is global rank first[p] + t
     first = epcomm.prefix
+    check = _kind_check()
+
+    def row(op):
+        """(kind, thread, program index, peer thread, tag); a wildcard
+        receive has no peer thread and the tag ANY_TAG"""
+        check(op.kind, ctx, endpoint=first[op.process] + op.thread)
+        if op.is_wildcard_recv:
+            return (op.kind, op.thread, prog[op.op_id], None, ANY_TAG)
+        return (op.kind, op.thread, prog[op.op_id], op.peer_thread,
+                tag_of(op.tag_key))
+
     source_of = _sources(pattern)
     bindings = {}
     used_endpoints = set()
     for (op_id, p, _, _, _, peer, _, _, _, _, _, _), (
-            kind, t, index, peer_t, tag) in _stamped(pattern, template):
+            kind, t, index, peer_t, tag) in _stamped(
+                pattern, map(row, pattern.template)):
         ep = first[p] + t
         used_endpoints.add(ep)
-        bindings[op_id] = OpDescriptor(
+        bindings[op_id] = _new(OpDescriptor, (
             kind, source_of[p][t], index, ctx,
-            ANY_SOURCE if peer_t is None else first[peer] + peer_t, tag, ep)
+            ANY_SOURCE if peer_t is None else first[peer] + peer_t, tag, ep,
+            None, None, None))
     per_process = len({op.thread for op in pattern.template if op.process == 0})
     return Assignment(
         mechanism=Mechanism.ENDPOINTS,
@@ -605,12 +644,16 @@ def assign_partitioned(pattern: CommPattern) -> Assignment:
     rows = [(OpKind.PARTITION_READY if op.kind is OpKind.SEND
              else OpKind.PARTITION_ARRIVED_TEST, op.thread, prog[op.op_id])
             + slot[i] for i, op in enumerate(template)]
+    check = _kind_check()
+    for (kind, _, _, g, part), op in zip(rows, template):
+        check(kind, partition=(request_of[op.process][g], part))
     source_of = _sources(pattern)
     bindings = {}
     for (op_id, p, _, _, _, _, _, _, _, _, _, _), (
             kind, t, index, g, part) in _stamped(pattern, rows):
-        bindings[op_id] = OpDescriptor(kind, source_of[p][t], index,
-                                       partition=(request_of[p][g], part))
+        bindings[op_id] = _new(OpDescriptor, (
+            kind, source_of[p][t], index, None, None, None, None, None, None,
+            (request_of[p][g], part)))
     return Assignment(
         mechanism=Mechanism.PARTITIONED,
         hints=InfoHints(),

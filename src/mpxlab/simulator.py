@@ -20,9 +20,12 @@ arrives: a receive only posts, and a send takes the earliest-posted
 matching receive, each queue position it traverses counting one attempt.
 A send that finds none is refused as a pattern that is not closed.  The
 queue is indexed by exact (source, tag), so the count of a scan comes from
-the rank of its match rather than from walking the queue.  A send matched
-with its intended partner confirms that pair; ``run()`` checks only the
-pairs the engine did not confirm against the matching rule.
+the rank of its match rather than from walking the queue; until a receive
+is posted to one of a queue's wildcard buckets, a send there looks up only
+its exact bucket.  The plan resolves each op's queue once per run, so the
+loop hashes no scope.  A send matched with its intended partner confirms
+that pair; ``run()`` checks only the pairs the engine did not confirm
+against the matching rule.
 
 Partitioned requests match once per message: one attempt and one success per
 request pair per iteration, independent of the partition count.  Their
@@ -35,7 +38,7 @@ from __future__ import annotations
 import itertools
 import json
 from bisect import bisect_left
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import attrgetter
@@ -219,70 +222,94 @@ def _send_covers(bucket):
 
 
 class _Queue:
-    """One scope's posted queue, indexed by exact (source, tag).
+    """One matching scope's posted queue, indexed by exact (source, tag).
+
+    Within a scope the context and the receiving rank already agree, so a
+    send matches a receive exactly when the receive's source selector covers
+    the send's origin rank and its tag selector covers the send's tag: the
+    triplet rule of :func:`mpxlab.semantics.can_match`.
 
     ``order`` holds the posting numbers of the live entries, ascending, and
     each bucket holds its (posting number, item) entries in the same order;
     posting numbers only grow, so both are appended to.  The entry a linear
     scan would stop at is the smallest head among the buckets a send covers;
     the positions that scan traverses are its rank in ``order`` plus one, or
-    the whole queue when no bucket has an entry.  Entries that nothing can
-    match live in bucket None, which no send covers.
+    the whole queue when no bucket has an entry.  An entry that nothing can
+    match, in bucket None, lives only in ``order``.  Until a receive is
+    posted to a wildcard bucket, a send can only take from its exact bucket,
+    so ``wild`` records whether one ever was.
     """
 
-    __slots__ = ("order", "buckets")
+    __slots__ = ("order", "buckets", "wild")
 
     def __init__(self):
         self.order: list = []
         self.buckets: dict = {}
+        self.wild = False
 
     def add(self, bucket, key, item):
+        """Post ``item`` to ``bucket`` under posting number ``key``."""
         self.order.append(key)
-        self.buckets.setdefault(bucket, []).append((key, item))
+        if bucket is None:
+            return
+        entries = self.buckets.get(bucket)
+        if entries is None:
+            entries = self.buckets[bucket] = []
+            if bucket[0] == ANY_SOURCE or bucket[1] == ANY_TAG.raw:
+                self.wild = True
+        entries.append((key, item))
 
-    def take(self, covered) -> tuple[int, object]:
-        """Remove the first entry in scan order among the ``covered``
-        buckets; return (positions scanned, its item or None)."""
-        heads = [(self.buckets[b][0][0], b) for b in covered if b in self.buckets]
-        if not heads:
-            return len(self.order), None
-        key, bucket = min(heads)
-        entries = self.buckets[bucket]
+    def take(self, bucket) -> tuple[int, object]:
+        """Remove the first entry in scan order that a send from ``bucket``
+        matches; return (positions scanned, its item or None)."""
+        buckets = self.buckets
+        if self.wild:
+            heads = [(buckets[b][0][0], b) for b in _send_covers(bucket)
+                     if b in buckets]
+            if not heads:
+                return len(self.order), None
+            key, bucket = min(heads)
+            entries = buckets[bucket]
+        else:
+            entries = buckets.get(bucket)
+            if entries is None:
+                return len(self.order), None
+            key = entries[0][0]
         item = entries.pop(0)[1]
         if not entries:
-            del self.buckets[bucket]
+            del buckets[bucket]
         rank = bisect_left(self.order, key)
         del self.order[rank]
         return rank + 1, item
 
 
-class _Matcher:
-    """The posted queue of every matching scope.
+def _channel_pairs(policy: MappingPolicy, pool: ChannelPool):
+    """``map_entity(policy, desc, pool)`` as a function of ``desc``,
+    memoised per run on the one field the policy reads: the communicator
+    key, the raw tag or the partition index.  Endpoint identity reads the
+    endpoint and the target, a pair nearly every send has to itself, so it
+    is not memoised.  A descriptor the policy cannot map goes through
+    :func:`map_entity` each time, which refuses it."""
+    kind = policy.kind
+    if kind is PolicyKind.ENDPOINT_IDENTITY:
+        return lambda desc: map_entity(policy, desc, pool)
+    if kind is PolicyKind.TAG_BITS_ONE_TO_ONE:
+        def key_of(desc):
+            return None if desc.tag is None else desc.tag.raw
+    elif kind is PolicyKind.PARTITION_INDEX:
+        def key_of(desc):
+            return None if desc.partition is None else desc.partition[1]
+    else:  # round-robin or hash per communicator
+        key_of = communicator_key
+    memo: dict = {}
 
-    Within a scope the context and the receiving rank already agree, so a
-    send matches a receive exactly when the receive's source selector covers
-    the send's origin rank and its tag selector covers the send's tag: the
-    triplet rule of :func:`mpxlab.semantics.can_match`.  Callers pass the
-    keys of :func:`_keys`.
-    """
-
-    def __init__(self):
-        self.posted: defaultdict = defaultdict(_Queue)
-        self.unmatched = 0  # sends that found no posted receive
-        self._seq = itertools.count()
-
-    def post(self, scope, bucket, op_id):
-        """Post a receive."""
-        self.posted[scope].add(bucket, next(self._seq), op_id)
-
-    def send(self, scope, bucket) -> tuple[int, int | None]:
-        """Deliver a message; return (attempts, id of the receive it
-        matched, or None when no posted receive takes it)."""
-        queue = self.posted.get(scope)
-        attempts, hit = (0, None) if queue is None else queue.take(
-            _send_covers(bucket))
-        self.unmatched += hit is None
-        return attempts, hit
+    def pair(desc):
+        key = key_of(desc)
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = map_entity(policy, desc, pool)
+        return found
+    return pair
 
 
 def _max_overlap(starts) -> int:
@@ -360,6 +387,7 @@ class _Engine:
         # (send, partner) of every send this run did not pair with its
         # partner; run() checks only these against the matching rule
         self.unconfirmed: list[tuple[int, int | None]] = []
+        self.messages = 0  # of one iteration, counted by _plan
 
     # -- small helpers ------------------------------------------------
 
@@ -367,51 +395,93 @@ class _Engine:
         if self.events is not None:
             self.events.append(Event(time, kind, op_id, channel))
 
-    def _plan(self, ops, pair_of):
-        """The rows of ``ops`` by phase: per phase, the receives' rows and
-        the other ops' rows, each in the order of ``ops``.  A row is all the
-        loop reads of an op, built once per run.  A receive's row is (op id,
-        clock slot, matching scope, bucket).  Any other op's row is (op id,
-        clock slot, phase, local channel instance, remote instance, owner
-        processes, matching scope, bucket, (send request id, index, paired
-        receive request id) of a partition it readies), each part None when
-        the op has none, and its intended partner.  Equal scopes, buckets
-        and owner tuples are one object.  A polling pattern's receives are
+    def _plan(self, pair_of):
+        """The rows of the pattern's ops by phase: per phase, the receives'
+        rows and the other ops' rows, each in (process, thread, op id)
+        order.  A row is all the loop reads of an op, built once per run.
+        A receive's row is (op id, clock slot, posted queue, bucket).  Any
+        other op's row is (op id, clock slot, phase, local channel instance,
+        remote instance, owner processes, posted queue, bucket, (send
+        request id, index, paired receive request id) of a partition it
+        readies), each part None when the op has none, and its intended
+        partner.  Equal buckets and owner tuples are one object, and so is
+        the queue of one matching scope.  A polling pattern's receives are
         never posted and get no row; its sends' rows hold their destination
-        node in place of a matching scope.
+        node in place of a queue.
+
+        The plan walks each op with its template op, as the stencil
+        assigners do.  A stamped pattern is already in issue order, and its
+        ops copy their template op's thread, kind and phase, so those and
+        the row list an op joins are read once per template op; an
+        unstamped pattern is sorted into issue order and is its own
+        template.  Only the pattern is stamped, not the bindings: the rest
+        of a row comes from the op itself and its own descriptor, the
+        channel pair memoised on the field the policy reads.  The plan also
+        counts the messages of one iteration: the sends of the pattern, or
+        the send requests under partitioned.
 
         Sends the matcher never sees are confirmed or recorded here: under
         partitioned, a send is confirmed when ``pair_of`` pairs its request
         with its partner's and recorded otherwise; every send of a polling
         pattern is recorded.
         """
-        assignment, policy, pool = self.assignment, self.policy, self.pool
+        pattern, assignment, pool = self.pattern, self.assignment, self.pool
         bindings, requests = assignment.bindings, assignment.requests
-        T, R = self.pattern.threads_per_process, pool.num_channels
-        polled = self.pattern.kind is PatternKind.LEGION_POLLING
+        T, R = pattern.threads_per_process, pool.num_channels
+        polled = pattern.kind is PatternKind.LEGION_POLLING
         partitioned = assignment.mechanism is Mechanism.PARTITIONED
         unconfirmed = self.unconfirmed
+        channels = _channel_pairs(self.policy, pool)
         share = {}.setdefault
-        by_phase: dict[int, tuple[list, list]] = defaultdict(lambda: ([], []))
+        queues: dict[tuple, _Queue] = {}
+        if pattern.stamp:
+            ops, template = pattern.ops, pattern.template
+        else:
+            ops = template = sorted(pattern.ops, key=_BY_THREAD)
+        by_phase: dict[int, tuple[list, list]] = {}
+        # per template op: (thread, phase, receive?, the rows it joins), one
+        # tuple per distinct (thread, phase, kind)
+        facts, fact_of = [], {}
+        sends = 0
+        for _, _, t, op_kind, _, _, _, _, phase, _, _, _ in template:
+            fact = fact_of.get((t, phase, op_kind))
+            if fact is None:
+                recv = op_kind is OpKind.RECV
+                if polled and recv:
+                    rows = None  # a polling thread posts no receive
+                else:
+                    rows = by_phase.setdefault(phase, ([], []))[not recv]
+                fact = fact_of[t, phase, op_kind] = (t, phase, recv, rows)
+            facts.append(fact)
+            sends += op_kind is OpKind.SEND
+        if partitioned:
+            self.messages = sum(r.direction is Direction.SEND
+                                for r in requests.values())
+        elif template:
+            self.messages = sends * (len(ops) // len(template))
+
         # PatternOp fields by position: one unpack costs less than six reads
-        for op_id, p, t, op_kind, _, peer, _, partner, phase, _, _, _ in ops:
-            if polled and op_kind is OpKind.RECV:
-                continue  # a polling thread posts no receive
-            recv_rows, rows = by_phase[phase]
+        for (op_id, p, _, _, _, peer, _, partner, _, _, _, _), (
+                t, phase, recv, rows) in zip(ops, itertools.cycle(facts)):
+            if rows is None:
+                continue
             desc = bindings[op_id]
             kind, partition = desc.kind, desc.partition
             slot = p * T + t
-            scope = bucket = None
+            queue = bucket = None
             if polled:
-                scope = peer
+                queue = peer
             elif kind in TWO_SIDED:
                 scope, bucket = _keys(desc)
-                scope, bucket = share(scope, scope), share(bucket, bucket)
-            if op_kind is OpKind.RECV:
+                queue = queues.get(scope)
+                if queue is None:
+                    queue = queues[scope] = _Queue()
+                bucket = share(bucket, bucket)
+            if recv:
                 # partition arrival is tracked on the shared request
-                recv_rows.append((op_id, slot, scope, bucket))
+                rows.append((op_id, slot, queue, bucket))
                 continue
-            lch, rch = map_entity(policy, desc, pool)
+            lch, rch = channels(desc)
             local = p * R + lch
             part = paired = None
             if partition is not None:
@@ -432,7 +502,7 @@ class _Engine:
             owners = (p,) if peer is None or peer == p else (min(p, peer), max(p, peer))
             rows.append((op_id, slot, phase, local,
                          None if remote == local else remote,
-                         share(owners, owners), scope, bucket, part, partner))
+                         share(owners, owners), queue, bucket, part, partner))
         return by_phase
 
     # -- main loop: run() reports once the loop's plan rows are freed --
@@ -488,21 +558,22 @@ class _Engine:
             self.matches += len(pair_of)
 
         # per phase: receives, then sends, each in (process, thread, op) order
-        by_phase = self._plan(sorted(pattern.ops, key=_BY_THREAD), pair_of)
-        matcher = _Matcher()
+        by_phase = self._plan(pair_of)
+        postings = itertools.count()
+        unmatched = 0  # sends that found no posted receive
         for phase in sorted(by_phase):
             recv_rows, send_rows = by_phase[phase]
             mark = len(self.transfers)
             incoming: dict[int, list[tuple[int, int]]] = {}
-            for op_id, slot, scope, bucket in recv_rows:
+            for op_id, slot, queue, bucket in recv_rows:
                 t_issue = clocks[slot]
                 clocks[slot] = t_issue + ISSUE_TICKS
                 if events is not None:
                     self.emit(t_issue, EventKind.ISSUE, op_id)
-                if scope is not None:
-                    matcher.post(scope, bucket, op_id)
+                if queue is not None:
+                    queue.add(bucket, next(postings), op_id)
             for (op_id, slot, phase, local, remote, owners,
-                 scope, bucket, part, partner) in send_rows:
+                 queue, bucket, part, partner) in send_rows:
                 t_issue = clocks[slot]
                 clocks[slot] = t_issue + ISSUE_TICKS
                 if events is not None:
@@ -524,10 +595,11 @@ class _Engine:
                         _check_index(requests[peer_rid], idx)
                         filled[peer_rid].add(idx)
                         arrivals[peer_rid] = max(arrivals.get(peer_rid, end), end)
-                if polled:  # the scope is the destination node
-                    incoming.setdefault(scope, []).append((end, op_id))
-                elif scope is not None:  # a send: nothing else matches
-                    attempts, rid = matcher.send(scope, bucket)
+                if polled:  # the queue is the destination node
+                    incoming.setdefault(queue, []).append((end, op_id))
+                elif queue is not None:  # a send: nothing else matches
+                    attempts, rid = queue.take(bucket)
+                    unmatched += rid is None
                     self.attempts += attempts
                     self.matches += rid is not None
                     if rid != partner:
@@ -545,9 +617,9 @@ class _Engine:
                             + clocks)
             clocks[:] = [phase_end] * len(clocks)
 
-        if matcher.unmatched:
+        if unmatched:
             raise MpxlabError(
-                f"{matcher.unmatched} sends found no posted receive; the "
+                f"{unmatched} sends found no posted receive; the "
                 f"pattern is not closed"
             )
 
@@ -703,20 +775,10 @@ def run(pattern: CommPattern, assignment: Assignment,
         raise InvalidAssignmentError(
             f"{len(violations)} matching violations; first: {violations[0]}"
         )
-    expected = _expected_messages(pattern, assignment)
+    expected = engine.messages * pattern.iterations
     if report.matches_total != expected:
         raise MpxlabError(
             f"message conservation violated: {report.matches_total} matches "
             f"for {expected} messages"
         )
     return report
-
-
-def _expected_messages(pattern: CommPattern, assignment: Assignment) -> int:
-    if assignment.mechanism is Mechanism.PARTITIONED:
-        sends = sum(1 for r in assignment.requests.values()
-                    if r.direction is Direction.SEND)
-    else:
-        sends = sum(1 for op in pattern.ops if op.kind is OpKind.SEND)
-    return sends * pattern.iterations
-

@@ -27,7 +27,7 @@ from mpxlab.patterns import (
     gen_stencil,
 )
 from mpxlab.semantics import can_match
-from mpxlab.simulator import _Engine, _Matcher, _keys, run
+from mpxlab.simulator import _Engine, _Queue, _keys, run
 
 CONTEXTS = [
     MatchContextId(ContextFamily.COMM, 1),
@@ -84,16 +84,19 @@ def reference_scan(ops):
     return out, leftovers
 
 
-@st.composite
-def op_sequences(draw):
+def _draw_ops(draw, length, wildcards):
+    """``length`` random posts and sends, their receives drawing a
+    wildcard source or tag only when ``wildcards`` and the hints allow."""
     hints = InfoHints(no_any_tag=draw(st.booleans()),
                       no_any_source=draw(st.booleans()))
     ranks = st.integers(0, 2)
     tags = st.one_of(st.integers(0, 2).map(Tag), st.just(None))
-    recv_srcs = ranks if hints.no_any_source else st.one_of(ranks, st.just(ANY_SOURCE))
-    recv_tags = tags if hints.no_any_tag else st.one_of(tags, st.just(ANY_TAG))
+    recv_srcs = (ranks if hints.no_any_source or not wildcards
+                 else st.one_of(ranks, st.just(ANY_SOURCE)))
+    recv_tags = (tags if hints.no_any_tag or not wildcards
+                 else st.one_of(tags, st.just(ANY_TAG)))
     ops = []
-    for index in range(draw(st.integers(0, 40))):
+    for index in range(length):
         ctx = draw(st.sampled_from(CONTEXTS))
         if draw(st.booleans()):
             desc = _recv(ctx, draw(st.integers(0, 1)), draw(recv_srcs),
@@ -106,19 +109,41 @@ def op_sequences(draw):
     return ops
 
 
-@settings(max_examples=200, deadline=None)
-@given(op_sequences())
-def test_indexed_queues_match_the_linear_scan(ops):
-    matcher = _Matcher()
-    got = []
+@st.composite
+def op_sequences(draw):
+    return _draw_ops(draw, draw(st.integers(0, 40)), wildcards=True)
+
+
+@st.composite
+def wildcards_after_exact(draw):
+    """Exact posts and sends first, then a stretch that may post wildcard
+    receives: a queue's sends look only in their exact bucket until its
+    first wildcard receive, and in every bucket covering them after it."""
+    return (_draw_ops(draw, draw(st.integers(0, 20)), wildcards=False)
+            + _draw_ops(draw, draw(st.integers(0, 20)), wildcards=True))
+
+
+def drive_queues(ops):
+    """Each op through the posted queue of its scope, as the engine's loop
+    drives them: (attempts, matched op index) per send, and the sends that
+    found no receive."""
+    queues, got, unmatched = {}, [], 0
     for index, (kind, desc) in enumerate(ops):
+        scope, bucket = _keys(desc)
+        queue = queues.setdefault(scope, _Queue())
         if kind == "recv":
-            matcher.post(*_keys(desc), index)
+            queue.add(bucket, index, index)
         else:
-            got.append(matcher.send(*_keys(desc)))
-    expected, leftovers = reference_scan(ops)
-    assert got == expected
-    assert matcher.unmatched == leftovers
+            attempts, hit = queue.take(bucket)
+            unmatched += hit is None
+            got.append((attempts, hit))
+    return got, unmatched
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(op_sequences(), wildcards_after_exact()))
+def test_indexed_queues_match_the_linear_scan(ops):
+    assert drive_queues(ops) == reference_scan(ops)
 
 
 def _count_calls(monkeypatch, names):

@@ -7,7 +7,11 @@ shares once, over ``CommPattern.template``, and fills in per op only what
 depends on the process; ``assign_communicators_ideal`` keys once per
 (thread, direction, boundary parity).  The references below recompute every
 coordinate, torus neighbor, key, tag, endpoint rank and request per op, the
-way the generator and the assigners did before they were stamped.
+way the generator and the assigners did before they were stamped.  The
+assigners build the copies of a checked template row unchecked, so every
+descriptor is checked again here.  The engine's plan also reads a stamped
+pattern once per template op; its runs are compared with those of the same
+ops with no stamp declared, which the plan sorts and reads op by op.
 """
 
 from dataclasses import replace
@@ -15,6 +19,8 @@ from math import ceil, log2, prod
 
 import pytest
 
+from mpxlab.channels import ChannelPool, PolicyKind
+from mpxlab.errors import MpxlabError
 from mpxlab.model import (
     ANY_SOURCE,
     ANY_TAG,
@@ -52,7 +58,9 @@ from mpxlab.patterns import (
     gen_stencil,
     stencil_directions,
 )
+from mpxlab.patterns.specfile import MECHANISMS, scenario_from_dict
 from mpxlab.patterns.stencil import _full_slot_space, _neg, _positive_rep
+from mpxlab.simulator import _Engine, channel_policy
 
 from test_patterns import reference_program_indexes
 
@@ -433,3 +441,71 @@ def test_unstamped_callers_equal_per_op_references(name, kind):
     if name == "naive":
         assert_same_assignment(assign(pattern, num_comms=2),
                                reference(pattern, num_comms=2))
+
+
+@pytest.mark.parametrize("dims,points,pgrid,tgrid", GRIDS, ids=IDS)
+@pytest.mark.parametrize("assign", [assign_communicators_ideal,
+                                    assign_communicators_naive,
+                                    assign_tags_with_hints, assign_endpoints,
+                                    assign_partitioned])
+def test_stamped_descriptors_are_the_checked_ones(assign, dims, points, pgrid,
+                                                  tgrid):
+    # the assigners check the addressing rule once per kind and build the
+    # descriptors unchecked; here every descriptor goes through it
+    pattern = gen_stencil(dims, points, pgrid, tgrid, payload=64)
+    for desc in assign(pattern).bindings.values():
+        assert type(desc) is OpDescriptor
+        assert OpDescriptor._make(desc) == desc
+
+
+# the even and odd grids of tools/digest_sweep.py
+ENGINE_GRIDS = {
+    "stencil-2d-5pt": (([2, 2], [2, 2]), ([3, 3], [3, 1])),
+    "stencil-2d-9pt": (([2, 2], [2, 2]), ([3, 3], [3, 3])),
+    "stencil-3d-27pt": (([2, 2, 2], [2, 2, 1]), ([3, 1, 1], [1, 3, 1])),
+}
+ENGINE_CASES = [(kind, grids, mechanism)
+                for kind in sorted(ENGINE_GRIDS)
+                for grids in ENGINE_GRIDS[kind]
+                for mechanism in sorted(MECHANISMS)]
+
+
+def simulated(scenario, pattern):
+    """What the engine makes of ``pattern`` under the scenario's assignment,
+    per channel policy (the default and each named one) and pool of 1, 2
+    and 16 channels: its report JSON, event trace, unconfirmed pairs and
+    message count, or the refusal raised."""
+    try:
+        assignment = scenario.build_assignment(pattern)
+    except MpxlabError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    out = []
+    for policy in [None, *PolicyKind]:
+        for channels in (1, 2, 16):
+            pool = ChannelPool(channels)
+            try:
+                engine = _Engine(pattern, assignment, pool,
+                                 channel_policy(policy, assignment, pool),
+                                 seed=3)
+                report = engine.run()
+            except MpxlabError as exc:
+                out.append(f"{type(exc).__name__}: {exc}")
+                continue
+            out.append((report.to_json(), report.events, engine.unconfirmed,
+                        engine.messages))
+    return out
+
+
+@pytest.mark.parametrize("kind,grids,mechanism", ENGINE_CASES,
+                         ids=[f"{k}-{'x'.join(map(str, g[0]))}-{m}"
+                              for k, g, m in ENGINE_CASES])
+def test_the_engine_plans_a_stamped_pattern_as_its_unstamped_copy(
+        kind, grids, mechanism):
+    scenario = scenario_from_dict({
+        "kind": kind, "process_grid": grids[0], "thread_grid": grids[1],
+        "payload_bytes": 1024, "iterations": 2, "mechanism": mechanism})
+    pattern = scenario.build_pattern()
+    assert pattern.stamp
+    # the unstamped copy is assigned afresh and sorted by the engine
+    assert simulated(scenario, pattern) \
+        == simulated(scenario, replace(pattern, stamp=0))
