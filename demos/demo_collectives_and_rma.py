@@ -25,7 +25,7 @@ print()
 pattern = m.gen_allreduce(2, T, B // 8)
 for mech in (m.Mechanism.COMMUNICATORS, m.Mechanism.ENDPOINTS,
              m.Mechanism.PARTITIONED):
-    report = m.run(pattern, m.build_assignment(pattern, mech))
+    report = m.run(pattern, m.build_assignment(pattern, mech.value))
     print(f"  simulated {mech.value:>14}: footprint "
           f"{report.memory_footprint_bytes} bytes, makespan {report.makespan}")
 print()
@@ -34,8 +34,8 @@ print()
 # tile multiplication: gets plus one atomic update per work unit
 
 bspmm = m.gen_bspmm(procs=2, threads=3, tiles=4, seed=2)
-windows = m.build_assignment(bspmm, m.Mechanism.WINDOWS)
-eps = m.build_assignment(bspmm, m.Mechanism.ENDPOINTS)
+windows = m.build_assignment(bspmm, "windows")
+eps = m.build_assignment(bspmm, "endpoints")
 
 accums = [op for op in bspmm.ops
           if op.kind is m.OpKind.ACCUMULATE and op.process == 0]

@@ -29,6 +29,6 @@ print(f"{'endpoints':>16} {ep.probe_iterations:>17} "
 print()
 
 try:
-    m.build_assignment(pattern, m.Mechanism.PARTITIONED)
+    m.build_assignment(pattern, "partitioned")
 except UnsupportedPatternError as exc:
     print(f"partitioned refused, as it must be: {exc}")

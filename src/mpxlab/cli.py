@@ -26,11 +26,9 @@ from .errors import (
 )
 from .patterns import (
     STENCIL_KINDS,
-    assign_communicators_ideal,
-    assign_communicators_naive,
-    assign_endpoints,
-    assign_partitioned,
+    SUPPORT,
     boundary_thread_count,
+    build_assignment,
     min_channels_3d,
     min_communicators_3d,
 )
@@ -84,10 +82,9 @@ def cmd_analyze(args) -> int:
             print(f"min_communicators_formula: {formula}")
         else:
             channels_needed = boundary_thread_count(grid)
-        ideal = assign_communicators_ideal(pattern)
-        naive = assign_communicators_naive(pattern)
-        endpoints = assign_endpoints(pattern)
-        partitioned = assign_partitioned(pattern)
+        ideal, naive, endpoints, partitioned = (
+            build_assignment(pattern, label) for label in
+            ("communicators", "communicators-naive", "endpoints", "partitioned"))
         print(f"communicators_ideal: {ideal.objects_created['communicators']}")
         print(f"communicators_naive: {naive.objects_created['communicators']}")
         print(f"endpoints: {endpoints.objects_created['endpoints_per_process']}")
@@ -108,8 +105,11 @@ def cmd_analyze(args) -> int:
         return EXIT_OK
 
     # irregular kinds: report object counts per supported mechanism
-    for label in MECHANISMS:
-        try:
+    for label, rule in SUPPORT[pattern.kind].items():
+        if isinstance(rule, str):
+            print(f"{label}: unsupported ({rule})")
+            continue
+        try:  # the spec's hints can still refuse it
             assignment = replace(scenario, mechanism=label).build_assignment(pattern)
         except UnsupportedPatternError as exc:
             print(f"{label}: unsupported ({exc})")
@@ -162,6 +162,14 @@ def _simulate(spec_path: str, args) -> str:
 
 def cmd_simulate(args) -> int:
     specs = args.spec if isinstance(args.spec, list) else [args.spec]
+    first = {}
+    for spec in specs:  # a spec's reports are named after its file stem
+        stem = Path(spec).stem
+        if stem in first:
+            raise SpecFileError(f"{first[stem]} and {spec} share the file stem "
+                                f"{stem!r}, so their reports would overwrite "
+                                "each other")
+        first[stem] = spec
     workers = min(args.jobs, len(specs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..errors import UnsupportedPatternError
+from ..errors import InvalidArgumentError, UnsupportedPatternError
 from .base import (
     Assignment,
     CommPattern,
@@ -46,61 +46,70 @@ __all__ = [
     "assign_allreduce", "assign_bspmm_endpoints", "assign_bspmm_windows",
     "assign_communicators_ideal", "assign_communicators_naive",
     "assign_endpoints", "assign_partitioned", "assign_tags_with_hints",
-    "build_assignment",
+    "build_assignment", "MECHANISMS", "SUPPORT",
 ]
 
 
-def build_assignment(pattern: CommPattern, mechanism: Mechanism,
-                     variant: str = "") -> Assignment:
-    """Route a (pattern kind, mechanism) combination to its constructor.
+# the spec's mechanism labels, in the order `mpxlab analyze` lists them
+MECHANISMS = ("communicators", "communicators-naive", "tags", "endpoints",
+              "partitioned", "windows")
 
-    The ``"naive"`` communicator variant of the fan-in stressor shares one
-    communicator among all senders: the shared queue it exists to measure.
-    Unsupported combinations raise :class:`UnsupportedPatternError` with the
-    semantic reason (wildcards, persistence, one-sidedness).
-    """
-    kind = pattern.kind
-    if kind in STENCIL_KINDS:
-        if mechanism is Mechanism.COMMUNICATORS:
-            if variant == "naive":
-                return assign_communicators_naive(pattern)
-            return assign_communicators_ideal(pattern)
-        if mechanism is Mechanism.TAGS_WITH_HINTS:
-            return assign_tags_with_hints(pattern)
-        if mechanism is Mechanism.ENDPOINTS:
-            return assign_endpoints(pattern)
-        if mechanism is Mechanism.PARTITIONED:
-            return assign_partitioned(pattern)
-        raise UnsupportedPatternError(
-            "windows do not express two-sided halo exchange"
-        )
-    if kind in (PatternKind.LEGION_POLLING, PatternKind.DYNAMIC_GRAPH,
-                PatternKind.FAN_IN):
-        if mechanism is Mechanism.COMMUNICATORS:
-            shared = kind is PatternKind.FAN_IN and variant == "naive"
-            return assign_communicators_naive(pattern, 1 if shared else None)
-        if mechanism is Mechanism.ENDPOINTS:
-            return assign_endpoints(pattern)
-        if mechanism is Mechanism.PARTITIONED:
-            raise UnsupportedPatternError(
-                "partitioned unsupported: wildcard pattern (persistent "
-                "requests cannot match wildcard receives)"
-            )
-        if mechanism is Mechanism.TAGS_WITH_HINTS:
-            raise UnsupportedPatternError(
-                "tag-bit parallelism forbids wildcards, which this pattern "
-                "relies on"
-            )
-        raise UnsupportedPatternError("windows do not express two-sided traffic")
-    if kind is PatternKind.BSPMM_RMA:
-        if mechanism is Mechanism.WINDOWS:
-            return assign_bspmm_windows(pattern)
-        if mechanism is Mechanism.ENDPOINTS:
-            return assign_bspmm_endpoints(pattern)
-        raise UnsupportedPatternError(
-            f"one-sided tile updates are expressed with windows or "
-            f"endpoints, not {mechanism.value}"
-        )
-    if kind is PatternKind.MULTITHREADED_ALLREDUCE:
-        return assign_allreduce(pattern, mechanism)
-    raise UnsupportedPatternError(f"no assignment rule for {kind.value}")
+_STENCIL = {
+    "communicators": assign_communicators_ideal,
+    "communicators-naive": assign_communicators_naive,
+    "tags": assign_tags_with_hints,
+    "endpoints": assign_endpoints,
+    "partitioned": assign_partitioned,
+    "windows": "windows do not express two-sided halo exchange",
+}
+# a wildcard pattern has no ideal map: both labels build the per-thread one
+_WILDCARD = {
+    "communicators": assign_communicators_naive,
+    "communicators-naive": assign_communicators_naive,
+    "tags": "tag-bit parallelism forbids wildcards, which this pattern "
+            "relies on",
+    "endpoints": assign_endpoints,
+    "partitioned": "partitioned unsupported: wildcard pattern (persistent "
+                   "requests cannot match wildcard receives)",
+    "windows": "windows do not express two-sided traffic",
+}
+
+# kind -> mechanism label -> its assigner or refusal reason, in MECHANISMS order
+SUPPORT = {
+    PatternKind.STENCIL_2D_5PT: _STENCIL,
+    PatternKind.STENCIL_2D_9PT: _STENCIL,
+    PatternKind.STENCIL_3D_27PT: _STENCIL,
+    PatternKind.LEGION_POLLING: _WILDCARD,
+    PatternKind.DYNAMIC_GRAPH: _WILDCARD,
+    # fan-in's naive map shares one communicator: the queue it stresses
+    PatternKind.FAN_IN: {**_WILDCARD, "communicators-naive":
+                         lambda p: assign_communicators_naive(p, 1)},
+    # a refusal names the mechanism, which both communicator labels share
+    PatternKind.BSPMM_RMA: {
+        **{label: "one-sided tile updates are expressed with windows or "
+                  f"endpoints, not {label.removesuffix('-naive')}"
+           for label in MECHANISMS},
+        "endpoints": assign_bspmm_endpoints,
+        "windows": assign_bspmm_windows,
+    },
+    PatternKind.MULTITHREADED_ALLREDUCE: {
+        "communicators": lambda p: assign_allreduce(p, Mechanism.COMMUNICATORS),
+        "communicators-naive": lambda p: assign_allreduce(p, Mechanism.COMMUNICATORS),
+        "tags": "allreduce is not expressed with tags",
+        "endpoints": lambda p: assign_allreduce(p, Mechanism.ENDPOINTS),
+        "partitioned": lambda p: assign_allreduce(p, Mechanism.PARTITIONED),
+        "windows": "allreduce is not expressed with windows",
+    },
+}
+
+
+def build_assignment(pattern: CommPattern, mechanism: str) -> Assignment:
+    """The ``SUPPORT`` rule of a spec mechanism label on the pattern's kind:
+    its assignment, or :class:`UnsupportedPatternError` with its reason."""
+    rule = SUPPORT[pattern.kind].get(mechanism)
+    if rule is None:
+        raise InvalidArgumentError(f"mechanism {mechanism!r} not one of "
+                                   f"{', '.join(MECHANISMS)}")
+    if isinstance(rule, str):
+        raise UnsupportedPatternError(rule)
+    return rule(pattern)

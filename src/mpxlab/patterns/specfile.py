@@ -22,8 +22,9 @@ from ..channels import ChannelPool, PolicyKind
 from ..errors import (DomainError, InvalidArgumentError, SpecFileError,
                       UnsupportedPatternError)
 from ..model import check_wildcards_allowed
-from .base import Assignment, CommPattern, Mechanism
+from .base import Assignment, CommPattern
 from . import (
+    MECHANISMS,
     build_assignment,
     gen_allreduce,
     gen_bspmm,
@@ -84,15 +85,6 @@ MAX_OPS = 1_000_000
 # entries per grid: a stencil's dimension count, one for every other kind
 GRID_RANK = {"stencil-2d-5pt": 2, "stencil-2d-9pt": 2, "stencil-3d-27pt": 3}
 
-MECHANISMS = {
-    "communicators": (Mechanism.COMMUNICATORS, "ideal"),
-    "communicators-naive": (Mechanism.COMMUNICATORS, "naive"),
-    "tags": (Mechanism.TAGS_WITH_HINTS, ""),
-    "endpoints": (Mechanism.ENDPOINTS, ""),
-    "partitioned": (Mechanism.PARTITIONED, ""),
-    "windows": (Mechanism.WINDOWS, ""),
-}
-
 HINT_FLAGS = {
     "allow_overtaking", "no_any_tag", "no_any_source",
     "accumulate_ordering_none",
@@ -146,8 +138,7 @@ class Scenario:
             raise SpecFileError(f"{self.kind}: {exc}") from exc
 
     def build_assignment(self, pattern: CommPattern) -> Assignment:
-        mechanism, variant = MECHANISMS[self.mechanism]
-        assignment = build_assignment(pattern, mechanism, variant=variant)
+        assignment = build_assignment(pattern, self.mechanism)
         overrides = {k: True for k in HINT_FLAGS
                      if self.hints.get(k) and not getattr(assignment.hints, k)}
         if overrides:

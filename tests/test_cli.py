@@ -29,6 +29,101 @@ def write_spec(tmp_path, name="spec.json", **overrides):
     return path
 
 
+# one spec per non-stencil kind on the digest sweep's even grid, and one
+# whose hints forbid the polling pattern's wildcard receives
+ANALYZE_CASES = [
+    ("legion-polling", ([2], [4]), {}),
+    ("dynamic-graph", ([4], [2]), {}),
+    ("fan-in", ([2], [8]), {}),
+    ("bspmm-rma", ([2], [2]), {}),
+    ("multithreaded-allreduce", ([2], [4]), {}),
+    ("legion-polling", ([2], [4]), {"no_any_source": True}),
+]
+ANALYZE_OUT = {
+    ("legion-polling", False): """\
+kind: legion-polling
+process_grid: [2]
+thread_grid: [4]
+communicators: communicators=4
+communicators-naive: communicators=4
+tags: unsupported (tag-bit parallelism forbids wildcards, which this \
+pattern relies on)
+endpoints: communicators=1, endpoints_per_process=3, endpoints_total=6
+partitioned: unsupported (partitioned unsupported: wildcard pattern \
+(persistent requests cannot match wildcard receives))
+windows: unsupported (windows do not express two-sided traffic)
+""",
+    ("dynamic-graph", False): """\
+kind: dynamic-graph
+process_grid: [4]
+thread_grid: [2]
+communicators: communicators=2
+communicators-naive: communicators=2
+tags: unsupported (tag-bit parallelism forbids wildcards, which this \
+pattern relies on)
+endpoints: communicators=1, endpoints_per_process=2, endpoints_total=8
+partitioned: unsupported (partitioned unsupported: wildcard pattern \
+(persistent requests cannot match wildcard receives))
+windows: unsupported (windows do not express two-sided traffic)
+""",
+    ("fan-in", False): """\
+kind: fan-in
+process_grid: [2]
+thread_grid: [8]
+communicators: communicators=8
+communicators-naive: communicators=1
+tags: unsupported (tag-bit parallelism forbids wildcards, which this \
+pattern relies on)
+endpoints: communicators=1, endpoints_per_process=8, endpoints_total=9
+partitioned: unsupported (partitioned unsupported: wildcard pattern \
+(persistent requests cannot match wildcard receives))
+windows: unsupported (windows do not express two-sided traffic)
+""",
+    ("bspmm-rma", False): """\
+kind: bspmm-rma
+process_grid: [2]
+thread_grid: [2]
+communicators: unsupported (one-sided tile updates are expressed with \
+windows or endpoints, not communicators)
+communicators-naive: unsupported (one-sided tile updates are expressed \
+with windows or endpoints, not communicators)
+tags: unsupported (one-sided tile updates are expressed with windows or \
+endpoints, not tags)
+endpoints: endpoints_per_process=2, endpoints_total=4, windows=1
+partitioned: unsupported (one-sided tile updates are expressed with \
+windows or endpoints, not partitioned)
+windows: windows=1
+""",
+    ("multithreaded-allreduce", False): """\
+kind: multithreaded-allreduce
+process_grid: [2]
+thread_grid: [4]
+communicators: communicators=4
+communicators-naive: communicators=4
+tags: unsupported (allreduce is not expressed with tags)
+endpoints: communicators=1, endpoints_per_process=4, endpoints_total=8
+partitioned: communicators=1, requests=4
+windows: unsupported (allreduce is not expressed with windows)
+""",
+    ("legion-polling", True): """\
+kind: legion-polling
+process_grid: [2]
+thread_grid: [4]
+communicators: unsupported (the spec's hints forbid a wildcard this \
+pattern uses: ANY_SOURCE receive under a no_any_source context)
+communicators-naive: unsupported (the spec's hints forbid a wildcard this \
+pattern uses: ANY_SOURCE receive under a no_any_source context)
+tags: unsupported (tag-bit parallelism forbids wildcards, which this \
+pattern relies on)
+endpoints: unsupported (the spec's hints forbid a wildcard this pattern \
+uses: ANY_SOURCE receive under a no_any_source context)
+partitioned: unsupported (partitioned unsupported: wildcard pattern \
+(persistent requests cannot match wildcard receives))
+windows: unsupported (windows do not express two-sided traffic)
+""",
+}
+
+
 class TestAnalyze:
     def test_reference_lines_3d(self, tmp_path, capsys):
         spec = write_spec(tmp_path, kind="stencil-3d-27pt",
@@ -92,6 +187,16 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "kind: fan-in" in out
         assert "communicators-naive: communicators=1" in out
+
+    @pytest.mark.parametrize("kind,grids,hints", ANALYZE_CASES,
+                             ids=[f"{k}{'-no-any-source' if h else ''}"
+                                  for k, _, h in ANALYZE_CASES])
+    def test_irregular_output_is_pinned(self, tmp_path, capsys, kind, grids,
+                                        hints):
+        spec = write_spec(tmp_path, kind=kind, process_grid=grids[0],
+                          thread_grid=grids[1], hints=hints)
+        assert main(["analyze", "--spec", str(spec)]) == 0
+        assert capsys.readouterr().out == ANALYZE_OUT[kind, bool(hints)]
 
     def test_policy_override_changes_collision_lines(self, tmp_path, capsys):
         spec = write_spec(tmp_path, channel_pool=30)
@@ -222,6 +327,25 @@ class TestSimulate:
         rb = json.loads((out / "b.report.json").read_text())
         assert ra["mechanism"] == "endpoints"
         assert rb["mechanism"] == "partitioned"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_specs_sharing_a_file_stem_are_refused(self, tmp_path, capsys,
+                                                   jobs):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        a = write_spec(tmp_path / "a", "s.json", mechanism="endpoints")
+        b = write_spec(tmp_path / "b", "s.json", mechanism="partitioned")
+        out = tmp_path / "out"
+        assert main(["simulate", "--spec", str(a), str(b), "--jobs", jobs,
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(a) in captured.err and str(b) in captured.err
+        assert not out.exists() or not any(out.iterdir())
+        # the same file named twice would race with itself under --jobs
+        assert main(["simulate", "--spec", str(a), str(a), "--jobs", jobs,
+                     "--out", str(out)]) == 2
+        assert not out.exists() or not any(out.iterdir())
 
     def test_jobs_capped_by_specs_and_cpus(self, tmp_path, monkeypatch):
         a = write_spec(tmp_path, "a.json", mechanism="endpoints")

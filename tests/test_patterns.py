@@ -377,14 +377,14 @@ class TestCollectiveFootprint:
 class TestDispatcher:
     def test_stencil_routes(self):
         p = gen_stencil(2, 5, [2, 2], [3, 3])
-        a = build_assignment(p, Mechanism.COMMUNICATORS, variant="naive")
+        a = build_assignment(p, "communicators-naive")
         assert a.variant == "naive"
         with pytest.raises(UnsupportedPatternError):
-            build_assignment(p, Mechanism.WINDOWS)
+            build_assignment(p, "windows")
 
     def test_fan_in_naive_shares_one_communicator(self):
         p = gen_fan_in(8)
-        a = build_assignment(p, Mechanism.COMMUNICATORS, variant="naive")
+        a = build_assignment(p, "communicators-naive")
         assert a.objects_created["communicators"] == 1
         spec = scenario_from_dict({"kind": "fan-in", "process_grid": [2],
                                    "thread_grid": [8],

@@ -22,9 +22,14 @@ With ``--stages`` the script instead prints, per spec, the median wall time
 of each library stage of one call: ``build_pattern`` (generate),
 ``build_assignment`` (assign), ``run`` (without events, as ``simulate``
 calls it) and ``to_json``, with the collector on, and their sum; a last
-row sums each stage over the specs.  ``--json PATH`` also writes those
-medians to PATH: ``{"repeat": N, "specs": {name: {stage: seconds}},
-"sum": {stage: seconds}}``.
+row sums each stage over the specs.  Each call's seconds are scaled to the
+benchmark's reference host speed by ``perfbench/run.py``'s ``HostSpeed``,
+whose loop is timed between every two calls, so that two runs compare the
+code rather than the host's drift; the ``factor`` column is the median
+scale of a spec's calls.  ``--json PATH`` also writes the raw and scaled
+medians to PATH: ``{"repeat": N, "reference_s": seconds, "specs": {name:
+{"factor": f, "raw": {stage: seconds}, "scaled": {stage: seconds}}},
+"sum": {"raw": {stage: seconds}, "scaled": {stage: seconds}}}``.
 """
 
 from __future__ import annotations
@@ -103,28 +108,44 @@ def simulate_library(spec: Path, out: Path) -> dict[str, float]:
 
 
 def print_stages(specs: list[Path], out: Path, repeat: int) -> dict:
-    """Print the stage medians of each spec; return them as ``--json``
-    writes them."""
-    def row(name, seconds):
+    """Print the scaled stage medians of each spec; return the raw and
+    scaled medians as ``--json`` writes them."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from run import REFERENCE_S, HostSpeed  # perfbench/run.py
+
+    def row(name, medians):
+        seconds = [medians["scaled"][s] for s in STAGES]
         print(f"{name:24s} " + " ".join(f"{s:10.4f}" for s in seconds)
-              + f" {sum(seconds):10.4f}")
+              + f" {sum(seconds):10.4f} {medians['factor']:7.3f}")
 
     print(f"{'spec':24s} " + " ".join(f"{s + ' s':>10s}" for s in STAGES)
-          + f" {'total s':>10s}")
-    totals = [0.0] * len(STAGES)
+          + f" {'total s':>10s} {'factor':>7s}")
+    speed = HostSpeed()
     per_spec = {}
     for spec in specs:
         calls = []
         for _ in range(repeat):
             gc.collect()
-            calls.append(simulate_library(spec, out))
-        medians = [statistics.median(c[s] for c in calls) for s in STAGES]
-        totals = [t + m for t, m in zip(totals, medians)]
-        per_spec[spec.stem] = dict(zip(STAGES, medians))
-        row(spec.stem, medians)
+            seconds = simulate_library(spec, out)
+            calls.append((seconds, speed.factor()))
+        per_spec[spec.stem] = {
+            "factor": statistics.median(f for _, f in calls),
+            "raw": {s: statistics.median(c[s] for c, _ in calls)
+                    for s in STAGES},
+            "scaled": {s: statistics.median(c[s] * f for c, f in calls)
+                       for s in STAGES},
+        }
+        row(spec.stem, per_spec[spec.stem])
+    total = {way: {s: sum(m[way][s] for m in per_spec.values()) for s in STAGES}
+             for way in ("raw", "scaled")}
     if len(specs) > 1:
-        row("(sum of medians)", totals)
-    return {"repeat": repeat, "specs": per_spec, "sum": dict(zip(STAGES, totals))}
+        row("(sum of medians)", {**total, "factor": statistics.median(
+            m["factor"] for m in per_spec.values())})
+    print(f"seconds scaled to a host whose reference loop takes "
+          f"{REFERENCE_S * 1e3:g} ms; factor = that over the loop's time "
+          f"around each call")
+    return {"repeat": repeat, "reference_s": REFERENCE_S, "specs": per_spec,
+            "sum": total}
 
 
 def measure(call, spec: Path, out: Path, repeat: int) -> dict:
@@ -159,6 +180,8 @@ def main(argv=None) -> int:
         parser.error("--repeat must be at least 1")
     if args.json and not args.stages:
         parser.error("--json needs --stages")
+    if len({spec.stem for spec in args.specs}) < len(args.specs):
+        parser.error("specs are named by file stem: give each a distinct one")
     sys.path.insert(0, str(args.src.resolve()))
     with tempfile.TemporaryDirectory() as tmp:
         if args.stages:
