@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from ..errors import InvalidArgumentError, UnsupportedPatternError
 from .base import (
+    MECHANISMS,
+    REFUSALS,
     Assignment,
     CommPattern,
     Mechanism,
@@ -46,13 +48,9 @@ __all__ = [
     "assign_allreduce", "assign_bspmm_endpoints", "assign_bspmm_windows",
     "assign_communicators_ideal", "assign_communicators_naive",
     "assign_endpoints", "assign_partitioned", "assign_tags_with_hints",
-    "build_assignment", "MECHANISMS", "SUPPORT",
+    "build_assignment", "MECHANISMS", "REFUSALS", "SUPPORT",
 ]
 
-
-# the spec's mechanism labels, in the order `mpxlab analyze` lists them
-MECHANISMS = ("communicators", "communicators-naive", "tags", "endpoints",
-              "partitioned", "windows")
 
 _STENCIL = {
     "communicators": assign_communicators_ideal,
@@ -60,47 +58,34 @@ _STENCIL = {
     "tags": assign_tags_with_hints,
     "endpoints": assign_endpoints,
     "partitioned": assign_partitioned,
-    "windows": "windows do not express two-sided halo exchange",
 }
 # a wildcard pattern has no ideal map: both labels build the per-thread one
 _WILDCARD = {
     "communicators": assign_communicators_naive,
     "communicators-naive": assign_communicators_naive,
-    "tags": "tag-bit parallelism forbids wildcards, which this pattern "
-            "relies on",
     "endpoints": assign_endpoints,
-    "partitioned": "partitioned unsupported: wildcard pattern (persistent "
-                   "requests cannot match wildcard receives)",
-    "windows": "windows do not express two-sided traffic",
 }
-
-# kind -> mechanism label -> its assigner or refusal reason, in MECHANISMS order
-SUPPORT = {
-    PatternKind.STENCIL_2D_5PT: _STENCIL,
-    PatternKind.STENCIL_2D_9PT: _STENCIL,
-    PatternKind.STENCIL_3D_27PT: _STENCIL,
+# kind -> each label REFUSALS does not refuse -> its assigner
+_ASSIGNERS = {
+    **dict.fromkeys(STENCIL_KINDS, _STENCIL),
     PatternKind.LEGION_POLLING: _WILDCARD,
     PatternKind.DYNAMIC_GRAPH: _WILDCARD,
     # fan-in's naive map shares one communicator: the queue it stresses
     PatternKind.FAN_IN: {**_WILDCARD, "communicators-naive":
                          lambda p: assign_communicators_naive(p, 1)},
-    # a refusal names the mechanism, which both communicator labels share
-    PatternKind.BSPMM_RMA: {
-        **{label: "one-sided tile updates are expressed with windows or "
-                  f"endpoints, not {label.removesuffix('-naive')}"
-           for label in MECHANISMS},
-        "endpoints": assign_bspmm_endpoints,
-        "windows": assign_bspmm_windows,
-    },
+    PatternKind.BSPMM_RMA: {"endpoints": assign_bspmm_endpoints,
+                            "windows": assign_bspmm_windows},
     PatternKind.MULTITHREADED_ALLREDUCE: {
         "communicators": lambda p: assign_allreduce(p, Mechanism.COMMUNICATORS),
         "communicators-naive": lambda p: assign_allreduce(p, Mechanism.COMMUNICATORS),
-        "tags": "allreduce is not expressed with tags",
         "endpoints": lambda p: assign_allreduce(p, Mechanism.ENDPOINTS),
         "partitioned": lambda p: assign_allreduce(p, Mechanism.PARTITIONED),
-        "windows": "allreduce is not expressed with windows",
     },
 }
+# kind -> mechanism label -> its assigner or refusal reason, in MECHANISMS order
+SUPPORT = {kind: {label: REFUSALS[kind].get(label) or _ASSIGNERS[kind][label]
+                  for label in MECHANISMS}
+           for kind in PatternKind}
 
 
 def build_assignment(pattern: CommPattern, mechanism: str) -> Assignment:

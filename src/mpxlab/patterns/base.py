@@ -11,7 +11,7 @@ from math import prod
 from operator import attrgetter
 from typing import NamedTuple
 
-from ..errors import DomainError, InvalidArgumentError
+from ..errors import DomainError, InvalidArgumentError, UnsupportedPatternError
 from ..model import (
     Communicator,
     EndpointsComm,
@@ -41,6 +41,46 @@ STENCIL_KINDS = frozenset({
     PatternKind.STENCIL_2D_9PT,
     PatternKind.STENCIL_3D_27PT,
 })
+
+
+# the spec's mechanism labels, in the order `mpxlab analyze` lists them
+MECHANISMS = ("communicators", "communicators-naive", "tags", "endpoints",
+              "partitioned", "windows")
+
+_WILDCARD_REFUSALS = {
+    "tags": "tag-bit parallelism forbids wildcards, which this pattern "
+            "relies on",
+    "partitioned": "partitioned unsupported: wildcard pattern (persistent "
+                   "requests cannot match wildcard receives)",
+    "windows": "windows do not express two-sided traffic",
+}
+# kind -> mechanism label -> why that mechanism cannot express the kind: the
+# refusals of ``patterns.SUPPORT``, which the assigners raise when called
+# directly on such a kind
+REFUSALS: dict[PatternKind, dict[str, str]] = {
+    **dict.fromkeys(STENCIL_KINDS, {
+        "windows": "windows do not express two-sided halo exchange"}),
+    PatternKind.LEGION_POLLING: _WILDCARD_REFUSALS,
+    PatternKind.DYNAMIC_GRAPH: _WILDCARD_REFUSALS,
+    PatternKind.FAN_IN: _WILDCARD_REFUSALS,
+    # a refusal names the mechanism, which both communicator labels share
+    PatternKind.BSPMM_RMA: {
+        label: "one-sided tile updates are expressed with windows or "
+               f"endpoints, not {label.removesuffix('-naive')}"
+        for label in ("communicators", "communicators-naive", "tags",
+                      "partitioned")},
+    PatternKind.MULTITHREADED_ALLREDUCE: {
+        label: f"allreduce is not expressed with {label}"
+        for label in ("tags", "windows")},
+}
+
+
+def refuse_unsupported(pattern: CommPattern, label: str):
+    """Raise :class:`UnsupportedPatternError` with the ``REFUSALS`` reason
+    of ``label`` on the pattern's kind, if it has one."""
+    reason = REFUSALS[pattern.kind].get(label)
+    if reason is not None:
+        raise UnsupportedPatternError(reason)
 
 
 class Mechanism(Enum):

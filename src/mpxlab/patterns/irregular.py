@@ -32,8 +32,10 @@ from .base import (
     Mechanism,
     PatternKind,
     PatternOp,
+    REFUSALS,
     _program_indexes,
     _sources,
+    refuse_unsupported,
 )
 
 
@@ -210,9 +212,7 @@ def collective_footprint(mechanism: Mechanism, threads: int,
     if mechanism is Mechanism.PARTITIONED:
         return 1, buffer_bytes
     raise UnsupportedPatternError(
-        f"collectives are expressed with communicators, endpoints or "
-        f"partitions, not {mechanism.value}"
-    )
+        REFUSALS[PatternKind.MULTITHREADED_ALLREDUCE][mechanism.value])
 
 
 # --------------------------------------------------------------------------
@@ -226,8 +226,7 @@ def assign_bspmm_windows(pattern: CommPattern) -> Assignment:
     the only lever this mechanism has; the window itself stays a single
     matching entity, so spreading its traffic is left to whatever the channel
     policy hashes."""
-    if pattern.kind is not PatternKind.BSPMM_RMA:
-        raise UnsupportedPatternError("window assignment expects the RMA pattern")
+    refuse_unsupported(pattern, "windows")  # every other kind has a reason
     window = IdAllocator().fresh_window()
     prog = _program_indexes(pattern)
     source_of = _sources(pattern)
@@ -367,6 +366,4 @@ def assign_allreduce(pattern: CommPattern, mechanism: Mechanism) -> Assignment:
             comms=[world], requests=requests,
         )
 
-    raise UnsupportedPatternError(
-        f"allreduce is not expressed with {mechanism.value}"
-    )
+    raise UnsupportedPatternError(REFUSALS[pattern.kind][mechanism.value])

@@ -49,6 +49,7 @@ from .base import (
     STENCIL_KINDS,
     _program_indexes,
     _sources,
+    refuse_unsupported,
 )
 
 
@@ -229,7 +230,10 @@ def _kind_check():
 _new = tuple.__new__
 
 
-def _require_stencil(pattern: CommPattern, what: str):
+def _require_stencil(pattern: CommPattern, label: str, what: str):
+    """Refuse a pattern that is not a stencil, with the ``REFUSALS`` reason
+    of ``label`` on its kind when it has one."""
+    refuse_unsupported(pattern, label)
     if pattern.kind not in STENCIL_KINDS:
         raise UnsupportedPatternError(f"{what} assignment needs a stencil pattern")
 
@@ -245,8 +249,13 @@ def assign_communicators_naive(pattern: CommPattern,
 
     Matching is correct, but opposite-boundary threads reuse each other's
     communicators, so half of the boundary concurrency funnels through shared
-    contexts.
+    contexts.  It needs two-sided ops.
     """
+    refuse_unsupported(pattern, "communicators-naive")
+    if pattern.kind is PatternKind.MULTITHREADED_ALLREDUCE:
+        raise UnsupportedPatternError(
+            "per-thread communicator assignment needs two-sided ops; "
+            "assign_allreduce binds the allreduce")
     ids = IdAllocator()
     world = world_communicator(pattern.num_processes, ids)
     K = num_comms if num_comms is not None else pattern.threads_per_process
@@ -393,7 +402,7 @@ def assign_communicators_ideal(pattern: CommPattern) -> Assignment:
     orbit; for the 3D case the per-family set sizes equal the closed-form
     communicator count term by term.
     """
-    _require_stencil(pattern, "ideal communicator")
+    _require_stencil(pattern, "communicators", "ideal communicator")
     geo = StencilGeometry(pattern.process_grid, pattern.thread_grid)
     dirs = stencil_directions(
         geo.dims, {PatternKind.STENCIL_2D_5PT: 5, PatternKind.STENCIL_2D_9PT: 9,
@@ -470,7 +479,7 @@ def assign_communicators_ideal(pattern: CommPattern) -> Assignment:
 def assign_tags_with_hints(pattern: CommPattern) -> Assignment:
     """One duplicated communicator with wildcard-excluding hints; thread ids
     ride in the tag bits so the library can split matching per thread pair."""
-    _require_stencil(pattern, "tag-bit")
+    _require_stencil(pattern, "tags", "tag-bit")
     T = pattern.threads_per_process
     tid_bits = max(1, ceil(log2(T))) if T > 1 else 1
     max_app = max((op.tag_key for op in pattern.template), default=0)
@@ -589,11 +598,7 @@ def assign_partitioned(pattern: CommPattern) -> Assignment:
     Wildcard-driven patterns cannot use this mechanism: the requests are
     persistent by definition and a partitioned receive names its peer.
     """
-    if pattern.kind not in STENCIL_KINDS:
-        raise UnsupportedPatternError(
-            "partitioned unsupported: requests are persistent and cannot "
-            "match wildcard receives"
-        )
+    _require_stencil(pattern, "partitioned", "partitioned")
     ids = IdAllocator()
     world = world_communicator(pattern.num_processes, ids)
     prog = _program_indexes(pattern)

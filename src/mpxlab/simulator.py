@@ -38,10 +38,10 @@ from __future__ import annotations
 import itertools
 import json
 from bisect import bisect_left
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .channels import (
@@ -156,8 +156,9 @@ def channel_policy(kind: PolicyKind | None, assignment: Assignment,
     filled in from the assignment.
 
     Round-robin registers the assignment's communicators in creation order,
-    then every other key its ops map through, in first-binding order.  A
-    kind the assignment cannot express raises before any simulation starts.
+    then every other key its ops map through, in first-binding order, each
+    distinct key once.  A kind the assignment cannot express raises before
+    any simulation starts.
     """
     kind = kind or DEFAULT_POLICY[assignment.mechanism]
     layout = assignment.hints.tag_vci_bits
@@ -175,8 +176,9 @@ def channel_policy(kind: PolicyKind | None, assignment: Assignment,
     if kind is PolicyKind.ROUND_ROBIN_PER_COMMUNICATOR:
         for comm in assignment.comms:
             policy.register_communicator(comm.context_id, pool)
-        for desc in assignment.bindings.values():
-            policy.register_communicator(communicator_key(desc), pool)
+        for key in dict.fromkeys(map(communicator_key,
+                                     assignment.bindings.values())):
+            policy.register_communicator(key, pool)
     return policy
 
 
@@ -197,18 +199,20 @@ def _footprint(pattern: CommPattern, assignment: Assignment) -> int:
     return total
 
 
+# read once: a module global costs far less than an enum member read
+_ENDPOINT, _SEND = ContextFamily.ENDPOINT, OpKind.SEND
+
+
 def _keys(desc):
     """(scope, bucket) of a two-sided op.  A receive is posted at its own
     rank and selects a (source, tag), either part possibly a wildcard; a
     send is addressed to its target and carries (its own rank, tag)."""
-    context, tag = desc.context, desc.tag
+    kind, source, _, context, peer, tag, endpoint, _, _, _ = desc
     family = context.family
-    rank = (desc.endpoint if family is ContextFamily.ENDPOINT
-            else desc.source[0])
-    home, source = ((desc.target, rank) if desc.kind is OpKind.SEND
-                    else (rank, desc.target))
-    bucket = None if tag is None else (source, tag.raw)
-    return (family, context.key, home), bucket
+    home = endpoint if family is _ENDPOINT else source[0]
+    if kind is _SEND:  # homed at its target, sent from its own rank
+        home, peer = peer, home
+    return (family, context.key, home), None if tag is None else (peer, tag.raw)
 
 
 def _send_covers(bucket):
@@ -434,6 +438,7 @@ class _Engine:
         channels = _channel_pairs(self.policy, pool)
         share = {}.setdefault
         queues: dict[tuple, _Queue] = {}
+        queue_of, pready = queues.get, OpKind.PARTITION_READY
         if pattern.stamp:
             ops, template = pattern.ops, pattern.template
         else:
@@ -466,14 +471,14 @@ class _Engine:
             if rows is None:
                 continue
             desc = bindings[op_id]
-            kind, partition = desc.kind, desc.partition
+            kind, _, _, _, _, _, _, _, _, partition = desc
             slot = p * T + t
             queue = bucket = None
             if polled:
                 queue = peer
             elif kind in TWO_SIDED:
                 scope, bucket = _keys(desc)
-                queue = queues.get(scope)
+                queue = queue_of(scope)
                 if queue is None:
                     queue = queues[scope] = _Queue()
                 bucket = share(bucket, bucket)
@@ -489,7 +494,7 @@ class _Engine:
                 req = requests[rid]
                 if peer is None:
                     peer = req.peer
-                if kind is OpKind.PARTITION_READY:
+                if kind is pready:
                     paired = pair_of.get(rid)
                     part = (rid, idx, paired)
             if partitioned:
@@ -499,7 +504,8 @@ class _Engine:
             elif polled:
                 unconfirmed.append((op_id, partner))
             remote = None if peer is None else peer * R + rch
-            owners = (p,) if peer is None or peer == p else (min(p, peer), max(p, peer))
+            owners = ((p,) if peer is None or peer == p
+                      else (p, peer) if p < peer else (peer, p))
             rows.append((op_id, slot, phase, local,
                          None if remote == local else remote,
                          share(owners, owners), queue, bucket, part, partner))
@@ -510,25 +516,6 @@ class _Engine:
     def run(self) -> SimReport:
         self._iteration()
         return self._report()
-
-    def _schedule_transfer(self, op_id, phase, local, remote, owners, t_issue):
-        free, busy = self.channel_free, self.channel_busy
-        start = max(t_issue, free.get(local, 0))
-        if remote is not None:
-            start = max(start, free.get(remote, 0))
-        end = start + TRANSFER_TICKS
-        free[local] = end
-        busy[local] = busy.get(local, 0) + TRANSFER_TICKS
-        if remote is not None:
-            free[remote] = end
-            busy[remote] = busy.get(remote, 0) + TRANSFER_TICKS
-        if self.events is not None:
-            channel = divmod(local if remote is None else min(local, remote),
-                             self.pool.num_channels)
-            self.emit(start, EventKind.CHANNEL_ACQUIRE, op_id, channel)
-            self.emit(start, EventKind.TRANSFER, op_id, channel)
-        self.transfers.append((start, end, owners, phase))
-        return end
 
     def _iteration(self):
         """Run one iteration from the current clocks and channel state; it
@@ -546,6 +533,9 @@ class _Engine:
         filled: dict[int, set[int]] = {rid: set() for rid in requests}
         arrivals: dict[int, int] = {}  # receive request id -> latest arrival
         clocks, events, unconfirmed = self.clocks, self.events, self.unconfirmed
+        free, busy, transfers = self.channel_free, self.channel_busy, self.transfers
+        free_at, busy_of, SEND = free.get, busy.get, Direction.SEND
+        R = self.pool.num_channels
         if partitioned:
             pair_of = _pair_requests(requests.values())
             t0 = max(clocks)
@@ -563,7 +553,7 @@ class _Engine:
         unmatched = 0  # sends that found no posted receive
         for phase in sorted(by_phase):
             recv_rows, send_rows = by_phase[phase]
-            mark = len(self.transfers)
+            last = 0  # the latest transfer end of this phase
             incoming: dict[int, list[tuple[int, int]]] = {}
             for op_id, slot, queue, bucket in recv_rows:
                 t_issue = clocks[slot]
@@ -576,15 +566,26 @@ class _Engine:
                  queue, bucket, part, partner) in send_rows:
                 t_issue = clocks[slot]
                 clocks[slot] = t_issue + ISSUE_TICKS
+                # without a remote instance, remote is None: never a key
+                start = max(t_issue, free_at(local, 0), free_at(remote, 0))
+                end = free[local] = start + TRANSFER_TICKS
+                busy[local] = busy_of(local, 0) + TRANSFER_TICKS
+                if remote is not None:
+                    free[remote] = end
+                    busy[remote] = busy_of(remote, 0) + TRANSFER_TICKS
+                if end > last:
+                    last = end
+                transfers.append((start, end, owners, phase))
                 if events is not None:
-                    self.emit(t_issue, EventKind.ISSUE, op_id)
-                end = self._schedule_transfer(op_id, phase, local, remote,
-                                              owners, t_issue)
+                    channel = divmod(local if remote is None else min(local, remote), R)
+                    events += (Event(t_issue, EventKind.ISSUE, op_id),
+                               Event(start, EventKind.CHANNEL_ACQUIRE, op_id, channel),
+                               Event(start, EventKind.TRANSFER, op_id, channel))
                 if part is not None:
                     rid, idx, peer_rid = part
                     req, readied = requests[rid], filled[rid]
                     _check_index(req, idx)
-                    if req.direction is not Direction.SEND:
+                    if req.direction is not SEND:
                         raise InvalidTransitionError("pready on a receive request")
                     if not partitioned:  # only a partitioned run starts requests
                         raise InvalidTransitionError("pready while inactive")
@@ -613,8 +614,7 @@ class _Engine:
                 self._poll(node, sorted(incoming[node]))
             # one traffic direction at a time: the next phase starts after
             # this one drains, so per-phase concurrency is well defined
-            phase_end = max([e for _, e, _, _ in self.transfers[mark:]]
-                            + clocks)
+            phase_end = max(last, max(clocks))
             clocks[:] = [phase_end] * len(clocks)
 
         if unmatched:
@@ -695,14 +695,16 @@ class _Engine:
         """
         pattern, assignment = self.pattern, self.assignment
         n = pattern.iterations
-        span = max([e for _, e, _, _ in self.transfers] + self.clocks)
+        span = max(self.clocks)  # each phase ends past its transfers
         procs = range(pattern.num_processes)
-        phase_starts: dict[int, dict[int, list]] = {}
-        for s, _, owners, ph in self.transfers:
-            in_phase = phase_starts.setdefault(ph, {})
-            for p in owners:
-                if p in procs:
-                    in_phase.setdefault(p, []).append(s)
+        phase_starts: dict[int, defaultdict[int, list]] = {}
+        # an iteration's transfers of one phase are contiguous
+        for ph, group in itertools.groupby(self.transfers, itemgetter(3)):
+            in_phase = phase_starts.setdefault(ph, defaultdict(list))
+            for s, _, owners, _ in group:
+                for p in owners:
+                    if p in procs:
+                        in_phase[p].append(s)
         phase_conc = {ph: max(map(_max_overlap, phase_starts[ph].values()),
                               default=0)
                       for ph in sorted(phase_starts)}

@@ -27,7 +27,10 @@ from mpxlab.patterns import (
     gen_stencil,
 )
 from mpxlab.semantics import can_match
+from mpxlab.patterns.specfile import scenario_from_dict
 from mpxlab.simulator import _Engine, _Queue, _keys, run
+
+from test_reports import SPECS
 
 CONTEXTS = [
     MatchContextId(ContextFamily.COMM, 1),
@@ -212,3 +215,37 @@ def test_a_receive_posted_after_its_send_is_refused():
     a = assign_communicators_naive(p, num_comms=1)
     with pytest.raises(MpxlabError, match="2 sends found no posted receive"):
         run(p, a)
+
+
+def reference_keys(desc):
+    """(scope, bucket) as ``_keys``' docstring states them, field by field:
+    an op's own rank is its endpoint in an endpoint context and its process
+    otherwise; a receive is posted at its own rank and selects (its target,
+    tag); a send is addressed to its target and carries (its own rank, tag).
+    """
+    context = desc.context
+    if context.family is ContextFamily.ENDPOINT:
+        own_rank = desc.endpoint
+    else:
+        own_rank = desc.source[0]
+    if desc.kind is OpKind.SEND:
+        home, selected = desc.target, own_rank
+    else:
+        home, selected = own_rank, desc.target
+    bucket = None if desc.tag is None else (selected, desc.tag.raw)
+    return (context.family, context.key, home), bucket
+
+
+def test_keys_equal_the_reference_on_every_pinned_descriptor():
+    seen = Counter()
+    for name in sorted(SPECS):
+        scenario = scenario_from_dict(SPECS[name])
+        assignment = scenario.build_assignment(scenario.build_pattern())
+        for desc in assignment.bindings.values():
+            if desc.kind in (OpKind.SEND, OpKind.RECV):
+                assert _keys(desc) == reference_keys(desc), (name, desc)
+                seen[desc.kind] += 1
+                seen["endpoint"] += desc.context.family is ContextFamily.ENDPOINT
+                seen["wildcard"] += desc.target == ANY_SOURCE or desc.tag == ANY_TAG
+    # both kinds, endpoint contexts and wildcard receives were all compared
+    assert all(seen[k] for k in (OpKind.SEND, OpKind.RECV, "endpoint", "wildcard"))

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpxlab.channels import ChannelPool, PolicyKind
+from mpxlab.channels import (ChannelPool, MappingPolicy, PolicyKind,
+                             communicator_key)
 from mpxlab.errors import (
     DoubleReadyError,
     InvalidArgumentError,
@@ -46,6 +47,7 @@ from mpxlab.simulator import (
     EventKind,
     _max_overlap,
     _pair_requests,
+    channel_policy,
     run,
 )
 
@@ -251,6 +253,31 @@ def test_run_never_writes_its_inputs(name):
     assert inputs(pattern, assignment) == before
     assert reports[0].to_json() == reports[1].to_json()
     assert reports[0].events == reports[1].events
+
+
+def per_binding_allocations(assignment, pool):
+    """Round-robin allocations as a walk over every binding registers them:
+    the assignment's communicators in creation order, then each binding's
+    key in binding order."""
+    policy = MappingPolicy(PolicyKind.ROUND_ROBIN_PER_COMMUNICATOR)
+    for comm in assignment.comms:
+        policy.register_communicator(comm.context_id, pool)
+    for desc in assignment.bindings.values():
+        policy.register_communicator(communicator_key(desc), pool)
+    return list(policy.allocations.items())
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+@pytest.mark.parametrize("channels", [1, 3, 16])
+def test_round_robin_registers_as_the_per_binding_walk(name, channels):
+    scenario = scenario_from_dict(SPECS[name])
+    pattern = scenario.build_pattern()
+    assignment = scenario.build_assignment(pattern)
+    pool = ChannelPool(channels)
+    policy = channel_policy(PolicyKind.ROUND_ROBIN_PER_COMMUNICATOR,
+                            assignment, pool)
+    assert list(policy.allocations.items()) == per_binding_allocations(
+        assignment, pool)
 
 
 class TestConcurrencyRatios:

@@ -10,6 +10,7 @@ import pytest
 
 from mpxlab.errors import InvalidArgumentError, UnsupportedPatternError
 from mpxlab.patterns import (MECHANISMS, SUPPORT, Mechanism, PatternKind,
+                             assign_bspmm_windows, assign_communicators_naive,
                              build_assignment)
 from mpxlab.patterns import specfile
 from mpxlab.patterns.specfile import scenario_from_dict
@@ -62,6 +63,25 @@ def test_each_reason_is_the_refusal_message(kind, label):
     with pytest.raises(UnsupportedPatternError) as refusal:
         build_assignment(pattern_of(kind.value), label)
     assert str(refusal.value) == SUPPORT[kind][label]
+
+
+# each label's own assigner, called directly: the stencil row's, and the
+# window assigner, which no stencil rule names
+DIRECT = {**SUPPORT[PatternKind.STENCIL_2D_5PT], "windows": assign_bspmm_windows}
+
+
+@pytest.mark.parametrize("kind,label", REFUSALS,
+                         ids=[f"{k.value}/{m}" for k, m in REFUSALS])
+def test_a_direct_assigner_call_refuses_with_the_reason(kind, label):
+    with pytest.raises(UnsupportedPatternError) as refusal:
+        DIRECT[label](pattern_of(kind.value))
+    assert str(refusal.value) == SUPPORT[kind][label]
+
+
+def test_the_naive_map_refuses_the_allreduce():
+    # its collective ops have no peer thread to pick a communicator by
+    with pytest.raises(UnsupportedPatternError, match="two-sided"):
+        assign_communicators_naive(pattern_of("multithreaded-allreduce"))
 
 
 @pytest.mark.parametrize("label", ["smoke-signals", Mechanism.COMMUNICATORS],

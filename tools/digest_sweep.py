@@ -14,8 +14,11 @@ counts as a refusal.
 
 The script prints one line: the run count, the refusal count and a SHA-256
 over, in sweep order, each run's report JSON and event trace and each
-refusal's exception type and message.  A change that keeps every simulated
-number prints the same line as its parent.
+refusal's exception type and message.  It is a gate: it exits 1 when that
+line differs from the one committed in ``tools/digest_sweep.expected``, and
+0 when they agree.  A change that keeps every simulated number prints the
+committed line.  A declared model fix changes the line, and updates the
+committed file in its own change, which lists every field that moved.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+EXPECTED = Path(__file__).resolve().with_suffix(".expected")
 
 # (even, odd) (process grid, thread grid) of each kind
 GRIDS = {
@@ -97,7 +101,12 @@ def main(argv=None) -> int:
         runs += ran
         refusals += not ran
         digest.update(text.encode() + b"\n")
-    print(f"{runs} runs, {refusals} refusals, sha256 {digest.hexdigest()}")
+    line = f"{runs} runs, {refusals} refusals, sha256 {digest.hexdigest()}"
+    print(line)
+    expected = EXPECTED.read_text().strip()
+    if line != expected:
+        print(f"digest_sweep: expected {expected}", file=sys.stderr)
+        return 1
     return 0
 
 
