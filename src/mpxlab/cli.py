@@ -2,7 +2,8 @@
 
 Exit codes are stable: 0 success, 1 check failure, 2 malformed spec file,
 3 domain or bound error, 4 unsupported mechanism/pattern combination.
-Output files land in --out, then $MPXLAB_OUT, then the working directory.
+simulate writes its reports to --out, then $MPXLAB_OUT, then the working
+directory; analyze and assign print to stdout.
 """
 
 from __future__ import annotations
@@ -55,14 +56,9 @@ def _out_dir(args) -> Path:
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    if getattr(args, "mechanism", None) is not None:
-        scenario.mechanism = args.mechanism
-    if getattr(args, "policy", None) is not None:
-        scenario.policy = args.policy
-    if getattr(args, "channels", None) is not None:
-        scenario.channel_pool = args.channels
-    if getattr(args, "seed", None) is not None:
-        scenario.seed = args.seed
+    for name in ("mechanism", "policy", "channel_pool", "seed"):
+        if getattr(args, name, None) is not None:  # analyze has no --mechanism
+            setattr(scenario, name, getattr(args, name))
     return scenario
 
 
@@ -263,24 +259,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec_nargs=None):
-        if spec_nargs:
-            p.add_argument("--spec", required=True, nargs="+",
-                           help="scenario spec file(s)")
-        else:
-            p.add_argument("--spec", required=True, help="scenario spec file")
-        p.add_argument("--out", help="output directory (default $MPXLAB_OUT or .)")
-        p.add_argument("--mechanism", choices=list(MECHANISMS))
+    def common(p, spec_nargs=None, mechanism=True):
+        p.add_argument("--spec", required=True, nargs=spec_nargs,
+                       help="scenario spec files" if spec_nargs else "scenario spec file")
+        if mechanism:  # analyze reports every mechanism
+            p.add_argument("--mechanism", choices=list(MECHANISMS))
         p.add_argument("--policy", choices=list(POLICIES))
-        p.add_argument("--channels", type=_int_at_least(1), metavar="R")
+        p.add_argument("--channels", type=_int_at_least(1), metavar="R",
+                       dest="channel_pool")
         p.add_argument("--seed", type=_int_at_least(0))
 
     p_analyze = sub.add_parser("analyze", help="object counts, formulas, collisions")
-    common(p_analyze)
+    common(p_analyze, mechanism=False)
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_sim = sub.add_parser("simulate", help="run scenarios, write reports")
     common(p_sim, spec_nargs="+")
+    p_sim.add_argument("--out", help="output directory (default $MPXLAB_OUT or .)")
     p_sim.add_argument("--format", choices=["json", "csv", "both"], default="both")
     p_sim.add_argument("--jobs", type=_int_at_least(1), default=1, metavar="N",
                        help="worker processes, at most one per spec and CPU")

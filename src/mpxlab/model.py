@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import NamedTuple
 
 from .errors import InvalidArgumentError, TagOverflowError
@@ -183,7 +182,6 @@ class IdAllocator:
 class Communicator:
     context_id: int
     group: tuple[int, ...]
-    hints: InfoHints = InfoHints()
     purpose: Purpose = Purpose.GENERAL
 
     def __post_init__(self):
@@ -191,88 +189,53 @@ class Communicator:
             raise InvalidArgumentError("communicator group has duplicate ranks")
 
 
-def world_communicator(num_processes: int, ids: IdAllocator,
-                       hints: InfoHints = InfoHints()) -> Communicator:
-    return Communicator(ids.fresh_context(), tuple(range(num_processes)), hints)
+def world_communicator(num_processes: int, ids: IdAllocator) -> Communicator:
+    return Communicator(ids.fresh_context(), tuple(range(num_processes)))
 
 
 def dup_communicator(comm: Communicator, ids: IdAllocator,
-                     hints: InfoHints | None = None,
                      purpose: Purpose | None = None) -> Communicator:
     """Duplicate: fresh context id, same group."""
-    return Communicator(
-        ids.fresh_context(),
-        comm.group,
-        comm.hints if hints is None else hints,
-        comm.purpose if purpose is None else purpose,
-    )
+    return Communicator(ids.fresh_context(), comm.group,
+                        comm.purpose if purpose is None else purpose)
 
 
 @dataclass(frozen=True)
 class EndpointsComm:
     """A communicator whose addressable ranks are per-process endpoints.
 
-    Endpoint ``e`` of process ``p`` has global rank ``prefix(p) + e`` where
-    ``prefix`` is the running sum of endpoint counts of earlier processes.
-    With uniform counts this reduces to ``p * n_ep + e``.  Each endpoint takes
-    on the matching and ordering semantics of an ordinary rank.
+    Every process holds ``endpoints_per_process`` endpoints; endpoint ``e``
+    of process ``p`` has global rank ``p * endpoints_per_process + e``.  Each
+    endpoint takes on the matching and ordering semantics of an ordinary
+    rank.
     """
 
     context_id: int
-    parent: Communicator
-    eps_per_process: tuple[int, ...]
-
-    @cached_property
-    def prefix(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for n in self.eps_per_process:
-            out.append(acc)
-            acc += n
-        return tuple(out)
+    num_processes: int
+    endpoints_per_process: int
 
     @property
     def total_endpoints(self) -> int:
-        return sum(self.eps_per_process)
+        return self.num_processes * self.endpoints_per_process
 
     def endpoint_rank(self, process: int, local_ep: int) -> int:
-        if not 0 <= process < len(self.eps_per_process):
+        n = self.endpoints_per_process
+        if not 0 <= process < self.num_processes:
             raise InvalidArgumentError(f"no process {process} in endpoints comm")
-        if not 0 <= local_ep < self.eps_per_process[process]:
+        if not 0 <= local_ep < n:
             raise InvalidArgumentError(
-                f"process {process} has {self.eps_per_process[process]} endpoints, "
-                f"asked for {local_ep}"
-            )
-        return self.prefix[process] + local_ep
-
-    def owner_of(self, ep_rank: int) -> tuple[int, int]:
-        """Inverse of :meth:`endpoint_rank`: global rank -> (process, local)."""
-        if not 0 <= ep_rank < self.total_endpoints:
-            raise InvalidArgumentError(f"endpoint rank {ep_rank} out of range")
-        prefix = self.prefix
-        for p in range(len(prefix) - 1, -1, -1):
-            if ep_rank >= prefix[p]:
-                return p, ep_rank - prefix[p]
-        raise AssertionError("unreachable")
+                f"process {process} has {n} endpoints, asked for {local_ep}")
+        return process * n + local_ep
 
 
-def create_endpoints_comm(parent: Communicator, eps_per_process,
+def create_endpoints_comm(parent: Communicator, endpoints_per_process: int,
                           ids: IdAllocator) -> EndpointsComm:
-    """Create a communicator exposing per-process endpoint ranks.
-
-    ``eps_per_process`` is either one count applied to every process of the
-    parent group or a per-process sequence.  Every count must be >= 1.
-    """
-    if isinstance(eps_per_process, int):
-        counts = tuple([eps_per_process] * len(parent.group))
-    else:
-        counts = tuple(eps_per_process)
-        if len(counts) != len(parent.group):
-            raise InvalidArgumentError(
-                "eps_per_process length must equal the parent group size"
-            )
-    if any(n < 1 for n in counts):
+    """Create a communicator giving every process of the parent group
+    ``endpoints_per_process`` (at least one) endpoint ranks."""
+    if endpoints_per_process < 1:
         raise InvalidArgumentError("every process needs at least one endpoint")
-    return EndpointsComm(ids.fresh_context(), parent, counts)
+    return EndpointsComm(ids.fresh_context(), len(parent.group),
+                         endpoints_per_process)
 
 
 class Direction(Enum):
@@ -315,7 +278,6 @@ class OpKind(Enum):
     COLLECTIVE = "collective"
     PARTITION_READY = "pready"
     PARTITION_ARRIVED_TEST = "parrived"
-    WIN_FLUSH = "win-flush"  # window synchronization issued alongside RMA
 
     # Members are singletons that compare by identity, so an identity hash
     # agrees with ==; Enum's own hash runs Python code on every dict or
@@ -324,8 +286,7 @@ class OpKind(Enum):
 
 
 TWO_SIDED = frozenset({OpKind.SEND, OpKind.RECV})
-RMA_KINDS = frozenset({OpKind.PUT, OpKind.GET, OpKind.ACCUMULATE,
-                       OpKind.WIN_FLUSH})
+RMA_KINDS = frozenset({OpKind.PUT, OpKind.GET, OpKind.ACCUMULATE})
 PARTITION_KINDS = frozenset({OpKind.PARTITION_READY, OpKind.PARTITION_ARRIVED_TEST})
 
 

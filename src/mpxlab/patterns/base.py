@@ -148,7 +148,6 @@ class CommPattern:
     ops: tuple[PatternOp, ...]
     communicating_threads: frozenset[int] = frozenset()
     corner_threads: frozenset[int] = frozenset()
-    seed: int = 0
     stamp: int = field(default=0, compare=False)
 
     def __post_init__(self):

@@ -73,7 +73,6 @@ def gen_legion(nodes: int, task_threads: int, events: int, seed: int = 0,
         iterations=1,
         payload_bytes=payload,
         ops=tuple(ops),
-        seed=seed,
     )
 
 
@@ -103,7 +102,6 @@ def gen_bspmm(procs: int, threads: int, tiles: int, seed: int = 0,
         iterations=1,
         payload_bytes=payload,
         ops=tuple(ops),
-        seed=seed,
     )
 
 
@@ -163,7 +161,6 @@ def gen_dynamic_graph(procs: int, threads: int, rounds: int = 2,
         iterations=1,
         payload_bytes=payload,
         ops=tuple(ops),
-        seed=seed,
     )
 
 

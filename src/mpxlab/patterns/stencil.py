@@ -238,6 +238,16 @@ def _require_stencil(pattern: CommPattern, label: str, what: str):
         raise UnsupportedPatternError(f"{what} assignment needs a stencil pattern")
 
 
+def _require_two_sided(pattern: CommPattern, what: str):
+    """Refuse the kinds without two-sided ops, naming the assigner that
+    binds each."""
+    binder = {PatternKind.BSPMM_RMA: "assign_bspmm_endpoints binds the RMA pattern",
+              PatternKind.MULTITHREADED_ALLREDUCE:
+                  "assign_allreduce binds the allreduce"}.get(pattern.kind)
+    if binder is not None:
+        raise UnsupportedPatternError(f"{what} assignment needs two-sided ops; {binder}")
+
+
 # --------------------------------------------------------------------------
 # naive per-thread communicator map
 
@@ -252,10 +262,7 @@ def assign_communicators_naive(pattern: CommPattern,
     contexts.  It needs two-sided ops.
     """
     refuse_unsupported(pattern, "communicators-naive")
-    if pattern.kind is PatternKind.MULTITHREADED_ALLREDUCE:
-        raise UnsupportedPatternError(
-            "per-thread communicator assignment needs two-sided ops; "
-            "assign_allreduce binds the allreduce")
+    _require_two_sided(pattern, "per-thread communicator")
     ids = IdAllocator()
     world = world_communicator(pattern.num_processes, ids)
     K = num_comms if num_comms is not None else pattern.threads_per_process
@@ -494,8 +501,7 @@ def assign_tags_with_hints(pattern: CommPattern) -> Assignment:
 
     ids = IdAllocator()
     world = world_communicator(pattern.num_processes, ids)
-    comm = dup_communicator(world, ids, hints=hints,
-                            purpose=Purpose.PARALLELISM_EXPOSURE)
+    comm = dup_communicator(world, ids, purpose=Purpose.PARALLELISM_EXPOSURE)
     ctx = MatchContextId(ContextFamily.COMM, comm.context_id)
     prog = _program_indexes(pattern)
     tags: dict[tuple[int, int, int], Tag] = {}
@@ -539,6 +545,7 @@ def assign_endpoints(pattern: CommPattern) -> Assignment:
     thread), but only the communicating threads' endpoints are ever bound,
     and that bound count is what the object tally reports.
     """
+    _require_two_sided(pattern, "endpoint")
     T = pattern.threads_per_process
     ids = IdAllocator()
     world = world_communicator(pattern.num_processes, ids)
@@ -546,14 +553,12 @@ def assign_endpoints(pattern: CommPattern) -> Assignment:
     ctx = MatchContextId(ContextFamily.ENDPOINT, epcomm.context_id)
     prog = _program_indexes(pattern)
     tag_of = cache(Tag)
-    # endpoint t of process p is global rank first[p] + t
-    first = epcomm.prefix
     check = _kind_check()
 
     def row(op):
         """(kind, thread, program index, peer thread, tag); a wildcard
         receive has no peer thread and the tag ANY_TAG"""
-        check(op.kind, ctx, endpoint=first[op.process] + op.thread)
+        check(op.kind, ctx, endpoint=op.process * T + op.thread)
         if op.is_wildcard_recv:
             return (op.kind, op.thread, prog[op.op_id], None, ANY_TAG)
         return (op.kind, op.thread, prog[op.op_id], op.peer_thread,
@@ -565,11 +570,11 @@ def assign_endpoints(pattern: CommPattern) -> Assignment:
     for (op_id, p, _, _, _, peer, _, _, _, _, _, _), (
             kind, t, index, peer_t, tag) in _stamped(
                 pattern, map(row, pattern.template)):
-        ep = first[p] + t
+        ep = p * T + t
         used_endpoints.add(ep)
         bindings[op_id] = _new(OpDescriptor, (
             kind, source_of[p][t], index, ctx,
-            ANY_SOURCE if peer_t is None else first[peer] + peer_t, tag, ep,
+            ANY_SOURCE if peer_t is None else peer * T + peer_t, tag, ep,
             None, None, None))
     per_process = len({op.thread for op in pattern.template if op.process == 0})
     return Assignment(

@@ -108,13 +108,6 @@ def ordered_before(a: OpDescriptor, b: OpDescriptor, hints: InfoHints) -> bool:
     if ap != bp:
         return False
 
-    if ak is OpKind.WIN_FLUSH or bk is OpKind.WIN_FLUSH:
-        # a flush synchronizes against every in-flight op on its window;
-        # modeled as an ordering edge rather than a liveness hazard
-        if ak in RMA_KINDS and bk in RMA_KINDS and awin == bwin:
-            return _thread_order(a, b)
-        return False
-
     if ak is OpKind.ACCUMULATE and bk is OpKind.ACCUMULATE:
         if (
             awin == bwin

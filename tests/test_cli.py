@@ -467,6 +467,28 @@ class TestAssign:
         assert json.loads(capsys.readouterr().out) == emitted
 
 
+class TestFlagScope:
+    # only simulate writes files, and analyze reports every mechanism
+    @pytest.mark.parametrize("command,flag", [
+        ("analyze", "--out"), ("analyze", "--mechanism"), ("assign", "--out"),
+    ])
+    def test_a_flag_the_command_would_ignore_is_a_usage_error(
+            self, tmp_path, capsys, command, flag):
+        spec = write_spec(tmp_path)
+        value = "endpoints" if flag == "--mechanism" else str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--spec", str(spec), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_assign_takes_the_mechanism_override(self, tmp_path, capsys):
+        spec = write_spec(tmp_path)
+        assert main(["assign", "--spec", str(spec),
+                     "--mechanism", "endpoints"]) == 0
+        assert "# mechanism=endpoints " in capsys.readouterr().out
+
+
 class TestOracleCheck:
     def test_pass(self, capsys):
         assert main(["oracle-check", "--bound", "6"]) == 0

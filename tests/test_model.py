@@ -94,28 +94,20 @@ class TestEndpointsComm:
         ids = IdAllocator()
         world = world_communicator(3, ids)
         with pytest.raises(InvalidArgumentError):
-            create_endpoints_comm(world, [2, 0, 2], ids)
+            create_endpoints_comm(world, 0, ids)
 
-    def test_nonuniform_prefix_sums(self):
+    @given(st.integers(1, 6), st.integers(1, 6))
+    def test_rank_bijection(self, processes, n):
         ids = IdAllocator()
-        world = world_communicator(3, ids)
-        ep = create_endpoints_comm(world, [2, 5, 1], ids)
-        assert ep.endpoint_rank(1, 0) == 2
-        assert ep.endpoint_rank(2, 0) == 7
-        assert ep.total_endpoints == 8
-
-    @given(st.lists(st.integers(1, 6), min_size=1, max_size=5))
-    def test_rank_bijection(self, counts):
-        ids = IdAllocator()
-        world = world_communicator(len(counts), ids)
-        ep = create_endpoints_comm(world, counts, ids)
-        seen = set()
-        for p, n in enumerate(counts):
-            for e in range(n):
-                rank = ep.endpoint_rank(p, e)
-                assert ep.owner_of(rank) == (p, e)
-                seen.add(rank)
-        assert seen == set(range(sum(counts)))
+        world = world_communicator(processes, ids)
+        ep = create_endpoints_comm(world, n, ids)
+        ranks = [ep.endpoint_rank(p, e)
+                 for p in range(processes) for e in range(n)]
+        assert sorted(ranks) == list(range(processes * n))
+        assert ep.total_endpoints == processes * n
+        for p, e in ((-1, 0), (processes, 0), (0, -1), (0, n)):
+            with pytest.raises(InvalidArgumentError):
+                ep.endpoint_rank(p, e)
 
 
 class TestCommunicators:

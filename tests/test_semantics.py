@@ -159,18 +159,6 @@ class TestClassifier:
         v = logically_parallel(a, b, InfoHints())
         assert v.parallel and v.reason is Reason.RMA_UNORDERED
 
-    def test_flush_orders_against_in_flight_window_ops(self):
-        flush = OpDescriptor(OpKind.WIN_FLUSH, (0, 0), 1, window=0)
-        get = OpDescriptor(OpKind.GET, (0, 1), 0, window=0, target=1,
-                           target_location=2)
-        assert (ordered_before(flush, get, InfoHints())
-                or ordered_before(get, flush, InfoHints()))
-        v = logically_parallel(flush, get, InfoHints())
-        assert not v.parallel
-        other = OpDescriptor(OpKind.GET, (0, 1), 0, window=1, target=1,
-                             target_location=2)
-        assert logically_parallel(flush, other, InfoHints()).parallel
-
 
 class TestOracle:
     def test_disjoint_matchings_parallel(self):

@@ -238,8 +238,7 @@ def reference_tags(pattern):
     hints = InfoHints(no_any_tag=True, no_any_source=True, tag_vci_bits=layout)
     ids = IdAllocator()
     world = world_communicator(pattern.num_processes, ids)
-    comm = dup_communicator(world, ids, hints=hints,
-                            purpose=Purpose.PARALLELISM_EXPOSURE)
+    comm = dup_communicator(world, ids, purpose=Purpose.PARALLELISM_EXPOSURE)
     prog = reference_program_indexes(pattern)
     bindings = {}
     for op in pattern.ops:

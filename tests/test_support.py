@@ -11,7 +11,7 @@ import pytest
 from mpxlab.errors import InvalidArgumentError, UnsupportedPatternError
 from mpxlab.patterns import (MECHANISMS, SUPPORT, Mechanism, PatternKind,
                              assign_bspmm_windows, assign_communicators_naive,
-                             build_assignment)
+                             assign_endpoints, build_assignment)
 from mpxlab.patterns import specfile
 from mpxlab.patterns.specfile import scenario_from_dict
 from test_reports import _GRIDS, _MECHANISMS
@@ -82,6 +82,18 @@ def test_the_naive_map_refuses_the_allreduce():
     # its collective ops have no peer thread to pick a communicator by
     with pytest.raises(UnsupportedPatternError, match="two-sided"):
         assign_communicators_naive(pattern_of("multithreaded-allreduce"))
+
+
+@pytest.mark.parametrize("kind,binder", [
+    ("bspmm-rma", "assign_bspmm_endpoints"),
+    ("multithreaded-allreduce", "assign_allreduce"),
+])
+def test_the_stencil_endpoint_map_refuses_one_sided_kinds(kind, binder):
+    # it binds peer threads of two-sided ops; the kind's own assigner binds
+    # its window ops or collectives
+    with pytest.raises(UnsupportedPatternError, match="two-sided") as refusal:
+        assign_endpoints(pattern_of(kind))
+    assert binder in str(refusal.value)
 
 
 @pytest.mark.parametrize("label", ["smoke-signals", Mechanism.COMMUNICATORS],
