@@ -64,12 +64,12 @@ for kind in (m.PolicyKind.ROUND_ROBIN_PER_COMMUNICATOR,
     print(f"808 communicators, {kind.value}: "
           f"{report.distinct_channels_used} channels used, "
           f"up to {report.max_entities_per_channel} per channel, "
-          f"{len(report.serialized_pairs)} serialized pairs")
+          f"{report.serialized_pair_count} serialized pairs")
 
 ep_report = m.collision_report(m.map_endpoints(range(56), pool), pool)
 print(f"56 endpoints, identity: {ep_report.distinct_channels_used} channels, "
       f"max {ep_report.max_entities_per_channel} per channel, "
-      f"{len(ep_report.serialized_pairs)} serialized pairs")
+      f"{ep_report.serialized_pair_count} serialized pairs")
 print()
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations
 
 from .errors import InvalidArgumentError, MappingError
-from .model import (
-    ANY_SOURCE,
-    OpDescriptor,
-    TagBitLayout,
-    decode_tag,
-)
+from .model import ANY_SOURCE, OpDescriptor, Tag, TagBitLayout, decode_tag
 
 # hardware context count of one Omni-Path HFI adapter
 OMNI_PATH_HFI_CONTEXTS = 160
@@ -70,28 +66,19 @@ class MappingPolicy:
     kind: PolicyKind
     layout: TagBitLayout | None = None
     allocations: dict[int, int] = field(default_factory=dict)
-    _next_rr: int = 0
 
     def register_communicator(self, context_id: int, pool: ChannelPool) -> int:
         """Assign the next round-robin channel to a newly created context."""
         if context_id not in self.allocations:
-            self.allocations[context_id] = self._next_rr % pool.num_channels
-            self._next_rr += 1
+            self.allocations[context_id] = len(self.allocations) % pool.num_channels
         return self.allocations[context_id]
 
-    def channel_of_context(self, context_id: int, pool: ChannelPool) -> int:
-        if self.kind is PolicyKind.HASH_COMMUNICATOR:
-            return fnv1a(context_id) % pool.num_channels
-        if self.kind is PolicyKind.ROUND_ROBIN_PER_COMMUNICATOR:
-            if context_id not in self.allocations:
-                raise MappingError(
-                    f"context {context_id} was never registered with the pool"
-                )
-            return self.allocations[context_id]
-        raise MappingError(f"{self.kind.value} does not map whole communicators")
 
+# A policy's rule is two functions of the policy: the key it reads from an op
+# and the (local, remote) channel pair of a key.  Every caller maps through
+# both, so equal keys give equal pairs and a caller may memoise the pair.
 
-def communicator_key(op: OpDescriptor) -> int:
+def communicator_key(policy: MappingPolicy, op: OpDescriptor) -> int:
     """The id a communicator policy keys one operation on: its context, else
     its window (one matching entity, like a context), else its request."""
     context = op.context
@@ -104,50 +91,83 @@ def communicator_key(op: OpDescriptor) -> int:
     raise MappingError("communicator policies need an addressed op")
 
 
+def _allocated_pair(policy, context_id, pool):
+    ch = policy.allocations.get(context_id)
+    if ch is None:
+        raise MappingError(f"context {context_id} was never registered with the pool")
+    return ch, ch
+
+
+def _index_pair(policy, index, pool):
+    ch = index % pool.num_channels
+    return ch, ch
+
+
+def _hashed_pair(policy, context_id, pool):
+    return _index_pair(policy, fnv1a(context_id), pool)
+
+
+def _tag_key(policy, op):
+    if policy.layout is None:
+        raise MappingError("tag-bit mapping needs a TagBitLayout")
+    tag = op.tag
+    if tag is None or tag.is_wildcard:
+        raise MappingError("tag-bit mapping needs a concrete tag")
+    return tag.raw
+
+
+def _tag_pair(policy, raw, pool):  # local by sender tid, remote by receiver
+    src, dst, _ = decode_tag(Tag(raw), policy.layout)
+    n = min(pool.num_channels, policy.layout.num_vcis)
+    return src % n, dst % n
+
+
+def _endpoint_key(policy, op):
+    if op.endpoint is None:
+        raise MappingError("endpoint identity needs an endpoint-addressed op")
+    return op.endpoint, op.target
+
+
+def _endpoint_pair(policy, key, pool):  # ranks modulo the pool
+    endpoint, target = key
+    local = endpoint % pool.num_channels
+    if target is None or target == ANY_SOURCE:
+        return local, local
+    return local, target % pool.num_channels
+
+
+def _partition_key(policy, op):
+    if op.partition is None:
+        raise MappingError("partition-index mapping needs a partition op")
+    return op.partition[1]
+
+
+# kind -> (key(policy, op), pair(policy, key, pool))
+RULES = {
+    PolicyKind.ROUND_ROBIN_PER_COMMUNICATOR: (communicator_key, _allocated_pair),
+    PolicyKind.HASH_COMMUNICATOR: (communicator_key, _hashed_pair),
+    PolicyKind.TAG_BITS_ONE_TO_ONE: (_tag_key, _tag_pair),
+    PolicyKind.ENDPOINT_IDENTITY: (_endpoint_key, _endpoint_pair),
+    PolicyKind.PARTITION_INDEX: (_partition_key, _index_pair),
+}
+
+
+def rule_of(policy: MappingPolicy) -> tuple:
+    """The (key, pair) functions of ``policy``'s kind."""
+    rule = RULES.get(policy.kind)
+    if rule is None:
+        raise MappingError(f"unknown policy {policy.kind}")
+    return rule
+
+
 def map_entity(policy: MappingPolicy, op: OpDescriptor,
                pool: ChannelPool) -> tuple[int, int]:
-    """Deterministic (local, remote) channel pair for one operation.
-
-    Tag-bit mapping uses the sender-tid bits for the local channel and the
-    receiver-tid bits for the remote one; endpoint identity reduces endpoint
-    ranks modulo the pool size; communicator policies give a symmetric pair.
-    """
-    R = pool.num_channels
-    kind = policy.kind
-
-    if kind in (PolicyKind.ROUND_ROBIN_PER_COMMUNICATOR,
-                PolicyKind.HASH_COMMUNICATOR):
-        ch = policy.channel_of_context(communicator_key(op), pool)
-        return ch, ch
-
-    if kind is PolicyKind.TAG_BITS_ONE_TO_ONE:
-        if policy.layout is None:
-            raise MappingError("tag-bit mapping needs a TagBitLayout")
-        tag = op.tag
-        if tag is None or tag.is_wildcard:
-            raise MappingError("tag-bit mapping needs a concrete tag")
-        src, dst, _ = decode_tag(tag, policy.layout)
-        n = min(R, policy.layout.num_vcis)
-        return src % n, dst % n
-
-    if kind is PolicyKind.ENDPOINT_IDENTITY:
-        if op.endpoint is None:
-            raise MappingError("endpoint identity needs an endpoint-addressed op")
-        local = op.endpoint % R
-        if op.target is None or op.target == ANY_SOURCE:
-            return local, local
-        return local, op.target % R
-
-    if kind is PolicyKind.PARTITION_INDEX:
-        if op.partition is None:
-            raise MappingError("partition-index mapping needs a partition op")
-        ch = op.partition[1] % R
-        return ch, ch
-
-    raise MappingError(f"unknown policy {kind}")
+    """The (local, remote) channel pair of the key ``policy`` reads from ``op``."""
+    key, pair = rule_of(policy)
+    return pair(policy, key(policy, op), pool)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MappedEntity:
     label: object
     local: int
@@ -161,12 +181,23 @@ class CollisionReport:
     entities_mapped: int
     distinct_channels_used: int
     max_entities_per_channel: int
-    serialized_pairs: list[tuple[object, object]]
     occupancy: dict[int, list] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.distinct_channels_used > self.entities_mapped:
             raise InvalidArgumentError("more channels used than entities mapped")
+
+    @property
+    def serialized_pair_count(self) -> int:
+        """Pairs of entities that share a channel, counted per channel."""
+        return sum(n * (n - 1) // 2 for n in map(len, self.occupancy.values()))
+
+    @property
+    def serialized_pairs(self) -> list[tuple[object, object]]:
+        """Those pairs' labels, by channel; the list grows quadratically with
+        the entities per channel, so it is built only when read."""
+        return [pair for channel in sorted(self.occupancy)
+                for pair in combinations(self.occupancy[channel], 2)]
 
 
 def collision_report(entities: list[MappedEntity], pool: ChannelPool) -> CollisionReport:
@@ -178,17 +209,10 @@ def collision_report(entities: list[MappedEntity], pool: ChannelPool) -> Collisi
         if not 0 <= ent.local < pool.num_channels:
             raise MappingError(f"channel {ent.local} outside pool of {pool.num_channels}")
         occupancy.setdefault(ent.local, []).append(ent.label)
-    pairs = []
-    for channel in sorted(occupancy):
-        labels = occupancy[channel]
-        for i in range(len(labels)):
-            for j in range(i + 1, len(labels)):
-                pairs.append((labels[i], labels[j]))
     return CollisionReport(
         entities_mapped=len(entities),
         distinct_channels_used=len(occupancy),
         max_entities_per_channel=max(len(v) for v in occupancy.values()),
-        serialized_pairs=pairs,
         occupancy=occupancy,
     )
 
@@ -196,19 +220,19 @@ def collision_report(entities: list[MappedEntity], pool: ChannelPool) -> Collisi
 def map_communicators(context_ids, policy: MappingPolicy,
                       pool: ChannelPool) -> list[MappedEntity]:
     """Map whole communicators (by context id) through a communicator policy."""
+    _, pair = rule_of(policy)
     out = []
     for ctx in context_ids:
         if policy.kind is PolicyKind.ROUND_ROBIN_PER_COMMUNICATOR:
             policy.register_communicator(ctx, pool)
-        ch = policy.channel_of_context(ctx, pool)
-        out.append(MappedEntity(("comm", ctx), ch, ch))
+        elif policy.kind is not PolicyKind.HASH_COMMUNICATOR:
+            raise MappingError(f"{policy.kind.value} does not map whole communicators")
+        out.append(MappedEntity(("comm", ctx), *pair(policy, ctx, pool)))
     return out
 
 
 def map_endpoints(endpoint_ranks, pool: ChannelPool) -> list[MappedEntity]:
-    """Identity-modulo mapping for endpoint ranks."""
-    return [
-        MappedEntity(("ep", rank), rank % pool.num_channels, rank % pool.num_channels)
-        for rank in endpoint_ranks
-    ]
-
+    """Map endpoint ranks, each on its own channel, under endpoint identity."""
+    policy = MappingPolicy(PolicyKind.ENDPOINT_IDENTITY)
+    return [MappedEntity(("ep", rank), *_endpoint_pair(policy, (rank, None), pool))
+            for rank in endpoint_ranks]

@@ -23,6 +23,7 @@ from .errors import (
     MpxlabError,
     OracleBoundError,
     SpecFileError,
+    TagOverflowError,
     UnsupportedPatternError,
 )
 from .patterns import (
@@ -94,10 +95,13 @@ def cmd_analyze(args) -> int:
         print(f"pool_channels: {pool.num_channels}")
         print(f"ideal_comm_channels_used: {report.distinct_channels_used}")
         print(f"ideal_comm_max_per_channel: {report.max_entities_per_channel}")
-        print(f"ideal_comm_serialized_pairs: {len(report.serialized_pairs)}")
-        eps = range(endpoints.objects_created["endpoints_per_process"])
-        ep_report = collision_report(map_endpoints(eps, pool), pool)
-        print(f"endpoint_serialized_pairs: {len(ep_report.serialized_pairs)}")
+        print(f"ideal_comm_serialized_pairs: {report.serialized_pair_count}")
+        # the endpoint ranks process 0's ops are bound to, on the channels
+        # endpoint identity gives their ops
+        bound = dict.fromkeys(endpoints.bindings[op.op_id].endpoint
+                              for op in pattern.ops if op.process == 0)
+        ep_report = collision_report(map_endpoints(bound, pool), pool)
+        print(f"endpoint_serialized_pairs: {ep_report.serialized_pair_count}")
         return EXIT_OK
 
     # irregular kinds: report object counts per supported mechanism
@@ -311,7 +315,8 @@ def main(argv=None) -> int:
     except (DomainError, OracleBoundError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except UnsupportedPatternError as exc:
+    except (UnsupportedPatternError, TagOverflowError) as exc:
+        # thread ids that overflow the tag space: tags cannot express it
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except MpxlabError as exc:

@@ -54,11 +54,11 @@ class TagBitLayout:
             )
         if self.num_app_bits < 0:
             raise InvalidArgumentError("negative app-bit width")
-        if 2 * self.num_tid_bits + self.num_app_bits > TAG_WIDTH_DEFAULT:
+        need = 2 * self.num_tid_bits + self.num_app_bits
+        if need > TAG_WIDTH_DEFAULT:
             raise TagOverflowError(
-                f"layout needs {2 * self.num_tid_bits + self.num_app_bits} bits, "
-                f"tag width is {TAG_WIDTH_DEFAULT}"
-            )
+                f"two {self.num_tid_bits}-bit thread ids plus {self.num_app_bits} "
+                f"app bits need {need} bits; the tag has {TAG_WIDTH_DEFAULT}")
         if self.num_vcis > 1 << self.num_tid_bits:
             raise InvalidArgumentError(
                 "one-to-one mapping requires num_vcis <= 2**num_tid_bits"

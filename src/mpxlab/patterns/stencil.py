@@ -20,7 +20,7 @@ import itertools
 from functools import cache
 from math import ceil, log2, prod
 
-from ..errors import InvalidArgumentError, TagOverflowError, UnsupportedPatternError
+from ..errors import InvalidArgumentError, UnsupportedPatternError
 from ..model import (
     ANY_SOURCE,
     ANY_TAG,
@@ -491,10 +491,6 @@ def assign_tags_with_hints(pattern: CommPattern) -> Assignment:
     tid_bits = max(1, ceil(log2(T))) if T > 1 else 1
     max_app = max((op.tag_key for op in pattern.template), default=0)
     app_bits = max(1, max_app.bit_length())
-    if 2 * tid_bits + app_bits > 23:
-        raise TagOverflowError(
-            f"{T} threads plus {app_bits} app bits exceed the 23-bit tag space"
-        )
     layout = TagBitLayout(num_vcis=min(T, 1 << tid_bits), num_tid_bits=tid_bits,
                           num_app_bits=app_bits)
     hints = InfoHints(no_any_tag=True, no_any_source=True, tag_vci_bits=layout)

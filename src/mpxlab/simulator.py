@@ -44,13 +44,7 @@ from enum import Enum
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
-from .channels import (
-    ChannelPool,
-    MappingPolicy,
-    PolicyKind,
-    communicator_key,
-    map_entity,
-)
+from .channels import ChannelPool, MappingPolicy, PolicyKind, rule_of
 from .errors import (DoubleReadyError, InvalidArgumentError,
                      InvalidAssignmentError, InvalidTransitionError,
                      MpxlabError, UnsupportedPatternError)
@@ -176,7 +170,8 @@ def channel_policy(kind: PolicyKind | None, assignment: Assignment,
     if kind is PolicyKind.ROUND_ROBIN_PER_COMMUNICATOR:
         for comm in assignment.comms:
             policy.register_communicator(comm.context_id, pool)
-        for key in dict.fromkeys(map(communicator_key,
+        key_of, _ = rule_of(policy)
+        for key in dict.fromkeys(map(key_of, itertools.repeat(policy),
                                      assignment.bindings.values())):
             policy.register_communicator(key, pool)
     return policy
@@ -287,35 +282,6 @@ class _Queue:
         return rank + 1, item
 
 
-def _channel_pairs(policy: MappingPolicy, pool: ChannelPool):
-    """``map_entity(policy, desc, pool)`` as a function of ``desc``,
-    memoised per run on the one field the policy reads: the communicator
-    key, the raw tag or the partition index.  Endpoint identity reads the
-    endpoint and the target, a pair nearly every send has to itself, so it
-    is not memoised.  A descriptor the policy cannot map goes through
-    :func:`map_entity` each time, which refuses it."""
-    kind = policy.kind
-    if kind is PolicyKind.ENDPOINT_IDENTITY:
-        return lambda desc: map_entity(policy, desc, pool)
-    if kind is PolicyKind.TAG_BITS_ONE_TO_ONE:
-        def key_of(desc):
-            return None if desc.tag is None else desc.tag.raw
-    elif kind is PolicyKind.PARTITION_INDEX:
-        def key_of(desc):
-            return None if desc.partition is None else desc.partition[1]
-    else:  # round-robin or hash per communicator
-        key_of = communicator_key
-    memo: dict = {}
-
-    def pair(desc):
-        key = key_of(desc)
-        found = memo.get(key)
-        if found is None:
-            found = memo[key] = map_entity(policy, desc, pool)
-        return found
-    return pair
-
-
 def _max_overlap(starts) -> int:
     """Most transfers in flight at once, given their start ticks.
 
@@ -420,9 +386,9 @@ class _Engine:
         unstamped pattern is sorted into issue order and is its own
         template.  Only the pattern is stamped, not the bindings: the rest
         of a row comes from the op itself and its own descriptor, the
-        channel pair memoised on the field the policy reads.  The plan also
-        counts the messages of one iteration: the sends of the pattern, or
-        the send requests under partitioned.
+        channel pair memoised on the key the policy reads from it.  The
+        plan also counts the messages of one iteration: the sends of the
+        pattern, or the send requests under partitioned.
 
         Sends the matcher never sees are confirmed or recorded here: under
         partitioned, a send is confirmed when ``pair_of`` pairs its request
@@ -435,7 +401,9 @@ class _Engine:
         polled = pattern.kind is PatternKind.LEGION_POLLING
         partitioned = assignment.mechanism is Mechanism.PARTITIONED
         unconfirmed = self.unconfirmed
-        channels = _channel_pairs(self.policy, pool)
+        policy = self.policy
+        key_of, channels_of = rule_of(policy)
+        pairs: dict = {}  # the policy's key -> its (local, remote) pair
         share = {}.setdefault
         queues: dict[tuple, _Queue] = {}
         queue_of, pready = queues.get, OpKind.PARTITION_READY
@@ -486,7 +454,11 @@ class _Engine:
                 # partition arrival is tracked on the shared request
                 rows.append((op_id, slot, queue, bucket))
                 continue
-            lch, rch = channels(desc)
+            key = key_of(policy, desc)
+            pair = pairs.get(key)
+            if pair is None:
+                pair = pairs[key] = channels_of(policy, key, pool)
+            lch, rch = pair
             local = p * R + lch
             part = paired = None
             if partition is not None:

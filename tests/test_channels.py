@@ -16,6 +16,7 @@ from mpxlab.channels import (
     map_communicators,
     map_endpoints,
     map_entity,
+    rule_of,
 )
 from mpxlab.errors import InvalidArgumentError, MappingError
 from mpxlab.model import (
@@ -71,10 +72,19 @@ class TestMapEntity:
     def test_round_robin_requires_registration(self):
         policy = MappingPolicy(PolicyKind.ROUND_ROBIN_PER_COMMUNICATOR)
         pool = ChannelPool(8)
+        _, pair = rule_of(policy)
         with pytest.raises(MappingError):
-            policy.channel_of_context(42, pool)
+            pair(policy, 42, pool)
         assert policy.register_communicator(42, pool) == 0
-        assert policy.channel_of_context(42, pool) == 0
+        assert pair(policy, 42, pool) == (0, 0)
+
+    @pytest.mark.parametrize("kind", [PolicyKind.TAG_BITS_ONE_TO_ONE,
+                                      PolicyKind.ENDPOINT_IDENTITY,
+                                      PolicyKind.PARTITION_INDEX])
+    def test_only_communicator_policies_map_whole_communicators(self, kind):
+        policy = MappingPolicy(kind)
+        with pytest.raises(MappingError, match="does not map whole communicators"):
+            map_communicators(range(4), policy, ChannelPool(4))
 
     @given(st.integers(1, 4), st.integers(1, 16))
     def test_one_to_one_injective_over_tids(self, tid_bits, r):

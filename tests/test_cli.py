@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import re
+import tracemalloc
 from concurrent.futures import Future
 
 import pytest
@@ -11,10 +12,13 @@ import pytest
 import mpxlab.cli as cli
 import mpxlab.semantics as semantics
 import mpxlab.simulator as simulator
+from mpxlab.channels import (ChannelPool, CollisionReport, collision_report,
+                             map_communicators)
 from mpxlab.cli import main
-from mpxlab.patterns.specfile import load_scenario
+from mpxlab.patterns import build_assignment
+from mpxlab.patterns.specfile import load_scenario, scenario_from_dict
 from mpxlab.semantics import ParallelismVerdict, Reason
-from mpxlab.simulator import Event, run
+from mpxlab.simulator import Event, channel_policy, run
 
 
 def write_spec(tmp_path, name="spec.json", **overrides):
@@ -134,6 +138,54 @@ class TestAnalyze:
         assert "communicators_ideal: 808" in out
         assert "endpoints: 56" in out
         assert "min_channels: 56" in out
+
+    @pytest.mark.parametrize("pool,pairs", [(16, 76), (160, 0)])
+    def test_endpoint_pairs_are_those_process_0_binds(self, tmp_path, capsys,
+                                                      pool, pairs):
+        # process 0 binds its 56 boundary threads' endpoints, ranks 0..63
+        # less the 8 interior ones; on 16 channels they collide in 76 pairs
+        # (the ranks 0..55 would collide in 72), and 160 channels fit them
+        spec = write_spec(tmp_path, kind="stencil-3d-27pt",
+                          process_grid=[2, 2, 2], thread_grid=[4, 4, 4],
+                          channel_pool=pool)
+        assert main(["analyze", "--spec", str(spec)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == f"endpoint_serialized_pairs: {pairs}"
+
+    def test_collisions_are_counted_not_listed(self, tmp_path, capsys,
+                                               monkeypatch):
+        def unread(report):
+            raise AssertionError("analyze built the serialized-pair list")
+
+        monkeypatch.setattr(CollisionReport, "serialized_pairs",
+                            property(unread))
+        spec = write_spec(tmp_path, kind="stencil-3d-27pt",
+                          process_grid=[1, 1, 1], thread_grid=[16, 8, 8])
+        assert main(["analyze", "--spec", str(spec)]) == 0
+        out = capsys.readouterr().out
+        assert "ideal_comm_max_per_channel: 352\n" in out
+        assert "ideal_comm_serialized_pairs: 985608\n" in out
+
+    def test_collision_step_allocates_no_pair_list(self):
+        # 5,624 communicators on 16 channels share them in 985,608 pairs; a
+        # list of them alone would take tens of MB
+        scenario = scenario_from_dict({"kind": "stencil-3d-27pt",
+                                       "process_grid": [1, 1, 1],
+                                       "thread_grid": [16, 8, 8]})
+        ideal = build_assignment(scenario.build_pattern(), "communicators")
+        pool = ChannelPool(16)
+        policy = channel_policy(None, ideal, pool)
+        contexts = [c.context_id for c in ideal.comms[1:]]
+        tracemalloc.start()
+        try:
+            report = collision_report(map_communicators(contexts, policy, pool),
+                                      pool)
+            count = report.serialized_pair_count
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 985_608
+        assert peak < 1 << 20
 
     def test_reference_lines_2d(self, tmp_path, capsys):
         spec = write_spec(tmp_path, kind="stencil-2d-5pt")
@@ -258,6 +310,20 @@ class TestSimulate:
                           thread_grid=[5], mechanism="partitioned")
         assert main(["simulate", "--spec", str(spec),
                      "--out", str(tmp_path)]) == 4
+
+    @pytest.mark.parametrize("command", [["simulate", "--out"], ["assign"]])
+    def test_tag_space_overflow_exits_4(self, tmp_path, capsys, command):
+        # 1,024 threads need two 10-bit thread ids beside 5 app bits
+        spec = write_spec(tmp_path, kind="stencil-3d-27pt",
+                          process_grid=[1, 1, 1], thread_grid=[16, 8, 8],
+                          mechanism="tags")
+        argv = [command[0], "--spec", str(spec), *command[1:]]
+        if command[0] == "simulate":
+            argv.append(str(tmp_path))
+        assert main(argv) == 4
+        assert capsys.readouterr().err == (
+            "unsupported: two 10-bit thread ids plus 5 app bits need 25 "
+            "bits; the tag has 23\n")
 
     @pytest.mark.parametrize("mechanism", [
         "communicators", "communicators-naive", "tags", "endpoints",

@@ -263,7 +263,7 @@ def per_binding_allocations(assignment, pool):
     for comm in assignment.comms:
         policy.register_communicator(comm.context_id, pool)
     for desc in assignment.bindings.values():
-        policy.register_communicator(communicator_key(desc), pool)
+        policy.register_communicator(communicator_key(policy, desc), pool)
     return list(policy.allocations.items())
 
 
