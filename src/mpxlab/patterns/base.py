@@ -137,7 +137,8 @@ class CommPattern:
     moved by the same torus offset that takes 0 to op ``i``'s peer.  The
     template lists its ops by thread, so the ops are in (process, thread,
     op id) order.  The assigners compute those shared fields once, over
-    :attr:`template`, and the engine reads them once per template op.
+    :attr:`template`, and the engine orders its walk by them once, over
+    the template's phases and kinds.
     """
 
     kind: PatternKind

@@ -223,7 +223,7 @@ def logically_parallel(a: OpDescriptor, b: OpDescriptor,
             return _VERDICT[Reason.ATOMIC_SAME_LOCATION]
         if ak is OpKind.COLLECTIVE:
             return _VERDICT[Reason.COLLECTIVE_SERIAL_ON_COMM]
-        # covers two-sided program order and window-flush edges alike
+        # the one edge left: two-sided program order on one triplet
         return _VERDICT[Reason.ORDERED_SAME_TRIPLET]
 
     if ak is OpKind.COLLECTIVE and bk is OpKind.COLLECTIVE:

@@ -22,10 +22,10 @@ A send that finds none is refused as a pattern that is not closed.  The
 queue is indexed by exact (source, tag), so the count of a scan comes from
 the rank of its match rather than from walking the queue; until a receive
 is posted to one of a queue's wildcard buckets, a send there looks up only
-its exact bucket.  The plan resolves each op's queue once per run, so the
-loop hashes no scope.  A send matched with its intended partner confirms
-that pair; ``run()`` checks only the pairs the engine did not confirm
-against the matching rule.
+its exact bucket.  A scope's queue exists only while it holds a posted
+receive: the first posting creates it and the take that empties it drops
+it.  A send matched with its intended partner confirms that pair; ``run()``
+checks only the pairs the engine did not confirm against the matching rule.
 
 Partitioned requests match once per message: one attempt and one success per
 request pair per iteration, independent of the partition count.  Their
@@ -41,7 +41,7 @@ from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import NamedTuple
 
 from .channels import ChannelPool, MappingPolicy, PolicyKind, rule_of
@@ -353,11 +353,12 @@ class _Engine:
         self.waitblocks = 0
         self.barriers = 0
         self.probes = 0
-        self.transfers: list[tuple[int, int, tuple[int, ...], int]] = []
+        # phase -> most transfers in flight at once on one process
+        self.concurrency: dict[int, int] = {}
         # (send, partner) of every send this run did not pair with its
         # partner; run() checks only these against the matching rule
         self.unconfirmed: list[tuple[int, int | None]] = []
-        self.messages = 0  # of one iteration, counted by _plan
+        self.messages = 0  # of one iteration, counted by the walk
 
     # -- small helpers ------------------------------------------------
 
@@ -365,125 +366,7 @@ class _Engine:
         if self.events is not None:
             self.events.append(Event(time, kind, op_id, channel))
 
-    def _plan(self, pair_of):
-        """The rows of the pattern's ops by phase: per phase, the receives'
-        rows and the other ops' rows, each in (process, thread, op id)
-        order.  A row is all the loop reads of an op, built once per run.
-        A receive's row is (op id, clock slot, posted queue, bucket).  Any
-        other op's row is (op id, clock slot, phase, local channel instance,
-        remote instance, owner processes, posted queue, bucket, (send
-        request id, index, paired receive request id) of a partition it
-        readies), each part None when the op has none, and its intended
-        partner.  Equal buckets and owner tuples are one object, and so is
-        the queue of one matching scope.  A polling pattern's receives are
-        never posted and get no row; its sends' rows hold their destination
-        node in place of a queue.
-
-        The plan walks each op with its template op, as the stencil
-        assigners do.  A stamped pattern is already in issue order, and its
-        ops copy their template op's thread, kind and phase, so those and
-        the row list an op joins are read once per template op; an
-        unstamped pattern is sorted into issue order and is its own
-        template.  Only the pattern is stamped, not the bindings: the rest
-        of a row comes from the op itself and its own descriptor, the
-        channel pair memoised on the key the policy reads from it.  The
-        plan also counts the messages of one iteration: the sends of the
-        pattern, or the send requests under partitioned.
-
-        Sends the matcher never sees are confirmed or recorded here: under
-        partitioned, a send is confirmed when ``pair_of`` pairs its request
-        with its partner's and recorded otherwise; every send of a polling
-        pattern is recorded.
-        """
-        pattern, assignment, pool = self.pattern, self.assignment, self.pool
-        bindings, requests = assignment.bindings, assignment.requests
-        T, R = pattern.threads_per_process, pool.num_channels
-        polled = pattern.kind is PatternKind.LEGION_POLLING
-        partitioned = assignment.mechanism is Mechanism.PARTITIONED
-        unconfirmed = self.unconfirmed
-        policy = self.policy
-        key_of, channels_of = rule_of(policy)
-        pairs: dict = {}  # the policy's key -> its (local, remote) pair
-        share = {}.setdefault
-        queues: dict[tuple, _Queue] = {}
-        queue_of, pready = queues.get, OpKind.PARTITION_READY
-        if pattern.stamp:
-            ops, template = pattern.ops, pattern.template
-        else:
-            ops = template = sorted(pattern.ops, key=_BY_THREAD)
-        by_phase: dict[int, tuple[list, list]] = {}
-        # per template op: (thread, phase, receive?, the rows it joins), one
-        # tuple per distinct (thread, phase, kind)
-        facts, fact_of = [], {}
-        sends = 0
-        for _, _, t, op_kind, _, _, _, _, phase, _, _, _ in template:
-            fact = fact_of.get((t, phase, op_kind))
-            if fact is None:
-                recv = op_kind is OpKind.RECV
-                if polled and recv:
-                    rows = None  # a polling thread posts no receive
-                else:
-                    rows = by_phase.setdefault(phase, ([], []))[not recv]
-                fact = fact_of[t, phase, op_kind] = (t, phase, recv, rows)
-            facts.append(fact)
-            sends += op_kind is OpKind.SEND
-        if partitioned:
-            self.messages = sum(r.direction is Direction.SEND
-                                for r in requests.values())
-        elif template:
-            self.messages = sends * (len(ops) // len(template))
-
-        # PatternOp fields by position: one unpack costs less than six reads
-        for (op_id, p, _, _, _, peer, _, partner, _, _, _, _), (
-                t, phase, recv, rows) in zip(ops, itertools.cycle(facts)):
-            if rows is None:
-                continue
-            desc = bindings[op_id]
-            kind, _, _, _, _, _, _, _, _, partition = desc
-            slot = p * T + t
-            queue = bucket = None
-            if polled:
-                queue = peer
-            elif kind in TWO_SIDED:
-                scope, bucket = _keys(desc)
-                queue = queue_of(scope)
-                if queue is None:
-                    queue = queues[scope] = _Queue()
-                bucket = share(bucket, bucket)
-            if recv:
-                # partition arrival is tracked on the shared request
-                rows.append((op_id, slot, queue, bucket))
-                continue
-            key = key_of(policy, desc)
-            pair = pairs.get(key)
-            if pair is None:
-                pair = pairs[key] = channels_of(policy, key, pool)
-            lch, rch = pair
-            local = p * R + lch
-            part = paired = None
-            if partition is not None:
-                rid, idx = partition
-                req = requests[rid]
-                if peer is None:
-                    peer = req.peer
-                if kind is pready:
-                    paired = pair_of.get(rid)
-                    part = (rid, idx, paired)
-            if partitioned:
-                mate = getattr(bindings.get(partner), "partition", None)
-                if paired is None or mate is None or mate[0] != paired:
-                    unconfirmed.append((op_id, partner))
-            elif polled:
-                unconfirmed.append((op_id, partner))
-            remote = None if peer is None else peer * R + rch
-            owners = ((p,) if peer is None or peer == p
-                      else (p, peer) if p < peer else (peer, p))
-            rows.append((op_id, slot, phase, local,
-                         None if remote == local else remote,
-                         share(owners, owners), queue, bucket, part, partner))
-        return by_phase
-
-    # -- main loop: run() reports once the loop's plan rows are freed --
+    # -- main loop: one walk of the pattern in issue order, no per-op state --
 
     def run(self) -> SimReport:
         self._iteration()
@@ -493,11 +376,37 @@ class _Engine:
         """Run one iteration from the current clocks and channel state; it
         ends with all clocks equal, none before a transfer's end.  ``run()``
         runs it once from zero clocks; the full-loop reference of
-        ``tests/test_iterations.py`` repeats it on carried state."""
-        pattern, assignment = self.pattern, self.assignment
-        requests = assignment.requests
+        ``tests/test_iterations.py`` repeats it on carried state.
+
+        The walk issues each phase's receives, then its other ops, each in
+        (process, thread, op id) order.  A stamped pattern is in that order
+        already, and each process's ops copy the template's thread, kind and
+        phase, so a phase needs only the template indexes of its receives
+        and of its other ops: op ``base + i`` for each process's ``base``
+        and each index ``i``.  An unstamped pattern is sorted into issue
+        order and is its own template.  A polling pattern's receives are
+        never posted and get no index; its sends go to their destination
+        node.  Each send's channel pair is memoised on the key the policy
+        reads from its descriptor, and a scope's posted queue lives from a
+        posting until a take empties it.  The walk also counts the messages
+        of one iteration: the sends of the pattern, or the send requests
+        under partitioned.
+
+        Sends the matcher never sees are confirmed or recorded as they
+        issue: under partitioned, a send is confirmed when its request is
+        paired with its partner's and recorded otherwise; every send of a
+        polling pattern is recorded.
+        """
+        pattern, assignment, pool = self.pattern, self.assignment, self.pool
+        bindings, requests = assignment.bindings, assignment.requests
         partitioned = assignment.mechanism is Mechanism.PARTITIONED
         polled = pattern.kind is PatternKind.LEGION_POLLING
+        P, T = pattern.num_processes, pattern.threads_per_process
+        R, policy = pool.num_channels, self.policy
+        key_of, channels_of = rule_of(policy)
+        pairs: dict = {}  # the policy's key -> its (local, remote) pair
+        queues: dict[tuple, _Queue] = {}  # the scopes with a posted receive
+        queue_of, pready = queues.get, OpKind.PARTITION_READY
         pair_of = {}
         reqs_of: dict[int, list] = {}
         # request id -> the partitions readied (a send request) or arrived
@@ -505,9 +414,8 @@ class _Engine:
         filled: dict[int, set[int]] = {rid: set() for rid in requests}
         arrivals: dict[int, int] = {}  # receive request id -> latest arrival
         clocks, events, unconfirmed = self.clocks, self.events, self.unconfirmed
-        free, busy, transfers = self.channel_free, self.channel_busy, self.transfers
+        free, busy, concurrency = self.channel_free, self.channel_busy, self.concurrency
         free_at, busy_of, SEND = free.get, busy.get, Direction.SEND
-        R = self.pool.num_channels
         if partitioned:
             pair_of = _pair_requests(requests.values())
             t0 = max(clocks)
@@ -519,71 +427,133 @@ class _Engine:
             self.attempts += len(pair_of)
             self.matches += len(pair_of)
 
-        # per phase: receives, then sends, each in (process, thread, op) order
-        by_phase = self._plan(pair_of)
+        if pattern.stamp:
+            ops, template = pattern.ops, pattern.template
+        else:
+            ops = template = sorted(pattern.ops, key=_BY_THREAD)
+        bases = range(0, len(ops), len(template) or 1)
+        # per phase: the template indexes of its receives and its other ops
+        by_phase: dict[int, tuple[list, list]] = {}
+        for i, (_, _, _, op_kind, _, _, _, _, phase, _, _, _) in enumerate(template):
+            recv = op_kind is OpKind.RECV
+            if not (polled and recv):
+                by_phase.setdefault(phase, ([], []))[not recv].append(i)
+        self.messages = (sum(r.direction is SEND for r in requests.values())
+                         if partitioned else
+                         len(bases) * sum(op.kind is OpKind.SEND for op in template))
+
         postings = itertools.count()
         unmatched = 0  # sends that found no posted receive
+        # PatternOp fields by position: one unpack costs less than several reads
         for phase in sorted(by_phase):
-            recv_rows, send_rows = by_phase[phase]
+            recvs, others = by_phase[phase]
             last = 0  # the latest transfer end of this phase
             incoming: dict[int, list[tuple[int, int]]] = {}
-            for op_id, slot, queue, bucket in recv_rows:
-                t_issue = clocks[slot]
-                clocks[slot] = t_issue + ISSUE_TICKS
-                if events is not None:
-                    self.emit(t_issue, EventKind.ISSUE, op_id)
-                if queue is not None:
-                    queue.add(bucket, next(postings), op_id)
-            for (op_id, slot, phase, local, remote, owners,
-                 queue, bucket, part, partner) in send_rows:
-                t_issue = clocks[slot]
-                clocks[slot] = t_issue + ISSUE_TICKS
-                # without a remote instance, remote is None: never a key
-                start = max(t_issue, free_at(local, 0), free_at(remote, 0))
-                end = free[local] = start + TRANSFER_TICKS
-                busy[local] = busy_of(local, 0) + TRANSFER_TICKS
-                if remote is not None:
-                    free[remote] = end
-                    busy[remote] = busy_of(remote, 0) + TRANSFER_TICKS
-                if end > last:
-                    last = end
-                transfers.append((start, end, owners, phase))
-                if events is not None:
-                    channel = divmod(local if remote is None else min(local, remote), R)
-                    events += (Event(t_issue, EventKind.ISSUE, op_id),
-                               Event(start, EventKind.CHANNEL_ACQUIRE, op_id, channel),
-                               Event(start, EventKind.TRANSFER, op_id, channel))
-                if part is not None:
-                    rid, idx, peer_rid = part
-                    req, readied = requests[rid], filled[rid]
-                    _check_index(req, idx)
-                    if req.direction is not SEND:
-                        raise InvalidTransitionError("pready on a receive request")
-                    if not partitioned:  # only a partitioned run starts requests
-                        raise InvalidTransitionError("pready while inactive")
-                    if idx in readied:
-                        raise DoubleReadyError(f"partition {idx} already marked ready")
-                    readied.add(idx)
-                    if peer_rid is not None:
-                        _check_index(requests[peer_rid], idx)
-                        filled[peer_rid].add(idx)
-                        arrivals[peer_rid] = max(arrivals.get(peer_rid, end), end)
-                if polled:  # the queue is the destination node
-                    incoming.setdefault(queue, []).append((end, op_id))
-                elif queue is not None:  # a send: nothing else matches
-                    attempts, rid = queue.take(bucket)
-                    unmatched += rid is None
-                    self.attempts += attempts
-                    self.matches += rid is not None
-                    if rid != partner:
-                        unconfirmed.append((op_id, partner))
+            starts = defaultdict(list)  # owner process -> its transfer starts
+            for base in bases:
+                for i in recvs:
+                    op_id, p, t, _, _, _, _, _, _, _, _, _ = ops[base + i]
+                    slot = p * T + t
+                    t_issue = clocks[slot]
+                    clocks[slot] = t_issue + ISSUE_TICKS
                     if events is not None:
-                        events += [Event(end, EventKind.MATCH_ATTEMPT,
-                                         op_id)] * attempts
-                        if rid is not None:
-                            self.emit(end, EventKind.MATCH_SUCCESS, op_id)
+                        self.emit(t_issue, EventKind.ISSUE, op_id)
+                    desc = bindings[op_id]
+                    # partition arrival is tracked on the shared request
+                    if desc[0] in TWO_SIDED:
+                        scope, bucket = _keys(desc)
+                        queue = queue_of(scope)
+                        if queue is None:
+                            queue = queues[scope] = _Queue()
+                        queue.add(bucket, next(postings), op_id)
+            for base in bases:
+                for i in others:
+                    op_id, p, t, _, _, peer, _, partner, _, _, _, _ = ops[base + i]
+                    desc = bindings[op_id]
+                    kind, _, _, _, _, _, _, _, _, partition = desc
+                    slot = p * T + t
+                    t_issue = clocks[slot]
+                    clocks[slot] = t_issue + ISSUE_TICKS
+                    key = key_of(policy, desc)
+                    pair = pairs.get(key)
+                    if pair is None:
+                        pair = pairs[key] = channels_of(policy, key, pool)
+                    lch, rch = pair
+                    paired = None
+                    if partition is not None:
+                        rid, idx = partition
+                        if peer is None:
+                            peer = requests[rid].peer
+                        if kind is pready:
+                            paired = pair_of.get(rid)
+                    if partitioned:
+                        mate = getattr(bindings.get(partner), "partition", None)
+                        if paired is None or mate is None or mate[0] != paired:
+                            unconfirmed.append((op_id, partner))
+                    elif polled:
+                        unconfirmed.append((op_id, partner))
+                    local = p * R + lch
+                    remote = None if peer is None else peer * R + rch
+                    if remote == local:
+                        remote = None
+                    # without a remote instance, remote is None: never a key
+                    start = max(t_issue, free_at(local, 0), free_at(remote, 0))
+                    end = free[local] = start + TRANSFER_TICKS
+                    busy[local] = busy_of(local, 0) + TRANSFER_TICKS
+                    if remote is not None:
+                        free[remote] = end
+                        busy[remote] = busy_of(remote, 0) + TRANSFER_TICKS
+                    if end > last:
+                        last = end
+                    starts[p].append(start)
+                    if peer is not None and peer != p:
+                        starts[peer].append(start)
+                    if events is not None:
+                        channel = divmod(local if remote is None else min(local, remote), R)
+                        events += (Event(t_issue, EventKind.ISSUE, op_id),
+                                   Event(start, EventKind.CHANNEL_ACQUIRE, op_id, channel),
+                                   Event(start, EventKind.TRANSFER, op_id, channel))
+                    if partition is not None and kind is pready:
+                        req, readied = requests[rid], filled[rid]
+                        _check_index(req, idx)
+                        if req.direction is not SEND:
+                            raise InvalidTransitionError("pready on a receive request")
+                        if not partitioned:  # only a partitioned run starts requests
+                            raise InvalidTransitionError("pready while inactive")
+                        if idx in readied:
+                            raise DoubleReadyError(f"partition {idx} already marked ready")
+                        readied.add(idx)
+                        if paired is not None:
+                            _check_index(requests[paired], idx)
+                            filled[paired].add(idx)
+                            arrivals[paired] = max(arrivals.get(paired, end), end)
+                    if polled:  # peer is the destination node
+                        incoming.setdefault(peer, []).append((end, op_id))
+                    elif kind in TWO_SIDED:  # a send: nothing else matches
+                        scope, bucket = _keys(desc)
+                        queue = queue_of(scope)
+                        if queue is None:  # nothing is posted to the scope
+                            attempts, rid = 0, None
+                        else:
+                            attempts, rid = queue.take(bucket)
+                            if not queue.order:
+                                del queues[scope]
+                        unmatched += rid is None
+                        self.attempts += attempts
+                        self.matches += rid is not None
+                        if rid != partner:
+                            unconfirmed.append((op_id, partner))
+                        if events is not None:
+                            events += [Event(end, EventKind.MATCH_ATTEMPT,
+                                             op_id)] * attempts
+                            if rid is not None:
+                                self.emit(end, EventKind.MATCH_SUCCESS, op_id)
             for node in sorted(incoming):
                 self._poll(node, sorted(incoming[node]))
+            if others:
+                most = max((_max_overlap(s) for q, s in starts.items() if q < P),
+                           default=0)
+                concurrency[phase] = max(concurrency.get(phase, 0), most)
             # one traffic direction at a time: the next phase starts after
             # this one drains, so per-phase concurrency is well defined
             phase_end = max(last, max(clocks))
@@ -668,18 +638,6 @@ class _Engine:
         pattern, assignment = self.pattern, self.assignment
         n = pattern.iterations
         span = max(self.clocks)  # each phase ends past its transfers
-        procs = range(pattern.num_processes)
-        phase_starts: dict[int, defaultdict[int, list]] = {}
-        # an iteration's transfers of one phase are contiguous
-        for ph, group in itertools.groupby(self.transfers, itemgetter(3)):
-            in_phase = phase_starts.setdefault(ph, defaultdict(list))
-            for s, _, owners, _ in group:
-                for p in owners:
-                    if p in procs:
-                        in_phase[p].append(s)
-        phase_conc = {ph: max(map(_max_overlap, phase_starts[ph].values()),
-                              default=0)
-                      for ph in sorted(phase_starts)}
         R = self.pool.num_channels
         occupancy = {
             "p{}c{}".format(*divmod(instance, R)): n * busy
@@ -698,7 +656,7 @@ class _Engine:
             variant=assignment.variant,
             seed=self.seed,
             makespan=n * span,
-            max_concurrent_transfers=max(phase_conc.values(), default=0),
+            max_concurrent_transfers=max(self.concurrency.values(), default=0),
             match_attempts_total=n * self.attempts,
             matches_total=n * self.matches,
             sync_wait_events=n * self.waitblocks,
@@ -707,7 +665,7 @@ class _Engine:
             channel_occupancy=occupancy,
             memory_footprint_bytes=_footprint(pattern, assignment),
             objects=dict(assignment.objects_created),
-            phase_concurrency=phase_conc,
+            phase_concurrency=dict(self.concurrency),
             events=self.events or [],
         )
 

@@ -46,9 +46,9 @@ def serial_pairs(pattern, assignment):
 
 
 def instances(op, assignment, mapping, pool):
-    """The channel instances ``op``'s transfer holds, as ``_Engine._plan``
-    computes them: ``p * R + local`` and, with a peer, ``peer * R + remote``;
-    a partition op's peer comes from its request."""
+    """The channel instances ``op``'s transfer holds, as the engine computes
+    them: ``p * R + local`` and, with a peer, ``peer * R + remote``; a
+    partition op's peer comes from its request."""
     desc = assignment.bindings[op.op_id]
     local, remote = map_entity(mapping, desc, pool)
     R, peer = pool.num_channels, op.peer_process

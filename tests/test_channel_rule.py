@@ -1,31 +1,36 @@
 """The engine maps every send by the rule ``map_entity`` states.
 
-``_Engine._plan`` memoises each send's channel pair on the key its policy
-reads, and ``map_entity`` applies the policy's rule to one op.  Over every
-pinned report spec, under the mechanism's default policy and each named
-policy its assignment can express, on pools of 1, 3 and 16 channels, every
-send row must hold the instances ``p * R + local`` and ``peer * R +
-remote`` of the pair ``map_entity`` gives its op.  A memo keyed on less than
-the policy's key hands some send another op's pair and fails here.
+The engine memoises each send's channel pair on the key its policy reads,
+and ``map_entity`` applies the policy's rule to one op.  Over every pinned
+report spec, under the mechanism's default policy and each named policy its
+assignment can express, on pools of 1, 3 and 16 channels, every op that
+takes a channel must acquire, in every iteration, the channel the trace
+names for the instances ``p * R + local`` and ``peer * R + remote`` of the
+pair ``map_entity`` gives it, and each instance must be busy for
+``TRANSFER_TICKS`` per iteration and per send that holds it.  A memo keyed
+on less than the policy's key hands some send another op's pair and fails
+here.
 """
 
 import itertools
+from collections import Counter
 
 import pytest
 
 from mpxlab.channels import ChannelPool, map_entity
 from mpxlab.errors import UnsupportedPatternError
-from mpxlab.patterns.base import Mechanism
+from mpxlab.model import OpKind
 from mpxlab.patterns.specfile import POLICIES, scenario_from_dict
-from mpxlab.simulator import _Engine, _pair_requests, channel_policy
+from mpxlab.simulator import (TRANSFER_TICKS, EventKind, _Engine,
+                              channel_policy)
 
 from test_reports import SPECS
 
 
 def rule_instances(op, assignment, mapping, pool):
     """(local instance, remote instance or None) of ``op`` by the rule: the
-    remote is None without a peer or when it equals the local one, as in a
-    plan row; a partition op's peer comes from its request."""
+    remote is None without a peer or when it equals the local one, as the
+    engine holds them; a partition op's peer comes from its request."""
     desc = assignment.bindings[op.op_id]
     local, remote = map_entity(mapping, desc, pool)
     R, peer = pool.num_channels, op.peer_process
@@ -37,13 +42,12 @@ def rule_instances(op, assignment, mapping, pool):
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
-def test_plan_rows_hold_the_rule_pairs(name):
+def test_each_send_holds_the_rule_pair(name):
     scenario = scenario_from_dict(SPECS[name])
     pattern = scenario.build_pattern()
     assignment = scenario.build_assignment(pattern)
-    op_of = {op.op_id: op for op in pattern.ops}
-    pair_of = (_pair_requests(assignment.requests.values())
-               if assignment.mechanism is Mechanism.PARTITIONED else {})
+    n = pattern.iterations
+    sends = [op for op in pattern.ops if op.kind is not OpKind.RECV]
     checked = 0
     for policy, R in itertools.product([None, *POLICIES.values()], (1, 3, 16)):
         pool = ChannelPool(R)
@@ -51,10 +55,21 @@ def test_plan_rows_hold_the_rule_pairs(name):
             mapping = channel_policy(policy, assignment, pool)
         except UnsupportedPatternError:
             continue  # a policy the assignment cannot express
-        engine = _Engine(pattern, assignment, pool, mapping, 0, events=False)
-        for _, send_rows in engine._plan(pair_of).values():
-            for op_id, _, _, local, remote, *_ in send_rows:
-                assert (local, remote) == rule_instances(
-                    op_of[op_id], assignment, mapping, pool), (policy, R, op_id)
-                checked += 1
+        engine = _Engine(pattern, assignment, pool, mapping, 0, events=True)
+        report = engine.run()
+        acquired = {}
+        for ev in report.events:
+            if ev.kind is EventKind.CHANNEL_ACQUIRE:
+                acquired.setdefault(ev.op_id, []).append(ev.channel)
+        held = Counter()
+        for op in sends:
+            local, remote = rule_instances(op, assignment, mapping, pool)
+            channel = divmod(local if remote is None else min(local, remote), R)
+            assert acquired.pop(op.op_id) == [channel] * n, (policy, R, op)
+            held.update(i for i in (local, remote) if i is not None)
+            checked += 1
+        assert not acquired  # only the ops that take a channel acquire one
+        assert report.channel_occupancy == {
+            "p{}c{}".format(*divmod(instance, R)): count * TRANSFER_TICKS * n
+            for instance, count in sorted(held.items())}, (policy, R)
     assert checked

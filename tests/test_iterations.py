@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from mpxlab.errors import InvalidArgumentError
 from mpxlab.patterns.specfile import scenario_from_dict
-from mpxlab.simulator import _Engine, _max_overlap, channel_policy, run
+from mpxlab.simulator import (TRANSFER_TICKS, EventKind, _Engine,
+                              _max_overlap, channel_policy, run)
 
 from test_reports import _MECHANISMS
 
@@ -81,7 +82,7 @@ def test_run_matches_the_full_loop(kind, mechanism, odd, policy, n, seed):
                                        "communicators-naive"])
 def test_the_engine_work_does_not_grow_with_iterations(mechanism):
     sc = scenario("stencil-2d-9pt", mechanism, odd=True)
-    reports, transfers = {}, {}
+    reports, busy = {}, {}
     for n in (1, 50):
         pattern = replace(sc.build_pattern(), iterations=n)
         assignment, pool = sc.build_assignment(pattern), sc.build_pool()
@@ -89,8 +90,8 @@ def test_the_engine_work_does_not_grow_with_iterations(mechanism):
                          channel_policy(None, assignment, pool), sc.seed,
                          events=False)
         reports[n] = engine.run()
-        transfers[n] = len(engine.transfers)
-    assert transfers[50] == transfers[1] > 0
+        busy[n] = engine.channel_busy
+    assert busy[50] == busy[1] and sum(busy[1].values()) > 0
     assert (reports[50].max_concurrent_transfers
             == reports[1].max_concurrent_transfers)
     assert reports[50].phase_concurrency == reports[1].phase_concurrency
@@ -111,20 +112,30 @@ def test_concurrency_is_the_largest_phase_concurrency(kind, mechanism, odd,
     sc = scenario(kind, mechanism, odd, channels=channels)
     pattern = sc.build_pattern()
     assignment, pool = sc.build_assignment(pattern), sc.build_pool()
-    engine = _Engine(pattern, assignment, pool,
-                     channel_policy(None, assignment, pool), sc.seed,
-                     events=False)
-    report = engine.run()
-    assert engine.transfers
+    report = run(pattern, assignment, pool=pool, seed=sc.seed)
+    # the first iteration's transfers: (start, end, owner processes, phase);
+    # a transfer is owned by its op's process and, when it has one, its peer
+    # process, which a partition op takes from its request
+    transfers = []
+    op_of = {op.op_id: op for op in pattern.ops}
+    for ev in report.events:
+        if ev.kind is EventKind.TRANSFER and ev.iteration == 0:
+            op = op_of[ev.op_id]
+            peer, partition = op.peer_process, assignment.bindings[op.op_id].partition
+            if peer is None and partition is not None:
+                peer = assignment.requests[partition[0]].peer
+            owners = {op.process} | ({peer} if peer is not None else set())
+            transfers.append((ev.time, ev.time + TRANSFER_TICKS, owners, op.phase))
+    assert transfers
     # the transfers in run order: each phase's starts follow every earlier end
     ended = None
-    for ph in sorted({ph for _, _, _, ph in engine.transfers}):
-        spans = [(s, e) for s, e, _, p in engine.transfers if p == ph]
+    for ph in sorted({ph for _, _, _, ph in transfers}):
+        spans = [(s, e) for s, e, _, p in transfers if p == ph]
         if ended is not None:
             assert min(s for s, _ in spans) >= ended
         ended = max(e for _, e in spans)
     starts_of = {}
-    for s, _, owners, _ in engine.transfers:
+    for s, _, owners, _ in transfers:
         for p in owners:
             if p < pattern.num_processes:
                 starts_of.setdefault(p, []).append(s)
