@@ -8,13 +8,11 @@ each choice costs in matching work, synchronization, and memory.
 
 from .channels import (
     ChannelPool,
-    CollisionReport,
+    Collisions,
     MappingPolicy,
     OMNI_PATH_HFI_CONTEXTS,
     PolicyKind,
-    collision_report,
-    map_communicators,
-    map_endpoints,
+    collisions,
     map_entity,
 )
 from .model import (

@@ -1,17 +1,17 @@
 """Virtual communication channels and the policies that map onto them.
 
 A :class:`ChannelPool` models the finite per-node supply of network hardware
-contexts.  Mapping policies translate matching entities (communicators,
-tag bits, endpoints, partitions) into deterministic (local, remote) channel
-pairs; collision accounting shows what happens when entities outnumber
-channels.
+contexts.  A policy's rule in :data:`RULES` reads a key from an operation
+(a communicator, tag, endpoint or partition) and maps the key to a
+deterministic (local, remote) channel pair.  :func:`collisions` counts, through
+the same rule, how distinct keys share channels when they outnumber them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
 
 from .errors import InvalidArgumentError, MappingError
 from .model import ANY_SOURCE, OpDescriptor, Tag, TagBitLayout, decode_tag
@@ -167,72 +167,24 @@ def map_entity(policy: MappingPolicy, op: OpDescriptor,
     return pair(policy, key(policy, op), pool)
 
 
-@dataclass(frozen=True, slots=True)
-class MappedEntity:
-    label: object
-    local: int
-    remote: int
+@dataclass(frozen=True)
+class Collisions:
+    """How distinct keys share the local channels their policy maps them to."""
+
+    channels_used: int
+    max_per_channel: int
+    serialized_pairs: int  # n(n-1)/2 on a channel of n keys, summed
 
 
-@dataclass
-class CollisionReport:
-    """Exact channel occupancy accounting for a set of mapped entities."""
-
-    entities_mapped: int
-    distinct_channels_used: int
-    max_entities_per_channel: int
-    occupancy: dict[int, list] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.distinct_channels_used > self.entities_mapped:
-            raise InvalidArgumentError("more channels used than entities mapped")
-
-    @property
-    def serialized_pair_count(self) -> int:
-        """Pairs of entities that share a channel, counted per channel."""
-        return sum(n * (n - 1) // 2 for n in map(len, self.occupancy.values()))
-
-    @property
-    def serialized_pairs(self) -> list[tuple[object, object]]:
-        """Those pairs' labels, by channel; the list grows quadratically with
-        the entities per channel, so it is built only when read."""
-        return [pair for channel in sorted(self.occupancy)
-                for pair in combinations(self.occupancy[channel], 2)]
-
-
-def collision_report(entities: list[MappedEntity], pool: ChannelPool) -> CollisionReport:
-    """Account for who landed where; pairs sharing a channel serialize."""
-    if not entities:
-        raise InvalidArgumentError("need at least one mapped entity")
-    occupancy: dict[int, list] = {}
-    for ent in entities:
-        if not 0 <= ent.local < pool.num_channels:
-            raise MappingError(f"channel {ent.local} outside pool of {pool.num_channels}")
-        occupancy.setdefault(ent.local, []).append(ent.label)
-    return CollisionReport(
-        entities_mapped=len(entities),
-        distinct_channels_used=len(occupancy),
-        max_entities_per_channel=max(len(v) for v in occupancy.values()),
-        occupancy=occupancy,
-    )
-
-
-def map_communicators(context_ids, policy: MappingPolicy,
-                      pool: ChannelPool) -> list[MappedEntity]:
-    """Map whole communicators (by context id) through a communicator policy."""
+def collisions(policy: MappingPolicy, keys, pool: ChannelPool) -> Collisions:
+    """Count the distinct ``keys`` on each local channel of ``policy``'s rule;
+    keys that share a channel serialize, pairwise.  Round-robin keys must be
+    registered first (``simulator.channel_policy``)."""
     _, pair = rule_of(policy)
-    out = []
-    for ctx in context_ids:
-        if policy.kind is PolicyKind.ROUND_ROBIN_PER_COMMUNICATOR:
-            policy.register_communicator(ctx, pool)
-        elif policy.kind is not PolicyKind.HASH_COMMUNICATOR:
-            raise MappingError(f"{policy.kind.value} does not map whole communicators")
-        out.append(MappedEntity(("comm", ctx), *pair(policy, ctx, pool)))
-    return out
-
-
-def map_endpoints(endpoint_ranks, pool: ChannelPool) -> list[MappedEntity]:
-    """Map endpoint ranks, each on its own channel, under endpoint identity."""
-    policy = MappingPolicy(PolicyKind.ENDPOINT_IDENTITY)
-    return [MappedEntity(("ep", rank), *_endpoint_pair(policy, (rank, None), pool))
-            for rank in endpoint_ranks]
+    distinct = dict.fromkeys(keys)  # smaller than a set of the same keys
+    per_channel = Counter(pair(policy, key, pool)[0] for key in distinct)
+    if not per_channel:
+        raise InvalidArgumentError("need at least one key")
+    counts = per_channel.values()
+    return Collisions(len(per_channel), max(counts),
+                      sum(n * (n - 1) // 2 for n in counts))

@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import semantics
-from .channels import collision_report, map_communicators, map_endpoints
+from .channels import PolicyKind, collisions
 from .errors import (
     DomainError,
     MpxlabError,
@@ -90,18 +90,18 @@ def cmd_analyze(args) -> int:
         print(f"min_channels: {channels_needed}")
 
         policy = channel_policy(scenario.build_policy(), ideal, pool)
-        ideal_ctx = [c.context_id for c in ideal.comms[1:]]
-        report = collision_report(map_communicators(ideal_ctx, policy, pool), pool)
+        report = collisions(policy, [c.context_id for c in ideal.comms[1:]], pool)
         print(f"pool_channels: {pool.num_channels}")
-        print(f"ideal_comm_channels_used: {report.distinct_channels_used}")
-        print(f"ideal_comm_max_per_channel: {report.max_entities_per_channel}")
-        print(f"ideal_comm_serialized_pairs: {report.serialized_pair_count}")
+        print(f"ideal_comm_channels_used: {report.channels_used}")
+        print(f"ideal_comm_max_per_channel: {report.max_per_channel}")
+        print(f"ideal_comm_serialized_pairs: {report.serialized_pairs}")
         # the endpoint ranks process 0's ops are bound to, on the channels
         # endpoint identity gives their ops
-        bound = dict.fromkeys(endpoints.bindings[op.op_id].endpoint
-                              for op in pattern.ops if op.process == 0)
-        ep_report = collision_report(map_endpoints(bound, pool), pool)
-        print(f"endpoint_serialized_pairs: {ep_report.serialized_pair_count}")
+        ranks = {endpoints.bindings[op.op_id].endpoint
+                 for op in pattern.ops if op.process == 0}
+        identity = channel_policy(PolicyKind.ENDPOINT_IDENTITY, endpoints, pool)
+        ep_report = collisions(identity, [(rank, None) for rank in ranks], pool)
+        print(f"endpoint_serialized_pairs: {ep_report.serialized_pairs}")
         return EXIT_OK
 
     # irregular kinds: report object counts per supported mechanism

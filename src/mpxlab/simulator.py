@@ -409,9 +409,9 @@ class _Engine:
         queue_of, pready = queues.get, OpKind.PARTITION_READY
         pair_of = {}
         reqs_of: dict[int, list] = {}
-        # request id -> the partitions readied (a send request) or arrived
-        # (a receive request) this iteration
-        filled: dict[int, set[int]] = {rid: set() for rid in requests}
+        # request id -> a bitmask of the partitions readied (a send request)
+        # or arrived (a receive request) this iteration
+        filled: dict[int, int] = dict.fromkeys(requests, 0)
         arrivals: dict[int, int] = {}  # receive request id -> latest arrival
         clocks, events, unconfirmed = self.clocks, self.events, self.unconfirmed
         free, busy, concurrency = self.channel_free, self.channel_busy, self.concurrency
@@ -514,18 +514,18 @@ class _Engine:
                                    Event(start, EventKind.CHANNEL_ACQUIRE, op_id, channel),
                                    Event(start, EventKind.TRANSFER, op_id, channel))
                     if partition is not None and kind is pready:
-                        req, readied = requests[rid], filled[rid]
+                        req = requests[rid]
                         _check_index(req, idx)
                         if req.direction is not SEND:
                             raise InvalidTransitionError("pready on a receive request")
                         if not partitioned:  # only a partitioned run starts requests
                             raise InvalidTransitionError("pready while inactive")
-                        if idx in readied:
+                        if filled[rid] >> idx & 1:
                             raise DoubleReadyError(f"partition {idx} already marked ready")
-                        readied.add(idx)
+                        filled[rid] |= 1 << idx
                         if paired is not None:
                             _check_index(requests[paired], idx)
-                            filled[paired].add(idx)
+                            filled[paired] |= 1 << idx
                             arrivals[paired] = max(arrivals.get(paired, end), end)
                     if polled:  # peer is the destination node
                         incoming.setdefault(peer, []).append((end, op_id))
@@ -574,8 +574,9 @@ class _Engine:
 
     def _partitioned_iteration_end(self, reqs_of, filled, arrivals):
         """``reqs_of`` maps each owner process to its requests by id,
-        ``filled`` each request to its readied or arrived partitions, and
-        ``arrivals`` each receive request to its latest partition arrival."""
+        ``filled`` each request to the bitmask of its readied or arrived
+        partitions, and ``arrivals`` each receive request to its latest
+        partition arrival."""
         T, clocks = self.pattern.threads_per_process, self.clocks
         for p in range(self.pattern.num_processes):
             proc_reqs = reqs_of.get(p, ())
@@ -592,7 +593,7 @@ class _Engine:
                 clocks[slot] = done + SYNC_WAIT_TICKS
                 self.emit(clocks[slot], EventKind.WAIT_RELEASE)
             for r in proc_reqs:
-                if len(filled[r.request_id]) < r.num_partitions:
+                if filled[r.request_id].bit_count() < r.num_partitions:
                     raise MpxlabError(
                         f"request {r.request_id} incomplete at iteration end"
                     )

@@ -86,17 +86,27 @@ def test_criterion_05_oracle_equivalence():
 
 
 def test_criterion_06_collision_modeling():
+    # the ideal communicators and process 0's bound endpoints, counted as
+    # `mpxlab analyze` counts them
     pool = m.ChannelPool(m.OMNI_PATH_HFI_CONTEXTS)
+    pattern = m.gen_stencil(3, 27, [2, 2, 2], [4, 4, 4])
+    ideal = m.build_assignment(pattern, "communicators")
+    endpoints = m.build_assignment(pattern, "endpoints")
+    contexts = [c.context_id for c in ideal.comms[1:]]
+    assert len(set(contexts)) == 808
     for kind in (m.PolicyKind.ROUND_ROBIN_PER_COMMUNICATOR,
                  m.PolicyKind.HASH_COMMUNICATOR):
-        policy = m.MappingPolicy(kind)
-        entities = m.map_communicators(range(808), policy, pool)
-        report = m.collision_report(entities, pool)
-        assert report.max_entities_per_channel >= 6
-        assert report.serialized_pairs
-    ep_report = m.collision_report(m.map_endpoints(range(56), pool), pool)
-    assert ep_report.serialized_pairs == []
-    _report("criterion 6: 808 entities on 160 channels collide "
+        report = m.collisions(m.channel_policy(kind, ideal, pool), contexts,
+                              pool)
+        assert report.max_per_channel >= 6
+        assert report.serialized_pairs > 0
+    ranks = {endpoints.bindings[op.op_id].endpoint
+             for op in pattern.ops if op.process == 0}
+    assert len(ranks) == 56
+    identity = m.channel_policy(m.PolicyKind.ENDPOINT_IDENTITY, endpoints, pool)
+    ep_report = m.collisions(identity, [(rank, None) for rank in ranks], pool)
+    assert ep_report.serialized_pairs == 0
+    _report("criterion 6: 808 communicators on 160 channels collide "
             "(max/channel >= 6) under every policy; 56 endpoints do not")
 
 

@@ -1,7 +1,9 @@
 """Channel pool mapping policies and collision accounting."""
 
 import runpy
+from collections import Counter
 from functools import cache
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -12,14 +14,14 @@ from mpxlab.channels import (
     MappingPolicy,
     OMNI_PATH_HFI_CONTEXTS,
     PolicyKind,
-    collision_report,
-    map_communicators,
-    map_endpoints,
+    collisions,
+    fnv1a,
     map_entity,
     rule_of,
 )
 from mpxlab.errors import InvalidArgumentError, MappingError
 from mpxlab.model import (
+    ANY_SOURCE,
     ContextFamily,
     IdAllocator,
     MatchContextId,
@@ -59,10 +61,9 @@ class TestMapEntity:
     def test_hash_communicator_pigeonhole(self):
         pool = ChannelPool(OMNI_PATH_HFI_CONTEXTS)
         policy = MappingPolicy(PolicyKind.HASH_COMMUNICATOR)
-        entities = map_communicators(range(808), policy, pool)
-        report = collision_report(entities, pool)
-        assert report.distinct_channels_used == 160
-        assert report.max_entities_per_channel >= -(-808 // 160)  # >= 6
+        report = collisions(policy, range(808), pool)
+        assert report.channels_used == 160
+        assert report.max_per_channel >= -(-808 // 160)  # >= 6
 
     def test_policy_needs_matching_fields(self):
         policy = MappingPolicy(PolicyKind.TAG_BITS_ONE_TO_ONE)
@@ -77,14 +78,6 @@ class TestMapEntity:
             pair(policy, 42, pool)
         assert policy.register_communicator(42, pool) == 0
         assert pair(policy, 42, pool) == (0, 0)
-
-    @pytest.mark.parametrize("kind", [PolicyKind.TAG_BITS_ONE_TO_ONE,
-                                      PolicyKind.ENDPOINT_IDENTITY,
-                                      PolicyKind.PARTITION_INDEX])
-    def test_only_communicator_policies_map_whole_communicators(self, kind):
-        policy = MappingPolicy(kind)
-        with pytest.raises(MappingError, match="does not map whole communicators"):
-            map_communicators(range(4), policy, ChannelPool(4))
 
     @given(st.integers(1, 4), st.integers(1, 16))
     def test_one_to_one_injective_over_tids(self, tid_bits, r):
@@ -104,30 +97,68 @@ class TestMapEntity:
             locals_seen[tid] = local
 
 
-class TestCollisionReport:
+def endpoint_keys(ranks):
+    """Endpoint-identity keys of whole endpoints, as ``analyze`` counts them."""
+    return [(rank, None) for rank in ranks]
+
+
+class TestCollisions:
     def test_endpoints_fit_without_collisions(self):
         pool = ChannelPool(OMNI_PATH_HFI_CONTEXTS)
-        report = collision_report(map_endpoints(range(56), pool), pool)
-        assert report.max_entities_per_channel == 1
-        assert report.serialized_pairs == []
-        assert report.distinct_channels_used == 56
+        policy = MappingPolicy(PolicyKind.ENDPOINT_IDENTITY)
+        report = collisions(policy, endpoint_keys(range(56)), pool)
+        assert report.max_per_channel == 1
+        assert report.serialized_pairs == 0
+        assert report.channels_used == 56
 
     def test_many_comms_collide(self):
         pool = ChannelPool(OMNI_PATH_HFI_CONTEXTS)
         policy = MappingPolicy(PolicyKind.ROUND_ROBIN_PER_COMMUNICATOR)
-        report = collision_report(map_communicators(range(808), policy, pool),
-                                  pool)
-        assert report.serialized_pairs
-        assert report.max_entities_per_channel >= 6
+        for ctx in range(808):
+            policy.register_communicator(ctx, pool)
+        report = collisions(policy, range(808), pool)
+        assert report.serialized_pairs > 0
+        assert report.max_per_channel >= 6
+
+    def test_round_robin_keys_must_be_registered(self):
+        policy = MappingPolicy(PolicyKind.ROUND_ROBIN_PER_COMMUNICATOR)
+        with pytest.raises(MappingError, match="never registered"):
+            collisions(policy, [7], ChannelPool(4))
 
     def test_single_entity(self):
         pool = ChannelPool(16)
-        report = collision_report(map_endpoints([3], pool), pool)
-        assert report.distinct_channels_used == 1
+        policy = MappingPolicy(PolicyKind.ENDPOINT_IDENTITY)
+        assert collisions(policy, endpoint_keys([3]), pool).channels_used == 1
+
+    def test_repeated_keys_count_once(self):
+        pool = ChannelPool(4)
+        policy = MappingPolicy(PolicyKind.HASH_COMMUNICATOR)
+        assert collisions(policy, [5, 5, 5], pool).serialized_pairs == 0
 
     def test_empty_rejected(self):
+        policy = MappingPolicy(PolicyKind.HASH_COMMUNICATOR)
         with pytest.raises(InvalidArgumentError):
-            collision_report([], ChannelPool(4))
+            collisions(policy, [], ChannelPool(4))
+
+    @given(st.integers(1, 40),
+           st.sets(st.integers(0, 1 << 20), min_size=1, max_size=60),
+           st.sets(st.tuples(st.integers(0, 500),
+                             st.sampled_from([None, ANY_SOURCE, 0, 3, 17, 99])),
+                   min_size=1, max_size=60))
+    def test_counts_equal_brute_force(self, r, contexts, endpoint_targets):
+        pool = ChannelPool(r)
+        # each key's local channel, stated apart from the rule table
+        cases = [(PolicyKind.HASH_COMMUNICATOR,
+                  {ctx: fnv1a(ctx) % r for ctx in contexts}),
+                 (PolicyKind.ENDPOINT_IDENTITY,
+                  {key: key[0] % r for key in endpoint_targets})]
+        for kind, local in cases:
+            report = collisions(MappingPolicy(kind), list(local), pool)
+            shared = sum(local[a] == local[b] for a, b in combinations(local, 2))
+            per_channel = Counter(local.values())
+            assert report.serialized_pairs == shared
+            assert report.channels_used == len(per_channel)
+            assert report.max_per_channel == max(per_channel.values())
 
 
 @cache
@@ -151,24 +182,43 @@ def _comm_population(n_grouping, n_parallelism):
     return comms
 
 
+def parallelism_pairs(occupancy):
+    return _collisions_demo()["parallelism_pairs"](occupancy)
+
+
 class TestGroupingMismatch:
     def test_grouping_comms_squeeze_parallelism_comms(self):
         pool = ChannelPool(OMNI_PATH_HFI_CONTEXTS)
-        report = grouping_mismatch_demo(_comm_population(150, 20), pool)
-        mixed = [pair for pair in report.serialized_pairs
-                 if {pair[0][0], pair[1][0]} == {"general", "parallelism"}]
+        occupancy = grouping_mismatch_demo(_comm_population(150, 20), pool)
+        mixed = sum(counts[Purpose.GENERAL] * counts[Purpose.PARALLELISM_EXPOSURE]
+                    for counts in occupancy.values())
         assert mixed  # parallelism traffic shares channels with grouping
+        assert parallelism_pairs(occupancy) == mixed == 10
 
     def test_no_grouping_comms(self):
         pool = ChannelPool(OMNI_PATH_HFI_CONTEXTS)
-        report = grouping_mismatch_demo(_comm_population(0, 20), pool)
-        channels = sorted(ch for ch, labels in report.occupancy.items())
-        assert channels == list(range(20))
+        occupancy = grouping_mismatch_demo(_comm_population(0, 20), pool)
+        assert sorted(occupancy) == list(range(20))
 
     def test_purpose_aware_allocation_protects_parallelism(self):
         pool = ChannelPool(OMNI_PATH_HFI_CONTEXTS)
-        report = grouping_mismatch_demo(_comm_population(150, 20), pool,
-                                        purpose_aware=True)
-        for pair in report.serialized_pairs:
-            kinds = {pair[0][0], pair[1][0]}
-            assert "parallelism" not in kinds
+        occupancy = grouping_mismatch_demo(_comm_population(150, 20), pool,
+                                           purpose_aware=True)
+        assert parallelism_pairs(occupancy) == 0
+
+    @given(st.integers(0, 30), st.integers(0, 30), st.integers(1, 12),
+           st.booleans())
+    def test_parallelism_pairs_equal_brute_force(self, n_grouping,
+                                                 n_parallelism, r, aware):
+        comms = _comm_population(n_grouping, n_parallelism)
+        if not comms:
+            return
+        occupancy = grouping_mismatch_demo(comms, ChannelPool(r),
+                                           purpose_aware=aware)
+        assert sum(c.total() for c in occupancy.values()) == len(comms)
+        touching = 0
+        for counts in occupancy.values():
+            on_channel = list(counts.elements())
+            touching += sum(Purpose.PARALLELISM_EXPOSURE in pair
+                            for pair in combinations(on_channel, 2))
+        assert parallelism_pairs(occupancy) == touching

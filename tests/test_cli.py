@@ -12,8 +12,7 @@ import pytest
 import mpxlab.cli as cli
 import mpxlab.semantics as semantics
 import mpxlab.simulator as simulator
-from mpxlab.channels import (ChannelPool, CollisionReport, collision_report,
-                             map_communicators)
+from mpxlab.channels import ChannelPool, collisions
 from mpxlab.cli import main
 from mpxlab.patterns import build_assignment
 from mpxlab.patterns.specfile import load_scenario, scenario_from_dict
@@ -152,13 +151,7 @@ class TestAnalyze:
         out = capsys.readouterr().out.splitlines()
         assert out[-1] == f"endpoint_serialized_pairs: {pairs}"
 
-    def test_collisions_are_counted_not_listed(self, tmp_path, capsys,
-                                               monkeypatch):
-        def unread(report):
-            raise AssertionError("analyze built the serialized-pair list")
-
-        monkeypatch.setattr(CollisionReport, "serialized_pairs",
-                            property(unread))
+    def test_collisions_are_counted_not_listed(self, tmp_path, capsys):
         spec = write_spec(tmp_path, kind="stencil-3d-27pt",
                           process_grid=[1, 1, 1], thread_grid=[16, 8, 8])
         assert main(["analyze", "--spec", str(spec)]) == 0
@@ -178,14 +171,22 @@ class TestAnalyze:
         contexts = [c.context_id for c in ideal.comms[1:]]
         tracemalloc.start()
         try:
-            report = collision_report(map_communicators(contexts, policy, pool),
-                                      pool)
-            count = report.serialized_pair_count
+            count = collisions(policy, contexts, pool).serialized_pairs
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert count == 985_608
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("policy", ["tag-bits", "endpoint-identity",
+                                        "partition-index"])
+    def test_a_stencil_counts_collisions_under_communicator_policies_only(
+            self, tmp_path, capsys, policy):
+        # the ideal map creates no tag layout, endpoints or requests
+        spec = write_spec(tmp_path, kind="stencil-3d-27pt",
+                          process_grid=[2, 2, 2], thread_grid=[4, 4, 4])
+        assert main(["analyze", "--spec", str(spec), "--policy", policy]) == 4
+        assert f"policy {policy} needs" in capsys.readouterr().err
 
     def test_reference_lines_2d(self, tmp_path, capsys):
         spec = write_spec(tmp_path, kind="stencil-2d-5pt")
