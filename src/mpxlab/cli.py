@@ -31,7 +31,6 @@ from .patterns import (
     SUPPORT,
     boundary_thread_count,
     build_assignment,
-    min_channels_3d,
     min_communicators_3d,
 )
 from .patterns.specfile import MECHANISMS, POLICIES, Scenario, load_scenario
@@ -73,12 +72,9 @@ def cmd_analyze(args) -> int:
 
     if pattern.kind in STENCIL_KINDS:
         grid = pattern.thread_grid
+        channels_needed = boundary_thread_count(grid)
         if len(grid) == 3:
-            formula = min_communicators_3d(*grid)
-            channels_needed = min_channels_3d(*grid)
-            print(f"min_communicators_formula: {formula}")
-        else:
-            channels_needed = boundary_thread_count(grid)
+            print(f"min_communicators_formula: {min_communicators_3d(*grid)}")
         ideal, naive, endpoints, partitioned = (
             build_assignment(pattern, label) for label in
             ("communicators", "communicators-naive", "endpoints", "partitioned"))
@@ -188,7 +184,8 @@ def _binding_label(assignment, op_id) -> str:
         return f"req:{desc.partition[0]} part:{desc.partition[1]}"
     if desc.window is not None:
         loc = f" loc:{desc.target_location}" if desc.target_location is not None else ""
-        return f"win:{desc.window}{loc}"
+        ep = f" ep:{desc.endpoint}" if desc.endpoint is not None else ""
+        return f"win:{desc.window}{loc}{ep}"
     if desc.endpoint is not None:
         return f"ep:{desc.endpoint}->{desc.target}"
     tag = f" tag:{desc.tag.raw}" if desc.tag is not None else ""

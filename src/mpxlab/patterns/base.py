@@ -36,11 +36,13 @@ class PatternKind(Enum):
     __hash__ = object.__hash__  # see model.OpKind
 
 
-STENCIL_KINDS = frozenset({
-    PatternKind.STENCIL_2D_5PT,
-    PatternKind.STENCIL_2D_9PT,
-    PatternKind.STENCIL_3D_27PT,
-})
+# stencil kind -> (dimensions, points of its neighborhood)
+STENCIL_SHAPES = {
+    PatternKind.STENCIL_2D_5PT: (2, 5),
+    PatternKind.STENCIL_2D_9PT: (2, 9),
+    PatternKind.STENCIL_3D_27PT: (3, 27),
+}
+STENCIL_KINDS = frozenset(STENCIL_SHAPES)
 
 
 # the spec's mechanism labels, in the order `mpxlab analyze` lists them

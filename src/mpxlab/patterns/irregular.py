@@ -216,6 +216,17 @@ def collective_footprint(mechanism: Mechanism, threads: int,
 # assignments for the irregular patterns
 
 
+def _bind(pattern: CommPattern, address, kind=None) -> dict[int, OpDescriptor]:
+    """Every op's descriptor: its kind (or ``kind``), its thread's ``source``
+    and its issue index, plus the address fields ``address(op)`` returns."""
+    prog = _program_indexes(pattern)
+    source_of = _sources(pattern)
+    return {op.op_id: OpDescriptor(kind or op.kind,
+                                   source_of[op.process][op.thread],
+                                   prog[op.op_id], **address(op))
+            for op in pattern.ops}
+
+
 def assign_bspmm_windows(pattern: CommPattern) -> Assignment:
     """All gets and atomic updates on one shared window.
 
@@ -225,22 +236,12 @@ def assign_bspmm_windows(pattern: CommPattern) -> Assignment:
     policy hashes."""
     refuse_unsupported(pattern, "windows")  # every other kind has a reason
     window = IdAllocator().fresh_window()
-    prog = _program_indexes(pattern)
-    source_of = _sources(pattern)
-    bindings = {}
-    for op in pattern.ops:
-        bindings[op.op_id] = OpDescriptor(
-            kind=op.kind,
-            source=source_of[op.process][op.thread],
-            program_index=prog[op.op_id],
-            window=window,
-            target=op.peer_process,
-            target_location=op.location,
-        )
     return Assignment(
         mechanism=Mechanism.WINDOWS,
         hints=InfoHints(),
-        bindings=bindings,
+        bindings=_bind(pattern, lambda op: {
+            "window": window, "target": op.peer_process,
+            "target_location": op.location}),
         objects_created={"windows": 1},
     )
 
@@ -254,19 +255,17 @@ def assign_bspmm_endpoints(pattern: CommPattern) -> Assignment:
     ids = IdAllocator()
     world = world_communicator(pattern.num_processes, ids)
     epcomm = create_endpoints_comm(world, pattern.threads_per_process, ids)
-    bindings = {
-        op_id: desc._replace(endpoint=epcomm.endpoint_rank(*desc.source))
-        for op_id, desc in assign_bspmm_windows(pattern).bindings.items()
-    }
+    window = ids.fresh_window()
     return Assignment(
         mechanism=Mechanism.ENDPOINTS,
         hints=InfoHints(),
-        bindings=bindings,
-        objects_created={
-            "windows": 1,
-            "endpoints_per_process": pattern.threads_per_process,
-            "endpoints_total": epcomm.total_endpoints,
-        },
+        bindings=_bind(pattern, lambda op: {
+            "window": window, "target": op.peer_process,
+            "target_location": op.location,
+            "endpoint": epcomm.endpoint_rank(op.process, op.thread)}),
+        objects_created={"windows": 1,
+                         "endpoints_per_process": pattern.threads_per_process,
+                         "endpoints_total": epcomm.total_endpoints},
         comms=[world],
         endpoints_comm=epcomm,
     )
@@ -281,86 +280,50 @@ def assign_allreduce(pattern: CommPattern, mechanism: Mechanism) -> Assignment:
     """
     if pattern.kind is not PatternKind.MULTITHREADED_ALLREDUCE:
         raise UnsupportedPatternError("expects the multithreaded allreduce pattern")
-    T = pattern.threads_per_process
-    P = pattern.num_processes
+    T, P = pattern.threads_per_process, pattern.num_processes
     ids = IdAllocator()
     world = world_communicator(P, ids)
-    prog = _program_indexes(pattern)
-    source_of = _sources(pattern)
-    bindings = {}
-
+    kind, comms, epcomm, requests = None, [world], None, {}
     if mechanism is Mechanism.COMMUNICATORS:
-        comms = [dup_communicator(world, ids, purpose=Purpose.PARALLELISM_EXPOSURE)
-                 for _ in range(T)]
-        for op in pattern.ops:
-            comm = comms[op.thread]
-            bindings[op.op_id] = OpDescriptor(
-                kind=OpKind.COLLECTIVE,
-                source=source_of[op.process][op.thread],
-                program_index=prog[op.op_id],
-                context=MatchContextId(ContextFamily.COMM, comm.context_id),
-                target=op.peer_process,
-                tag=Tag(op.tag_key),
-            )
-        return Assignment(
-            mechanism=mechanism, hints=InfoHints(), bindings=bindings,
-            objects_created={"communicators": T},
-            comms=[world] + comms,
-        )
+        comms += [dup_communicator(world, ids, purpose=Purpose.PARALLELISM_EXPOSURE)
+                  for _ in range(T)]
+        contexts = [MatchContextId(ContextFamily.COMM, c.context_id)
+                    for c in comms[1:]]
+        objects = {"communicators": T}
 
-    if mechanism is Mechanism.ENDPOINTS:
+        def address(op):
+            return {"context": contexts[op.thread], "target": op.peer_process,
+                    "tag": Tag(op.tag_key)}
+    elif mechanism is Mechanism.ENDPOINTS:
         epcomm = create_endpoints_comm(world, T, ids)
         ctx = MatchContextId(ContextFamily.ENDPOINT, epcomm.context_id)
-        for op in pattern.ops:
-            ep = epcomm.endpoint_rank(op.process, op.thread)
-            bindings[op.op_id] = OpDescriptor(
-                kind=OpKind.COLLECTIVE,
-                source=source_of[op.process][op.thread],
-                program_index=prog[op.op_id],
-                context=ctx,
-                target=op.peer_process,
-                tag=Tag(op.tag_key),
-                endpoint=ep,
-            )
-        return Assignment(
-            mechanism=mechanism, hints=InfoHints(), bindings=bindings,
-            objects_created={
-                "communicators": 1,
-                "endpoints_per_process": T,
-                "endpoints_total": epcomm.total_endpoints,
-            },
-            comms=[world], endpoints_comm=epcomm,
-        )
+        objects = {"communicators": 1, "endpoints_per_process": T,
+                   "endpoints_total": epcomm.total_endpoints}
 
-    if mechanism is Mechanism.PARTITIONED:
-        requests: dict[int, PartitionedRequest] = {}
-        send_req_of_process = {}
+        def address(op):
+            return {"context": ctx, "target": op.peer_process,
+                    "tag": Tag(op.tag_key),
+                    "endpoint": epcomm.endpoint_rank(op.process, op.thread)}
+    elif mechanism is Mechanism.PARTITIONED:
+        kind = OpKind.PARTITION_READY
         for p in range(P):
-            sreq = PartitionedRequest(
-                request_id=ids.fresh_request(), direction=Direction.SEND,
-                num_partitions=T, partition_size=pattern.payload_bytes // T or 1,
-                peer=(p + 1) % P, tag=Tag(0), comm=world, owner=p,
-            )
-            rreq = PartitionedRequest(
-                request_id=ids.fresh_request(), direction=Direction.RECV,
-                num_partitions=T, partition_size=pattern.payload_bytes // T or 1,
-                peer=(p - 1) % P, tag=Tag(0), comm=world, owner=p,
-            )
-            requests[sreq.request_id] = sreq
-            requests[rreq.request_id] = rreq
-            send_req_of_process[p] = sreq.request_id
-        for op in pattern.ops:
-            rid = send_req_of_process[op.process]
-            bindings[op.op_id] = OpDescriptor(
-                kind=OpKind.PARTITION_READY,
-                source=source_of[op.process][op.thread],
-                program_index=prog[op.op_id],
-                partition=(rid, op.thread),
-            )
-        return Assignment(
-            mechanism=mechanism, hints=InfoHints(), bindings=bindings,
-            objects_created={"communicators": 1, "requests": len(requests)},
-            comms=[world], requests=requests,
-        )
+            for direction, peer in ((Direction.SEND, (p + 1) % P),
+                                    (Direction.RECV, (p - 1) % P)):
+                req = PartitionedRequest(
+                    request_id=ids.fresh_request(), direction=direction,
+                    num_partitions=T, partition_size=pattern.payload_bytes // T or 1,
+                    peer=peer, tag=Tag(0), comm=world, owner=p)
+                requests[req.request_id] = req
+        send_of = {r.owner: r.request_id for r in requests.values()
+                   if r.direction is Direction.SEND}
+        objects = {"communicators": 1, "requests": len(requests)}
 
-    raise UnsupportedPatternError(REFUSALS[pattern.kind][mechanism.value])
+        def address(op):
+            return {"partition": (send_of[op.process], op.thread)}
+    else:
+        raise UnsupportedPatternError(REFUSALS[pattern.kind][mechanism.value])
+    return Assignment(
+        mechanism=mechanism, hints=InfoHints(),
+        bindings=_bind(pattern, address, kind), objects_created=objects,
+        comms=comms, endpoints_comm=epcomm, requests=requests,
+    )

@@ -22,7 +22,7 @@ from ..channels import ChannelPool, PolicyKind
 from ..errors import (DomainError, InvalidArgumentError, SpecFileError,
                       UnsupportedPatternError)
 from ..model import check_wildcards_allowed
-from .base import Assignment, CommPattern
+from .base import STENCIL_SHAPES, Assignment, CommPattern
 from . import (
     MECHANISMS,
     build_assignment,
@@ -56,9 +56,7 @@ def _bspmm(s):
 # pattern kind -> builder of its CommPattern from a Scenario; "fan-in" is the
 # synthetic worst-case matching scenario
 KINDS = {
-    "stencil-2d-5pt": _stencil(2, 5),
-    "stencil-2d-9pt": _stencil(2, 9),
-    "stencil-3d-27pt": _stencil(3, 27),
+    **{kind.value: _stencil(*shape) for kind, shape in STENCIL_SHAPES.items()},
     "legion-polling": _legion,
     "bspmm-rma": _bspmm,
     "multithreaded-allreduce": lambda s: gen_allreduce(
@@ -72,8 +70,9 @@ KINDS = {
 
 # most ops per process, thread and iteration, by kind: two per direction of
 # a stencil, six per RMA worker, else two (a send and a receive)
-OPS_PER_THREAD = {"stencil-2d-5pt": 8, "stencil-2d-9pt": 16,
-                  "stencil-3d-27pt": 52, "bspmm-rma": 6}
+OPS_PER_THREAD = {**{kind.value: 2 * (points - 1)
+                     for kind, (_, points) in STENCIL_SHAPES.items()},
+                  "bspmm-rma": 6}
 # kinds whose generators read no ``iterations``: they run once, and a spec
 # of one of them takes no ``iterations`` but 1
 RUNS_ONCE = {"bspmm-rma", "multithreaded-allreduce", "fan-in"}
@@ -83,7 +82,7 @@ RUNS_ONCE = {"bspmm-rma", "multithreaded-allreduce", "fan-in"}
 MAX_OPS = 1_000_000
 
 # entries per grid: a stencil's dimension count, one for every other kind
-GRID_RANK = {"stencil-2d-5pt": 2, "stencil-2d-9pt": 2, "stencil-3d-27pt": 3}
+GRID_RANK = {kind.value: dims for kind, (dims, _) in STENCIL_SHAPES.items()}
 
 HINT_FLAGS = {
     "allow_overtaking", "no_any_tag", "no_any_source",

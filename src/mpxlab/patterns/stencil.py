@@ -47,6 +47,7 @@ from .base import (
     PatternKind,
     PatternOp,
     STENCIL_KINDS,
+    STENCIL_SHAPES,
     _program_indexes,
     _sources,
     refuse_unsupported,
@@ -138,11 +139,7 @@ def gen_stencil(dims: int, points: int, process_grid, thread_grid,
         raise InvalidArgumentError(f"grids are {geo.dims}-dimensional, dims={dims}")
     dirs = stencil_directions(dims, points)
     dir_index = {d: i for i, d in enumerate(dirs)}
-    kind = {
-        (2, 5): PatternKind.STENCIL_2D_5PT,
-        (2, 9): PatternKind.STENCIL_2D_9PT,
-        (3, 27): PatternKind.STENCIL_3D_27PT,
-    }[(dims, points)]
+    kind = {shape: k for k, shape in STENCIL_SHAPES.items()}[(dims, points)]
 
     threads = [geo.thread_coords(t) for t in range(prod(geo.T))]
     # the directions a thread's halo crosses do not depend on its process
@@ -411,10 +408,7 @@ def assign_communicators_ideal(pattern: CommPattern) -> Assignment:
     """
     _require_stencil(pattern, "communicators", "ideal communicator")
     geo = StencilGeometry(pattern.process_grid, pattern.thread_grid)
-    dirs = stencil_directions(
-        geo.dims, {PatternKind.STENCIL_2D_5PT: 5, PatternKind.STENCIL_2D_9PT: 9,
-                   PatternKind.STENCIL_3D_27PT: 27}[pattern.kind]
-    )
+    dirs = stencil_directions(geo.dims, STENCIL_SHAPES[pattern.kind][1])
     prog = _program_indexes(pattern)
     tag_of = cache(Tag)
 

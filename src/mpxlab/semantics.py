@@ -171,6 +171,8 @@ class Reason(Enum):
     RMA_UNORDERED = "rma-unordered"
     DISJOINT_TARGETS = "disjoint-targets"
 
+    __hash__ = object.__hash__  # see model.OpKind
+
 
 PARALLEL_REASONS = frozenset({
     Reason.DIFFERENT_COMMUNICATORS,
@@ -186,18 +188,15 @@ PARALLEL_REASONS = frozenset({
 
 @dataclass(frozen=True)
 class ParallelismVerdict:
-    parallel: bool
     reason: Reason
 
-    def __post_init__(self):
-        if self.parallel != (self.reason in PARALLEL_REASONS):
-            raise InvalidArgumentError(
-                f"reason {self.reason} inconsistent with parallel={self.parallel}"
-            )
+    @property
+    def parallel(self) -> bool:
+        return self.reason in PARALLEL_REASONS
 
 
 # one verdict per reason: the classifier returns these, building none per call
-_VERDICT = {r: ParallelismVerdict(r in PARALLEL_REASONS, r) for r in Reason}
+_VERDICT = {r: ParallelismVerdict(r) for r in Reason}
 
 
 def logically_parallel(a: OpDescriptor, b: OpDescriptor,

@@ -177,21 +177,16 @@ def channel_policy(kind: PolicyKind | None, assignment: Assignment,
     return policy
 
 
-def _footprint(pattern: CommPattern, assignment: Assignment) -> int:
-    """Payload bytes resident per run: message buffers plus, for collectives,
-    the per-mechanism result duplication."""
+def _footprint(pattern: CommPattern, assignment: Assignment,
+               result_bytes: int) -> int:
+    """Payload bytes resident per run: message buffers plus, per process,
+    the collective's ``result_bytes``."""
     if assignment.mechanism is Mechanism.PARTITIONED and assignment.requests:
         total = sum(r.num_partitions * r.partition_size
                     for r in assignment.requests.values())
     else:
         total = len(pattern.ops) * pattern.payload_bytes
-    if pattern.kind is PatternKind.MULTITHREADED_ALLREDUCE:
-        _, result = collective_footprint(
-            assignment.mechanism, pattern.threads_per_process,
-            pattern.payload_bytes,
-        )
-        total += pattern.num_processes * result
-    return total
+    return total + pattern.num_processes * result_bytes
 
 
 # read once: a module global costs far less than an enum member read
@@ -359,6 +354,12 @@ class _Engine:
         # partner; run() checks only these against the matching rule
         self.unconfirmed: list[tuple[int, int | None]] = []
         self.messages = 0  # of one iteration, counted by the walk
+        # the collective's steps and result bytes per process; a pattern
+        # without one takes one step and keeps no result
+        self.steps, self.result_bytes = collective_footprint(
+            assignment.mechanism, pattern.threads_per_process,
+            pattern.payload_bytes,
+        ) if pattern.kind is PatternKind.MULTITHREADED_ALLREDUCE else (1, 0)
 
     # -- small helpers ------------------------------------------------
 
@@ -567,10 +568,8 @@ class _Engine:
 
         if partitioned:
             self._partitioned_iteration_end(reqs_of, filled, arrivals)
-        elif (pattern.kind is PatternKind.MULTITHREADED_ALLREDUCE
-              and assignment.mechanism is Mechanism.COMMUNICATORS):
-            # user-driven intranode reduction step
-            clocks[:] = [c + SYNC_WAIT_TICKS for c in clocks]
+        if self.steps > 1:  # the collective's user-driven intranode steps
+            clocks[:] = [c + (self.steps - 1) * SYNC_WAIT_TICKS for c in clocks]
 
     def _partitioned_iteration_end(self, reqs_of, filled, arrivals):
         """``reqs_of`` maps each owner process to its requests by id,
@@ -664,7 +663,8 @@ class _Engine:
             probe_iterations=n * self.probes,
             barriers_total=n * self.barriers,
             channel_occupancy=occupancy,
-            memory_footprint_bytes=_footprint(pattern, assignment),
+            memory_footprint_bytes=_footprint(pattern, assignment,
+                                              self.result_bytes),
             objects=dict(assignment.objects_created),
             phase_concurrency=dict(self.concurrency),
             events=self.events or [],
@@ -694,8 +694,8 @@ def run(pattern: CommPattern, assignment: Assignment,
     pool = pool or ChannelPool()
     mapping = channel_policy(policy, assignment, pool)
     check_bound(pattern, assignment)
-    engine = _Engine(pattern, assignment, pool, mapping, seed, events)
     try:
+        engine = _Engine(pattern, assignment, pool, mapping, seed, events)
         report = engine.run()
         # in send id order: generators number ops in order, as pattern.pairs
         violations = pair_violations(assignment, sorted(

@@ -508,6 +508,20 @@ class TestAssign:
         assert rows
         assert all(re.fullmatch(r"win:\d+ loc:\d+", r[3]) for r in rows)
 
+    @pytest.mark.parametrize("process", [0, 1])
+    def test_endpoint_window_bindings_show_the_endpoint(self, tmp_path,
+                                                        capsys, process):
+        spec = write_spec(tmp_path, kind="bspmm-rma", process_grid=[2],
+                          thread_grid=[2], mechanism="endpoints")
+        assert main(["assign", "--spec", str(spec),
+                     "--process", str(process)]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()
+                if line and line[0].isdigit()]
+        assert {int(r[0]) for r in rows} == {0, 1}
+        # thread t of process p issues at endpoint rank p * T + t
+        assert all(re.fullmatch(rf"win:\d+ loc:\d+ ep:{process * 2 + int(r[0])}",
+                                r[3]) for r in rows)
+
     @pytest.mark.parametrize("process", ["99", "4", "-1"])
     def test_process_out_of_range_is_a_usage_error(self, tmp_path, capsys,
                                                    process):
@@ -580,7 +594,7 @@ class TestOracleCheck:
         def flipped(a, b, hints):
             verdict = real(a, b, hints)
             if verdict.reason is Reason.DIFFERENT_COMMUNICATORS:
-                return ParallelismVerdict(False, Reason.WILDCARD_RISK)
+                return ParallelismVerdict(Reason.WILDCARD_RISK)
             return verdict
 
         monkeypatch.setattr(semantics, "logically_parallel", flipped)

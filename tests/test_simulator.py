@@ -42,7 +42,9 @@ from mpxlab.patterns import (
 )
 from mpxlab.patterns.specfile import scenario_from_dict
 from mpxlab.semantics import requests_match
+import mpxlab.simulator as simulator
 from mpxlab.simulator import (
+    SYNC_WAIT_TICKS,
     TRANSFER_TICKS,
     EventKind,
     _max_overlap,
@@ -323,6 +325,25 @@ class TestAllreduce:
         part = run(p, assign_allreduce(p, Mechanism.PARTITIONED))
         assert eps.memory_footprint_bytes > comm.memory_footprint_bytes
         assert part.memory_footprint_bytes <= comm.memory_footprint_bytes
+
+    def test_intranode_steps_follow_collective_footprint(self, monkeypatch):
+        """Each step past the first that ``collective_footprint`` states
+        adds one ``SYNC_WAIT_TICKS``; the engine keeps no rule of its own."""
+        p = gen_allreduce(3, 4, 128)
+        mechanisms = (Mechanism.COMMUNICATORS, Mechanism.ENDPOINTS,
+                      Mechanism.PARTITIONED)
+        before = {m: run(p, assign_allreduce(p, m)).makespan for m in mechanisms}
+        real = simulator.collective_footprint
+
+        def three_steps_for_communicators(mechanism, threads, buffer_bytes):
+            steps, result = real(mechanism, threads, buffer_bytes)
+            return (3 if mechanism is Mechanism.COMMUNICATORS else steps), result
+
+        monkeypatch.setattr(simulator, "collective_footprint",
+                            three_steps_for_communicators)
+        after = {m: run(p, assign_allreduce(p, m)).makespan for m in mechanisms}
+        assert after == {**before, Mechanism.COMMUNICATORS:
+                         before[Mechanism.COMMUNICATORS] + SYNC_WAIT_TICKS}
 
 
 STENCIL_ASSIGNERS = [assign_communicators_ideal, assign_communicators_naive,
