@@ -53,6 +53,6 @@ v_ep = logically_parallel(eps.bindings[a_op.op_id],
 print(f"two atomic updates of tile {a_op.location} from threads "
       f"{a_op.thread} and {b_op.thread}:")
 print(f"  single window:          parallel={v_win.parallel} "
-      f"({v_win.reason.value})")
+      f"({v_win.value})")
 print(f"  endpoints on the window: parallel={v_ep.parallel} "
-      f"({v_ep.reason.value})")
+      f"({v_ep.value})")

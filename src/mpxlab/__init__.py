@@ -60,7 +60,6 @@ from .patterns import (
     min_communicators_3d,
 )
 from .semantics import (
-    ParallelismVerdict,
     Reason,
     ValidationReport,
     can_match,

@@ -224,13 +224,13 @@ def cmd_assign(args) -> int:
 def cmd_oracle_check(args) -> int:
     comparisons, mismatches = semantics.oracle_equivalence_check(args.bound)
     if mismatches:
-        name, a, b, hints, verdict, ref = mismatches[0]
+        name, a, b, hints, reason, ref = mismatches[0]
         print(f"oracle equivalence: FAIL ({len(mismatches)} of {comparisons})")
         print(f"counterexample family: {name}")
         print(f"  hints: {hints}")
         print(f"  a: {a}")
         print(f"  b: {b}")
-        print(f"  classifier: parallel={verdict.parallel} ({verdict.reason.value})")
+        print(f"  classifier: parallel={reason.parallel} ({reason.value})")
         print(f"  oracle: parallel={ref}")
         return EXIT_FAIL
     print(f"oracle equivalence: PASS ({comparisons} comparisons)")

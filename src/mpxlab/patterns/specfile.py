@@ -8,8 +8,9 @@ dimension; every other kind's grids have one entry each, and fan-in runs on
 ``process_grid`` ``[2]``.  The kinds that run once (``RUNS_ONCE``) take no
 ``iterations`` but 1.  For the irregular kinds the grids are reused: a
 polling pattern reads nodes from ``process_grid[0]`` and task threads from
-``thread_grid[0] - 1``, and fires ``iterations`` events per task thread; the
-RMA pattern draws twice as many tiles as there are workers.
+``thread_grid[0] - 1`` (at least one), and fires ``iterations`` events per
+task thread; the RMA pattern draws twice as many tiles as there are workers;
+an allreduce's ``payload_bytes`` is a multiple of its 8-byte elements.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def _stencil(dims, points):
 
 def _legion(s):
     nodes = s.process_grid[0]
-    task_threads = max(1, s.thread_grid[0] - 1)
+    task_threads = s.thread_grid[0] - 1
     return gen_legion(nodes, task_threads, s.iterations * nodes * task_threads,
                       seed=s.seed, payload=s.payload_bytes)
 
@@ -61,7 +62,7 @@ KINDS = {
     "bspmm-rma": _bspmm,
     "multithreaded-allreduce": lambda s: gen_allreduce(
         s.process_grid[0], s.thread_grid[0],
-        buffer_elems=max(1, s.payload_bytes // 8)),
+        buffer_elems=s.payload_bytes // 8),
     "dynamic-graph": lambda s: gen_dynamic_graph(
         s.process_grid[0], s.thread_grid[0], rounds=s.iterations,
         seed=s.seed, payload=s.payload_bytes),
@@ -236,6 +237,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
     )
     if scenario.kind in RUNS_ONCE and scenario.iterations != 1:
         raise SpecFileError(f"field 'iterations': {scenario.kind} runs once")
+    if scenario.kind == "multithreaded-allreduce" and scenario.payload_bytes % 8:
+        raise SpecFileError("field 'payload_bytes': an allreduce reduces "
+                            "8-byte elements")
     return scenario
 
 

@@ -55,19 +55,15 @@ from .base import (
 
 
 def stencil_directions(dims: int, points: int) -> list[tuple[int, ...]]:
-    """Neighbor offsets for a 5/9-point (2D) or 27-point (3D) exchange."""
-    if dims == 2 and points == 5:
-        dirs = [d for d in itertools.product((-1, 0, 1), repeat=2)
-                if sum(map(abs, d)) == 1]
-    elif dims == 2 and points == 9:
-        dirs = [d for d in itertools.product((-1, 0, 1), repeat=2) if any(d)]
-    elif dims == 3 and points == 27:
-        dirs = [d for d in itertools.product((-1, 0, 1), repeat=3) if any(d)]
-    else:
+    """Sorted neighbor offsets of a ``STENCIL_SHAPES`` exchange: every
+    nonzero offset for a full neighborhood, else the unit offsets."""
+    if (dims, points) not in STENCIL_SHAPES.values():
         raise InvalidArgumentError(
             f"no {points}-point neighborhood in {dims} dimensions"
         )
-    return sorted(dirs)
+    full = points == 3 ** dims
+    return [d for d in itertools.product((-1, 0, 1), repeat=dims)
+            if (any(d) if full else sum(map(abs, d)) == 1)]
 
 
 def _neg(d):

@@ -156,7 +156,7 @@ def ordered_before(a: OpDescriptor, b: OpDescriptor, hints: InfoHints) -> bool:
 
 
 class Reason(Enum):
-    """Decisive rule behind a parallelism verdict."""
+    """Decisive rule behind a classifier answer."""
 
     DIFFERENT_COMMUNICATORS = "different-communicators"
     DIFFERENT_ENDPOINTS = "different-endpoints"
@@ -173,6 +173,10 @@ class Reason(Enum):
 
     __hash__ = object.__hash__  # see model.OpKind
 
+    @property
+    def parallel(self) -> bool:
+        return self in PARALLEL_REASONS
+
 
 PARALLEL_REASONS = frozenset({
     Reason.DIFFERENT_COMMUNICATORS,
@@ -186,23 +190,11 @@ PARALLEL_REASONS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class ParallelismVerdict:
-    reason: Reason
-
-    @property
-    def parallel(self) -> bool:
-        return self.reason in PARALLEL_REASONS
-
-
-# one verdict per reason: the classifier returns these, building none per call
-_VERDICT = {r: ParallelismVerdict(r) for r in Reason}
-
-
 def logically_parallel(a: OpDescriptor, b: OpDescriptor,
-                       hints: InfoHints) -> ParallelismVerdict:
+                       hints: InfoHints) -> Reason:
     """Classify whether two operations of one process may proceed on distinct
-    channels without violating matching or ordering semantics.
+    channels without violating matching or ordering semantics, answering with
+    the decisive rule; its ``parallel`` property gives the verdict.
 
     Send pairs sharing a communicator are judged by whether a common receive
     could capture both under the active hints; any pair of receives sharing a
@@ -217,75 +209,69 @@ def logically_parallel(a: OpDescriptor, b: OpDescriptor,
         raise InvalidArgumentError("classifier compares ops of one process")
 
     ak, bk = a.kind, b.kind
-    if ordered_before(a, b, hints) or ordered_before(b, a, hints):
-        if (ak is OpKind.ACCUMULATE and bk is OpKind.ACCUMULATE):
-            return _VERDICT[Reason.ATOMIC_SAME_LOCATION]
-        if ak is OpKind.COLLECTIVE:
-            return _VERDICT[Reason.COLLECTIVE_SERIAL_ON_COMM]
-        # the one edge left: two-sided program order on one triplet
-        return _VERDICT[Reason.ORDERED_SAME_TRIPLET]
-
     if ak is OpKind.COLLECTIVE and bk is OpKind.COLLECTIVE:
         if a.context == b.context:
-            return _VERDICT[Reason.COLLECTIVE_SERIAL_ON_COMM]
-        return _VERDICT[Reason.DIFFERENT_COMMUNICATORS]
+            return Reason.COLLECTIVE_SERIAL_ON_COMM
+        return Reason.DIFFERENT_COMMUNICATORS
+
+    if ordered_before(a, b, hints) or ordered_before(b, a, hints):
+        if ak is OpKind.ACCUMULATE:
+            return Reason.ATOMIC_SAME_LOCATION
+        # the one edge left: two-sided program order on one triplet
+        return Reason.ORDERED_SAME_TRIPLET
 
     if ak in PARTITION_KINDS and bk in PARTITION_KINDS:
         if a.partition[0] == b.partition[0]:
-            return _VERDICT[Reason.PARTITION_SAME_REQUEST]
-        return _VERDICT[Reason.DIFFERENT_COMMUNICATORS]
+            return Reason.PARTITION_SAME_REQUEST
+        return Reason.DIFFERENT_COMMUNICATORS
 
     if ak in RMA_KINDS and bk in RMA_KINDS:
         if a.window != b.window:
-            return _VERDICT[Reason.DIFFERENT_WINDOWS]
+            return Reason.DIFFERENT_WINDOWS
         if a.endpoint is not None and b.endpoint is not None \
                 and a.endpoint != b.endpoint:
-            return _VERDICT[Reason.DIFFERENT_ENDPOINTS]
-        return _VERDICT[Reason.RMA_UNORDERED]
+            return Reason.DIFFERENT_ENDPOINTS
+        return Reason.RMA_UNORDERED
 
-    if ak in TWO_SIDED and bk in TWO_SIDED:
-        return _two_sided_verdict(a, b, hints)
-
-    # mixed families never share a matching domain
-    return _VERDICT[Reason.DISJOINT_TARGETS]
-
-
-def _two_sided_verdict(a, b, hints) -> ParallelismVerdict:
+    if ak not in TWO_SIDED or bk not in TWO_SIDED:
+        # mixed families never share a matching domain
+        return Reason.DISJOINT_TARGETS
     if a.context != b.context:
-        return _VERDICT[Reason.DIFFERENT_COMMUNICATORS]
+        return Reason.DIFFERENT_COMMUNICATORS
     if a.context.family is ContextFamily.ENDPOINT and a.endpoint != b.endpoint:
-        return _VERDICT[Reason.DIFFERENT_ENDPOINTS]
+        return Reason.DIFFERENT_ENDPOINTS
 
-    if a.kind is OpKind.SEND and b.kind is OpKind.SEND:
+    if ak is not bk:
+        # one send, one receive: their potential match sets never intersect
+        # (a receive only pairs with remote traffic addressed to it)
+        return Reason.DISJOINT_TARGETS
+
+    if ak is OpKind.SEND:
         if a.target != b.target:
-            return _VERDICT[Reason.DISJOINT_TARGETS]
-        competing = _tags_equal(a.tag, b.tag) or not hints.no_any_tag
-        if not competing:
-            return _VERDICT[Reason.TAG_RELAXED_NO_WILDCARDS]
+            return Reason.DISJOINT_TARGETS
+        same_tag = _tags_equal(a.tag, b.tag)
+        if not same_tag and hints.no_any_tag:
+            return Reason.TAG_RELAXED_NO_WILDCARDS
         if hints.allow_overtaking:
-            return _VERDICT[Reason.OVERTAKING_SENDS_ONLY]
-        if _tags_equal(a.tag, b.tag):
-            return _VERDICT[Reason.ORDERED_SAME_TRIPLET]
-        return _VERDICT[Reason.WILDCARD_RISK]
+            return Reason.OVERTAKING_SENDS_ONLY
+        if same_tag:
+            return Reason.ORDERED_SAME_TRIPLET
+        return Reason.WILDCARD_RISK
 
-    if a.kind is OpKind.RECV and b.kind is OpKind.RECV:
-        tags_overlap = (
-            a.tag.is_wildcard or b.tag.is_wildcard or a.tag.raw == b.tag.raw
-            or not hints.no_any_tag
-        )
-        srcs_overlap = (
-            a.target == ANY_SOURCE or b.target == ANY_SOURCE
-            or a.target == b.target or not hints.no_any_source
-        )
-        if not (tags_overlap and srcs_overlap):
-            return _VERDICT[Reason.TAG_RELAXED_NO_WILDCARDS]
-        if not hints.wildcards_possible:
-            return _VERDICT[Reason.ORDERED_SAME_TRIPLET]
-        return _VERDICT[Reason.WILDCARD_RISK]
-
-    # one send, one receive: their potential match sets never intersect
-    # (a receive only pairs with remote traffic addressed to it)
-    return _VERDICT[Reason.DISJOINT_TARGETS]
+    # two receives
+    tags_overlap = (
+        a.tag.is_wildcard or b.tag.is_wildcard or a.tag.raw == b.tag.raw
+        or not hints.no_any_tag
+    )
+    srcs_overlap = (
+        a.target == ANY_SOURCE or b.target == ANY_SOURCE
+        or a.target == b.target or not hints.no_any_source
+    )
+    if not (tags_overlap and srcs_overlap):
+        return Reason.TAG_RELAXED_NO_WILDCARDS
+    if not hints.wildcards_possible:
+        return Reason.ORDERED_SAME_TRIPLET
+    return Reason.WILDCARD_RISK
 
 
 # --------------------------------------------------------------------------
@@ -466,14 +452,6 @@ def oracle_logically_parallel(a: OpDescriptor, b: OpDescriptor,
 # classifier/oracle equivalence sweep
 
 
-def _hint_combinations():
-    for overtaking in (False, True):
-        for no_tag in (False, True):
-            for no_src in (False, True):
-                yield InfoHints(allow_overtaking=overtaking, no_any_tag=no_tag,
-                                no_any_source=no_src)
-
-
 def equivalence_scenarios(max_ops: int = 12):
     """Yield (name, universe, hints) families for the classifier/oracle check.
 
@@ -483,11 +461,9 @@ def equivalence_scenarios(max_ops: int = 12):
     partitioned contributions; at most 2 processes, 3 threads per process,
     and ``max_ops`` operations per universe.
     """
-    from .model import MatchContextId as Ctx  # local alias for brevity
-
-    c1 = Ctx(ContextFamily.COMM, 1)
-    c2 = Ctx(ContextFamily.COMM, 2)
-    e1 = Ctx(ContextFamily.ENDPOINT, 3)
+    c1 = MatchContextId(ContextFamily.COMM, 1)
+    c2 = MatchContextId(ContextFamily.COMM, 2)
+    e1 = MatchContextId(ContextFamily.ENDPOINT, 3)
 
     def send(ctx, thr, idx, dst, tag, ep=None):
         return OpDescriptor(OpKind.SEND, (0, thr), idx, context=ctx,
@@ -505,7 +481,8 @@ def equivalence_scenarios(max_ops: int = 12):
         return OpDescriptor(kind, (0, thr), idx, window=win, target=target,
                             target_location=loc, endpoint=ep)
 
-    for hints in _hint_combinations():
+    for flags in itertools.product((False, True), repeat=3):
+        hints = InfoHints(*flags)  # overtaking, no ANY_TAG, no ANY_SOURCE
         wild_tag = not hints.no_any_tag
         wild_src = not hints.no_any_source
 
@@ -565,18 +542,16 @@ def equivalence_scenarios(max_ops: int = 12):
                      ANY_TAG if wild_tag else Tag(3)),
                 recv(c1, 1, 1, 0, Tag(4))]
         for name, universe in batches.items():
-            if not universe:
-                continue
-            if len(universe) > max_ops:
-                continue
-            yield name, universe, hints
+            if len(universe) <= max_ops:
+                yield name, universe, hints
 
 
 def oracle_equivalence_check(max_ops: int = 12):
     """Compare classifier and oracle over the generated families.
 
     Returns (comparisons, mismatches) where each mismatch records the family
-    name, the two descriptors, the hints, and both verdicts.
+    name, the two descriptors, the hints, the classifier's :class:`Reason`
+    and the oracle's verdict.
     """
     if max_ops > ORACLE_MAX_OPS:
         raise OracleBoundError(
@@ -591,11 +566,11 @@ def oracle_equivalence_check(max_ops: int = 12):
         for a, b in itertools.combinations(universe, 2):
             if a.process != b.process or a == b:
                 continue
-            verdict = logically_parallel(a, b, hints)
+            reason = logically_parallel(a, b, hints)
             reference = oracle_logically_parallel(a, b, universe, hints)
             comparisons += 1
-            if verdict.parallel != reference:
-                mismatches.append((name, a, b, hints, verdict, reference))
+            if reason.parallel != reference:
+                mismatches.append((name, a, b, hints, reason, reference))
     return comparisons, mismatches
 
 

@@ -16,7 +16,7 @@ from mpxlab.channels import ChannelPool, collisions
 from mpxlab.cli import main
 from mpxlab.patterns import build_assignment
 from mpxlab.patterns.specfile import load_scenario, scenario_from_dict
-from mpxlab.semantics import ParallelismVerdict, Reason
+from mpxlab.semantics import Reason
 from mpxlab.simulator import Event, channel_policy, run
 
 
@@ -223,7 +223,13 @@ class TestAnalyze:
                     {"kind": "bspmm-rma", "process_grid": [2],
                      "thread_grid": [3], "iterations": 2},
                     {"kind": "multithreaded-allreduce", "process_grid": [3],
-                     "thread_grid": [4], "iterations": 7}):
+                     "thread_grid": [4], "iterations": 7},
+                    # a poller without a task thread, and a payload that is
+                    # not whole 8-byte elements
+                    {"kind": "legion-polling", "process_grid": [2],
+                     "thread_grid": [1]},
+                    {"kind": "multithreaded-allreduce", "process_grid": [2],
+                     "thread_grid": [4], "payload_bytes": 12}):
             spec = write_spec(tmp_path, **bad)
             assert main(["analyze", "--spec", str(spec)]) == 2, bad
             assert main(["assign", "--spec", str(spec), "--emit-spec"]) == 2, bad
@@ -592,10 +598,10 @@ class TestOracleCheck:
         real = semantics.logically_parallel
 
         def flipped(a, b, hints):
-            verdict = real(a, b, hints)
-            if verdict.reason is Reason.DIFFERENT_COMMUNICATORS:
-                return ParallelismVerdict(Reason.WILDCARD_RISK)
-            return verdict
+            reason = real(a, b, hints)
+            if reason is Reason.DIFFERENT_COMMUNICATORS:
+                return Reason.WILDCARD_RISK
+            return reason
 
         monkeypatch.setattr(semantics, "logically_parallel", flipped)
         assert main(["oracle-check", "--bound", "12"]) == 1

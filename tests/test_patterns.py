@@ -326,7 +326,7 @@ class TestIrregularPatterns:
                       if len({o.thread for o in ops}) > 1)
         x, y = shared[0], shared[1]
         v = logically_parallel(a.bindings[x.op_id], a.bindings[y.op_id], a.hints)
-        assert not v.parallel and v.reason is Reason.ATOMIC_SAME_LOCATION
+        assert not v.parallel and v is Reason.ATOMIC_SAME_LOCATION
 
     def test_bspmm_endpoints_expose_the_atomics(self):
         p = gen_bspmm(2, 3, tiles=4, seed=2)

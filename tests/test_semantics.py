@@ -1,5 +1,6 @@
 """Matching predicate, ordering relation, classifier, and oracle."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -97,59 +98,59 @@ class TestOrderedBefore:
 class TestClassifier:
     def test_distinct_communicators(self):
         v = logically_parallel(send(ctx=C0), send(ctx=C1, thread=1), InfoHints())
-        assert v.parallel and v.reason is Reason.DIFFERENT_COMMUNICATORS
+        assert v.parallel and v is Reason.DIFFERENT_COMMUNICATORS
 
     def test_distinct_endpoints(self):
         a = send(ctx=EP, thread=0, dst=9, ep=3)
         b = send(ctx=EP, thread=1, dst=9, ep=4)
         v = logically_parallel(a, b, InfoHints())
-        assert v.parallel and v.reason is Reason.DIFFERENT_ENDPOINTS
+        assert v.parallel and v is Reason.DIFFERENT_ENDPOINTS
 
     def test_recvs_overtaking_only_stay_serial(self):
         a = recv(proc=0, thread=0, src=1, tag=3)
         b = recv(proc=0, thread=1, src=1, tag=4)
         v = logically_parallel(a, b, InfoHints(allow_overtaking=True))
-        assert not v.parallel and v.reason is Reason.WILDCARD_RISK
+        assert not v.parallel and v is Reason.WILDCARD_RISK
 
     def test_collectives_serial_on_one_comm(self):
         a = OpDescriptor(OpKind.COLLECTIVE, (0, 0), 0, context=C0)
         b = OpDescriptor(OpKind.COLLECTIVE, (0, 1), 0, context=C0)
         v = logically_parallel(a, b, InfoHints())
-        assert not v.parallel and v.reason is Reason.COLLECTIVE_SERIAL_ON_COMM
+        assert not v.parallel and v is Reason.COLLECTIVE_SERIAL_ON_COMM
 
     def test_sends_full_relaxation(self):
         a = send(thread=0, tag=3)
         b = send(thread=1, tag=4)
         v = logically_parallel(a, b,
                                InfoHints(no_any_tag=True, no_any_source=True))
-        assert v.parallel and v.reason is Reason.TAG_RELAXED_NO_WILDCARDS
+        assert v.parallel and v is Reason.TAG_RELAXED_NO_WILDCARDS
 
     def test_overtaking_frees_sends(self):
         a = send(thread=0, tag=3)
         b = send(thread=1, tag=4)
         v = logically_parallel(a, b, InfoHints(allow_overtaking=True))
-        assert v.parallel and v.reason is Reason.OVERTAKING_SENDS_ONLY
+        assert v.parallel and v is Reason.OVERTAKING_SENDS_ONLY
 
     def test_partition_contributions_share_the_request(self):
         a = OpDescriptor(OpKind.PARTITION_READY, (0, 0), 0, partition=(5, 0))
         b = OpDescriptor(OpKind.PARTITION_READY, (0, 1), 0, partition=(5, 1))
         v = logically_parallel(a, b, InfoHints())
-        assert v.parallel and v.reason is Reason.PARTITION_SAME_REQUEST
+        assert v.parallel and v is Reason.PARTITION_SAME_REQUEST
 
     def test_atomic_same_location(self):
         v = logically_parallel(accum(thread=0, loc=4), accum(thread=1, loc=4),
                                InfoHints())
-        assert not v.parallel and v.reason is Reason.ATOMIC_SAME_LOCATION
+        assert not v.parallel and v is Reason.ATOMIC_SAME_LOCATION
 
     def test_atomics_different_locations_unordered(self):
         v = logically_parallel(accum(thread=0, loc=4), accum(thread=1, loc=5),
                                InfoHints())
-        assert v.parallel and v.reason is Reason.RMA_UNORDERED
+        assert v.parallel and v is Reason.RMA_UNORDERED
 
     def test_atomics_from_distinct_endpoints(self):
         v = logically_parallel(accum(thread=0, loc=4, ep=0),
                                accum(thread=1, loc=4, ep=1), InfoHints())
-        assert v.parallel and v.reason is Reason.DIFFERENT_ENDPOINTS
+        assert v.parallel and v is Reason.DIFFERENT_ENDPOINTS
 
     def test_nonatomic_same_window(self):
         a = OpDescriptor(OpKind.PUT, (0, 0), 0, window=0, target=1,
@@ -157,7 +158,62 @@ class TestClassifier:
         b = OpDescriptor(OpKind.PUT, (0, 1), 0, window=0, target=1,
                          target_location=4)
         v = logically_parallel(a, b, InfoHints())
-        assert v.parallel and v.reason is Reason.RMA_UNORDERED
+        assert v.parallel and v is Reason.RMA_UNORDERED
+
+
+def classifier_universe():
+    """Distinct descriptors of process 0 reaching every classifier rule.
+
+    Two-sided ops take every (thread, program index) slot on one context per
+    family; on the other context, or at the other endpoint, no pair is
+    ordered, so one slot there suffices.
+    """
+    slots = ((0, 0), (0, 1), (1, 0))  # (thread, program index)
+    ops = []
+    for ctx, ep, ctx_slots in ((C0, None, slots), (C1, None, slots[2:]),
+                               (EP, 0, slots), (EP, 1, slots[2:])):
+        for thread, idx in ctx_slots:
+            ops += [send(ctx, 0, thread, idx, dst, tag, ep)
+                    for dst in (1, 2) for tag in (3, 4)]
+            ops += [recv(ctx, 0, thread, idx, src, tag, ep)
+                    for src in (1, 2, ANY_SOURCE) for tag in (3, 4, ANY_TAG)]
+            if ep != 1:
+                ops.append(OpDescriptor(OpKind.COLLECTIVE, (0, thread), idx,
+                                        context=ctx, endpoint=ep))
+    for kind, win, loc, ep, thread in itertools.product(
+            (OpKind.PUT, OpKind.GET, OpKind.ACCUMULATE), (0, 1), (None, 4),
+            (None, 0, 1), (0, 1)):
+        ops.append(OpDescriptor(kind, (0, thread), 0, window=win, target=1,
+                                target_location=loc, endpoint=ep))
+    for kind, req, thread in itertools.product(
+            (OpKind.PARTITION_READY, OpKind.PARTITION_ARRIVED_TEST), (0, 1),
+            (0, 1)):
+        ops.append(OpDescriptor(kind, (0, thread), 0, partition=(req, thread)))
+    return ops
+
+
+def classifier_digest(classify):
+    """(answers, SHA-256) over ``classify(a, b, hints)`` for every ordered
+    pair of :func:`classifier_universe` under each of the 16 hint subsets,
+    hashing each answer's ``value`` and ``parallel``."""
+    ops = classifier_universe()
+    assert len(set(ops)) == len(ops)
+    hint_sets = [InfoHints(*flags)
+                 for flags in itertools.product((False, True), repeat=4)]
+    answers = [classify(a, b, hints) for hints in hint_sets
+               for a in ops for b in ops if a is not b]
+    # one byte per answer, indexing the distinct answers by first appearance
+    codes = {answer: code for code, answer in enumerate(dict.fromkeys(answers))}
+    legend = "\n".join(f"{answer.value}:{answer.parallel}" for answer in codes)
+    body = legend.encode() + b"\n" + bytes(map(codes.__getitem__, answers))
+    return len(answers), hashlib.sha256(body).hexdigest()
+
+
+def test_every_classifier_answer_is_pinned():
+    # pinned with the classifier as it was before it answered with a Reason
+    assert classifier_digest(logically_parallel) == (
+        580640,
+        "29d8ed3b8b96da9279bc31171fb82464890630888b0a5e71abe26cfb4fdc3307")
 
 
 class TestOracle:

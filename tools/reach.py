@@ -12,7 +12,9 @@ It takes no options.  Under a ``sys.settrace`` line trace it runs:
 - the five demos, through ``runpy``;
 - ``analyze``, ``assign`` and ``assign --emit-spec`` on each of those specs;
 - ``oracle-check``;
-- the specs of ``tools/digest_sweep.py`` at channel pool 16.
+- the specs of ``tools/digest_sweep.py`` at channel pool 16, and ``assign``
+  and ``analyze`` on those of them with the mechanism's default policy and
+  no hints, so every kind's binding labels and shape count as reached.
 
 It then prints, grouped by file, each statement inside a function of
 ``src/mpxlab`` that none of these runs executed, and a final count.
@@ -27,6 +29,7 @@ import ast
 import contextlib
 import importlib.util
 import io
+import json
 import runpy
 import sys
 import tempfile
@@ -123,8 +126,11 @@ def exercise(trace: LineTrace):
     from mpxlab import cli
     from spans import Tracer
 
-    quiet = contextlib.redirect_stdout(io.StringIO())
-    with tempfile.TemporaryDirectory() as tmp, quiet, trace.active():
+    # the CLI's own output, and its refusals of the sweep's odd grids
+    quiet_out = contextlib.redirect_stdout(io.StringIO())
+    quiet_err = contextlib.redirect_stderr(io.StringIO())
+    with tempfile.TemporaryDirectory() as tmp, quiet_out, quiet_err, \
+            trace.active():
         tmp = Path(tmp)
         check, tracer = bench.HashCheck({}), Tracer()
         for workload in bench.WORKLOADS:
@@ -140,9 +146,14 @@ def exercise(trace: LineTrace):
         for demo in DEMOS:
             runpy.run_path(str(demo), run_name="__main__")
         cli.main(["oracle-check"])
-        for spec in sweep.specs():
+        for n, spec in enumerate(sweep.specs()):
             if spec["channel_pool"] == 16:
                 sweep.outcome(spec)
+                if "policy" not in spec and not spec["hints"]:
+                    path = tmp / f"sweep-{n}.json"
+                    path.write_text(json.dumps(spec))
+                    cli.main(["assign", "--spec", str(path)])
+                    cli.main(["analyze", "--spec", str(path)])
 
 
 def main() -> int:
