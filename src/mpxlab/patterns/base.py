@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import count
 from math import prod
-from operator import attrgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from ..errors import DomainError, InvalidArgumentError, UnsupportedPatternError
@@ -132,15 +131,17 @@ class CommPattern:
     from its one issue stream).
 
     ``ops`` is the only per-op record; ``pairs`` is derived from it on each
-    use.  A nonzero ``stamp`` declares every process's ops a copy of
-    process 0's: op ``i`` of process ``p`` is ``ops[p * stamp + i]``, with
-    that op id.  It shares the thread, kind, phase, direction, peer thread,
-    tag key and wildcard flag of op ``i``, and its peer process is ``p``
-    moved by the same torus offset that takes 0 to op ``i``'s peer.  The
-    template lists its ops by thread, so the ops are in (process, thread,
-    op id) order.  The assigners compute those shared fields once, over
-    :attr:`template`, and the engine orders its walk by them once, over
-    the template's phases and kinds.
+    use.  Op ids, not positions in ``ops``, name the ops, and they issue in
+    (process, thread, op id) order whatever the order of ``ops``.  A
+    nonzero ``stamp`` declares every process's ops a copy of process 0's:
+    op ``i`` of process ``p`` is ``ops[p * stamp + i]``, with that op id.
+    It shares the thread, kind, phase, direction, peer thread, tag key and
+    wildcard flag of op ``i``, and its peer process is ``p`` moved by the
+    same torus offset that takes 0 to op ``i``'s peer.  The template lists
+    its ops by thread, so a stamped pattern's ops are in issue order.  The
+    assigners compute those shared fields once, over :attr:`template`, and
+    the engine orders its walk by them once, over the template's phases
+    and kinds.
     """
 
     kind: PatternKind
@@ -253,25 +254,48 @@ class Assignment:
         return ", ".join(f"{k}={v}" for k, v in sorted(self.objects_created.items()))
 
 
+_OP_ID, _PHASE = itemgetter(0), itemgetter(8)
+
+
+def _issue_slots(pattern: CommPattern) -> list[list[PatternOp]]:
+    """The template's ops in issue order: grouped by (process, thread) slot,
+    slots in that order, each slot's ops in op-id order, whatever the order
+    of ``ops``.  One pass groups them; only the slot keys and the slots that
+    hold more than one op are sorted, so the cost grows with the op count,
+    not with the count of (process, thread) slots."""
+    T = pattern.threads_per_process
+    slots: dict[int, list[PatternOp]] = {}
+    for op in pattern.template:
+        slot = op[1] * T + op[2]
+        if slot in slots:
+            slots[slot].append(op)
+        else:
+            slots[slot] = [op]
+    out = [slots[slot] for slot in sorted(slots)]
+    for ops in out:
+        if len(ops) > 1:
+            ops.sort(key=_OP_ID)
+    return out
+
+
 def _program_indexes(pattern: CommPattern) -> dict[int, int]:
     """Issue order within each thread: post all receives, then all other ops,
-    each in (phase, op id) order (the usual nonblocking halo-exchange shape).
+    each in (phase, op id) order (the usual nonblocking halo-exchange shape),
+    whatever the order of ``ops``.
 
     A stamped pattern maps only its template's ops: every copy of template
     op ``j`` issues at op ``j``'s index.
     """
-    ops = pattern.template
-    in_order, op_id = attrgetter("phase", "op_id"), attrgetter("op_id")
-    # per thread: its receives, then the rest
-    by_thread: dict[tuple[int, int], tuple[list, list]] = defaultdict(
-        lambda: ([], []))
-    for op in ops:
-        by_thread[op.process, op.thread][op.kind is not OpKind.RECV].append(op)
     out: dict[int, int] = {}
-    for recvs, rest in by_thread.values():
-        recvs.sort(key=in_order)
-        rest.sort(key=in_order)
-        out.update(zip(map(op_id, recvs + rest), count()))
+    RECV = OpKind.RECV
+    for ops in _issue_slots(pattern):
+        recvs, rest = [], []
+        for op in ops:
+            (recvs if op[3] is RECV else rest).append(op)
+        # stable: each keeps op-id order within a phase
+        recvs.sort(key=_PHASE)
+        rest.sort(key=_PHASE)
+        out.update(zip(map(_OP_ID, recvs + rest), count()))
     return out
 
 

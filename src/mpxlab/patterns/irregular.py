@@ -39,6 +39,13 @@ from .base import (
 )
 
 
+# PatternOp by position: (op id, process, thread, kind, direction, peer
+# process, peer thread, partner, phase, tag key, location, wildcard receive);
+# a module global costs far less than an enum member read
+_op = PatternOp._make
+_SEND, _RECV = OpKind.SEND, OpKind.RECV
+
+
 def gen_legion(nodes: int, task_threads: int, events: int, seed: int = 0,
                payload: int = 8192) -> CommPattern:
     """Event-driven runtime traffic: task threads fire active messages at
@@ -56,16 +63,11 @@ def gen_legion(nodes: int, task_threads: int, events: int, seed: int = 0,
         if dst >= src:
             dst += 1
         src_thread = 1 + rng.randrange(task_threads)
-        send_id, recv_id = len(ops), len(ops) + 1
-        ops.append(PatternOp(
-            op_id=send_id, process=src, thread=src_thread, kind=OpKind.SEND,
-            peer_process=dst, peer_thread=0, partner=recv_id, tag_key=e,
-        ))
-        ops.append(PatternOp(
-            op_id=recv_id, process=dst, thread=0, kind=OpKind.RECV,
-            peer_process=src, peer_thread=src_thread, partner=send_id,
-            tag_key=e, is_wildcard_recv=True,
-        ))
+        send_id, recv_id = 2 * e, 2 * e + 1
+        ops += (_op((send_id, src, src_thread, _SEND, None, dst, 0, recv_id,
+                     0, e, None, False)),
+                _op((recv_id, dst, 0, _RECV, None, src, src_thread, send_id,
+                     0, e, None, True)))
     return CommPattern(
         kind=PatternKind.LEGION_POLLING,
         process_grid=(nodes,),
@@ -91,10 +93,8 @@ def gen_bspmm(procs: int, threads: int, tiles: int, seed: int = 0,
                 a, b, c = (rng.randrange(tiles) for _ in range(3))
                 for kind, tile in ((OpKind.GET, a), (OpKind.GET, b),
                                    (OpKind.ACCUMULATE, c)):
-                    ops.append(PatternOp(
-                        op_id=len(ops), process=p, thread=t, kind=kind,
-                        peer_process=tile % procs, location=tile,
-                    ))
+                    ops.append(_op((len(ops), p, t, kind, None, tile % procs,
+                                    None, None, 0, 0, tile, False)))
     return CommPattern(
         kind=PatternKind.BSPMM_RMA,
         process_grid=(procs,),
@@ -110,13 +110,9 @@ def gen_allreduce(procs: int, threads: int, buffer_elems: int) -> CommPattern:
     reduction of its own segment of the process buffer."""
     if procs < 1 or threads < 1 or buffer_elems < 1:
         raise InvalidArgumentError("counts must be positive")
-    ops = []
-    for p in range(procs):
-        for t in range(threads):
-            ops.append(PatternOp(
-                op_id=len(ops), process=p, thread=t, kind=OpKind.COLLECTIVE,
-                peer_process=(p + 1) % procs, tag_key=t,
-            ))
+    ops = [_op((p * threads + t, p, t, OpKind.COLLECTIVE, None, (p + 1) % procs,
+                None, None, 0, t, None, False))
+           for p in range(procs) for t in range(threads)]
     return CommPattern(
         kind=PatternKind.MULTITHREADED_ALLREDUCE,
         process_grid=(procs,),
@@ -144,16 +140,10 @@ def gen_dynamic_graph(procs: int, threads: int, rounds: int = 2,
                     q += 1
                 u = rng.randrange(threads)
                 send_id, recv_id = len(ops), len(ops) + 1
-                ops.append(PatternOp(
-                    op_id=send_id, process=p, thread=t, kind=OpKind.SEND,
-                    peer_process=q, peer_thread=u, partner=recv_id,
-                    phase=r, tag_key=r,
-                ))
-                ops.append(PatternOp(
-                    op_id=recv_id, process=q, thread=u, kind=OpKind.RECV,
-                    peer_process=p, peer_thread=t, partner=send_id,
-                    phase=r, tag_key=r, is_wildcard_recv=True,
-                ))
+                ops += (_op((send_id, p, t, _SEND, None, q, u, recv_id, r, r,
+                             None, False)),
+                        _op((recv_id, q, u, _RECV, None, p, t, send_id, r, r,
+                             None, True)))
     return CommPattern(
         kind=PatternKind.DYNAMIC_GRAPH,
         process_grid=(procs,),
@@ -169,19 +159,13 @@ def gen_fan_in(senders: int, payload: int = 8192) -> CommPattern:
     one receiver thread that posts its receives in reverse tag order."""
     if senders < 1:
         raise InvalidArgumentError("need at least one sender")
-    ops: list[PatternOp] = []
-    for i in range(senders):
-        ops.append(PatternOp(
-            op_id=i, process=0, thread=i, kind=OpKind.SEND,
-            peer_process=1, peer_thread=0, partner=senders + (senders - 1 - i),
-            tag_key=i,
-        ))
-    for j in range(senders):
-        tag = senders - 1 - j  # posted in reverse tag order
-        ops.append(PatternOp(
-            op_id=senders + j, process=1, thread=0, kind=OpKind.RECV,
-            peer_process=0, peer_thread=tag, partner=tag, tag_key=tag,
-        ))
+    last = 2 * senders - 1
+    ops = [_op((i, 0, i, _SEND, None, 1, 0, last - i, 0, i, None, False))
+           for i in range(senders)]
+    # posted in reverse tag order: receive j takes tag senders - 1 - j
+    ops += [_op((senders + j, 1, 0, _RECV, None, 0, tag, tag, 0, tag,
+                 None, False))
+            for j, tag in enumerate(range(senders - 1, -1, -1))]
     return CommPattern(
         kind=PatternKind.FAN_IN,
         process_grid=(2,),

@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import defaultdict, deque
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from operator import attrgetter
+from operator import sub
 from typing import NamedTuple
 
 from .channels import ChannelPool, MappingPolicy, PolicyKind, rule_of
@@ -49,7 +49,8 @@ from .errors import (DoubleReadyError, InvalidArgumentError,
                      InvalidAssignmentError, InvalidTransitionError,
                      MpxlabError, UnsupportedPatternError)
 from .model import ANY_SOURCE, ANY_TAG, TWO_SIDED, ContextFamily, Direction, OpKind
-from .patterns.base import Assignment, CommPattern, Mechanism, PatternKind
+from .patterns.base import (Assignment, CommPattern, Mechanism, PatternKind,
+                            _issue_slots)
 from .patterns.irregular import collective_footprint
 from .semantics import check_bound, matching_violations, pair_violations
 
@@ -286,12 +287,11 @@ def _max_overlap(starts) -> int:
     up to and including it.
     """
     starts = sorted(starts)
-    best = lo = 0
-    for hi, s in enumerate(starts):
-        while starts[lo] <= s - TRANSFER_TICKS:
-            lo += 1
-        best = max(best, hi - lo + 1)
-    return best
+    # start ``hi`` has ``hi + 1`` starts up to it, all but those at least
+    # ``TRANSFER_TICKS`` before it in flight
+    return max(map(sub, itertools.count(1), map(
+        bisect_right, itertools.repeat(starts),
+        map(TRANSFER_TICKS.__rsub__, starts))), default=0)
 
 
 def _check_index(request, i):
@@ -323,10 +323,6 @@ def _pair_requests(requests) -> dict[int, int]:
             if queue:
                 pair_of[s.request_id] = queue.popleft()
     return pair_of
-
-
-# issue order of the engine loop
-_BY_THREAD = attrgetter("process", "thread", "op_id")
 
 
 class _Engine:
@@ -384,14 +380,15 @@ class _Engine:
         already, and each process's ops copy the template's thread, kind and
         phase, so a phase needs only the template indexes of its receives
         and of its other ops: op ``base + i`` for each process's ``base``
-        and each index ``i``.  An unstamped pattern is sorted into issue
-        order and is its own template.  A polling pattern's receives are
+        and each index ``i``.  An unstamped pattern is its own template, its
+        ops grouped into issue order by thread slot in one pass, whatever
+        their order in ``pattern.ops``.  A polling pattern's receives are
         never posted and get no index; its sends go to their destination
         node.  Each send's channel pair is memoised on the key the policy
         reads from its descriptor, and a scope's posted queue lives from a
-        posting until a take empties it.  The walk also counts the messages
-        of one iteration: the sends of the pattern, or the send requests
-        under partitioned.
+        posting until a take empties it.  The pass that indexes the
+        template's phases also counts the messages of one iteration: the
+        sends of the pattern, or the send requests under partitioned.
 
         Sends the matcher never sees are confirmed or recorded as they
         issue: under partitioned, a send is confirmed when its request is
@@ -431,17 +428,18 @@ class _Engine:
         if pattern.stamp:
             ops, template = pattern.ops, pattern.template
         else:
-            ops = template = sorted(pattern.ops, key=_BY_THREAD)
+            ops = template = [op for slot in _issue_slots(pattern) for op in slot]
         bases = range(0, len(ops), len(template) or 1)
         # per phase: the template indexes of its receives and its other ops
         by_phase: dict[int, tuple[list, list]] = {}
+        sends = 0
         for i, (_, _, _, op_kind, _, _, _, _, phase, _, _, _) in enumerate(template):
             recv = op_kind is OpKind.RECV
+            sends += op_kind is _SEND
             if not (polled and recv):
                 by_phase.setdefault(phase, ([], []))[not recv].append(i)
         self.messages = (sum(r.direction is SEND for r in requests.values())
-                         if partitioned else
-                         len(bases) * sum(op.kind is OpKind.SEND for op in template))
+                         if partitioned else len(bases) * sends)
 
         postings = itertools.count()
         unmatched = 0  # sends that found no posted receive

@@ -1,6 +1,7 @@
 """Pattern generators, assignment constructors, and resource formulas."""
 
 import importlib.util
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -41,6 +42,7 @@ from mpxlab.patterns import (
 from mpxlab.patterns.base import STENCIL_KINDS, _program_indexes
 from mpxlab.patterns.specfile import RUNS_ONCE, Scenario, scenario_from_dict
 from mpxlab.semantics import Reason, logically_parallel, validate_assignment
+from mpxlab.simulator import run
 from mpxlab.errors import SpecFileError
 
 import test_reports
@@ -489,6 +491,29 @@ def test_issue_order_follows_the_keyed_rule(name):
         op.op_id: expected[op.op_id] for op in pattern.template}
     # the same ops without the stamp declared map every op
     assert _program_indexes(replace(pattern, stamp=0)) == expected
+
+
+UNSTAMPED_SPECS = {name: spec for name, spec in test_reports.SPECS.items()
+                   if not name.startswith("stencil-")}
+
+
+@pytest.mark.parametrize("name", sorted(UNSTAMPED_SPECS))
+def test_op_list_order_does_not_matter(name):
+    # CommPattern does not promise op-id order: the same ops in a seeded
+    # permutation, ids kept, give the same issue order and the same report
+    scenario = scenario_from_dict(UNSTAMPED_SPECS[name])
+    pattern = scenario.build_pattern()
+    ops = list(pattern.ops)
+    random.Random(7).shuffle(ops)
+    shuffled = replace(pattern, ops=tuple(ops))
+    assert shuffled.ops != pattern.ops
+    assert _program_indexes(shuffled) == reference_program_indexes(shuffled)
+    reports = []
+    for p in (pattern, shuffled):
+        report = run(p, scenario.build_assignment(p), pool=scenario.build_pool(),
+                     policy=scenario.build_policy(), seed=scenario.seed)
+        reports.append((report.to_json(), report.events))
+    assert reports[0] == reports[1]
 
 
 # --------------------------------------------------------------------------

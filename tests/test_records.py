@@ -11,6 +11,7 @@ behind, and only if the caller's collector state comes back on every exit.
 
 import dataclasses
 import gc
+import hashlib
 import json
 import pickle
 
@@ -25,7 +26,8 @@ from mpxlab.model import (
     OpKind,
     Tag,
 )
-from mpxlab.patterns import gen_bspmm
+from mpxlab.patterns import (gen_allreduce, gen_bspmm, gen_dynamic_graph,
+                             gen_fan_in, gen_legion)
 from mpxlab.patterns.base import PatternOp
 from mpxlab.patterns.irregular import assign_bspmm_endpoints
 from mpxlab.patterns.specfile import scenario_from_dict
@@ -146,3 +148,39 @@ def test_descriptors_share_one_source_tuple_per_thread(name):
 def test_bad_addressing_is_refused_on_every_path(build):
     with pytest.raises(InvalidArgumentError, match="address"):
         build()
+
+
+# SHA-256 of repr(pattern.ops) for each non-stencil generator, two seeds (two
+# sizes for the unseeded ones), taken from the keyword-built records: a
+# positional field slip, such as peer thread and partner swapped or a
+# wildcard flag given as an int, changes the repr
+GENERATOR_PINS = {
+    "legion/seed1": (lambda: gen_legion(5, 3, 40, seed=1),
+        "68d953ab579254804333815654f6d5b0307ebc65e8911f1caabd066f06879329"),
+    "legion/seed7": (lambda: gen_legion(5, 3, 40, seed=7),
+        "55ee05a44a0d94bb2af9595c2ddef386ab6c64d47eb40a5687d33c108c7453fe"),
+    "dyngraph/seed1": (lambda: gen_dynamic_graph(5, 3, rounds=3, seed=1),
+        "b6c41d7e9866440a9eee07c75b299cbf0030d6e9a5b19e0ee81cd69fadf99a96"),
+    "dyngraph/seed7": (lambda: gen_dynamic_graph(5, 3, rounds=3, seed=7),
+        "2ac9f6c78af5f1b008183eacf4b8dc9360695a40ee97adefade0c4b918673587"),
+    "bspmm/seed1": (lambda: gen_bspmm(3, 2, 5, seed=1),
+        "ce449e10df46a822481f719dfca818336422fdc3a47402f43b5d703b5150474c"),
+    "bspmm/seed7": (lambda: gen_bspmm(3, 2, 5, seed=7),
+        "3b69787055251bc912155a559905c559943ff7a1dcdccfb45ed76334637b81f4"),
+    "fan-in/5": (lambda: gen_fan_in(5),
+        "895afb90e72e1ed38e0d40d9812424609c331af942171c7296dd71b49d1a14aa"),
+    "fan-in/12": (lambda: gen_fan_in(12),
+        "d87e3389f25252998bf47a8c9617d38fbe6bd1fceb7200ca4fe9c15f89c840c2"),
+    "allreduce/3x4": (lambda: gen_allreduce(3, 4, 100),
+        "b6defef11c237135389d55e112ebf38a1849a47bf767a9eed9abfac774250fb5"),
+    "allreduce/5x2": (lambda: gen_allreduce(5, 2, 7),
+        "5538d23ece4e36a08caa81def3ce9023800e10acdf33a467c6d70a373c5f464a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_PINS))
+def test_generators_build_the_pinned_records(name):
+    build, digest = GENERATOR_PINS[name]
+    ops = build().ops
+    assert hashlib.sha256(repr(ops).encode()).hexdigest() == digest
+    assert all(type(op) is PatternOp for op in ops)
