@@ -242,10 +242,15 @@ class Assignment:
         return out
 
     def pair_matches(self, send_id: int, recv_id: int) -> bool:
+        """Can the bound send ``send_id`` meet its intended receive
+        ``recv_id``: their requests pair under partitioned, and otherwise
+        two-sided ops meet :func:`mpxlab.semantics.can_match`."""
         send, recv = self.bindings[send_id], self.bindings[recv_id]
         if self.mechanism is Mechanism.PARTITIONED:
-            return requests_match(self.requests[send.partition[0]],
-                                  self.requests[recv.partition[0]])
+            # an op bound off every request cannot meet its partner's
+            return send.partition is not None and recv.partition is not None \
+                and requests_match(self.requests[send.partition[0]],
+                                   self.requests[recv.partition[0]])
         if send.kind is OpKind.SEND and recv.kind is OpKind.RECV:
             return can_match(send, recv)
         return True  # RMA and collectives have no pairwise matching rule

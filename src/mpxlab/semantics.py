@@ -48,30 +48,53 @@ def _tags_equal(a: Tag | None, b: Tag | None) -> bool:
         and not b.is_wildcard and a.raw == b.raw
 
 
+# read once: a module global costs far less than an enum member read
+_ENDPOINT, _SEND, _RECV = ContextFamily.ENDPOINT, OpKind.SEND, OpKind.RECV
+_ANY_TAG = ANY_TAG.raw
+
+# why an intended pair is refused
+CANNOT_MATCH = "bound contexts cannot match"
+
+
+def match_keys(desc: OpDescriptor):
+    """MPI's matching triplet of a two-sided op as (scope, bucket), the
+    scope being (context family, context key, receiving rank).  An op's own
+    rank is its endpoint under an endpoint context, else its process.  A
+    receive is posted at its own rank and selects a (source, tag), either
+    part possibly a wildcard; a send is addressed to its target and carries
+    (its own rank, tag).  An op without a tag has bucket None: no match."""
+    kind, source, _, context, peer, tag, endpoint, _, _, _ = desc
+    family = context.family
+    home = endpoint if family is _ENDPOINT else source[0]
+    if kind is _SEND:  # homed at its target, sent from its own rank
+        home, peer = peer, home
+    return (family, context.key, home), None if tag is None else (peer, tag.raw)
+
+
+def send_covers(bucket):
+    """The receive buckets that can take a send from ``bucket``: its exact
+    (source, tag) and the three wildcard combinations."""
+    if bucket is None:
+        return ()
+    src, tag = bucket
+    return (bucket, (ANY_SOURCE, tag), (src, _ANY_TAG), (ANY_SOURCE, _ANY_TAG))
+
+
 def can_match(send: OpDescriptor, recv: OpDescriptor) -> bool:
     """Does MPI's triplet rule pair this send with this receive?
 
     Same context, the receive posted at the send's destination, the receive's
     source selector naming the send's origin rank (or ANY_SOURCE), and equal
-    tags (or ANY_TAG).  Under an endpoint context both rank comparisons use
-    global endpoint ranks.
+    tags (or ANY_TAG): one scope, and the receive's bucket among those the
+    send's covers.  Under an endpoint context both ranks are global endpoint
+    ranks.
     """
-    # the fields by position: one unpack per record, no property calls
-    skind, (sorigin, _), _, sctx, starget, stag, sep, _, _, _ = send
-    rkind, (rhome, _), _, rctx, rtarget, rtag, rep, _, _, _ = recv
-    if skind is not OpKind.SEND or rkind is not OpKind.RECV:
+    if send.kind is not _SEND or recv.kind is not _RECV \
+            or send.context is None or recv.context is None:
         return False
-    if sctx is None or rctx is None or (sctx is not rctx and sctx != rctx):
-        return False
-    if sctx.family is ContextFamily.ENDPOINT:
-        sorigin, rhome = sep, rep
-    if starget != rhome:
-        return False
-    if rtarget != ANY_SOURCE and rtarget != sorigin:
-        return False
-    if rtag is None or stag is None:
-        return False
-    return rtag.is_wildcard or rtag.raw == stag.raw
+    send_scope, send_bucket = match_keys(send)
+    recv_scope, recv_bucket = match_keys(recv)
+    return send_scope == recv_scope and recv_bucket in send_covers(send_bucket)
 
 
 def requests_match(send_req: PartitionedRequest, recv_req: PartitionedRequest) -> bool:
@@ -281,15 +304,6 @@ def logically_parallel(a: OpDescriptor, b: OpDescriptor,
 _SYNTH_THREAD_BASE = 10_000
 
 
-def _home_of(op: OpDescriptor):
-    """Where receives competing with this op would be posted."""
-    if op.kind is OpKind.SEND:
-        return op.target
-    if op.context.family is ContextFamily.ENDPOINT:
-        return op.endpoint
-    return op.process
-
-
 def _complete_universe(ops: list[OpDescriptor], hints: InfoHints) -> list[OpDescriptor]:
     """Extend a universe with every potential counterpart the hints permit.
 
@@ -344,8 +358,9 @@ def _complete_universe(ops: list[OpDescriptor], hints: InfoHints) -> list[OpDesc
     srcs_by_ctx: dict[MatchContextId, set[int]] = {}
     tags_by_ctx: dict[MatchContextId, set[int]] = {}
     for o in two_sided:
-        ctx = o.context
-        homes.add((ctx, _home_of(o)))
+        # where the receives competing with ``o`` are posted
+        ctx, home = o.context, match_keys(o)[0][2]
+        homes.add((ctx, home))
         srcs = srcs_by_ctx.setdefault(ctx, set())
         tags = tags_by_ctx.setdefault(ctx, set())
         if o.kind is OpKind.SEND:
@@ -359,7 +374,7 @@ def _complete_universe(ops: list[OpDescriptor], hints: InfoHints) -> list[OpDesc
                 tags.add(o.tag.raw)
             src = o.target if o.target != ANY_SOURCE else 30_000
             tag = o.tag if not o.tag.is_wildcard else Tag(0)
-            add_send(ctx, src, _home_of(o), tag)
+            add_send(ctx, src, home, tag)
 
     for ctx, home in homes:
         if not hints.no_any_tag and not hints.no_any_source:
@@ -623,26 +638,21 @@ def check_bound(pattern: "CommPattern", assignment: "Assignment"):
         )
 
 
-def pair_violations(assignment: "Assignment", pairs) -> list:
-    """The (send id, receive id, why) triples of the (send id, receive id)
-    ``pairs`` whose bound descriptors fail the matching rule, in order."""
-    return [(send_id, recv_id, "bound contexts cannot match")
-            for send_id, recv_id in pairs
-            if not assignment.pair_matches(send_id, recv_id)]
-
-
 def matching_violations(pattern: "CommPattern", assignment: "Assignment") -> list:
     """Intended send/receive pairs whose bound descriptors fail the matching
     rule, as (send id, receive id, why) triples, in the order of
     ``pattern.pairs``.
 
     Raises :class:`IncompleteAssignmentError` when an op is left unbound.
-    :func:`mpxlab.simulator.run` finds the same list without checking every
-    pair: it checks only the pairs its engine did not pair itself, and runs
-    this full check only when the engine fails.
+    :func:`mpxlab.simulator.run` finds the same list without this pass: its
+    engine decides each intended pair as the send issues, checking through
+    :meth:`Assignment.pair_matches` only a send it did not pair with its
+    partner, and ``run()`` calls this full check only when the engine fails.
     """
     check_bound(pattern, assignment)
-    return pair_violations(assignment, pattern.pairs)
+    pair_matches = assignment.pair_matches
+    return [(send_id, recv_id, CANNOT_MATCH) for send_id, recv_id in pattern.pairs
+            if not pair_matches(send_id, recv_id)]
 
 
 def validate_assignment(pattern: "CommPattern", assignment: "Assignment") -> ValidationReport:

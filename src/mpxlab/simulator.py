@@ -24,8 +24,10 @@ the rank of its match rather than from walking the queue; until a receive
 is posted to one of a queue's wildcard buckets, a send there looks up only
 its exact bucket.  A scope's queue exists only while it holds a posted
 receive: the first posting creates it and the take that empties it drops
-it.  A send matched with its intended partner confirms that pair; ``run()``
-checks only the pairs the engine did not confirm against the matching rule.
+it.  Scopes and buckets are MPI's triplet rule as :mod:`mpxlab.semantics`
+states it once.  The engine decides every intended pair as its send issues:
+a send matched with its intended partner confirms that pair, and any other
+is checked on the spot through :meth:`Assignment.pair_matches`.
 
 Partitioned requests match once per message: one attempt and one success per
 request pair per iteration, independent of the partition count.  Their
@@ -48,11 +50,12 @@ from .channels import ChannelPool, MappingPolicy, PolicyKind, rule_of
 from .errors import (DoubleReadyError, InvalidArgumentError,
                      InvalidAssignmentError, InvalidTransitionError,
                      MpxlabError, UnsupportedPatternError)
-from .model import ANY_SOURCE, ANY_TAG, TWO_SIDED, ContextFamily, Direction, OpKind
+from .model import ANY_SOURCE, ANY_TAG, TWO_SIDED, Direction, OpKind
 from .patterns.base import (Assignment, CommPattern, Mechanism, PatternKind,
                             _issue_slots)
 from .patterns.irregular import collective_footprint
-from .semantics import check_bound, matching_violations, pair_violations
+from .semantics import (CANNOT_MATCH, check_bound, match_keys,
+                        matching_violations, send_covers)
 
 
 class EventKind(Enum):
@@ -190,39 +193,13 @@ def _footprint(pattern: CommPattern, assignment: Assignment,
     return total + pattern.num_processes * result_bytes
 
 
-# read once: a module global costs far less than an enum member read
-_ENDPOINT, _SEND = ContextFamily.ENDPOINT, OpKind.SEND
-
-
-def _keys(desc):
-    """(scope, bucket) of a two-sided op.  A receive is posted at its own
-    rank and selects a (source, tag), either part possibly a wildcard; a
-    send is addressed to its target and carries (its own rank, tag)."""
-    kind, source, _, context, peer, tag, endpoint, _, _, _ = desc
-    family = context.family
-    home = endpoint if family is _ENDPOINT else source[0]
-    if kind is _SEND:  # homed at its target, sent from its own rank
-        home, peer = peer, home
-    return (family, context.key, home), None if tag is None else (peer, tag.raw)
-
-
-def _send_covers(bucket):
-    """The posted-queue buckets whose receives can take a send from
-    ``bucket``: its exact (source, tag) and the three wildcard combinations."""
-    if bucket is None:
-        return ()
-    src, tag = bucket
-    return (bucket, (ANY_SOURCE, tag), (src, ANY_TAG.raw),
-            (ANY_SOURCE, ANY_TAG.raw))
-
-
 class _Queue:
     """One matching scope's posted queue, indexed by exact (source, tag).
 
     Within a scope the context and the receiving rank already agree, so a
-    send matches a receive exactly when the receive's source selector covers
-    the send's origin rank and its tag selector covers the send's tag: the
-    triplet rule of :func:`mpxlab.semantics.can_match`.
+    send matches a receive exactly when the receive's bucket is among those
+    :func:`mpxlab.semantics.send_covers` gives for the send's: the triplet
+    rule of :func:`mpxlab.semantics.can_match`, read from the same keys.
 
     ``order`` holds the posting numbers of the live entries, ascending, and
     each bucket holds its (posting number, item) entries in the same order;
@@ -259,7 +236,7 @@ class _Queue:
         matches; return (positions scanned, its item or None)."""
         buckets = self.buckets
         if self.wild:
-            heads = [(buckets[b][0][0], b) for b in _send_covers(bucket)
+            heads = [(buckets[b][0][0], b) for b in send_covers(bucket)
                      if b in buckets]
             if not heads:
                 return len(self.order), None
@@ -346,9 +323,9 @@ class _Engine:
         self.probes = 0
         # phase -> most transfers in flight at once on one process
         self.concurrency: dict[int, int] = {}
-        # (send, partner) of every send this run did not pair with its
-        # partner; run() checks only these against the matching rule
-        self.unconfirmed: list[tuple[int, int | None]] = []
+        # (send, partner, why) of every intended pair that cannot match,
+        # decided as the sends issue and sorted by send id after the walk
+        self.violations: list[tuple[int, int, str]] = []
         self.messages = 0  # of one iteration, counted by the walk
         # the collective's steps and result bytes per process; a pattern
         # without one takes one step and keeps no result
@@ -390,10 +367,11 @@ class _Engine:
         template's phases also counts the messages of one iteration: the
         sends of the pattern, or the send requests under partitioned.
 
-        Sends the matcher never sees are confirmed or recorded as they
-        issue: under partitioned, a send is confirmed when its request is
-        paired with its partner's and recorded otherwise; every send of a
-        polling pattern is recorded.
+        Each send with a partner decides its pair as it issues: the pair is
+        confirmed when the matcher pairs the send with its partner or, under
+        partitioned, when their requests are paired; otherwise it is checked
+        on the spot through :meth:`Assignment.pair_matches`, and recorded in
+        ``violations`` when it fails.  A polled send is never confirmed.
         """
         pattern, assignment, pool = self.pattern, self.assignment, self.pool
         bindings, requests = assignment.bindings, assignment.requests
@@ -411,7 +389,8 @@ class _Engine:
         # or arrived (a receive request) this iteration
         filled: dict[int, int] = dict.fromkeys(requests, 0)
         arrivals: dict[int, int] = {}  # receive request id -> latest arrival
-        clocks, events, unconfirmed = self.clocks, self.events, self.unconfirmed
+        clocks, events, violations = self.clocks, self.events, self.violations
+        pair_matches = assignment.pair_matches
         free, busy, concurrency = self.channel_free, self.channel_busy, self.concurrency
         free_at, busy_of, SEND = free.get, busy.get, Direction.SEND
         if partitioned:
@@ -435,7 +414,7 @@ class _Engine:
         sends = 0
         for i, (_, _, _, op_kind, _, _, _, _, phase, _, _, _) in enumerate(template):
             recv = op_kind is OpKind.RECV
-            sends += op_kind is _SEND
+            sends += op_kind is OpKind.SEND
             if not (polled and recv):
                 by_phase.setdefault(phase, ([], []))[not recv].append(i)
         self.messages = (sum(r.direction is SEND for r in requests.values())
@@ -460,7 +439,7 @@ class _Engine:
                     desc = bindings[op_id]
                     # partition arrival is tracked on the shared request
                     if desc[0] in TWO_SIDED:
-                        scope, bucket = _keys(desc)
+                        scope, bucket = match_keys(desc)
                         queue = queue_of(scope)
                         if queue is None:
                             queue = queues[scope] = _Queue()
@@ -485,12 +464,11 @@ class _Engine:
                             peer = requests[rid].peer
                         if kind is pready:
                             paired = pair_of.get(rid)
+                    confirmed = not polled
                     if partitioned:
                         mate = getattr(bindings.get(partner), "partition", None)
-                        if paired is None or mate is None or mate[0] != paired:
-                            unconfirmed.append((op_id, partner))
-                    elif polled:
-                        unconfirmed.append((op_id, partner))
+                        confirmed = paired is not None and mate is not None \
+                            and mate[0] == paired
                     local = p * R + lch
                     remote = None if peer is None else peer * R + rch
                     if remote == local:
@@ -529,7 +507,7 @@ class _Engine:
                     if polled:  # peer is the destination node
                         incoming.setdefault(peer, []).append((end, op_id))
                     elif kind in TWO_SIDED:  # a send: nothing else matches
-                        scope, bucket = _keys(desc)
+                        scope, bucket = match_keys(desc)
                         queue = queue_of(scope)
                         if queue is None:  # nothing is posted to the scope
                             attempts, rid = 0, None
@@ -541,12 +519,15 @@ class _Engine:
                         self.attempts += attempts
                         self.matches += rid is not None
                         if rid != partner:
-                            unconfirmed.append((op_id, partner))
+                            confirmed = False
                         if events is not None:
                             events += [Event(end, EventKind.MATCH_ATTEMPT,
                                              op_id)] * attempts
                             if rid is not None:
                                 self.emit(end, EventKind.MATCH_SUCCESS, op_id)
+                    if not confirmed and partner is not None \
+                            and not pair_matches(op_id, partner):
+                        violations.append((op_id, partner, CANNOT_MATCH))
             for node in sorted(incoming):
                 self._poll(node, sorted(incoming[node]))
             if others:
@@ -558,6 +539,7 @@ class _Engine:
             phase_end = max(last, max(clocks))
             clocks[:] = [phase_end] * len(clocks)
 
+        violations.sort()  # by send id: every send issues once
         if unmatched:
             raise MpxlabError(
                 f"{unmatched} sends found no posted receive; the "
@@ -683,11 +665,11 @@ def run(pattern: CommPattern, assignment: Assignment,
     checked here; :func:`mpxlab.semantics.validate_assignment` reports it.
     Identical inputs always produce identical reports.
 
-    The pairs are checked after the engine runs.  A send the matcher paired
-    with its partner meets the matching rule, as does a partitioned send
-    whose request was paired with its partner's, so only the other pairs go
-    through :meth:`Assignment.pair_matches`.  When the engine fails, every
-    pair is checked, and a pair that cannot match is the refusal.
+    The engine decides the intended pairs as their sends issue, checking
+    through :meth:`Assignment.pair_matches` each send it did not pair with
+    its partner (itself or, under partitioned, by request).  When the
+    engine fails, every pair is checked, and a pair that cannot match is
+    the refusal.
     """
     pool = pool or ChannelPool()
     mapping = channel_policy(policy, assignment, pool)
@@ -696,8 +678,7 @@ def run(pattern: CommPattern, assignment: Assignment,
         engine = _Engine(pattern, assignment, pool, mapping, seed, events)
         report = engine.run()
         # in send id order: generators number ops in order, as pattern.pairs
-        violations = pair_violations(assignment, sorted(
-            {pair for pair in engine.unconfirmed if pair[1] is not None}))
+        violations = engine.violations
     except Exception:
         violations = matching_violations(pattern, assignment)
         if not violations:

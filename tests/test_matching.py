@@ -1,4 +1,11 @@
-"""The indexed posted queue and the work ``run()`` does per reported count."""
+"""The matching rule, the indexed posted queue and the work ``run()`` does
+per reported count.
+
+:mod:`mpxlab.semantics` states MPI's triplet rule once, as ``match_keys``
+and ``send_covers``; ``can_match`` and the engine's queues both read it.
+The references here restate it field by field, apart from those keys."""
+
+import itertools
 
 import sys
 from collections import Counter
@@ -22,13 +29,16 @@ from mpxlab.model import (
 )
 from mpxlab.patterns import (
     assign_communicators_naive,
+    assign_endpoints,
     assign_partitioned,
+    gen_dynamic_graph,
     gen_fan_in,
+    gen_legion,
     gen_stencil,
 )
-from mpxlab.semantics import can_match
+from mpxlab.semantics import can_match, match_keys
 from mpxlab.patterns.specfile import scenario_from_dict
-from mpxlab.simulator import _Engine, _Queue, _keys, run
+from mpxlab.simulator import _Engine, _Queue, run
 
 from test_reports import SPECS
 
@@ -61,6 +71,75 @@ def _recv_home(desc):
     return desc.process
 
 
+def reference_can_match(send, recv):
+    """MPI's triplet rule field by field, without ``match_keys``: same
+    context, the receive posted at the send's destination, its source
+    selector naming the send's origin rank (or ANY_SOURCE), and equal tags
+    (or ANY_TAG).  Under an endpoint context both ranks are endpoint ranks."""
+    skind, (sorigin, _), _, sctx, starget, stag, sep, _, _, _ = send
+    rkind, (rhome, _), _, rctx, rtarget, rtag, rep, _, _, _ = recv
+    if skind is not OpKind.SEND or rkind is not OpKind.RECV:
+        return False
+    if sctx is None or rctx is None or sctx != rctx:
+        return False
+    if sctx.family is ContextFamily.ENDPOINT:
+        sorigin, rhome = sep, rep
+    if starget != rhome:
+        return False
+    if rtarget != ANY_SOURCE and rtarget != sorigin:
+        return False
+    if rtag is None or stag is None:
+        return False
+    return rtag.is_wildcard or rtag.raw == stag.raw
+
+
+def two_process_universe():
+    """Sends and receives of two processes over both context families (two
+    communicator contexts and one endpoint context with endpoints 0 and 1),
+    receives selecting either rank or ANY_SOURCE and a tag, ANY_TAG or
+    none, sends to either rank with a tag or none; plus a send and a
+    receive without a context per (process, thread)."""
+    contexts = CONTEXTS + [None]
+    tags = [Tag(0), Tag(1), None]
+    ops = []
+    for ctx, process, endpoint in itertools.product(contexts, (0, 1), (0, 1)):
+        if ctx is None:  # past the constructor's check, as a bare tuple
+            ops += [tuple.__new__(OpDescriptor, (kind, (process, endpoint), 0,
+                                                 None, 1 - process, Tag(0),
+                                                 None, None, None, None))
+                    for kind in (OpKind.SEND, OpKind.RECV)]
+            continue
+        ep = endpoint if ctx.family is ContextFamily.ENDPOINT else None
+        for target, tag in itertools.product((0, 1), tags):
+            ops.append(OpDescriptor(OpKind.SEND, (process, endpoint), 0,
+                                    context=ctx, target=target, tag=tag,
+                                    endpoint=ep))
+        for target, tag in itertools.product((0, 1, ANY_SOURCE),
+                                             tags + [ANY_TAG]):
+            ops.append(OpDescriptor(OpKind.RECV, (process, endpoint), 1,
+                                    context=ctx, target=target, tag=tag,
+                                    endpoint=ep))
+    return ops
+
+
+def test_the_one_rule_equals_the_field_by_field_reference():
+    ops = two_process_universe()
+    matched = Counter()
+    for send, recv in itertools.product(ops, repeat=2):
+        got = can_match(send, recv)
+        assert got == reference_can_match(send, recv), (send, recv)
+        if got:
+            matched["pairs"] += 1
+            matched["endpoint"] += send.context.family is ContextFamily.ENDPOINT
+            matched["any source"] += recv.target == ANY_SOURCE
+            matched["any tag"] += recv.tag == ANY_TAG
+            matched["other process"] += send.process != recv.process
+    # 72 sends and 144 receives over 3 contexts: every kind of match occurs
+    assert len(ops) == 3 * (2 * 2) * (6 + 12) + 8
+    assert all(matched[k] for k in ("pairs", "endpoint", "any source",
+                                    "any tag", "other process"))
+
+
 def reference_scan(ops):
     """Linear posted-queue matching: every position a send traverses is one
     attempt, and a send that finds no receive is a leftover."""
@@ -75,7 +154,7 @@ def reference_scan(ops):
             if entry[0] != scope:
                 continue
             attempts += 1
-            if can_match(desc, entry[1]):
+            if reference_can_match(desc, entry[1]):
                 hit = entry
                 break
         if hit is None:
@@ -132,7 +211,7 @@ def drive_queues(ops):
     found no receive."""
     queues, got, unmatched = {}, [], 0
     for index, (kind, desc) in enumerate(ops):
-        scope, bucket = _keys(desc)
+        scope, bucket = match_keys(desc)
         queue = queues.setdefault(scope, _Queue())
         if kind == "recv":
             queue.add(bucket, index, index)
@@ -166,15 +245,49 @@ def _count_calls(monkeypatch, names):
     return calls
 
 
+def issue_order(pattern, assignment):
+    """The pattern's two-sided ops as one iteration issues them, per phase
+    its receives, then its sends, each in (process, thread, op id) order:
+    (op, ("recv" or "send", descriptor)) pairs."""
+    ops = sorted(pattern.ops, key=lambda op: (
+        op.phase, op.kind is not OpKind.RECV, op.process, op.thread, op.op_id))
+    return [(op, ("recv" if op.kind is OpKind.RECV else "send",
+                  assignment.bindings[op.op_id])) for op in ops]
+
+
 def test_run_work_follows_the_reported_counts(monkeypatch):
+    calls = _count_calls(monkeypatch, ("logically_parallel", "can_match"))
     p = gen_fan_in(512)
     a = assign_communicators_naive(p, num_comms=1)
-    calls = _count_calls(monkeypatch, ("logically_parallel", "can_match"))
     report = run(p, a)
     assert report.match_attempts_total == 131_328  # 512 * 513 / 2
     assert report.matches_total == 512
     assert calls["logically_parallel"] <= 512
-    assert calls["can_match"] <= 2048
+    # every send is taken by its partner: no pair is left to check
+    assert calls["can_match"] == 0
+
+    # a polled send is never taken by the matcher: one rule call each
+    p = gen_legion(4, 3, 24, seed=1)
+    run(p, assign_endpoints(p), events=False)
+    assert sum(op.kind is OpKind.SEND for op in p.ops) == 24
+    assert calls["can_match"] == 24
+
+    # one rule call per send that took a receive other than its partner,
+    # counted by the linear scan of the reference rule in issue order
+    calls.clear()
+    p = gen_dynamic_graph(4, 3, rounds=2, seed=5)
+    a = assign_communicators_naive(p)
+    report = run(p, a, events=False)
+    issued = issue_order(p, a)
+    got, leftovers = reference_scan([entry for _, entry in issued])
+    sends = [op for op, (kind, _) in issued if kind == "send"]
+    assert leftovers == 0
+    assert sum(attempts for attempts, _ in got) \
+        == report.match_attempts_total // p.iterations
+    elsewhere = sum(issued[hit][0].op_id != op.partner
+                    for op, (_, hit) in zip(sends, got))
+    assert 0 < elsewhere < len(sends)
+    assert calls["can_match"] == elsewhere
 
 
 def test_partitioned_pairing_is_linear(monkeypatch):
@@ -218,7 +331,7 @@ def test_a_receive_posted_after_its_send_is_refused():
 
 
 def reference_keys(desc):
-    """(scope, bucket) as ``_keys``' docstring states them, field by field:
+    """(scope, bucket) as ``match_keys``' docstring states them, field by field:
     an op's own rank is its endpoint in an endpoint context and its process
     otherwise; a receive is posted at its own rank and selects (its target,
     tag); a send is addressed to its target and carries (its own rank, tag).
@@ -243,7 +356,7 @@ def test_keys_equal_the_reference_on_every_pinned_descriptor():
         assignment = scenario.build_assignment(scenario.build_pattern())
         for desc in assignment.bindings.values():
             if desc.kind in (OpKind.SEND, OpKind.RECV):
-                assert _keys(desc) == reference_keys(desc), (name, desc)
+                assert match_keys(desc) == reference_keys(desc), (name, desc)
                 seen[desc.kind] += 1
                 seen["endpoint"] += desc.context.family is ContextFamily.ENDPOINT
                 seen["wildcard"] += desc.target == ANY_SOURCE or desc.tag == ANY_TAG

@@ -1,13 +1,16 @@
 """``run()`` refuses an assignment whose intended pairs cannot match, with
-the message of the full check, although it checks only the pairs its
-engine did not pair itself.
+the message of the full check, although its engine checks only the pairs
+it did not pair itself.
 
-A send the matcher paired with its partner meets ``can_match``
-(``tests/test_matching.py`` checks the matcher against a linear scan of
-``can_match``), so ``run()`` passes every other pair, and every pair when
-the engine fails, through ``Assignment.pair_matches``.  The cases below
-corrupt one intended pair of each small spec of ``tests/test_reports.py``
-and expect the refusal :func:`matching_violations` describes.
+The matching triplet is stated once, in :mod:`mpxlab.semantics`
+(``match_keys``, ``send_covers``), and the engine's matcher reads it, so a
+send the matcher paired with its partner meets ``can_match``
+(``tests/test_matching.py`` checks the matcher against a linear scan of a
+field-by-field reference rule).  The engine decides every other pair as its
+send issues, through ``Assignment.pair_matches``; ``run()`` checks every
+pair only when the engine fails.  The cases below corrupt one intended pair
+of each small spec of ``tests/test_reports.py`` and expect the refusal
+:func:`matching_violations` describes.
 """
 
 from dataclasses import replace
@@ -15,8 +18,8 @@ from dataclasses import replace
 import pytest
 
 from mpxlab.errors import InvalidAssignmentError
-from mpxlab.model import (ANY_SOURCE, ANY_TAG, Direction, MatchContextId,
-                          OpKind, Tag)
+from mpxlab.model import (ANY_SOURCE, ANY_TAG, ContextFamily, Direction,
+                          MatchContextId, OpKind, Tag)
 from mpxlab.patterns import assign_communicators_naive, gen_fan_in
 from mpxlab.patterns.specfile import scenario_from_dict
 from mpxlab.semantics import matching_violations, requests_match
@@ -56,6 +59,13 @@ def corrupt(assignment, send_id, recv_id, field):
                      if r.direction is Direction.RECV
                      and not requests_match(sent, r))
         recv = recv._replace(partition=(other.request_id, 0))
+    elif field == "two-sided receive":
+        # rebound off every request, as the two-sided receive of its pair
+        request = assignment.requests[send.partition[0]]
+        context = MatchContextId(ContextFamily.COMM, request.comm.context_id)
+        recv = recv._replace(kind=OpKind.RECV, context=context,
+                             target=request.owner, tag=request.tag,
+                             partition=None)
     elif field == "tag":
         recv = recv._replace(tag=Tag(send.tag.raw + 1))
     elif field == "context":
@@ -80,6 +90,8 @@ for name, spec in sorted(SPECS.items()):
               else ("tag", "context", "target"))
     CASES += [(name, field, which) for field in fields
               for which in ("first", "last")]
+# a receive of a partitioned assignment bound off every request
+CASES.append(("stencil-2d-5pt/partitioned", "two-sided receive", "first"))
 
 
 @pytest.mark.parametrize("name,field,which", CASES,
@@ -107,22 +119,22 @@ def fan_in(receive):
     return pattern, replace(assignment, bindings=bindings)
 
 
-def unconfirmed(pattern, assignment):
-    """The pairs the engine did not pair itself, in the order it met them."""
+def decided(pattern, assignment):
+    """The violations the engine decided as its sends issued."""
     pool = scenario_from_dict(SPECS["fan-in/communicators-naive"]).build_pool()
     engine = _Engine(pattern, assignment, pool,
                      channel_policy(None, assignment, pool), seed=0)
     engine.run()
-    return engine.unconfirmed
+    return engine.violations
 
 
 def test_a_send_matched_off_its_partner_is_refused_when_its_pair_cannot_match():
     # swapped receive tags: each send takes the other send's receive, so the
     # engine completes, and neither intended pair can match
     pattern, assignment = fan_in(lambda d: d._replace(tag=Tag(1 - d.tag.raw)))
-    assert sorted(unconfirmed(pattern, assignment)) == sorted(pattern.pairs)
     violations = matching_violations(pattern, assignment)
     assert len(violations) == 2
+    assert decided(pattern, assignment) == violations
     with pytest.raises(InvalidAssignmentError) as refused:
         run(pattern, assignment)
     assert str(refused.value) == refusal(violations)
@@ -134,8 +146,8 @@ def test_a_send_matched_off_its_partner_runs_when_its_pair_can_match():
     # can still match
     pattern, assignment = fan_in(
         lambda d: d._replace(target=ANY_SOURCE, tag=ANY_TAG))
-    assert sorted(unconfirmed(pattern, assignment)) == sorted(pattern.pairs)
-    assert matching_violations(pattern, assignment) == []
+    assert decided(pattern, assignment) \
+        == matching_violations(pattern, assignment) == []
     report = run(pattern, assignment)
     assert report.matches_total == 2
 

@@ -472,7 +472,7 @@ ENGINE_CASES = [(kind, grids, mechanism)
 def simulated(scenario, pattern):
     """What the engine makes of ``pattern`` under the scenario's assignment,
     per channel policy (the default and each named one) and pool of 1, 2
-    and 16 channels: its report JSON, event trace, unconfirmed pairs and
+    and 16 channels: its report JSON, event trace, decided violations and
     message count, or the refusal raised."""
     try:
         assignment = scenario.build_assignment(pattern)
@@ -490,7 +490,7 @@ def simulated(scenario, pattern):
             except MpxlabError as exc:
                 out.append(f"{type(exc).__name__}: {exc}")
                 continue
-            out.append((report.to_json(), report.events, engine.unconfirmed,
+            out.append((report.to_json(), report.events, engine.violations,
                         engine.messages))
     return out
 
