@@ -12,6 +12,8 @@ from .base import (
     PatternKind,
     PatternOp,
     STENCIL_KINDS,
+    assign_communicators_naive,
+    assign_endpoints,
     boundary_thread_count,
     min_channels_2d,
     min_channels_3d,
@@ -31,8 +33,6 @@ from .irregular import (
 from .stencil import (
     StencilGeometry,
     assign_communicators_ideal,
-    assign_communicators_naive,
-    assign_endpoints,
     assign_partitioned,
     assign_tags_with_hints,
     gen_stencil,

@@ -1,23 +1,35 @@
-"""Shared pattern and assignment types plus the closed-form resource formulas."""
+"""Shared pattern and assignment types, the one binding statement of every
+assigner, the two-sided assigners that every kind with two-sided ops shares,
+and the closed-form resource formulas."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
-from itertools import count
+from functools import cache, cached_property
+from itertools import count, cycle
 from math import prod
 from operator import itemgetter
 from typing import NamedTuple
 
 from ..errors import DomainError, InvalidArgumentError, UnsupportedPatternError
 from ..model import (
+    ANY_SOURCE,
+    ANY_TAG,
     Communicator,
+    ContextFamily,
     EndpointsComm,
+    IdAllocator,
     InfoHints,
+    MatchContextId,
     OpDescriptor,
     OpKind,
     PartitionedRequest,
+    Purpose,
+    Tag,
+    create_endpoints_comm,
+    dup_communicator,
+    world_communicator,
 )
 from ..semantics import can_match, requests_match
 
@@ -260,6 +272,7 @@ class Assignment:
 
 
 _OP_ID, _PHASE = itemgetter(0), itemgetter(8)
+_ADDRESS = itemgetter(0, 1, 5)  # (op id, process, peer process)
 
 
 def _issue_slots(pattern: CommPattern) -> list[list[PatternOp]]:
@@ -294,6 +307,9 @@ def _program_indexes(pattern: CommPattern) -> dict[int, int]:
     out: dict[int, int] = {}
     RECV = OpKind.RECV
     for ops in _issue_slots(pattern):
+        if len(ops) == 1:  # a thread's only op issues first
+            out[ops[0][0]] = 0
+            continue
         recvs, rest = [], []
         for op in ops:
             (recvs if op[3] is RECV else rest).append(op)
@@ -304,11 +320,168 @@ def _program_indexes(pattern: CommPattern) -> dict[int, int]:
     return out
 
 
-def _sources(pattern: CommPattern) -> list[list[tuple[int, int]]]:
-    """``[p][t]`` is the (process, thread) tuple every descriptor that thread
-    issues shares as its ``source``: one tuple per thread, not per op."""
-    T = pattern.threads_per_process
-    return [[(p, t) for t in range(T)] for p in range(pattern.num_processes)]
+_new = tuple.__new__
+
+
+def bind(pattern: CommPattern, shared) -> dict[int, OpDescriptor]:
+    """Every op's descriptor, built by one statement: the binding step of
+    every assigner.
+
+    ``shared(op)`` gives the fields that every op of ``op``'s shape shares:
+    ``(kind, contexts, targets, tag, endpoints, window, target location,
+    partitions)``.  An op's shape is its thread, kind, direction, peer
+    thread, location and tag key; a wildcard receive takes any tag, so its
+    key is left out.  ``shared`` is called once per template op of a
+    stamped pattern, whose copies reuse its rows, and once per shape of an
+    unstamped pattern, whose ops repeat shapes.  The fields that may
+    depend on the op's process are columns, lists of one value per process:
+    ``contexts``, ``endpoints`` and ``partitions`` are indexed by the op's
+    process and ``targets`` by its peer process.  Per op, the statement
+    adds only its column entries, its thread's ``source`` tuple and its
+    issue index.
+
+    The addressing rule of the :class:`OpDescriptor` constructor reads an
+    op's kind, its context's family and whether it has a context, endpoint,
+    window or partition.  Every entry of a column has the shape of its
+    first, and within one assigner every op of a kind has the same such
+    shape, so each kind is checked once and the descriptors are built
+    unchecked.
+    """
+    T, P = pattern.threads_per_process, pattern.num_processes
+    # [t][p]: the source of thread t of process p, one tuple per thread
+    sources = list(zip(*([(p, t) for t in range(T)] for p in range(P))))
+    template, stamp = pattern.template, pattern.stamp
+    by_shape, checked, parts = {}, set(), []
+    for i, op in enumerate(template):
+        shape = i if stamp else (
+            op[2], op[3], op[4], op[6], op[10], None if op[11] else op[9])
+        part = by_shape.get(shape)
+        if part is None:
+            part = by_shape[shape] = (sources[op[2]],) + shared(op)
+            if part[1] not in checked:
+                _, kind, contexts, _, tag, endpoints, window, location, \
+                    partitions = part
+                OpDescriptor(kind, (0, 0), 0, contexts[0], None, tag,
+                             endpoints[0], window, location, partitions[0])
+                checked.add(kind)
+        parts.append(part)
+    del by_shape  # its keys are not needed while the descriptors are built
+    rows = zip(map(_program_indexes(pattern).__getitem__, map(_OP_ID, template)),
+               parts)
+    return {
+        op_id: _new(OpDescriptor, (
+            kind, sources[p], index, contexts[p], targets[peer], tag,
+            endpoints[p], window, location, partitions[p]))
+        for (op_id, p, peer), (index, (sources, kind, contexts, targets, tag,
+                                       endpoints, window, location,
+                                       partitions))
+        in zip(map(_ADDRESS, pattern.ops), cycle(rows) if stamp else rows)}
+
+
+def _rank_columns(epcomm: EndpointsComm) -> list[list[int]]:
+    """``[t][p]``: the global rank of endpoint ``t`` of process ``p``, a
+    column of :func:`bind` per endpoint."""
+    n = epcomm.endpoints_per_process
+    return [list(range(epcomm.endpoint_rank(0, t), epcomm.total_endpoints, n))
+            for t in range(n)]
+
+
+def _require_two_sided(pattern: CommPattern, what: str):
+    """Refuse the kinds without two-sided ops, naming the assigner that
+    binds each."""
+    binder = {PatternKind.BSPMM_RMA: "assign_bspmm_endpoints binds the RMA pattern",
+              PatternKind.MULTITHREADED_ALLREDUCE:
+                  "assign_allreduce binds the allreduce"}.get(pattern.kind)
+    if binder is not None:
+        raise UnsupportedPatternError(f"{what} assignment needs two-sided ops; {binder}")
+
+
+# --------------------------------------------------------------------------
+# the two-sided assigners every kind with two-sided ops shares
+
+
+def assign_communicators_naive(pattern: CommPattern,
+                               num_comms: int | None = None) -> Assignment:
+    """Per-thread communicators: thread i sends on communicator i and
+    receives on the communicator of the remote sending thread.
+
+    Matching is correct, but opposite-boundary threads reuse each other's
+    communicators, so half of the boundary concurrency funnels through shared
+    contexts.  It needs two-sided ops.
+    """
+    refuse_unsupported(pattern, "communicators-naive")
+    _require_two_sided(pattern, "per-thread communicator")
+    P = pattern.num_processes
+    ids = IdAllocator()
+    world = world_communicator(P, ids)
+    K = num_comms if num_comms is not None else pattern.threads_per_process
+    if K < 1:
+        raise InvalidArgumentError("need at least one communicator")
+    comms = [
+        dup_communicator(world, ids, purpose=Purpose.PARALLELISM_EXPOSURE)
+        for _ in range(K)
+    ]
+    contexts = [[MatchContextId(ContextFamily.COMM, c.context_id)] * P
+                for c in comms]
+    peers, anywhere, nones = list(range(P)), [ANY_SOURCE] * P, [None] * P
+    tag_of = cache(Tag)
+
+    def shared(op):
+        wild = op.is_wildcard_recv
+        owner = op.thread if op.kind is OpKind.SEND else op.peer_thread
+        return (op.kind, contexts[owner % K], anywhere if wild else peers,
+                ANY_TAG if wild else tag_of(op.tag_key), nones, None, None,
+                nones)
+
+    return Assignment(
+        mechanism=Mechanism.COMMUNICATORS,
+        variant="naive",
+        hints=InfoHints(),
+        bindings=bind(pattern, shared),
+        objects_created={"communicators": K},
+        comms=[world] + comms,
+    )
+
+
+def assign_endpoints(pattern: CommPattern) -> Assignment:
+    """One endpoints communicator; every thread owns the endpoint matching
+    its thread id, and targets are global endpoint ranks of facing threads.
+
+    The communicator hands out one handle per thread (rank = process * T +
+    thread), but only the communicating threads' endpoints are ever bound,
+    and that bound count is what the object tally reports.
+    """
+    _require_two_sided(pattern, "endpoint")
+    T, P = pattern.threads_per_process, pattern.num_processes
+    ids = IdAllocator()
+    world = world_communicator(P, ids)
+    epcomm = create_endpoints_comm(world, T, ids)
+    context = [MatchContextId(ContextFamily.ENDPOINT, epcomm.context_id)] * P
+    ranks, anywhere, nones = _rank_columns(epcomm), [ANY_SOURCE] * P, [None] * P
+    tag_of = cache(Tag)
+
+    def shared(op):
+        # a wildcard receive has no peer thread and the tag ANY_TAG
+        if op.is_wildcard_recv:
+            return (op.kind, context, anywhere, ANY_TAG, ranks[op.thread],
+                    None, None, nones)
+        return (op.kind, context, ranks[op.peer_thread], tag_of(op.tag_key),
+                ranks[op.thread], None, None, nones)
+
+    # the bound endpoints: every (process, thread) slot that issues an op
+    slots = {op[1] * T + op[2] for op in pattern.template}
+    return Assignment(
+        mechanism=Mechanism.ENDPOINTS,
+        hints=InfoHints(),
+        bindings=bind(pattern, shared),
+        objects_created={
+            "communicators": 1,
+            "endpoints_per_process": sum(slot < T for slot in slots),
+            "endpoints_total": len(slots) * (P if pattern.stamp else 1),
+        },
+        comms=[world],
+        endpoints_comm=epcomm,
+    )
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from ..model import (
     IdAllocator,
     InfoHints,
     MatchContextId,
-    OpDescriptor,
     OpKind,
     PartitionedRequest,
     Purpose,
@@ -33,8 +32,8 @@ from .base import (
     PatternKind,
     PatternOp,
     REFUSALS,
-    _program_indexes,
-    _sources,
+    _rank_columns,
+    bind,
     refuse_unsupported,
 )
 
@@ -200,17 +199,6 @@ def collective_footprint(mechanism: Mechanism, threads: int,
 # assignments for the irregular patterns
 
 
-def _bind(pattern: CommPattern, address, kind=None) -> dict[int, OpDescriptor]:
-    """Every op's descriptor: its kind (or ``kind``), its thread's ``source``
-    and its issue index, plus the address fields ``address(op)`` returns."""
-    prog = _program_indexes(pattern)
-    source_of = _sources(pattern)
-    return {op.op_id: OpDescriptor(kind or op.kind,
-                                   source_of[op.process][op.thread],
-                                   prog[op.op_id], **address(op))
-            for op in pattern.ops}
-
-
 def assign_bspmm_windows(pattern: CommPattern) -> Assignment:
     """All gets and atomic updates on one shared window.
 
@@ -220,12 +208,13 @@ def assign_bspmm_windows(pattern: CommPattern) -> Assignment:
     policy hashes."""
     refuse_unsupported(pattern, "windows")  # every other kind has a reason
     window = IdAllocator().fresh_window()
+    P = pattern.num_processes
+    peers, nones = list(range(P)), [None] * P
     return Assignment(
         mechanism=Mechanism.WINDOWS,
         hints=InfoHints(),
-        bindings=_bind(pattern, lambda op: {
-            "window": window, "target": op.peer_process,
-            "target_location": op.location}),
+        bindings=bind(pattern, lambda op: (
+            op.kind, nones, peers, None, nones, window, op.location, nones)),
         objects_created={"windows": 1},
     )
 
@@ -236,17 +225,18 @@ def assign_bspmm_endpoints(pattern: CommPattern) -> Assignment:
     streams as independent."""
     if pattern.kind is not PatternKind.BSPMM_RMA:
         raise UnsupportedPatternError("endpoint-window assignment expects the RMA pattern")
+    P = pattern.num_processes
     ids = IdAllocator()
-    world = world_communicator(pattern.num_processes, ids)
+    world = world_communicator(P, ids)
     epcomm = create_endpoints_comm(world, pattern.threads_per_process, ids)
     window = ids.fresh_window()
+    peers, nones, ranks = list(range(P)), [None] * P, _rank_columns(epcomm)
     return Assignment(
         mechanism=Mechanism.ENDPOINTS,
         hints=InfoHints(),
-        bindings=_bind(pattern, lambda op: {
-            "window": window, "target": op.peer_process,
-            "target_location": op.location,
-            "endpoint": epcomm.endpoint_rank(op.process, op.thread)}),
+        bindings=bind(pattern, lambda op: (
+            op.kind, nones, peers, None, ranks[op.thread], window, op.location,
+            nones)),
         objects_created={"windows": 1,
                          "endpoints_per_process": pattern.threads_per_process,
                          "endpoints_total": epcomm.total_endpoints},
@@ -267,29 +257,29 @@ def assign_allreduce(pattern: CommPattern, mechanism: Mechanism) -> Assignment:
     T, P = pattern.threads_per_process, pattern.num_processes
     ids = IdAllocator()
     world = world_communicator(P, ids)
-    kind, comms, epcomm, requests = None, [world], None, {}
+    comms, epcomm, requests = [world], None, {}
+    peers, nones = list(range(P)), [None] * P
     if mechanism is Mechanism.COMMUNICATORS:
         comms += [dup_communicator(world, ids, purpose=Purpose.PARALLELISM_EXPOSURE)
                   for _ in range(T)]
-        contexts = [MatchContextId(ContextFamily.COMM, c.context_id)
+        contexts = [[MatchContextId(ContextFamily.COMM, c.context_id)] * P
                     for c in comms[1:]]
         objects = {"communicators": T}
 
-        def address(op):
-            return {"context": contexts[op.thread], "target": op.peer_process,
-                    "tag": Tag(op.tag_key)}
+        def shared(op):
+            return (op.kind, contexts[op.thread], peers, Tag(op.tag_key),
+                    nones, None, None, nones)
     elif mechanism is Mechanism.ENDPOINTS:
         epcomm = create_endpoints_comm(world, T, ids)
-        ctx = MatchContextId(ContextFamily.ENDPOINT, epcomm.context_id)
+        context = [MatchContextId(ContextFamily.ENDPOINT, epcomm.context_id)] * P
+        ranks = _rank_columns(epcomm)
         objects = {"communicators": 1, "endpoints_per_process": T,
                    "endpoints_total": epcomm.total_endpoints}
 
-        def address(op):
-            return {"context": ctx, "target": op.peer_process,
-                    "tag": Tag(op.tag_key),
-                    "endpoint": epcomm.endpoint_rank(op.process, op.thread)}
+        def shared(op):
+            return (op.kind, context, peers, Tag(op.tag_key), ranks[op.thread],
+                    None, None, nones)
     elif mechanism is Mechanism.PARTITIONED:
-        kind = OpKind.PARTITION_READY
         for p in range(P):
             for direction, peer in ((Direction.SEND, (p + 1) % P),
                                     (Direction.RECV, (p - 1) % P)):
@@ -302,12 +292,14 @@ def assign_allreduce(pattern: CommPattern, mechanism: Mechanism) -> Assignment:
                    if r.direction is Direction.SEND}
         objects = {"communicators": 1, "requests": len(requests)}
 
-        def address(op):
-            return {"partition": (send_of[op.process], op.thread)}
+        def shared(op):
+            # every thread readies its partition of its process's send request
+            return (OpKind.PARTITION_READY, nones, nones, None, nones, None,
+                    None, [(send_of[p], op.thread) for p in range(P)])
     else:
         raise UnsupportedPatternError(REFUSALS[pattern.kind][mechanism.value])
     return Assignment(
         mechanism=mechanism, hints=InfoHints(),
-        bindings=_bind(pattern, address, kind), objects_created=objects,
+        bindings=bind(pattern, shared), objects_created=objects,
         comms=comms, endpoints_comm=epcomm, requests=requests,
     )

@@ -19,23 +19,20 @@ from __future__ import annotations
 import itertools
 from functools import cache
 from math import ceil, log2, prod
+from operator import itemgetter
 
 from ..errors import InvalidArgumentError, UnsupportedPatternError
 from ..model import (
-    ANY_SOURCE,
-    ANY_TAG,
     ContextFamily,
     Direction,
     IdAllocator,
     InfoHints,
     MatchContextId,
-    OpDescriptor,
     OpKind,
     PartitionedRequest,
     Purpose,
     Tag,
     TagBitLayout,
-    create_endpoints_comm,
     dup_communicator,
     encode_tag,
     world_communicator,
@@ -48,8 +45,7 @@ from .base import (
     PatternOp,
     STENCIL_KINDS,
     STENCIL_SHAPES,
-    _program_indexes,
-    _sources,
+    bind,
     refuse_unsupported,
 )
 
@@ -191,36 +187,8 @@ def gen_stencil(dims: int, points: int, process_grid, thread_grid,
     )
 
 
-def _stamped(pattern: CommPattern, rows):
-    """Each op with the row its assigner built for the template op it
-    copies.  A row holds the fields every copy shares; the loop over these
-    pairs fills in what depends on the process.  ``rows`` yields one row per
-    template op: a stamped pattern's are kept and reused by every process,
-    an unstamped pattern's are used as they come, so it gets no per-op
-    table."""
-    return zip(pattern.ops, itertools.cycle(rows) if pattern.stamp else rows)
-
-
-def _kind_check():
-    """A check of the first row of each kind against the addressing rule
-    of the :class:`OpDescriptor` constructor.  The rule reads an op's kind,
-    its context's family and whether it has a context, endpoint, window or
-    partition.  Within one assigner every row of a kind has the same such
-    shape, and a copy differs from its row only in its source, target and
-    the value of its context, endpoint or partition, so each kind is
-    checked once and the descriptors are built unchecked with
-    ``_new(OpDescriptor, fields)``."""
-    checked = set()
-
-    def check(kind, context=None, endpoint=None, partition=None):
-        if kind not in checked:
-            OpDescriptor(kind, (0, 0), 0, context, None, None, endpoint,
-                         None, None, partition)
-            checked.add(kind)
-    return check
-
-
-_new = tuple.__new__
+# (thread, kind, direction): where an op sits among the partitioned requests
+_PLACE = itemgetter(2, 3, 4)
 
 
 def _require_stencil(pattern: CommPattern, label: str, what: str):
@@ -229,72 +197,6 @@ def _require_stencil(pattern: CommPattern, label: str, what: str):
     refuse_unsupported(pattern, label)
     if pattern.kind not in STENCIL_KINDS:
         raise UnsupportedPatternError(f"{what} assignment needs a stencil pattern")
-
-
-def _require_two_sided(pattern: CommPattern, what: str):
-    """Refuse the kinds without two-sided ops, naming the assigner that
-    binds each."""
-    binder = {PatternKind.BSPMM_RMA: "assign_bspmm_endpoints binds the RMA pattern",
-              PatternKind.MULTITHREADED_ALLREDUCE:
-                  "assign_allreduce binds the allreduce"}.get(pattern.kind)
-    if binder is not None:
-        raise UnsupportedPatternError(f"{what} assignment needs two-sided ops; {binder}")
-
-
-# --------------------------------------------------------------------------
-# naive per-thread communicator map
-
-
-def assign_communicators_naive(pattern: CommPattern,
-                               num_comms: int | None = None) -> Assignment:
-    """Per-thread communicators: thread i sends on communicator i and
-    receives on the communicator of the remote sending thread.
-
-    Matching is correct, but opposite-boundary threads reuse each other's
-    communicators, so half of the boundary concurrency funnels through shared
-    contexts.  It needs two-sided ops.
-    """
-    refuse_unsupported(pattern, "communicators-naive")
-    _require_two_sided(pattern, "per-thread communicator")
-    ids = IdAllocator()
-    world = world_communicator(pattern.num_processes, ids)
-    K = num_comms if num_comms is not None else pattern.threads_per_process
-    if K < 1:
-        raise InvalidArgumentError("need at least one communicator")
-    comms = [
-        dup_communicator(world, ids, purpose=Purpose.PARALLELISM_EXPOSURE)
-        for _ in range(K)
-    ]
-    contexts = [MatchContextId(ContextFamily.COMM, c.context_id) for c in comms]
-    prog = _program_indexes(pattern)
-    tag_of = cache(Tag)
-    check = _kind_check()
-
-    def row(op):
-        """(kind, thread, program index, context, tag, wildcard)"""
-        ctx = contexts[(op.thread if op.kind is OpKind.SEND else op.peer_thread) % K]
-        tag = tag_of(op.tag_key)  # a wildcard's key too: Tag refuses an oversized one
-        wild = op.is_wildcard_recv
-        check(op.kind, ctx)
-        return (op.kind, op.thread, prog[op.op_id], ctx,
-                ANY_TAG if wild else tag, wild)
-
-    source_of = _sources(pattern)
-    bindings = {}
-    for (op_id, p, _, _, _, peer, _, _, _, _, _, _), (
-            kind, t, index, ctx, tag, wild) in _stamped(
-                pattern, map(row, pattern.template)):
-        bindings[op_id] = _new(OpDescriptor, (
-            kind, source_of[p][t], index, ctx, ANY_SOURCE if wild else peer,
-            tag, None, None, None, None))
-    return Assignment(
-        mechanism=Mechanism.COMMUNICATORS,
-        variant="naive",
-        hints=InfoHints(),
-        bindings=bindings,
-        objects_created={"communicators": K},
-        comms=[world] + comms,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -405,19 +307,16 @@ def assign_communicators_ideal(pattern: CommPattern) -> Assignment:
     _require_stencil(pattern, "communicators", "ideal communicator")
     geo = StencilGeometry(pattern.process_grid, pattern.thread_grid)
     dirs = stencil_directions(geo.dims, STENCIL_SHAPES[pattern.kind][1])
-    prog = _program_indexes(pattern)
-    tag_of = cache(Tag)
+    P = pattern.num_processes
 
-    procs = [geo.proc_coords(p) for p in range(pattern.num_processes)]
+    procs = [geo.proc_coords(p) for p in range(P)]
     corner_keys = tuple(("corner", pc) for pc in procs)
     # per (thread, direction): (selector, keys); the op of process p takes
     # keys[selector[p]], its boundary parity bit or its corner orbit's anchor
     rules: dict[tuple, tuple[list, tuple]] = {}
     selectors: dict[tuple, list] = {}
-    rows = []
     for op in pattern.template:
-        rule = rules.get((op.thread, op.direction))
-        if rule is None:
+        if (op.thread, op.direction) not in rules:
             axis, shift, by_bit = _ideal_key_rule(
                 geo, pattern.kind, geo.thread_coords(op.thread), op.direction)
             selector = selectors.get((axis, shift))
@@ -426,9 +325,8 @@ def assign_communicators_ideal(pattern: CommPattern) -> Assignment:
                     geo.proc_flat([(c + s) % n for c, s, n in zip(pc, shift, geo.P)])
                     if by_bit is None else (pc[axis] + shift) % geo.P[axis] % 2
                     for pc in procs]
-            rule = rules[(op.thread, op.direction)] = (
+            rules[(op.thread, op.direction)] = (
                 selector, corner_keys if by_bit is None else by_bit)
-        rows.append((op.kind, op.thread, prog[op.op_id], rule, tag_of(op.tag_key)))
 
     if pattern.kind is PatternKind.STENCIL_3D_27PT:
         keys = _full_slot_space(geo, dirs)
@@ -436,7 +334,7 @@ def assign_communicators_ideal(pattern: CommPattern) -> Assignment:
         keys = {by[i] for sel, by in rules.values() for i in set(sel)}
 
     ids = IdAllocator()
-    world = world_communicator(pattern.num_processes, ids)
+    world = world_communicator(P, ids)
     ctx_of_key = {}
     comms = [world]
     for key in sorted(keys, key=repr):
@@ -446,24 +344,21 @@ def assign_communicators_ideal(pattern: CommPattern) -> Assignment:
 
     # a key no process takes has no communicator and is never selected
     contexts = {by: [ctx_of_key.get(key) for key in by] for _, by in rules.values()}
-    check = _kind_check()
-    template = []
-    for kind, t, index, (selector, by), tag in rows:
-        ctxs = contexts[by]
-        check(kind, ctxs[selector[0]])
-        template.append((kind, t, index, selector, ctxs, tag))
-    source_of = _sources(pattern)
-    bindings = {}
-    for (op_id, p, _, _, _, peer, _, _, _, _, _, _), (
-            kind, t, index, selector, ctxs, tag) in _stamped(pattern, template):
-        bindings[op_id] = _new(OpDescriptor, (
-            kind, source_of[p][t], index, ctxs[selector[p]], peer, tag,
-            None, None, None, None))
+    # (thread, direction) -> the context of its ops at each process
+    columns = {td: list(map(contexts[by].__getitem__, selector))
+               for td, (selector, by) in rules.items()}
+    peers, nones = list(range(P)), [None] * P
+    tag_of = cache(Tag)
+
+    def shared(op):
+        return (op.kind, columns[op.thread, op.direction], peers,
+                tag_of(op.tag_key), nones, None, None, nones)
+
     return Assignment(
         mechanism=Mechanism.COMMUNICATORS,
         variant="ideal",
         hints=InfoHints(),
-        bindings=bindings,
+        bindings=bind(pattern, shared),
         objects_created={"communicators": len(ctx_of_key)},
         comms=comms,
     )
@@ -485,15 +380,15 @@ def assign_tags_with_hints(pattern: CommPattern) -> Assignment:
                           num_app_bits=app_bits)
     hints = InfoHints(no_any_tag=True, no_any_source=True, tag_vci_bits=layout)
 
+    P = pattern.num_processes
     ids = IdAllocator()
-    world = world_communicator(pattern.num_processes, ids)
+    world = world_communicator(P, ids)
     comm = dup_communicator(world, ids, purpose=Purpose.PARALLELISM_EXPOSURE)
-    ctx = MatchContextId(ContextFamily.COMM, comm.context_id)
-    prog = _program_indexes(pattern)
+    context = [MatchContextId(ContextFamily.COMM, comm.context_id)] * P
+    peers, nones = list(range(P)), [None] * P
     tags: dict[tuple[int, int, int], Tag] = {}
-    check = _kind_check()
-    template = []  # (kind, thread, program index, tag)
-    for op in pattern.template:
+
+    def shared(op):
         if op.kind is OpKind.SEND:
             fields = (op.thread, op.peer_thread, op.tag_key)
         else:
@@ -501,79 +396,14 @@ def assign_tags_with_hints(pattern: CommPattern) -> Assignment:
         tag = tags.get(fields)
         if tag is None:
             tag = tags[fields] = encode_tag(*fields, layout)
-        check(op.kind, ctx)
-        template.append((op.kind, op.thread, prog[op.op_id], tag))
-    source_of = _sources(pattern)
-    bindings = {}
-    for (op_id, p, _, _, _, peer, _, _, _, _, _, _), (
-            kind, t, index, tag) in _stamped(pattern, template):
-        bindings[op_id] = _new(OpDescriptor, (kind, source_of[p][t], index,
-                                              ctx, peer, tag, None, None, None,
-                                              None))
+        return (op.kind, context, peers, tag, nones, None, None, nones)
+
     return Assignment(
         mechanism=Mechanism.TAGS_WITH_HINTS,
         hints=hints,
-        bindings=bindings,
+        bindings=bind(pattern, shared),
         objects_created={"communicators": 1},
         comms=[world, comm],
-    )
-
-
-# --------------------------------------------------------------------------
-# endpoints
-
-
-def assign_endpoints(pattern: CommPattern) -> Assignment:
-    """One endpoints communicator; every thread owns the endpoint matching
-    its thread id, and targets are global endpoint ranks of facing threads.
-
-    The communicator hands out one handle per thread (rank = process * T +
-    thread), but only the communicating threads' endpoints are ever bound,
-    and that bound count is what the object tally reports.
-    """
-    _require_two_sided(pattern, "endpoint")
-    T = pattern.threads_per_process
-    ids = IdAllocator()
-    world = world_communicator(pattern.num_processes, ids)
-    epcomm = create_endpoints_comm(world, T, ids)
-    ctx = MatchContextId(ContextFamily.ENDPOINT, epcomm.context_id)
-    prog = _program_indexes(pattern)
-    tag_of = cache(Tag)
-    check = _kind_check()
-
-    def row(op):
-        """(kind, thread, program index, peer thread, tag); a wildcard
-        receive has no peer thread and the tag ANY_TAG"""
-        check(op.kind, ctx, endpoint=op.process * T + op.thread)
-        if op.is_wildcard_recv:
-            return (op.kind, op.thread, prog[op.op_id], None, ANY_TAG)
-        return (op.kind, op.thread, prog[op.op_id], op.peer_thread,
-                tag_of(op.tag_key))
-
-    source_of = _sources(pattern)
-    bindings = {}
-    used_endpoints = set()
-    for (op_id, p, _, _, _, peer, _, _, _, _, _, _), (
-            kind, t, index, peer_t, tag) in _stamped(
-                pattern, map(row, pattern.template)):
-        ep = p * T + t
-        used_endpoints.add(ep)
-        bindings[op_id] = _new(OpDescriptor, (
-            kind, source_of[p][t], index, ctx,
-            ANY_SOURCE if peer_t is None else peer * T + peer_t, tag, ep,
-            None, None, None))
-    per_process = len({op.thread for op in pattern.template if op.process == 0})
-    return Assignment(
-        mechanism=Mechanism.ENDPOINTS,
-        hints=InfoHints(),
-        bindings=bindings,
-        objects_created={
-            "communicators": 1,
-            "endpoints_per_process": per_process,
-            "endpoints_total": len(used_endpoints),
-        },
-        comms=[world],
-        endpoints_comm=epcomm,
     )
 
 
@@ -590,74 +420,71 @@ def assign_partitioned(pattern: CommPattern) -> Assignment:
     persistent by definition and a partitioned receive names its peer.
     """
     _require_stencil(pattern, "partitioned", "partitioned")
+    P = pattern.num_processes
     ids = IdAllocator()
-    world = world_communicator(pattern.num_processes, ids)
-    prog = _program_indexes(pattern)
+    world = world_communicator(P, ids)
     ops, template = pattern.ops, pattern.template
     n0 = len(template)
 
     # requests of the template: its ops by (process, kind, direction, peer
     # process), each group ordered by thread.  A stamped copy moves every
     # peer by the same torus offset, so two ops share a peer in one copy
-    # exactly when they do in every copy: the groups hold at every process.
+    # exactly when they do in every copy: every process has the same groups,
+    # each named by the (thread, kind, direction) of its first op.
     groups: dict[tuple, list[int]] = {}
     for i, op in enumerate(template):
         key = (op.process, op.kind, op.direction, op.peer_process)
         groups.setdefault(key, []).append(i)
-    members = [sorted(group, key=lambda i: template[i].thread)
-               for group in groups.values()]
-    slot = [(0, 0)] * n0  # template op -> (group, partition index)
-    for g, group in enumerate(members):
+    members = []  # (name, template ops by thread)
+    place = {}  # (thread, kind, direction) -> (its group's name, partition)
+    for group in groups.values():
+        group.sort(key=lambda i: template[i].thread)
+        name = _PLACE(template[group[0]])
+        members.append((name, group))
         for index, i in enumerate(group):
-            slot[i] = (g, index)
+            place[_PLACE(template[i])] = (name, index)
 
     # every copy's (request key, group), ids going in the repr order of keys
     keyed = []
     for base in range(0, len(ops), n0 or 1):
-        for g, group in enumerate(members):
-            op = ops[base + group[0]]
+        for member in members:
+            op = ops[base + member[1][0]]
             keyed.append(((op.process, op.kind, op.direction, op.peer_process),
-                          g))
+                          member))
     keyed.sort(key=lambda item: repr(item[0]))
     requests: dict[int, PartitionedRequest] = {}
-    # [p][g]: the id of group g's request at process p
-    request_of = [[0] * len(members) for _ in range(pattern.num_processes)]
+    request_of = {}  # group name -> its request id at each process
     tag_of = cache(Tag)
-    for (process, kind, _, peer), g in keyed:
+    for (process, kind, _, peer), (name, group) in keyed:
         req = PartitionedRequest(
             request_id=ids.fresh_request(),
             direction=Direction.SEND if kind is OpKind.SEND else Direction.RECV,
-            num_partitions=len(members[g]),
+            num_partitions=len(group),
             partition_size=pattern.payload_bytes,
             peer=peer,
-            tag=tag_of(template[members[g][0]].tag_key),
+            tag=tag_of(template[group[0]].tag_key),
             comm=world,
             owner=process,
         )
         requests[req.request_id] = req
-        request_of[process][g] = req.request_id
+        request_of.setdefault(name, [0] * P)[process] = req.request_id
 
-    rows = [(OpKind.PARTITION_READY if op.kind is OpKind.SEND
-             else OpKind.PARTITION_ARRIVED_TEST, op.thread, prog[op.op_id])
-            + slot[i] for i, op in enumerate(template)]
-    check = _kind_check()
-    for (kind, _, _, g, part), op in zip(rows, template):
-        check(kind, partition=(request_of[op.process][g], part))
-    source_of = _sources(pattern)
-    bindings = {}
-    for (op_id, p, _, _, _, _, _, _, _, _, _, _), (
-            kind, t, index, g, part) in _stamped(pattern, rows):
-        bindings[op_id] = _new(OpDescriptor, (
-            kind, source_of[p][t], index, None, None, None, None, None, None,
-            (request_of[p][g], part)))
+    nones = [None] * P
+
+    def shared(op):
+        name, index = place[_PLACE(op)]
+        return (OpKind.PARTITION_READY if op.kind is OpKind.SEND
+                else OpKind.PARTITION_ARRIVED_TEST, nones, nones, None, nones,
+                None, None, [(rid, index) for rid in request_of[name]])
+
     return Assignment(
         mechanism=Mechanism.PARTITIONED,
         hints=InfoHints(),
-        bindings=bindings,
+        bindings=bind(pattern, shared),
         objects_created={
             "communicators": 1,
             "requests": len(requests),
-            "requests_per_process": len(requests) // pattern.num_processes,
+            "requests_per_process": len(requests) // P,
         },
         comms=[world],
         requests=requests,

@@ -80,6 +80,12 @@ def send_covers(bucket):
     return (bucket, (ANY_SOURCE, tag), (src, _ANY_TAG), (ANY_SOURCE, _ANY_TAG))
 
 
+def is_wildcard_bucket(bucket) -> bool:
+    """Does a receive posted to ``bucket`` select ANY_SOURCE or ANY_TAG, so
+    that sends from other buckets than its own cover it?"""
+    return bucket[0] == ANY_SOURCE or bucket[1] == _ANY_TAG
+
+
 def can_match(send: OpDescriptor, recv: OpDescriptor) -> bool:
     """Does MPI's triplet rule pair this send with this receive?
 

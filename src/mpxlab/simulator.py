@@ -50,12 +50,12 @@ from .channels import ChannelPool, MappingPolicy, PolicyKind, rule_of
 from .errors import (DoubleReadyError, InvalidArgumentError,
                      InvalidAssignmentError, InvalidTransitionError,
                      MpxlabError, UnsupportedPatternError)
-from .model import ANY_SOURCE, ANY_TAG, TWO_SIDED, Direction, OpKind
+from .model import TWO_SIDED, Direction, OpKind
 from .patterns.base import (Assignment, CommPattern, Mechanism, PatternKind,
                             _issue_slots)
 from .patterns.irregular import collective_footprint
-from .semantics import (CANNOT_MATCH, check_bound, match_keys,
-                        matching_violations, send_covers)
+from .semantics import (CANNOT_MATCH, check_bound, is_wildcard_bucket,
+                        match_keys, matching_violations, send_covers)
 
 
 class EventKind(Enum):
@@ -227,7 +227,7 @@ class _Queue:
         entries = self.buckets.get(bucket)
         if entries is None:
             entries = self.buckets[bucket] = []
-            if bucket[0] == ANY_SOURCE or bucket[1] == ANY_TAG.raw:
+            if is_wildcard_bucket(bucket):
                 self.wild = True
         entries.append((key, item))
 

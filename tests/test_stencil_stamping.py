@@ -7,14 +7,17 @@ shares once, over ``CommPattern.template``, and fills in per op only what
 depends on the process; ``assign_communicators_ideal`` keys once per
 (thread, direction, boundary parity).  The references below recompute every
 coordinate, torus neighbor, key, tag, endpoint rank and request per op, the
-way the generator and the assigners did before they were stamped.  The
-assigners build the copies of a checked template row unchecked, so every
-descriptor is checked again here.  The engine's plan also reads a stamped
-pattern once per template op; its runs are compared with those of the same
-ops with no stamp declared, which the plan sorts and reads op by op.
+way the generator and the assigners did before they were stamped.  Every
+assigner binds through ``patterns.base.bind``, which checks the addressing
+rule once per kind and builds the descriptors unchecked, so every
+descriptor of every assigner is checked again here.  The engine indexes a
+stamped pattern's phases once per template op; its runs are compared with
+those of the same ops with no stamp declared, which the engine groups into
+issue order by thread slot, op by op.
 """
 
 from dataclasses import replace
+from functools import partial
 from math import ceil, log2, prod
 
 import pytest
@@ -47,11 +50,16 @@ from mpxlab.patterns import (
     PatternKind,
     PatternOp,
     StencilGeometry,
+    assign_allreduce,
+    assign_bspmm_endpoints,
+    assign_bspmm_windows,
     assign_communicators_ideal,
     assign_communicators_naive,
     assign_endpoints,
     assign_partitioned,
     assign_tags_with_hints,
+    gen_allreduce,
+    gen_bspmm,
     gen_dynamic_graph,
     gen_fan_in,
     gen_legion,
@@ -442,16 +450,36 @@ def test_unstamped_callers_equal_per_op_references(name, kind):
                                reference(pattern, num_comms=2))
 
 
-@pytest.mark.parametrize("dims,points,pgrid,tgrid", GRIDS, ids=IDS)
-@pytest.mark.parametrize("assign", [assign_communicators_ideal,
-                                    assign_communicators_naive,
-                                    assign_tags_with_hints, assign_endpoints,
-                                    assign_partitioned])
-def test_stamped_descriptors_are_the_checked_ones(assign, dims, points, pgrid,
-                                                  tgrid):
-    # the assigners check the addressing rule once per kind and build the
+# every assigner with a pattern it binds: the stencil assigners on every
+# grid, the shared two-sided assigners on the unstamped kinds, and the
+# window and allreduce assigners
+CHECKED = [
+    *(pytest.param(assign, partial(gen_stencil, *grid, payload=64),
+                   id=f"{assign.__name__}-{grid_id}")
+      for grid, grid_id in zip(GRIDS, IDS)
+      for assign in (assign_communicators_ideal, assign_communicators_naive,
+                     assign_tags_with_hints, assign_endpoints,
+                     assign_partitioned)),
+    *(pytest.param(ASSIGNERS[name][0], IRREGULAR[kind],
+                   id=f"{ASSIGNERS[name][0].__name__}-{kind}")
+      for kind in sorted(IRREGULAR) for name in ("naive", "endpoints")),
+    pytest.param(assign_bspmm_windows, lambda: gen_bspmm(3, 2, 5, seed=1),
+                 id="assign_bspmm_windows"),
+    pytest.param(assign_bspmm_endpoints, lambda: gen_bspmm(3, 2, 5, seed=1),
+                 id="assign_bspmm_endpoints"),
+    *(pytest.param(partial(assign_allreduce, mechanism=mechanism),
+                   lambda: gen_allreduce(3, 4, 64),
+                   id=f"assign_allreduce-{mechanism.value}")
+      for mechanism in (Mechanism.COMMUNICATORS, Mechanism.ENDPOINTS,
+                        Mechanism.PARTITIONED)),
+]
+
+
+@pytest.mark.parametrize("assign,build", CHECKED)
+def test_stamped_descriptors_are_the_checked_ones(assign, build):
+    # every assigner checks the addressing rule once per kind and builds the
     # descriptors unchecked; here every descriptor goes through it
-    pattern = gen_stencil(dims, points, pgrid, tgrid, payload=64)
+    pattern = build()
     for desc in assign(pattern).bindings.values():
         assert type(desc) is OpDescriptor
         assert OpDescriptor._make(desc) == desc
