@@ -4,12 +4,13 @@ and the closed-form resource formulas."""
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, Sequence, ValuesView
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property
-from itertools import count, cycle
+from itertools import chain, count, repeat
 from math import prod
-from operator import itemgetter
+from operator import index as _index, itemgetter
 from typing import NamedTuple
 
 from ..errors import DomainError, InvalidArgumentError, UnsupportedPatternError
@@ -131,6 +132,65 @@ class PatternOp(NamedTuple):
     is_wildcard_recv: bool = False
 
 
+_new = tuple.__new__
+
+
+class StampedOps(Sequence):
+    """The ops of a stamped pattern, as a read-only sequence equal to the
+    tuple of all of them: op ``j`` is derived on access from template op
+    ``j % n`` at process ``p = j // n``.  It keeps the template's thread,
+    kind, direction, peer thread, phase, tag key, location and wildcard
+    flag; its peer process is ``columns[j % n][p]`` and its partner is that
+    process's copy of the template op's partner.  :meth:`at` is the one
+    statement that derives a copy.
+    """
+
+    __slots__ = ("template", "columns", "_n", "_len")
+
+    def __init__(self, template: tuple[PatternOp, ...], columns: list[list[int]],
+                 processes: int):
+        self.template, self.columns = template, columns
+        self._n, self._len = len(template), len(template) * processes
+
+    def at(self, p: int, indexes) -> list[tuple]:
+        """The fields of the copies at process ``p`` of the template ops
+        ``indexes``, in :class:`PatternOp` order, as plain tuples: the
+        engine reads them by position, and the sequence makes them ops."""
+        template, columns, n = self.template, self.columns, self._n
+        base = p * n
+        return [(base + i, p, t, kind, d, q, peer_t, q * n + partner % n,
+                 phase, tag, location, wild)
+                for i in indexes
+                for _, _, t, kind, d, _, peer_t, partner, phase, tag, location, wild
+                in (template[i],)
+                for q in (columns[i][p],)]
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return tuple(self[k] for k in range(*j.indices(self._len)))
+        j = _index(j)
+        if not -self._len <= j < self._len:
+            raise IndexError("tuple index out of range")
+        p, i = divmod(j % self._len, self._n)
+        return _new(PatternOp, self.at(p, (i,))[0])
+
+    def __iter__(self):
+        every = range(self._n)
+        for p in range(self._len // (self._n or 1)):
+            yield from map(_new, repeat(PatternOp), self.at(p, every))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, StampedOps)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
 @dataclass
 class CommPattern:
     """A set of processes x threads x per-iteration operations.
@@ -146,14 +206,15 @@ class CommPattern:
     use.  Op ids, not positions in ``ops``, name the ops, and they issue in
     (process, thread, op id) order whatever the order of ``ops``.  A
     nonzero ``stamp`` declares every process's ops a copy of process 0's:
-    op ``i`` of process ``p`` is ``ops[p * stamp + i]``, with that op id.
-    It shares the thread, kind, phase, direction, peer thread, tag key and
+    ``ops`` is then a :class:`StampedOps` of ``stamp`` template ops, and op
+    ``i`` of process ``p`` is ``ops[p * stamp + i]``, with that op id.  It
+    shares the thread, kind, phase, direction, peer thread, tag key and
     wildcard flag of op ``i``, and its peer process is ``p`` moved by the
     same torus offset that takes 0 to op ``i``'s peer.  The template lists
     its ops by thread, so a stamped pattern's ops are in issue order.  The
     assigners compute those shared fields once, over :attr:`template`, and
     the engine orders its walk by them once, over the template's phases
-    and kinds.
+    and kinds, deriving each copy as it issues.
     """
 
     kind: PatternKind
@@ -161,7 +222,7 @@ class CommPattern:
     thread_grid: tuple[int, ...]
     iterations: int
     payload_bytes: int
-    ops: tuple[PatternOp, ...]
+    ops: tuple[PatternOp, ...] | StampedOps
     communicating_threads: frozenset[int] = frozenset()
     corner_threads: frozenset[int] = frozenset()
     stamp: int = field(default=0, compare=False)
@@ -172,10 +233,32 @@ class CommPattern:
             raise InvalidArgumentError("iterations must be positive")
 
     @property
-    def template(self) -> tuple[PatternOp, ...]:
+    def template(self) -> tuple[PatternOp, ...] | StampedOps:
         """The ops every op copies: process 0's when stamped, else all of
         them.  Op ``j`` copies ``template[j % len(template)]``."""
-        return self.ops[:self.stamp or None]
+        return self.ops.template if self.stamp else self.ops
+
+    @cached_property
+    def issue_slots(self) -> list[list[PatternOp]]:
+        """The template's ops in issue order: grouped by (process, thread)
+        slot, slots in that order, each slot's ops in op-id order, whatever
+        the order of ``ops``.  One pass groups them; only the slot keys and
+        the slots that hold more than one op are sorted, so the cost grows
+        with the op count, not with the count of (process, thread) slots.
+        Computed once per pattern, for the assigners and the engine."""
+        T = self.threads_per_process
+        slots: dict[int, list[PatternOp]] = {}
+        for op in self.template:
+            slot = op[1] * T + op[2]
+            if slot in slots:
+                slots[slot].append(op)
+            else:
+                slots[slot] = [op]
+        out = [slots[slot] for slot in sorted(slots)]
+        for ops in out:
+            if len(ops) > 1:
+                ops.sort(key=_OP_ID)
+        return out
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -275,27 +358,6 @@ _OP_ID, _PHASE = itemgetter(0), itemgetter(8)
 _ADDRESS = itemgetter(0, 1, 5)  # (op id, process, peer process)
 
 
-def _issue_slots(pattern: CommPattern) -> list[list[PatternOp]]:
-    """The template's ops in issue order: grouped by (process, thread) slot,
-    slots in that order, each slot's ops in op-id order, whatever the order
-    of ``ops``.  One pass groups them; only the slot keys and the slots that
-    hold more than one op are sorted, so the cost grows with the op count,
-    not with the count of (process, thread) slots."""
-    T = pattern.threads_per_process
-    slots: dict[int, list[PatternOp]] = {}
-    for op in pattern.template:
-        slot = op[1] * T + op[2]
-        if slot in slots:
-            slots[slot].append(op)
-        else:
-            slots[slot] = [op]
-    out = [slots[slot] for slot in sorted(slots)]
-    for ops in out:
-        if len(ops) > 1:
-            ops.sort(key=_OP_ID)
-    return out
-
-
 def _program_indexes(pattern: CommPattern) -> dict[int, int]:
     """Issue order within each thread: post all receives, then all other ops,
     each in (phase, op id) order (the usual nonblocking halo-exchange shape),
@@ -306,7 +368,7 @@ def _program_indexes(pattern: CommPattern) -> dict[int, int]:
     """
     out: dict[int, int] = {}
     RECV = OpKind.RECV
-    for ops in _issue_slots(pattern):
+    for ops in pattern.issue_slots:
         if len(ops) == 1:  # a thread's only op issues first
             out[ops[0][0]] = 0
             continue
@@ -320,25 +382,93 @@ def _program_indexes(pattern: CommPattern) -> dict[int, int]:
     return out
 
 
-_new = tuple.__new__
+class StampedBindings(Mapping):
+    """The bindings of a stamped pattern, as a read-only mapping equal to
+    the dict of every op's descriptor, in op-id order: op ``j``'s descriptor
+    is derived on access from the row of template op ``j % n`` at process
+    ``p = j // n``.  A row holds the template op's kind, its thread's
+    ``sources``, its issue index, its shared part and its ``peers``, the
+    peer process of each copy (:attr:`StampedOps.columns`).  :meth:`at` is
+    the one statement that derives a descriptor.
+    """
+
+    __slots__ = ("rows", "_n", "_len")
+
+    def __init__(self, rows: list[tuple], processes: int):
+        self.rows = rows
+        self._n, self._len = len(rows), len(rows) * processes
+
+    def at(self, p: int, indexes) -> list[OpDescriptor]:
+        """The descriptors of the copies at process ``p`` of the template
+        ops ``indexes``."""
+        rows = self.rows
+        return [_new(OpDescriptor, (kind, sources[p], index, contexts[p],
+                                    targets[peers[p]], tag, endpoints[p],
+                                    window, location, partitions[p]))
+                for i in indexes
+                for kind, sources, index, contexts, targets, tag, endpoints, \
+                window, location, partitions, peers in (rows[i],)]
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        return iter(range(self._len))
+
+    def __contains__(self, j):
+        return isinstance(j, int) and 0 <= j < self._len
+
+    def __getitem__(self, j):
+        if isinstance(j, int) and 0 <= j < self._len:
+            p, i = divmod(j, self._n)
+            return self.at(p, (i,))[0]
+        raise KeyError(j)
+
+    def _values(self):
+        every = range(self._n)
+        return chain.from_iterable(
+            self.at(p, every) for p in range(self._len // (self._n or 1)))
+
+    def values(self):
+        return _Values(self)
+
+    def items(self):
+        return _Items(self)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
 
 
-def bind(pattern: CommPattern, shared) -> dict[int, OpDescriptor]:
-    """Every op's descriptor, built by one statement: the binding step of
-    every assigner.
+class _Values(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):  # a process's descriptors at a time, not op by op
+        return self._mapping._values()
+
+
+class _Items(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(count(), self._mapping._values())
+
+
+def bind(pattern: CommPattern, shared) -> dict[int, OpDescriptor] | StampedBindings:
+    """Every op's descriptor: the binding step of every assigner.
 
     ``shared(op)`` gives the fields that every op of ``op``'s shape shares:
     ``(kind, contexts, targets, tag, endpoints, window, target location,
     partitions)``.  An op's shape is its thread, kind, direction, peer
     thread, location and tag key; a wildcard receive takes any tag, so its
     key is left out.  ``shared`` is called once per template op of a
-    stamped pattern, whose copies reuse its rows, and once per shape of an
-    unstamped pattern, whose ops repeat shapes.  The fields that may
-    depend on the op's process are columns, lists of one value per process:
-    ``contexts``, ``endpoints`` and ``partitions`` are indexed by the op's
-    process and ``targets`` by its peer process.  Per op, the statement
-    adds only its column entries, its thread's ``source`` tuple and its
-    issue index.
+    stamped pattern and once per shape of an unstamped pattern, whose ops
+    repeat shapes.  The fields that may depend on the op's process are
+    columns, lists of one value per process: ``contexts``, ``endpoints``
+    and ``partitions`` are indexed by the op's process and ``targets`` by
+    its peer process.  Per op, the statement adds only its column entries,
+    its thread's ``source`` tuple and its issue index.  A stamped pattern
+    gets a :class:`StampedBindings` over one row per template op, which
+    derives each descriptor on access; an unstamped one gets a dict.
 
     The addressing rule of the :class:`OpDescriptor` constructor reads an
     op's kind, its context's family and whether it has a context, endpoint,
@@ -366,16 +496,21 @@ def bind(pattern: CommPattern, shared) -> dict[int, OpDescriptor]:
                 checked.add(kind)
         parts.append(part)
     del by_shape  # its keys are not needed while the descriptors are built
-    rows = zip(map(_program_indexes(pattern).__getitem__, map(_OP_ID, template)),
-               parts)
+    indexes = map(_program_indexes(pattern).__getitem__, map(_OP_ID, template))
+    if stamp:
+        return StampedBindings([
+            (kind, sources, index, contexts, targets, tag, endpoints, window,
+             location, partitions, peers)
+            for index, (sources, kind, contexts, targets, tag, endpoints,
+                        window, location, partitions), peers
+            in zip(indexes, parts, pattern.ops.columns)], P)
     return {
         op_id: _new(OpDescriptor, (
             kind, sources[p], index, contexts[p], targets[peer], tag,
             endpoints[p], window, location, partitions[p]))
-        for (op_id, p, peer), (index, (sources, kind, contexts, targets, tag,
-                                       endpoints, window, location,
-                                       partitions))
-        in zip(map(_ADDRESS, pattern.ops), cycle(rows) if stamp else rows)}
+        for (op_id, p, peer), index, (sources, kind, contexts, targets, tag,
+                                      endpoints, window, location, partitions)
+        in zip(map(_ADDRESS, template), indexes, parts)}
 
 
 def _rank_columns(epcomm: EndpointsComm) -> list[list[int]]:

@@ -45,6 +45,7 @@ from .base import (
     PatternOp,
     STENCIL_KINDS,
     STENCIL_SHAPES,
+    StampedOps,
     bind,
     refuse_unsupported,
 )
@@ -120,11 +121,12 @@ def gen_stencil(dims: int, points: int, process_grid, thread_grid,
     tag and a phase index so the simulator can drive one traffic direction at
     a time.
 
-    The torus makes every process's ops a translate of process 0's, so the
-    ops of process 0 are built once as a template and stamped for every
-    process: op ``i`` of the template becomes op ``p * len(template) + i`` of
-    process ``p``, and its peer process is ``p`` moved by the template's
-    process carry along each crossed axis.
+    The torus makes every process's ops a translate of process 0's, so only
+    the ops of process 0 are built, as a template, with the column of peer
+    processes each one's carry leads to from every process: op ``i`` of the
+    template stands for op ``p * len(template) + i`` of process ``p``, whose
+    peer process is ``p`` moved by the template's process carry along each
+    crossed axis.  :class:`StampedOps` derives each such op on access.
     """
     geo = StencilGeometry(process_grid, thread_grid)
     if geo.dims != dims:
@@ -155,22 +157,16 @@ def gen_stencil(dims: int, points: int, process_grid, thread_grid,
                 for pc in procs]
         for carry in {row[4] for row in template}
     }
-    rows = [
-        (t, op_kind, d, peer_t, moves[carry], traffic,
-         slot[(peer_t, _neg(d),
-               OpKind.SEND if op_kind is OpKind.RECV else OpKind.RECV)])
-        for t, op_kind, d, peer_t, carry, traffic in template
-    ]
-    n0 = len(rows)
-    # positional: (op id, process, thread, kind, direction, peer process,
-    # peer thread, partner, phase, tag key, location, wildcard receive)
-    make = PatternOp._make
-    ops = [
-        make((p * n0 + i, p, t, op_kind, d, to[p], peer_t,
-              to[p] * n0 + partner_slot, traffic, traffic, None, False))
-        for p in range(len(procs))
-        for i, (t, op_kind, d, peer_t, to, traffic, partner_slot) in enumerate(rows)
-    ]
+    # process 0's ops, and the peer process of each one's copy at every
+    # process
+    n0, ops, columns = len(template), [], []
+    for i, (t, op_kind, d, peer_t, carry, traffic) in enumerate(template):
+        to = moves[carry]
+        mate = OpKind.SEND if op_kind is OpKind.RECV else OpKind.RECV
+        ops.append(PatternOp(i, 0, t, op_kind, d, to[0], peer_t,
+                             to[0] * n0 + slot[(peer_t, _neg(d), mate)],
+                             traffic, traffic))
+        columns.append(to)
 
     communicating = frozenset(t for t, ds in enumerate(crossings) if ds)
     corners = frozenset(t for t, tc in enumerate(threads) if geo.is_corner(tc))
@@ -180,7 +176,7 @@ def gen_stencil(dims: int, points: int, process_grid, thread_grid,
         thread_grid=tuple(thread_grid),
         iterations=iterations,
         payload_bytes=payload,
-        ops=tuple(ops),
+        ops=StampedOps(tuple(ops), columns, len(procs)),
         communicating_threads=communicating,
         corner_threads=corners,
         stamp=n0,
@@ -423,8 +419,7 @@ def assign_partitioned(pattern: CommPattern) -> Assignment:
     P = pattern.num_processes
     ids = IdAllocator()
     world = world_communicator(P, ids)
-    ops, template = pattern.ops, pattern.template
-    n0 = len(template)
+    template = pattern.template
 
     # requests of the template: its ops by (process, kind, direction, peer
     # process), each group ordered by thread.  A stamped copy moves every
@@ -444,18 +439,26 @@ def assign_partitioned(pattern: CommPattern) -> Assignment:
         for index, i in enumerate(group):
             place[_PLACE(template[i])] = (name, index)
 
-    # every copy's (request key, group), ids going in the repr order of keys
-    keyed = []
-    for base in range(0, len(ops), n0 or 1):
-        for member in members:
-            op = ops[base + member[1][0]]
-            keyed.append(((op.process, op.kind, op.direction, op.peer_process),
-                          member))
-    keyed.sort(key=lambda item: repr(item[0]))
+    # every copy's request key (process, kind, direction, peer process) and
+    # group, ids going in the repr order of keys.  The first op of each
+    # group is derived at each process; a key's repr is written out, with
+    # the repr of its kind and direction taken once per group.
+    firsts = [group[0] for _, group in members]
+    middles = [f", {template[i].kind!r}, {template[i].direction!r}, "
+               for i in firsts]
+    if pattern.stamp:
+        copies = map(pattern.ops.at, range(P), itertools.repeat(firsts))
+    else:
+        copies = [[template[i] for i in firsts]]
+    keyed = sorted(
+        (f"({process}{middle}{peer})", process, kind, peer, member)
+        for ops in copies
+        for (_, process, _, kind, _, peer, *_), middle, member
+        in zip(ops, middles, members))
     requests: dict[int, PartitionedRequest] = {}
     request_of = {}  # group name -> its request id at each process
     tag_of = cache(Tag)
-    for (process, kind, _, peer), (name, group) in keyed:
+    for _, process, kind, peer, (name, group) in keyed:
         req = PartitionedRequest(
             request_id=ids.fresh_request(),
             direction=Direction.SEND if kind is OpKind.SEND else Direction.RECV,

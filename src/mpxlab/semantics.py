@@ -636,8 +636,16 @@ def _serial_bucket_key(op: OpDescriptor, hints: InfoHints):
 
 
 def check_bound(pattern: "CommPattern", assignment: "Assignment"):
-    """Raise :class:`IncompleteAssignmentError` when an op is left unbound."""
-    missing = [op.op_id for op in pattern.ops if op.op_id not in assignment.bindings]
+    """Raise :class:`IncompleteAssignmentError` when an op is left unbound.
+    A stamped pattern's op ids are its op positions, so no op is read, and
+    a :class:`~mpxlab.patterns.base.StampedBindings` binds positions."""
+    from .patterns.base import StampedBindings
+
+    ids = range(len(pattern.ops)) if pattern.stamp else [op[0] for op in pattern.ops]
+    bound = assignment.bindings
+    if type(bound) is StampedBindings:
+        bound = range(len(bound))
+    missing = list(itertools.filterfalse(bound.__contains__, ids))
     if missing:
         raise IncompleteAssignmentError(
             f"assignment leaves {len(missing)} ops unbound (first: {missing[0]})"
@@ -651,9 +659,10 @@ def matching_violations(pattern: "CommPattern", assignment: "Assignment") -> lis
 
     Raises :class:`IncompleteAssignmentError` when an op is left unbound.
     :func:`mpxlab.simulator.run` finds the same list without this pass: its
-    engine decides each intended pair as the send issues, checking through
-    :meth:`Assignment.pair_matches` only a send it did not pair with its
-    partner, and ``run()`` calls this full check only when the engine fails.
+    engine decides each intended pair as the send issues, checking by the
+    rule of :meth:`Assignment.pair_matches` only a send it did not pair with
+    its partner, and ``run()`` calls this full check only when the engine
+    fails.
     """
     check_bound(pattern, assignment)
     pair_matches = assignment.pair_matches

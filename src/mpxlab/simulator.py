@@ -27,7 +27,7 @@ receive: the first posting creates it and the take that empties it drops
 it.  Scopes and buckets are MPI's triplet rule as :mod:`mpxlab.semantics`
 states it once.  The engine decides every intended pair as its send issues:
 a send matched with its intended partner confirms that pair, and any other
-is checked on the spot through :meth:`Assignment.pair_matches`.
+is checked on the spot by the rule :meth:`Assignment.pair_matches` states.
 
 Partitioned requests match once per message: one attempt and one success per
 request pair per iteration, independent of the partition count.  Their
@@ -51,11 +51,12 @@ from .errors import (DoubleReadyError, InvalidArgumentError,
                      InvalidAssignmentError, InvalidTransitionError,
                      MpxlabError, UnsupportedPatternError)
 from .model import TWO_SIDED, Direction, OpKind
-from .patterns.base import (Assignment, CommPattern, Mechanism, PatternKind,
-                            _issue_slots)
+from .patterns.base import (_OP_ID, Assignment, CommPattern, Mechanism,
+                            PatternKind, StampedBindings)
 from .patterns.irregular import collective_footprint
-from .semantics import (CANNOT_MATCH, check_bound, is_wildcard_bucket,
-                        match_keys, matching_violations, send_covers)
+from .semantics import (CANNOT_MATCH, can_match, check_bound,
+                        is_wildcard_bucket, match_keys, matching_violations,
+                        send_covers)
 
 
 class EventKind(Enum):
@@ -356,8 +357,8 @@ class _Engine:
         (process, thread, op id) order.  A stamped pattern is in that order
         already, and each process's ops copy the template's thread, kind and
         phase, so a phase needs only the template indexes of its receives
-        and of its other ops: op ``base + i`` for each process's ``base``
-        and each index ``i``.  An unstamped pattern is its own template, its
+        and of its other ops: op ``p * n + i`` for each process ``p`` and
+        each index ``i``.  An unstamped pattern is its own template, its
         ops grouped into issue order by thread slot in one pass, whatever
         their order in ``pattern.ops``.  A polling pattern's receives are
         never posted and get no index; its sends go to their destination
@@ -370,8 +371,16 @@ class _Engine:
         Each send with a partner decides its pair as it issues: the pair is
         confirmed when the matcher pairs the send with its partner or, under
         partitioned, when their requests are paired; otherwise it is checked
-        on the spot through :meth:`Assignment.pair_matches`, and recorded in
-        ``violations`` when it fails.  A polled send is never confirmed.
+        on the spot, and recorded in ``violations`` when it fails: a send
+        with :func:`mpxlab.semantics.can_match` on the two descriptors, a
+        partitioned pair through :meth:`Assignment.pair_matches`, and any
+        other pair (RMA, collectives) passes.  A polled send is never
+        confirmed.
+
+        A stamped pattern's ops and, when the assignment binds it through
+        :class:`~mpxlab.patterns.base.StampedBindings`, their descriptors
+        are derived by the two views' ``at`` statements, one process's ops
+        of a phase at a time; no per-op record outlives its block.
         """
         pattern, assignment, pool = self.pattern, self.assignment, self.pool
         bindings, requests = assignment.bindings, assignment.requests
@@ -393,6 +402,7 @@ class _Engine:
         pair_matches = assignment.pair_matches
         free, busy, concurrency = self.channel_free, self.channel_busy, self.concurrency
         free_at, busy_of, SEND = free.get, busy.get, Direction.SEND
+        SEND_OP, RECV_OP = OpKind.SEND, OpKind.RECV
         if partitioned:
             pair_of = _pair_requests(requests.values())
             t0 = max(clocks)
@@ -404,21 +414,35 @@ class _Engine:
             self.attempts += len(pair_of)
             self.matches += len(pair_of)
 
+        # ops_at(p, indexes): the ops of process p at template indexes
         if pattern.stamp:
-            ops, template = pattern.ops, pattern.template
+            template, ops_at, procs = pattern.template, pattern.ops.at, range(P)
         else:
-            ops = template = [op for slot in _issue_slots(pattern) for op in slot]
-        bases = range(0, len(ops), len(template) or 1)
+            template = [op for slot in pattern.issue_slots for op in slot]
+            procs = (0,)
+
+            def ops_at(_, indexes):
+                return map(template.__getitem__, indexes)
+        descs_at = bindings.at if pattern.stamp \
+            and type(bindings) is StampedBindings else None
+        if descs_at:  # each template op's partitions column
+            n, partitions = len(template), [row[9] for row in bindings.rows]
+
+        def issued(p, indexes):
+            """(op, descriptor) of each op of process p at template indexes."""
+            return zip(ops_at(p, indexes), descs_at(p, indexes) if descs_at else
+                       map(bindings.__getitem__, map(_OP_ID, ops_at(p, indexes))))
+
         # per phase: the template indexes of its receives and its other ops
         by_phase: dict[int, tuple[list, list]] = {}
         sends = 0
         for i, (_, _, _, op_kind, _, _, _, _, phase, _, _, _) in enumerate(template):
-            recv = op_kind is OpKind.RECV
-            sends += op_kind is OpKind.SEND
+            recv = op_kind is RECV_OP
+            sends += op_kind is SEND_OP
             if not (polled and recv):
                 by_phase.setdefault(phase, ([], []))[not recv].append(i)
         self.messages = (sum(r.direction is SEND for r in requests.values())
-                         if partitioned else len(bases) * sends)
+                         if partitioned else len(procs) * sends)
 
         postings = itertools.count()
         unmatched = 0  # sends that found no posted receive
@@ -428,15 +452,14 @@ class _Engine:
             last = 0  # the latest transfer end of this phase
             incoming: dict[int, list[tuple[int, int]]] = {}
             starts = defaultdict(list)  # owner process -> its transfer starts
-            for base in bases:
-                for i in recvs:
-                    op_id, p, t, _, _, _, _, _, _, _, _, _ = ops[base + i]
+            for q in procs:
+                for (op_id, p, t, _, _, _, _, _, _, _, _, _), desc \
+                        in issued(q, recvs):
                     slot = p * T + t
                     t_issue = clocks[slot]
                     clocks[slot] = t_issue + ISSUE_TICKS
                     if events is not None:
                         self.emit(t_issue, EventKind.ISSUE, op_id)
-                    desc = bindings[op_id]
                     # partition arrival is tracked on the shared request
                     if desc[0] in TWO_SIDED:
                         scope, bucket = match_keys(desc)
@@ -444,10 +467,9 @@ class _Engine:
                         if queue is None:
                             queue = queues[scope] = _Queue()
                         queue.add(bucket, next(postings), op_id)
-            for base in bases:
-                for i in others:
-                    op_id, p, t, _, _, peer, _, partner, _, _, _, _ = ops[base + i]
-                    desc = bindings[op_id]
+            for q in procs:
+                for (op_id, p, t, _, _, peer, _, partner, _, _, _, _), desc \
+                        in issued(q, others):
                     kind, _, _, _, _, _, _, _, _, partition = desc
                     slot = p * T + t
                     t_issue = clocks[slot]
@@ -465,8 +487,11 @@ class _Engine:
                         if kind is pready:
                             paired = pair_of.get(rid)
                     confirmed = not polled
-                    if partitioned:
-                        mate = getattr(bindings.get(partner), "partition", None)
+                    if partitioned:  # the partner's partition
+                        if descs_at:
+                            mate = partitions[partner % n][partner // n]
+                        else:
+                            mate = getattr(bindings.get(partner), "partition", None)
                         confirmed = paired is not None and mate is not None \
                             and mate[0] == paired
                     local = p * R + lch
@@ -525,8 +550,15 @@ class _Engine:
                                              op_id)] * attempts
                             if rid is not None:
                                 self.emit(end, EventKind.MATCH_SUCCESS, op_id)
-                    if not confirmed and partner is not None \
-                            and not pair_matches(op_id, partner):
+                    if confirmed or partner is None:
+                        continue
+                    if partitioned:
+                        meets = pair_matches(op_id, partner)
+                    else:  # RMA and collectives have no pairwise rule
+                        mate = bindings[partner]
+                        meets = kind is not SEND_OP or mate[0] is not RECV_OP \
+                            or can_match(desc, mate)
+                    if not meets:
                         violations.append((op_id, partner, CANNOT_MATCH))
             for node in sorted(incoming):
                 self._poll(node, sorted(incoming[node]))
@@ -666,10 +698,10 @@ def run(pattern: CommPattern, assignment: Assignment,
     Identical inputs always produce identical reports.
 
     The engine decides the intended pairs as their sends issue, checking
-    through :meth:`Assignment.pair_matches` each send it did not pair with
-    its partner (itself or, under partitioned, by request).  When the
-    engine fails, every pair is checked, and a pair that cannot match is
-    the refusal.
+    by the rule of :meth:`Assignment.pair_matches` each send it did not
+    pair with its partner (itself or, under partitioned, by request).  When
+    the engine fails, every pair is checked, and a pair that cannot match
+    is the refusal.
     """
     pool = pool or ChannelPool()
     mapping = channel_policy(policy, assignment, pool)

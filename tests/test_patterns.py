@@ -396,6 +396,8 @@ class TestDispatcher:
     def test_incomplete_assignment_detected(self):
         p = gen_stencil(2, 5, [2, 2], [3, 3])
         a = assign_endpoints(p)
+        # a stamped pattern's bindings are read-only: drop the op from a copy
+        a.bindings = dict(a.bindings)
         a.bindings.pop(p.ops[0].op_id)
         with pytest.raises(IncompleteAssignmentError):
             validate_assignment(p, a)

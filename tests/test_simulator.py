@@ -87,6 +87,8 @@ class TestBasics:
         a = assign_endpoints(p)
         bad = next(op.op_id for op in p.ops if op.kind is OpKind.RECV)
         desc = a.bindings[bad]
+        # a stamped pattern's bindings are read-only: rebind in a copy
+        a.bindings = dict(a.bindings)
         a.bindings[bad] = type(desc)(
             kind=desc.kind, source=desc.source, program_index=desc.program_index,
             context=MatchContextId(ContextFamily.ENDPOINT, desc.context.key),

@@ -26,10 +26,16 @@ row sums each stage over the specs.  Each call's seconds are scaled to the
 benchmark's reference host speed by ``perfbench/run.py``'s ``HostSpeed``,
 whose loop is timed between every two calls, so that two runs compare the
 code rather than the host's drift; the ``factor`` column is the median
-scale of a spec's calls.  ``--json PATH`` also writes the raw and scaled
-medians to PATH: ``{"repeat": N, "reference_s": seconds, "specs": {name:
-{"factor": f, "raw": {stage: seconds}, "scaled": {stage: seconds}}},
-"sum": {"raw": {stage: seconds}, "scaled": {stage: seconds}}}``.
+scale of a spec's calls.  One more call per spec, untimed, runs under
+``tracemalloc`` with the collector paused, as ``mpxlab simulate`` runs:
+the ``MiB`` columns give each stage's traced peak above what was traced
+as the stage began, and the last row their largest over the specs.
+``--json PATH`` also writes the raw and scaled medians and the peaks to
+PATH: ``{"repeat": N, "reference_s": seconds, "specs": {name: {"factor":
+f, "raw": {stage: seconds}, "scaled": {stage: seconds}, "peak_mib":
+{stage: MiB}}}, "sum": {"raw": {stage: seconds}, "scaled": {stage:
+seconds}, "peak_mib": {stage: MiB}}}``, the last the largest over the
+specs.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ import json
 import statistics
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -86,25 +93,57 @@ def simulate_cli(spec: Path, out: Path):
 STAGES = ("generate", "assign", "run", "to_json")
 
 
-def simulate_library(spec: Path, out: Path) -> dict[str, float]:
-    """One library call; the wall seconds of each of its stages."""
+def simulate_library(spec: Path, out: Path, mark=perf_counter) -> list:
+    """One library call; ``mark()`` read before its first stage and after
+    each."""
     from mpxlab.patterns.specfile import load_scenario
     from mpxlab.simulator import run
 
     scenario = load_scenario(spec)
-    marks = [perf_counter()]
+    marks = [mark()]
     pattern = scenario.build_pattern()
-    marks.append(perf_counter())
+    marks.append(mark())
     assignment = scenario.build_assignment(pattern)
-    marks.append(perf_counter())
+    marks.append(mark())
     report = run(pattern, assignment, pool=scenario.build_pool(),
                  policy=scenario.build_policy(), seed=scenario.seed,
                  events=False)
-    marks.append(perf_counter())
+    marks.append(mark())
     text = report.to_json()
-    marks.append(perf_counter())
+    marks.append(mark())
     (out / f"{spec.stem}.report.json").write_text(text)
+    return marks
+
+
+def stage_seconds(spec: Path, out: Path) -> dict[str, float]:
+    """One library call; the wall seconds of each of its stages."""
+    marks = simulate_library(spec, out)
     return {stage: b - a for stage, a, b in zip(STAGES, marks, marks[1:])}
+
+
+def _traced_mark() -> tuple[int, int]:
+    """The traced bytes now and at their peak since the last mark."""
+    current, peak = tracemalloc.get_traced_memory()
+    tracemalloc.reset_peak()
+    return current, peak
+
+
+def stage_peaks(spec: Path, out: Path) -> dict[str, float]:
+    """One library call under ``tracemalloc``, with the collector paused as
+    ``mpxlab simulate`` pauses it; the traced peak of each of its stages
+    above what was traced as it began, in MiB."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        marks = simulate_library(spec, out, _traced_mark)
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    return {stage: (peak - start) / 2**20
+            for stage, (start, _), (_, peak) in zip(STAGES, marks, marks[1:])}
 
 
 def print_stages(specs: list[Path], out: Path, repeat: int) -> dict:
@@ -116,17 +155,19 @@ def print_stages(specs: list[Path], out: Path, repeat: int) -> dict:
     def row(name, medians):
         seconds = [medians["scaled"][s] for s in STAGES]
         print(f"{name:24s} " + " ".join(f"{s:10.4f}" for s in seconds)
-              + f" {sum(seconds):10.4f} {medians['factor']:7.3f}")
+              + f" {sum(seconds):10.4f} {medians['factor']:7.3f} "
+              + " ".join(f"{medians['peak_mib'][s]:9.2f}" for s in STAGES))
 
     print(f"{'spec':24s} " + " ".join(f"{s + ' s':>10s}" for s in STAGES)
-          + f" {'total s':>10s} {'factor':>7s}")
+          + f" {'total s':>10s} {'factor':>7s} "
+          + " ".join(f"{s[:5] + ' MiB':>9s}" for s in STAGES))
     speed = HostSpeed()
     per_spec = {}
     for spec in specs:
         calls = []
         for _ in range(repeat):
             gc.collect()
-            seconds = simulate_library(spec, out)
+            seconds = stage_seconds(spec, out)
             calls.append((seconds, speed.factor()))
         per_spec[spec.stem] = {
             "factor": statistics.median(f for _, f in calls),
@@ -134,12 +175,15 @@ def print_stages(specs: list[Path], out: Path, repeat: int) -> dict:
                     for s in STAGES},
             "scaled": {s: statistics.median(c[s] * f for c, f in calls)
                        for s in STAGES},
+            "peak_mib": stage_peaks(spec, out),
         }
         row(spec.stem, per_spec[spec.stem])
     total = {way: {s: sum(m[way][s] for m in per_spec.values()) for s in STAGES}
              for way in ("raw", "scaled")}
+    total["peak_mib"] = {s: max(m["peak_mib"][s] for m in per_spec.values())
+                         for s in STAGES}
     if len(specs) > 1:
-        row("(sum of medians)", {**total, "factor": statistics.median(
+        row("(sum; largest MiB)", {**total, "factor": statistics.median(
             m["factor"] for m in per_spec.values())})
     print(f"seconds scaled to a host whose reference loop takes "
           f"{REFERENCE_S * 1e3:g} ms; factor = that over the loop's time "
