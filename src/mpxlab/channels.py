@@ -77,17 +77,21 @@ class MappingPolicy:
 # A policy's rule is two functions of the policy: the key it reads from an op
 # and the (local, remote) channel pair of a key.  Every caller maps through
 # both, so equal keys give equal pairs and a caller may memoise the pair.
+# A key function reads the op's fields by position, so it answers the same
+# on an OpDescriptor and on the plain tuple of its fields, which the engine
+# walks a stamped pattern with: 3 context, 4 target, 5 tag, 6 endpoint,
+# 7 window, 9 partition.
 
 def communicator_key(policy: MappingPolicy, op: OpDescriptor) -> int:
     """The id a communicator policy keys one operation on: its context, else
     its window (one matching entity, like a context), else its request."""
-    context = op.context
+    context = op[3]
     if context is not None:
         return context.key
-    if op.window is not None:
-        return op.window
-    if op.partition is not None:
-        return op.partition[0]
+    if op[7] is not None:
+        return op[7]
+    if op[9] is not None:
+        return op[9][0]
     raise MappingError("communicator policies need an addressed op")
 
 
@@ -110,7 +114,7 @@ def _hashed_pair(policy, context_id, pool):
 def _tag_key(policy, op):
     if policy.layout is None:
         raise MappingError("tag-bit mapping needs a TagBitLayout")
-    tag = op.tag
+    tag = op[5]
     if tag is None or tag.is_wildcard:
         raise MappingError("tag-bit mapping needs a concrete tag")
     return tag.raw
@@ -123,9 +127,9 @@ def _tag_pair(policy, raw, pool):  # local by sender tid, remote by receiver
 
 
 def _endpoint_key(policy, op):
-    if op.endpoint is None:
+    if op[6] is None:
         raise MappingError("endpoint identity needs an endpoint-addressed op")
-    return op.endpoint, op.target
+    return op[6], op[4]
 
 
 def _endpoint_pair(policy, key, pool):  # ranks modulo the pool
@@ -137,9 +141,10 @@ def _endpoint_pair(policy, key, pool):  # ranks modulo the pool
 
 
 def _partition_key(policy, op):
-    if op.partition is None:
+    partition = op[9]
+    if partition is None:
         raise MappingError("partition-index mapping needs a partition op")
-    return op.partition[1]
+    return partition[1]
 
 
 # kind -> (key(policy, op), pair(policy, key, pool))

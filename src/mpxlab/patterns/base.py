@@ -32,7 +32,7 @@ from ..model import (
     dup_communicator,
     world_communicator,
 )
-from ..semantics import can_match, requests_match
+from ..semantics import pair_meets
 
 
 class PatternKind(Enum):
@@ -336,19 +336,19 @@ class Assignment:
                 out[op_id] = ("comm", desc.context.key)
         return out
 
+    @property
+    def pair_requests(self) -> dict[int, PartitionedRequest] | None:
+        """The requests the pair rule reads: the partitioned requests under
+        partitioned, else None."""
+        return self.requests if self.mechanism is Mechanism.PARTITIONED else None
+
     def pair_matches(self, send_id: int, recv_id: int) -> bool:
         """Can the bound send ``send_id`` meet its intended receive
-        ``recv_id``: their requests pair under partitioned, and otherwise
-        two-sided ops meet :func:`mpxlab.semantics.can_match`."""
-        send, recv = self.bindings[send_id], self.bindings[recv_id]
-        if self.mechanism is Mechanism.PARTITIONED:
-            # an op bound off every request cannot meet its partner's
-            return send.partition is not None and recv.partition is not None \
-                and requests_match(self.requests[send.partition[0]],
-                                   self.requests[recv.partition[0]])
-        if send.kind is OpKind.SEND and recv.kind is OpKind.RECV:
-            return can_match(send, recv)
-        return True  # RMA and collectives have no pairwise matching rule
+        ``recv_id``, by :func:`mpxlab.semantics.pair_meets`: their requests
+        pair under partitioned, and otherwise two-sided ops meet
+        :func:`mpxlab.semantics.can_match`."""
+        return pair_meets(self.bindings[send_id], self.bindings[recv_id],
+                          self.pair_requests)
 
     def describe_objects(self) -> str:
         return ", ".join(f"{k}={v}" for k, v in sorted(self.objects_created.items()))
@@ -389,7 +389,9 @@ class StampedBindings(Mapping):
     ``p = j // n``.  A row holds the template op's kind, its thread's
     ``sources``, its issue index, its shared part and its ``peers``, the
     peer process of each copy (:attr:`StampedOps.columns`).  :meth:`at` is
-    the one statement that derives a descriptor.
+    the one statement that derives a descriptor, as a plain tuple; only the
+    mapping surface (indexing, ``values()`` and ``items()``) makes it an
+    :class:`OpDescriptor`.
     """
 
     __slots__ = ("rows", "_n", "_len")
@@ -398,13 +400,15 @@ class StampedBindings(Mapping):
         self.rows = rows
         self._n, self._len = len(rows), len(rows) * processes
 
-    def at(self, p: int, indexes) -> list[OpDescriptor]:
-        """The descriptors of the copies at process ``p`` of the template
-        ops ``indexes``."""
+    def at(self, p: int, indexes) -> list[tuple]:
+        """The fields of the descriptors of the copies at process ``p`` of
+        the template ops ``indexes``, in :class:`OpDescriptor` order, as
+        plain tuples: building a tuple subclass copies the tuple it is
+        given, and the interpreter's fast paths for unpacking and indexing
+        take only exact tuples."""
         rows = self.rows
-        return [_new(OpDescriptor, (kind, sources[p], index, contexts[p],
-                                    targets[peers[p]], tag, endpoints[p],
-                                    window, location, partitions[p]))
+        return [(kind, sources[p], index, contexts[p], targets[peers[p]], tag,
+                 endpoints[p], window, location, partitions[p])
                 for i in indexes
                 for kind, sources, index, contexts, targets, tag, endpoints, \
                 window, location, partitions, peers in (rows[i],)]
@@ -421,13 +425,18 @@ class StampedBindings(Mapping):
     def __getitem__(self, j):
         if isinstance(j, int) and 0 <= j < self._len:
             p, i = divmod(j, self._n)
-            return self.at(p, (i,))[0]
+            return _new(OpDescriptor, self.at(p, (i,))[0])
         raise KeyError(j)
 
-    def _values(self):
+    def tuples(self):
+        """Every descriptor as a plain tuple, in op-id order, a process's
+        block at a time."""
         every = range(self._n)
         return chain.from_iterable(
             self.at(p, every) for p in range(self._len // (self._n or 1)))
+
+    def _values(self):
+        return map(_new, repeat(OpDescriptor), self.tuples())
 
     def values(self):
         return _Values(self)

@@ -93,10 +93,11 @@ def can_match(send: OpDescriptor, recv: OpDescriptor) -> bool:
     source selector naming the send's origin rank (or ANY_SOURCE), and equal
     tags (or ANY_TAG): one scope, and the receive's bucket among those the
     send's covers.  Under an endpoint context both ranks are global endpoint
-    ranks.
+    ranks.  It reads fields by position, so it answers the same on a
+    descriptor and on the plain tuple of its fields.
     """
-    if send.kind is not _SEND or recv.kind is not _RECV \
-            or send.context is None or recv.context is None:
+    if send[0] is not _SEND or recv[0] is not _RECV \
+            or send[3] is None or recv[3] is None:  # kind, context
         return False
     send_scope, send_bucket = match_keys(send)
     recv_scope, recv_bucket = match_keys(recv)
@@ -113,6 +114,20 @@ def requests_match(send_req: PartitionedRequest, recv_req: PartitionedRequest) -
         and recv_req.peer == send_req.owner
         and send_req.tag.raw == recv_req.tag.raw
     )
+
+
+def pair_meets(send: OpDescriptor, recv: OpDescriptor, requests=None) -> bool:
+    """Can the bound send ``send`` meet its intended receive ``recv``, two
+    descriptors or the plain tuples of their fields: under partitioned,
+    whose ``requests`` by id are given, their requests pair; otherwise
+    two-sided ops meet :func:`can_match`, and RMA and collective ops, which
+    have no pairwise matching rule, pass."""
+    if requests is not None:
+        # an op bound off every request cannot meet its partner's
+        send, recv = send[9], recv[9]  # their (request id, partition)
+        return send is not None and recv is not None \
+            and requests_match(requests[send[0]], requests[recv[0]])
+    return send[0] is not _SEND or recv[0] is not _RECV or can_match(send, recv)
 
 
 def _thread_order(a: OpDescriptor, b: OpDescriptor) -> bool:
@@ -638,14 +653,18 @@ def _serial_bucket_key(op: OpDescriptor, hints: InfoHints):
 def check_bound(pattern: "CommPattern", assignment: "Assignment"):
     """Raise :class:`IncompleteAssignmentError` when an op is left unbound.
     A stamped pattern's op ids are its op positions, so no op is read, and
-    a :class:`~mpxlab.patterns.base.StampedBindings` binds positions."""
+    a :class:`~mpxlab.patterns.base.StampedBindings` binds positions: when
+    both are positions, the unbound ones are those past the bound count."""
     from .patterns.base import StampedBindings
 
     ids = range(len(pattern.ops)) if pattern.stamp else [op[0] for op in pattern.ops]
     bound = assignment.bindings
     if type(bound) is StampedBindings:
         bound = range(len(bound))
-    missing = list(itertools.filterfalse(bound.__contains__, ids))
+    if type(ids) is range and type(bound) is range:
+        missing = ids[len(bound):]
+    else:
+        missing = list(itertools.filterfalse(bound.__contains__, ids))
     if missing:
         raise IncompleteAssignmentError(
             f"assignment leaves {len(missing)} ops unbound (first: {missing[0]})"
@@ -664,10 +683,29 @@ def matching_violations(pattern: "CommPattern", assignment: "Assignment") -> lis
     its partner, and ``run()`` calls this full check only when the engine
     fails.
     """
+    from .patterns.base import StampedBindings
+
     check_bound(pattern, assignment)
-    pair_matches = assignment.pair_matches
-    return [(send_id, recv_id, CANNOT_MATCH) for send_id, recv_id in pattern.pairs
-            if not pair_matches(send_id, recv_id)]
+    bindings, requests = assignment.bindings, assignment.pair_requests
+    if not (pattern.stamp and type(bindings) is StampedBindings):
+        pair_matches = assignment.pair_matches
+        return [(send_id, recv_id, CANNOT_MATCH)
+                for send_id, recv_id in pattern.pairs
+                if not pair_matches(send_id, recv_id)]
+    # a stamped pattern, one process's ops and descriptors at a time, as
+    # plain tuples; every copy of a template send names its partner
+    n = pattern.stamp
+    every = range(n)
+    sends = [i for i, op in enumerate(pattern.template) if op[3] is _SEND]
+    blocks = [bindings.at(p, every) for p in range(pattern.num_processes)]
+    out = []
+    for p, descs in enumerate(blocks):
+        for (send_id, _, _, _, _, _, _, recv_id, _, _, _, _), i \
+                in zip(pattern.ops.at(p, sends), sends):
+            if not pair_meets(descs[i], blocks[recv_id // n][recv_id % n],
+                              requests):
+                out.append((send_id, recv_id, CANNOT_MATCH))
+    return out
 
 
 def validate_assignment(pattern: "CommPattern", assignment: "Assignment") -> ValidationReport:
@@ -680,17 +718,24 @@ def validate_assignment(pattern: "CommPattern", assignment: "Assignment") -> Val
     (which a per-entity channel map would serialize).  Pairs within a single
     thread are exempt from the entity rule: one thread issues serially anyway.
     """
+    from .patterns.base import PatternOp
+
     report = ValidationReport(matching_violations(pattern, assignment))
     hints = assignment.hints
     bindings, entity_of = assignment.bindings, assignment.entity_of
 
     # lost parallelism, representative process: patterns are torus-symmetric
     probe = pattern.representative_process
-    ops = [op for op in pattern.ops if op.process == probe]
+    if pattern.stamp:
+        ops = list(map(PatternOp._make,
+                       pattern.ops.at(probe, range(pattern.stamp))))
+    else:
+        ops = [op for op in pattern.ops if op.process == probe]
+    descs = {pop.op_id: bindings[pop.op_id] for pop in ops}
     by_entity: dict = {}
     by_bucket: dict = {}
     for pop in ops:
-        desc = bindings[pop.op_id]
+        desc = descs[pop.op_id]
         by_entity.setdefault(entity_of[pop.op_id], []).append(pop)
         key = _serial_bucket_key(desc, hints)
         if key is not None:
@@ -706,8 +751,7 @@ def validate_assignment(pattern: "CommPattern", assignment: "Assignment") -> Val
         seen.add(pair)
         if not pattern.intended_concurrent(x, y):
             return
-        serial = not logically_parallel(bindings[xid], bindings[yid],
-                                        hints).parallel
+        serial = not logically_parallel(descs[xid], descs[yid], hints).parallel
         shared_entity = x.thread != y.thread and entity_of[xid] == entity_of[yid]
         if serial or shared_entity:
             report.lost_parallelism.append(pair)

@@ -27,7 +27,8 @@ receive: the first posting creates it and the take that empties it drops
 it.  Scopes and buckets are MPI's triplet rule as :mod:`mpxlab.semantics`
 states it once.  The engine decides every intended pair as its send issues:
 a send matched with its intended partner confirms that pair, and any other
-is checked on the spot by the rule :meth:`Assignment.pair_matches` states.
+is checked on the spot by the rule :meth:`Assignment.pair_matches` states,
+:func:`mpxlab.semantics.pair_meets`.
 
 Partitioned requests match once per message: one attempt and one success per
 request pair per iteration, independent of the partition count.  Their
@@ -39,11 +40,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from bisect import bisect_left, bisect_right
-from collections import defaultdict, deque
+from bisect import bisect_left
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from operator import sub
 from typing import NamedTuple
 
 from .channels import ChannelPool, MappingPolicy, PolicyKind, rule_of
@@ -54,8 +54,8 @@ from .model import TWO_SIDED, Direction, OpKind
 from .patterns.base import (_OP_ID, Assignment, CommPattern, Mechanism,
                             PatternKind, StampedBindings)
 from .patterns.irregular import collective_footprint
-from .semantics import (CANNOT_MATCH, can_match, check_bound,
-                        is_wildcard_bucket, match_keys, matching_violations,
+from .semantics import (CANNOT_MATCH, check_bound, is_wildcard_bucket,
+                        match_keys, matching_violations, pair_meets,
                         send_covers)
 
 
@@ -156,8 +156,9 @@ def channel_policy(kind: PolicyKind | None, assignment: Assignment,
 
     Round-robin registers the assignment's communicators in creation order,
     then every other key its ops map through, in first-binding order, each
-    distinct key once.  A kind the assignment cannot express raises before
-    any simulation starts.
+    distinct key once; a stamped assignment's keys are read from the plain
+    tuples of its descriptors, a process's block at a time.  A kind the
+    assignment cannot express raises before any simulation starts.
     """
     kind = kind or DEFAULT_POLICY[assignment.mechanism]
     layout = assignment.hints.tag_vci_bits
@@ -176,8 +177,10 @@ def channel_policy(kind: PolicyKind | None, assignment: Assignment,
         for comm in assignment.comms:
             policy.register_communicator(comm.context_id, pool)
         key_of, _ = rule_of(policy)
-        for key in dict.fromkeys(map(key_of, itertools.repeat(policy),
-                                     assignment.bindings.values())):
+        bindings = assignment.bindings
+        descs = bindings.tuples() if type(bindings) is StampedBindings \
+            else bindings.values()
+        for key in dict.fromkeys(map(key_of, itertools.repeat(policy), descs)):
             policy.register_communicator(key, pool)
     return policy
 
@@ -262,14 +265,19 @@ def _max_overlap(starts) -> int:
     Every transfer lasts ``TRANSFER_TICKS`` and ends before one starting at
     its end tick, so the count peaks at some start: the transfers then in
     flight are those that started in the window of ``TRANSFER_TICKS`` ticks
-    up to and including it.
+    up to and including it.  A phase's starts repeat heavily, so they are
+    tallied per tick once, and each start tick's count adds the tallies of
+    the ticks before it in its window.
     """
-    starts = sorted(starts)
-    # start ``hi`` has ``hi + 1`` starts up to it, all but those at least
-    # ``TRANSFER_TICKS`` before it in flight
-    return max(map(sub, itertools.count(1), map(
-        bisect_right, itertools.repeat(starts),
-        map(TRANSFER_TICKS.__rsub__, starts))), default=0)
+    tally = Counter(starts)
+    get, before = tally.get, range(1, TRANSFER_TICKS)
+    most = 0
+    for tick, n in tally.items():
+        for k in before:
+            n += get(tick - k, 0)
+        if n > most:
+            most = n
+    return most
 
 
 def _check_index(request, i):
@@ -371,16 +379,16 @@ class _Engine:
         Each send with a partner decides its pair as it issues: the pair is
         confirmed when the matcher pairs the send with its partner or, under
         partitioned, when their requests are paired; otherwise it is checked
-        on the spot, and recorded in ``violations`` when it fails: a send
-        with :func:`mpxlab.semantics.can_match` on the two descriptors, a
-        partitioned pair through :meth:`Assignment.pair_matches`, and any
-        other pair (RMA, collectives) passes.  A polled send is never
+        on the spot by :func:`mpxlab.semantics.pair_meets` on the two
+        descriptors, the rule of :meth:`Assignment.pair_matches`, and
+        recorded in ``violations`` when it fails.  A polled send is never
         confirmed.
 
         A stamped pattern's ops and, when the assignment binds it through
         :class:`~mpxlab.patterns.base.StampedBindings`, their descriptors
         are derived by the two views' ``at`` statements, one process's ops
-        of a phase at a time; no per-op record outlives its block.
+        of a phase at a time, as plain tuples; no per-op record outlives
+        its block.
         """
         pattern, assignment, pool = self.pattern, self.assignment, self.pool
         bindings, requests = assignment.bindings, assignment.requests
@@ -399,7 +407,7 @@ class _Engine:
         filled: dict[int, int] = dict.fromkeys(requests, 0)
         arrivals: dict[int, int] = {}  # receive request id -> latest arrival
         clocks, events, violations = self.clocks, self.events, self.violations
-        pair_matches = assignment.pair_matches
+        pair_requests = assignment.pair_requests
         free, busy, concurrency = self.channel_free, self.channel_busy, self.concurrency
         free_at, busy_of, SEND = free.get, busy.get, Direction.SEND
         SEND_OP, RECV_OP = OpKind.SEND, OpKind.RECV
@@ -552,13 +560,9 @@ class _Engine:
                                 self.emit(end, EventKind.MATCH_SUCCESS, op_id)
                     if confirmed or partner is None:
                         continue
-                    if partitioned:
-                        meets = pair_matches(op_id, partner)
-                    else:  # RMA and collectives have no pairwise rule
-                        mate = bindings[partner]
-                        meets = kind is not SEND_OP or mate[0] is not RECV_OP \
-                            or can_match(desc, mate)
-                    if not meets:
+                    mate = descs_at(partner // n, (partner % n,))[0] \
+                        if descs_at else bindings[partner]
+                    if not pair_meets(desc, mate, pair_requests):
                         violations.append((op_id, partner, CANNOT_MATCH))
             for node in sorted(incoming):
                 self._poll(node, sorted(incoming[node]))
