@@ -303,11 +303,10 @@ class Assignment:
     """A mechanism-specific binding of every pattern operation.
 
     ``bindings`` maps op ids to fully addressed descriptors and is the only
-    per-op record.  ``entity_of`` is derived from it on first use: it maps op
-    ids to the matching entity a channel policy would key on (the thread's
-    tag bits under tags with hints, otherwise the endpoint, the partition,
-    the window or the communicator, in that order); distinct-thread ops
-    sharing an entity serialize on its channel.
+    per-op record.  :meth:`entity` gives the matching entity a channel
+    policy would key on for one descriptor; distinct-thread ops sharing an
+    entity serialize on its channel.  ``entity_of`` maps it over the
+    bindings on first use.
     """
 
     mechanism: Mechanism
@@ -319,22 +318,24 @@ class Assignment:
     endpoints_comm: EndpointsComm | None = None
     requests: dict[int, PartitionedRequest] = field(default_factory=dict)
 
+    def entity(self, desc: OpDescriptor) -> tuple:
+        """The matching entity of a bound descriptor: the thread's tag bits
+        under tags with hints, otherwise its endpoint, partition, window or
+        communicator, the first it has in that order."""
+        if self.mechanism is Mechanism.TAGS_WITH_HINTS:
+            return ("tag", desc.context.key, desc.source[1])
+        if desc.endpoint is not None:
+            return ("ep", desc.endpoint)
+        if desc.partition is not None:
+            return ("part",) + desc.partition
+        if desc.window is not None:
+            return ("win", desc.window)
+        return ("comm", desc.context.key)
+
     @cached_property
     def entity_of(self) -> dict[int, tuple]:
-        tags = self.mechanism is Mechanism.TAGS_WITH_HINTS
-        out = {}
-        for op_id, desc in self.bindings.items():
-            if tags:
-                out[op_id] = ("tag", desc.context.key, desc.source[1])
-            elif desc.endpoint is not None:
-                out[op_id] = ("ep", desc.endpoint)
-            elif desc.partition is not None:
-                out[op_id] = ("part",) + desc.partition
-            elif desc.window is not None:
-                out[op_id] = ("win", desc.window)
-            else:
-                out[op_id] = ("comm", desc.context.key)
-        return out
+        entity = self.entity
+        return {op_id: entity(desc) for op_id, desc in self.bindings.items()}
 
     @property
     def pair_requests(self) -> dict[int, PartitionedRequest] | None:

@@ -722,7 +722,7 @@ def validate_assignment(pattern: "CommPattern", assignment: "Assignment") -> Val
 
     report = ValidationReport(matching_violations(pattern, assignment))
     hints = assignment.hints
-    bindings, entity_of = assignment.bindings, assignment.entity_of
+    bindings, entity = assignment.bindings, assignment.entity
 
     # lost parallelism, representative process: patterns are torus-symmetric
     probe = pattern.representative_process
@@ -732,6 +732,7 @@ def validate_assignment(pattern: "CommPattern", assignment: "Assignment") -> Val
     else:
         ops = [op for op in pattern.ops if op.process == probe]
     descs = {pop.op_id: bindings[pop.op_id] for pop in ops}
+    entity_of = {op_id: entity(desc) for op_id, desc in descs.items()}
     by_entity: dict = {}
     by_bucket: dict = {}
     for pop in ops:

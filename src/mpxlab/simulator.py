@@ -22,13 +22,13 @@ A send that finds none is refused as a pattern that is not closed.  The
 queue is indexed by exact (source, tag), so the count of a scan comes from
 the rank of its match rather than from walking the queue; until a receive
 is posted to one of a queue's wildcard buckets, a send there looks up only
-its exact bucket.  A scope's queue exists only while it holds a posted
-receive: the first posting creates it and the take that empties it drops
-it.  Scopes and buckets are MPI's triplet rule as :mod:`mpxlab.semantics`
-states it once.  The engine decides every intended pair as its send issues:
-a send matched with its intended partner confirms that pair, and any other
-is checked on the spot by the rule :meth:`Assignment.pair_matches` states,
-:func:`mpxlab.semantics.pair_meets`.
+its exact bucket.  A scope holds its one posted receive bare until a
+second posting promotes it to a queue, and a bucket likewise; the take
+that empties a scope drops it.  Scopes and buckets are MPI's triplet rule
+as :mod:`mpxlab.semantics` states it once.  The engine decides every
+intended pair as its send issues: a send matched with its intended partner
+confirms that pair, and any other is checked on the spot by the rule
+:meth:`Assignment.pair_matches` states, :func:`mpxlab.semantics.pair_meets`.
 
 Partitioned requests match once per message: one attempt and one success per
 request pair per iteration, independent of the partition count.  Their
@@ -41,7 +41,7 @@ from __future__ import annotations
 import itertools
 import json
 from bisect import bisect_left
-from collections import Counter, defaultdict, deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple
@@ -205,23 +205,25 @@ class _Queue:
     :func:`mpxlab.semantics.send_covers` gives for the send's: the triplet
     rule of :func:`mpxlab.semantics.can_match`, read from the same keys.
 
-    ``order`` holds the posting numbers of the live entries, ascending, and
-    each bucket holds its (posting number, item) entries in the same order;
-    posting numbers only grow, so both are appended to.  The entry a linear
-    scan would stop at is the smallest head among the buckets a send covers;
-    the positions that scan traverses are its rank in ``order`` plus one, or
-    the whole queue when no bucket has an entry.  An entry that nothing can
-    match, in bucket None, lives only in ``order``.  Until a receive is
-    posted to a wildcard bucket, a send can only take from its exact bucket,
-    so ``wild`` records whether one ever was.
+    A scope's second posting promotes its bare first entry to a queue
+    (:func:`_post`).  ``order`` holds the posting numbers of the live
+    entries, ascending, and each bucket its entries' (posting number, item)
+    pairs flattened in the same order: a bare ``(key, item)`` until a
+    second arrives, a list from then on.  Posting numbers only grow, so
+    both are appended to.  The entry a linear scan would stop at is the
+    smallest head among the buckets a send covers; the positions that scan
+    traverses are its rank in ``order`` plus one, or the whole queue when no
+    bucket has an entry.  An entry that nothing can match, in bucket None,
+    lives only in ``order``.  Until a receive is posted to a wildcard
+    bucket, a send can only take from its exact bucket, so ``wild`` records
+    whether one ever was.
     """
 
     __slots__ = ("order", "buckets", "wild")
 
-    def __init__(self):
-        self.order: list = []
-        self.buckets: dict = {}
-        self.wild = False
+    def __init__(self, bucket, key, item):  # a promoted bare entry
+        self.order, self.buckets, self.wild = [], {}, False
+        self.add(bucket, key, item)
 
     def add(self, bucket, key, item):
         """Post ``item`` to ``bucket`` under posting number ``key``."""
@@ -230,51 +232,86 @@ class _Queue:
             return
         entries = self.buckets.get(bucket)
         if entries is None:
-            entries = self.buckets[bucket] = []
+            self.buckets[bucket] = (key, item)
             if is_wildcard_bucket(bucket):
                 self.wild = True
-        entries.append((key, item))
+        elif type(entries) is tuple:
+            self.buckets[bucket] = [*entries, key, item]
+        else:
+            entries += key, item
 
     def take(self, bucket) -> tuple[int, object]:
         """Remove the first entry in scan order that a send from ``bucket``
         matches; return (positions scanned, its item or None)."""
         buckets = self.buckets
         if self.wild:
-            heads = [(buckets[b][0][0], b) for b in send_covers(bucket)
+            heads = [(buckets[b][0], b) for b in send_covers(bucket)
                      if b in buckets]
             if not heads:
                 return len(self.order), None
-            key, bucket = min(heads)
-            entries = buckets[bucket]
-        else:
-            entries = buckets.get(bucket)
-            if entries is None:
-                return len(self.order), None
-            key = entries[0][0]
-        item = entries.pop(0)[1]
-        if not entries:
+            bucket = min(heads)[1]
+        entries = buckets.get(bucket)
+        if entries is None:
+            return len(self.order), None
+        key, item = entries[0], entries[1]
+        if len(entries) == 2:
             del buckets[bucket]
+        else:
+            del entries[:2]
         rank = bisect_left(self.order, key)
         del self.order[rank]
         return rank + 1, item
 
 
-def _max_overlap(starts) -> int:
-    """Most transfers in flight at once, given their start ticks.
+def _post(queues, scope, bucket, key, item):
+    """Post ``item`` to ``bucket`` of ``scope`` under posting number ``key``:
+    a scope's first receive is held bare, as ``(bucket, key, item)``."""
+    held = queues.get(scope)
+    if held is None:
+        queues[scope] = (bucket, key, item)
+        return
+    if type(held) is tuple:
+        held = queues[scope] = _Queue(*held)
+    held.add(bucket, key, item)
+
+
+def _take(queues, scope, bucket) -> tuple[int, object]:
+    """Take for a send from ``bucket`` the first receive of ``scope`` in
+    scan order that it matches, and drop the scope once it holds none:
+    (positions scanned, the receive's item or None)."""
+    held = queues.get(scope)
+    if held is None:  # nothing is posted to the scope
+        return 0, None
+    if type(held) is tuple:  # one bare entry: one position to scan
+        taken = bucket is not None and held[0] == bucket \
+            or held[0] in send_covers(bucket)
+        if taken:
+            del queues[scope]
+        return 1, held[2] if taken else None
+    scanned, item = held.take(bucket)
+    if not held.order:
+        del queues[scope]
+    return scanned, item
+
+
+def _max_overlap(keys, P=1) -> int:
+    """Most transfers in flight at once on one of ``P`` processes, given a
+    ``start * P + process`` key per process a transfer holds (with ``P`` 1,
+    its start tick).
 
     Every transfer lasts ``TRANSFER_TICKS`` and ends before one starting at
-    its end tick, so the count peaks at some start: the transfers then in
-    flight are those that started in the window of ``TRANSFER_TICKS`` ticks
-    up to and including it.  A phase's starts repeat heavily, so they are
-    tallied per tick once, and each start tick's count adds the tallies of
-    the ticks before it in its window.
+    its end tick, so a process's count peaks at some start: the transfers
+    then in flight started in the window of ``TRANSFER_TICKS`` ticks up to
+    and including it, their keys ``k * P`` below its own for ``k`` below
+    ``TRANSFER_TICKS``.  Keys repeat heavily, so they are tallied once, and
+    each key's count adds the tallies before it in its window.
     """
-    tally = Counter(starts)
-    get, before = tally.get, range(1, TRANSFER_TICKS)
+    tally = Counter(keys)
+    get, before = tally.get, range(P, TRANSFER_TICKS * P, P)
     most = 0
-    for tick, n in tally.items():
+    for key, n in tally.items():
         for k in before:
-            n += get(tick - k, 0)
+            n += get(key - k, 0)
         if n > most:
             most = n
     return most
@@ -371,10 +408,10 @@ class _Engine:
         their order in ``pattern.ops``.  A polling pattern's receives are
         never posted and get no index; its sends go to their destination
         node.  Each send's channel pair is memoised on the key the policy
-        reads from its descriptor, and a scope's posted queue lives from a
-        posting until a take empties it.  The pass that indexes the
-        template's phases also counts the messages of one iteration: the
-        sends of the pattern, or the send requests under partitioned.
+        reads from its descriptor, and a scope's posted receives live until
+        a take empties it.  The pass that indexes the template's phases
+        also counts the messages of one iteration: the sends of the
+        pattern, or the send requests under partitioned.
 
         Each send with a partner decides its pair as it issues: the pair is
         confirmed when the matcher pairs the send with its partner or, under
@@ -398,8 +435,8 @@ class _Engine:
         R, policy = pool.num_channels, self.policy
         key_of, channels_of = rule_of(policy)
         pairs: dict = {}  # the policy's key -> its (local, remote) pair
-        queues: dict[tuple, _Queue] = {}  # the scopes with a posted receive
-        queue_of, pready = queues.get, OpKind.PARTITION_READY
+        queues: dict = {}  # scope -> its posted receives, bare or a _Queue
+        post, take, pready = _post, _take, OpKind.PARTITION_READY
         pair_of = {}
         reqs_of: dict[int, list] = {}
         # request id -> a bitmask of the partitions readied (a send request)
@@ -454,12 +491,13 @@ class _Engine:
 
         postings = itertools.count()
         unmatched = 0  # sends that found no posted receive
+        attempts = matches = 0  # written back after the walk
         # PatternOp fields by position: one unpack costs less than several reads
         for phase in sorted(by_phase):
             recvs, others = by_phase[phase]
             last = 0  # the latest transfer end of this phase
             incoming: dict[int, list[tuple[int, int]]] = {}
-            starts = defaultdict(list)  # owner process -> its transfer starts
+            starts = []  # start * P + process, per process a transfer holds
             for q in procs:
                 for (op_id, p, t, _, _, _, _, _, _, _, _, _), desc \
                         in issued(q, recvs):
@@ -471,10 +509,7 @@ class _Engine:
                     # partition arrival is tracked on the shared request
                     if desc[0] in TWO_SIDED:
                         scope, bucket = match_keys(desc)
-                        queue = queue_of(scope)
-                        if queue is None:
-                            queue = queues[scope] = _Queue()
-                        queue.add(bucket, next(postings), op_id)
+                        post(queues, scope, bucket, next(postings), op_id)
             for q in procs:
                 for (op_id, p, t, _, _, peer, _, partner, _, _, _, _), desc \
                         in issued(q, others):
@@ -515,9 +550,9 @@ class _Engine:
                         busy[remote] = busy_of(remote, 0) + TRANSFER_TICKS
                     if end > last:
                         last = end
-                    starts[p].append(start)
-                    if peer is not None and peer != p:
-                        starts[peer].append(start)
+                    starts.append(start * P + p)
+                    if peer is not None and peer != p and 0 <= peer < P:
+                        starts.append(start * P + peer)
                     if events is not None:
                         channel = divmod(local if remote is None else min(local, remote), R)
                         events += (Event(t_issue, EventKind.ISSUE, op_id),
@@ -541,21 +576,15 @@ class _Engine:
                         incoming.setdefault(peer, []).append((end, op_id))
                     elif kind in TWO_SIDED:  # a send: nothing else matches
                         scope, bucket = match_keys(desc)
-                        queue = queue_of(scope)
-                        if queue is None:  # nothing is posted to the scope
-                            attempts, rid = 0, None
-                        else:
-                            attempts, rid = queue.take(bucket)
-                            if not queue.order:
-                                del queues[scope]
+                        scanned, rid = take(queues, scope, bucket)
+                        attempts += scanned
                         unmatched += rid is None
-                        self.attempts += attempts
-                        self.matches += rid is not None
+                        matches += rid is not None
                         if rid != partner:
                             confirmed = False
                         if events is not None:
                             events += [Event(end, EventKind.MATCH_ATTEMPT,
-                                             op_id)] * attempts
+                                             op_id)] * scanned
                             if rid is not None:
                                 self.emit(end, EventKind.MATCH_SUCCESS, op_id)
                     if confirmed or partner is None:
@@ -567,14 +596,15 @@ class _Engine:
             for node in sorted(incoming):
                 self._poll(node, sorted(incoming[node]))
             if others:
-                most = max((_max_overlap(s) for q, s in starts.items() if q < P),
-                           default=0)
-                concurrency[phase] = max(concurrency.get(phase, 0), most)
+                concurrency[phase] = max(concurrency.get(phase, 0),
+                                         _max_overlap(starts, P))
             # one traffic direction at a time: the next phase starts after
             # this one drains, so per-phase concurrency is well defined
             phase_end = max(last, max(clocks))
             clocks[:] = [phase_end] * len(clocks)
 
+        self.attempts += attempts
+        self.matches += matches
         violations.sort()  # by send id: every send issues once
         if unmatched:
             raise MpxlabError(
@@ -620,25 +650,25 @@ class _Engine:
     def _poll(self, node, msgs):
         """Thread 0 of ``node`` sweeps every context once per message, in
         (arrival, send id) order and not before it arrives, and once more."""
-        assignment = self.assignment
+        assignment, events = self.assignment, self.events
         contexts = (assignment.objects_created["communicators"]
                     if assignment.mechanism is Mechanism.COMMUNICATORS else 1)
         poller = node * self.pattern.threads_per_process
-        pc = self.clocks[poller]
+        pc, sweep = self.clocks[poller], contexts * PROBE_TICKS
         for end, sid in msgs + [(None, None)]:
-            if self.events is not None:
-                self.events.extend(
-                    Event(pc + i * PROBE_TICKS, EventKind.PROBE_ITERATION)
-                    for i in range(contexts))
-            self.probes += contexts
-            pc += contexts * PROBE_TICKS
+            if events is not None:
+                events += [Event(pc + i, EventKind.PROBE_ITERATION)
+                           for i in range(0, sweep, PROBE_TICKS)]
+            pc += sweep
             if sid is not None:
                 pc = max(pc, end)
-                self.attempts += 1
-                self.matches += 1
-                self.emit(pc, EventKind.MATCH_ATTEMPT, sid)
-                self.emit(pc, EventKind.MATCH_SUCCESS, sid)
+                if events is not None:
+                    events += (Event(pc, EventKind.MATCH_ATTEMPT, sid),
+                               Event(pc, EventKind.MATCH_SUCCESS, sid))
         self.clocks[poller] = pc
+        self.probes += contexts * (len(msgs) + 1)
+        self.attempts += len(msgs)
+        self.matches += len(msgs)
 
     # -- reporting ------------------------------------------------------
 

@@ -38,7 +38,7 @@ from mpxlab.patterns import (
 )
 from mpxlab.semantics import can_match, match_keys
 from mpxlab.patterns.specfile import scenario_from_dict
-from mpxlab.simulator import _Engine, _Queue, run
+from mpxlab.simulator import _Engine, _Queue, _post, _take, run
 
 from test_reports import SPECS
 
@@ -205,27 +205,73 @@ def wildcards_after_exact(draw):
             + _draw_ops(draw, draw(st.integers(0, 20)), wildcards=True))
 
 
+@st.composite
+def crowded_scopes(draw):
+    """Many posts and sends in one or two scopes and a few buckets, so that
+    a scope goes bare, is promoted, is emptied and goes bare again, and a
+    bucket holds one entry, then several: receives select source 0 or
+    ANY_SOURCE and tag 0, ANY_TAG or none (bucket None), and sends come
+    from rank 0 or 1 with tag 0 or none."""
+    homes = draw(st.sampled_from([(0,), (0, 1)]))
+    ops = []
+    for index in range(draw(st.integers(0, 40))):
+        home = draw(st.sampled_from(homes))
+        if draw(st.booleans()):
+            desc = _recv(CONTEXTS[0], home,
+                         draw(st.sampled_from([0, ANY_SOURCE])),
+                         draw(st.sampled_from([Tag(0), ANY_TAG, None])), index)
+            ops.append(("recv", desc))
+        else:
+            desc = _send(CONTEXTS[0], draw(st.sampled_from([0, 1])), home,
+                         draw(st.sampled_from([Tag(0), None])), index)
+            ops.append(("send", desc))
+    return ops
+
+
 def drive_queues(ops):
-    """Each op through the posted queue of its scope, as the engine's loop
-    drives them: (attempts, matched op index) per send, and the sends that
-    found no receive."""
+    """Each op through the engine's own post and take statements, as its
+    walk drives them: (attempts, matched op index) per send, and the sends
+    that found no receive."""
     queues, got, unmatched = {}, [], 0
     for index, (kind, desc) in enumerate(ops):
         scope, bucket = match_keys(desc)
-        queue = queues.setdefault(scope, _Queue())
         if kind == "recv":
-            queue.add(bucket, index, index)
+            _post(queues, scope, bucket, index, index)
         else:
-            attempts, hit = queue.take(bucket)
+            attempts, hit = _take(queues, scope, bucket)
             unmatched += hit is None
             got.append((attempts, hit))
     return got, unmatched
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(op_sequences(), wildcards_after_exact()))
+@given(st.one_of(op_sequences(), wildcards_after_exact(), crowded_scopes()))
 def test_indexed_queues_match_the_linear_scan(ops):
     assert drive_queues(ops) == reference_scan(ops)
+
+
+def test_a_scope_is_bare_until_its_second_receive():
+    """A scope holds its one receive as a bare entry, a second posting
+    promotes it to a queue, the take that empties it drops it, and its next
+    posting is bare again; a bucket likewise holds one entry bare."""
+    ctx, queues = CONTEXTS[0], {}
+    exact = _recv(ctx, 0, 1, Tag(0), 0)
+    wild = _recv(ctx, 0, ANY_SOURCE, Tag(0), 1)
+    scope, bucket = match_keys(exact)
+    _post(queues, scope, bucket, 0, "exact")
+    assert queues == {scope: (bucket, 0, "exact")}
+    _post(queues, *match_keys(wild), 1, "wild")
+    _post(queues, scope, bucket, 2, "again")
+    queue = queues[scope]
+    assert type(queue) is _Queue and queue.order == [0, 1, 2] and queue.wild
+    assert queue.buckets == {bucket: [0, "exact", 2, "again"],
+                             match_keys(wild)[1]: (1, "wild")}
+    send = match_keys(_send(ctx, 1, 0, Tag(0), 3))
+    assert [_take(queues, *send) for _ in range(4)] \
+        == [(1, "exact"), (1, "wild"), (1, "again"), (0, None)]
+    assert queues == {}
+    _post(queues, scope, bucket, 3, "bare again")
+    assert queues == {scope: (bucket, 3, "bare again")}
 
 
 def _count_calls(monkeypatch, names):

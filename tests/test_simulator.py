@@ -436,3 +436,24 @@ def endpoint_sweep(intervals):
 def test_windowed_overlap_matches_endpoint_sweep(starts):
     intervals = [(s, s + TRANSFER_TICKS) for s in starts]
     assert _max_overlap(starts) == endpoint_sweep(intervals)
+
+
+@st.composite
+def process_starts(draw):
+    """A process count and (start tick, process) pairs of its processes."""
+    P = draw(st.integers(1, 5))
+    pairs = st.tuples(st.integers(0, 40), st.integers(0, P - 1))
+    return P, draw(st.lists(pairs, max_size=60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(process_starts())
+def test_keyed_overlap_is_the_largest_per_process_overlap(case):
+    """One tally of ``start * P + process`` keys gives the most transfers in
+    flight on any one process, as each process's own starts do."""
+    P, starts = case
+    per_process = {}
+    for start, q in starts:
+        per_process.setdefault(q, []).append(start)
+    assert _max_overlap([start * P + q for start, q in starts], P) \
+        == max(map(_max_overlap, per_process.values()), default=0)
