@@ -23,12 +23,12 @@ queue is indexed by exact (source, tag), so the count of a scan comes from
 the rank of its match rather than from walking the queue; until a receive
 is posted to one of a queue's wildcard buckets, a send there looks up only
 its exact bucket.  A scope holds its one posted receive bare until a
-second posting promotes it to a queue, and a bucket likewise; the take
-that empties a scope drops it.  Scopes and buckets are MPI's triplet rule
-as :mod:`mpxlab.semantics` states it once.  The engine decides every
-intended pair as its send issues: a send matched with its intended partner
-confirms that pair, and any other is checked on the spot by the rule
-:meth:`Assignment.pair_matches` states, :func:`mpxlab.semantics.pair_meets`.
+second posting promotes it to a queue; the take that empties a scope drops
+it.  Scopes and buckets are MPI's triplet rule as :mod:`mpxlab.semantics`
+states it once.  The engine decides every intended pair as its send issues:
+a send matched with its intended partner confirms that pair, and any other
+is checked on the spot by the rule :meth:`Assignment.pair_matches` states,
+:func:`mpxlab.semantics.pair_meets`.
 
 Partitioned requests match once per message: one attempt and one success per
 request pair per iteration, independent of the partition count.  Their
@@ -207,16 +207,15 @@ class _Queue:
 
     A scope's second posting promotes its bare first entry to a queue
     (:func:`_post`).  ``order`` holds the posting numbers of the live
-    entries, ascending, and each bucket its entries' (posting number, item)
-    pairs flattened in the same order: a bare ``(key, item)`` until a
-    second arrives, a list from then on.  Posting numbers only grow, so
-    both are appended to.  The entry a linear scan would stop at is the
-    smallest head among the buckets a send covers; the positions that scan
-    traverses are its rank in ``order`` plus one, or the whole queue when no
-    bucket has an entry.  An entry that nothing can match, in bucket None,
-    lives only in ``order``.  Until a receive is posted to a wildcard
-    bucket, a send can only take from its exact bucket, so ``wild`` records
-    whether one ever was.
+    entries, ascending, and each bucket holds its (posting number, item)
+    entries in the same order; posting numbers only grow, so both are
+    appended to.  The entry a linear scan would stop at is the smallest head
+    among the buckets a send covers; the positions that scan traverses are
+    its rank in ``order`` plus one, or the whole queue when no bucket has an
+    entry.  An entry that nothing can match, in bucket None, lives only in
+    ``order``.  Until a receive is posted to a wildcard bucket, a send can
+    only take from its exact bucket, so ``wild`` records whether one ever
+    was.
     """
 
     __slots__ = ("order", "buckets", "wild")
@@ -232,32 +231,30 @@ class _Queue:
             return
         entries = self.buckets.get(bucket)
         if entries is None:
-            self.buckets[bucket] = (key, item)
+            entries = self.buckets[bucket] = []
             if is_wildcard_bucket(bucket):
                 self.wild = True
-        elif type(entries) is tuple:
-            self.buckets[bucket] = [*entries, key, item]
-        else:
-            entries += key, item
+        entries.append((key, item))
 
     def take(self, bucket) -> tuple[int, object]:
         """Remove the first entry in scan order that a send from ``bucket``
         matches; return (positions scanned, its item or None)."""
         buckets = self.buckets
         if self.wild:
-            heads = [(buckets[b][0], b) for b in send_covers(bucket)
+            heads = [(buckets[b][0][0], b) for b in send_covers(bucket)
                      if b in buckets]
             if not heads:
                 return len(self.order), None
-            bucket = min(heads)[1]
-        entries = buckets.get(bucket)
-        if entries is None:
-            return len(self.order), None
-        key, item = entries[0], entries[1]
-        if len(entries) == 2:
-            del buckets[bucket]
+            key, bucket = min(heads)
+            entries = buckets[bucket]
         else:
-            del entries[:2]
+            entries = buckets.get(bucket)
+            if entries is None:
+                return len(self.order), None
+            key = entries[0][0]
+        item = entries.pop(0)[1]
+        if not entries:
+            del buckets[bucket]
         rank = bisect_left(self.order, key)
         del self.order[rank]
         return rank + 1, item

@@ -457,3 +457,20 @@ def test_keyed_overlap_is_the_largest_per_process_overlap(case):
         per_process.setdefault(q, []).append(start)
     assert _max_overlap([start * P + q for start, q in starts], P) \
         == max(map(_max_overlap, per_process.values()), default=0)
+
+
+def test_a_peer_outside_the_processes_adds_no_transfers():
+    """A hand-built send whose peer process lies outside ``range(P)``, below
+    it or above it, counts in the concurrency tally on its own process only;
+    no generator makes one."""
+    p = gen_stencil(2, 9, [2, 2], [3, 3])
+    p = replace(p, ops=tuple(p.ops), stamp=0)
+    a, P = assign_endpoints(p), p.num_processes
+
+    def concurrency(peer):
+        ops = tuple(op._replace(peer_process=peer) if op.kind is OpKind.SEND
+                    else op for op in p.ops)
+        return run(replace(p, ops=ops), a).phase_concurrency
+
+    assert concurrency(-1) == concurrency(-P - 3) == concurrency(P) \
+        == concurrency(P + 2)
