@@ -36,7 +36,7 @@ t1_send = next(op for op in pattern.ops if op.process == 0 and op.thread == 1
 t7_recv = next(op for op in pattern.ops if op.process == 0 and op.thread == 7
                and op.kind is m.OpKind.RECV and op.direction == (0, 1))
 print(f"  e.g. thread 1's north send and thread 7's south receive share "
-      f"entity {naive.entity_of[t1_send.op_id]}")
+      f"entity {naive.entity(naive.bindings[t1_send.op_id])}")
 print()
 
 # ---------------------------------------------------------------------------

@@ -78,9 +78,9 @@ class MappingPolicy:
 # and the (local, remote) channel pair of a key.  Every caller maps through
 # both, so equal keys give equal pairs and a caller may memoise the pair.
 # A key function reads the op's fields by position, so it answers the same
-# on an OpDescriptor and on the plain tuple of its fields, which the engine
-# walks a stamped pattern with: 3 context, 4 target, 5 tag, 6 endpoint,
-# 7 window, 9 partition.
+# on an OpDescriptor and on the plain tuple of its fields, which a stamped
+# binding view's ``at`` gives the engine: 3 context, 4 target, 5 tag,
+# 6 endpoint, 7 window, 9 partition.
 
 def communicator_key(policy: MappingPolicy, op: OpDescriptor) -> int:
     """The id a communicator policy keys one operation on: its context, else

@@ -12,7 +12,6 @@ import argparse
 import gc
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,8 +25,10 @@ from .errors import (
     TagOverflowError,
     UnsupportedPatternError,
 )
+from .model import OpDescriptor
 from .patterns import (
     STENCIL_KINDS,
+    PatternOp,
     SUPPORT,
     boundary_thread_count,
     build_assignment,
@@ -93,8 +94,7 @@ def cmd_analyze(args) -> int:
         print(f"ideal_comm_serialized_pairs: {report.serialized_pairs}")
         # the endpoint ranks process 0's ops are bound to, on the channels
         # endpoint identity gives their ops
-        ranks = {endpoints.bindings[op.op_id].endpoint
-                 for op in pattern.ops if op.process == 0}
+        ranks = {desc.endpoint for _, desc in _bound_ops(pattern, endpoints, 0)}
         identity = channel_policy(PolicyKind.ENDPOINT_IDENTITY, endpoints, pool)
         ep_report = collisions(identity, [(rank, None) for rank in ranks], pool)
         print(f"endpoint_serialized_pairs: {ep_report.serialized_pairs}")
@@ -168,6 +168,8 @@ def cmd_simulate(args) -> int:
         first[stem] = spec
     workers = min(args.jobs, len(specs), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool's module costs a sixth of the CLI's start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_simulate_one, s, args) for s in specs]
             for future in futures:
@@ -178,8 +180,18 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _binding_label(assignment, op_id) -> str:
-    desc = assignment.bindings[op_id]
+def _bound_ops(pattern, assignment, process: int) -> list[tuple]:
+    """(op, descriptor) of every op of ``process``, from the block that holds
+    them: block ``p`` when stamped, else the one block, filtered."""
+    bases, every = pattern.ops.bases, range(len(pattern.template))
+    base = bases[process % len(bases)]
+    return [(PatternOp._make(op), OpDescriptor._make(desc))
+            for op, desc in zip(pattern.ops.at(base, every),
+                                assignment.bindings.at(base, every))
+            if op[1] == process]
+
+
+def _binding_label(desc) -> str:
     if desc.partition is not None:
         return f"req:{desc.partition[0]} part:{desc.partition[1]}"
     if desc.window is not None:
@@ -206,8 +218,9 @@ def cmd_assign(args) -> int:
     assignment = scenario.build_assignment(pattern)
     print(f"# mechanism={scenario.mechanism} process={process}")
     print("thread\tdirection\top\tbinding")
-    rows = [op for op in pattern.ops if op.process == process]
-    for op in sorted(rows, key=lambda o: (o.thread, o.phase, o.kind.value)):
+    rows = _bound_ops(pattern, assignment, process)
+    for op, desc in sorted(rows, key=lambda row: (row[0].thread, row[0].phase,
+                                                  row[0].kind.value)):
         if op.direction is not None and len(op.direction) == 2:
             direction = _DIR_NAMES_2D.get(op.direction, str(op.direction))
         elif op.direction is not None:
@@ -216,7 +229,7 @@ def cmd_assign(args) -> int:
         else:
             direction = "-"
         print(f"{op.thread}\t{direction}\t{op.kind.value}\t"
-              f"{_binding_label(assignment, op.op_id)}")
+              f"{_binding_label(desc)}")
     print(f"# objects: {assignment.describe_objects()}")
     return EXIT_OK
 

@@ -7,10 +7,10 @@ from __future__ import annotations
 from collections.abc import ItemsView, Mapping, Sequence, ValuesView
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache, cached_property
-from itertools import chain, count, repeat
+from functools import cache, cached_property, partial
+from itertools import chain, count, filterfalse, repeat
 from math import prod
-from operator import index as _index, itemgetter
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 from ..errors import DomainError, InvalidArgumentError, UnsupportedPatternError
@@ -133,37 +133,63 @@ class PatternOp(NamedTuple):
 
 
 _new = tuple.__new__
+_OP_ID, _PHASE = itemgetter(0), itemgetter(8)
+
+
+def _listed(rows, base: int, indexes) -> list:
+    """``rows[base + i]`` for each ``i`` of ``indexes``: a one-block ``at``."""
+    return list(map(rows.__getitem__, map(base.__add__, indexes)))
+
+
+def _copies(template, columns, base: int, indexes) -> list[tuple]:
+    """The copies at process ``p = base // n`` of the template ops
+    ``indexes``, as plain tuples: a stamped :class:`StampedOps`' ``at``."""
+    n = len(template)
+    p = base // n
+    return [(base + i, p, t, kind, d, q, peer_t, q * n + partner % n,
+             phase, tag, location, wild)
+            for i in indexes
+            for _, _, t, kind, d, _, peer_t, partner, phase, tag, location, wild
+            in (template[i],)
+            for q in (columns[i][p],)]
+
+
+def _derived(rows, base: int, indexes) -> list[tuple]:
+    """The descriptors of the copies at process ``p = base // n`` of the
+    template ops ``indexes``, as plain tuples of their fields: a stamped
+    :class:`StampedBindings`' ``at``."""
+    p = base // len(rows)
+    return [(kind, sources[p], index, contexts[p], targets[peers[p]], tag,
+             endpoints[p], window, location, partitions[p])
+            for i in indexes
+            for kind, sources, index, contexts, targets, tag, endpoints, \
+            window, location, partitions, peers in (rows[i],)]
 
 
 class StampedOps(Sequence):
-    """The ops of a stamped pattern, as a read-only sequence equal to the
-    tuple of all of them: op ``j`` is derived on access from template op
-    ``j % n`` at process ``p = j // n``.  It keeps the template's thread,
-    kind, direction, peer thread, phase, tag key, location and wildcard
-    flag; its peer process is ``columns[j % n][p]`` and its partner is that
-    process's copy of the template op's partner.  :meth:`at` is the one
-    statement that derives a copy.
+    """The ops of a pattern, as a read-only sequence equal to the tuple of
+    all of them in op-id order, in blocks that copy one template of ``n``
+    ops: op ``j`` is op ``j % n`` of the block whose first op id, one of
+    :attr:`bases`, is ``j - j % n``.  :meth:`at` is the one statement that
+    reads ops ``base + i`` of a block; the constructor picks its body once.
+
+    A one-block view (no ``columns``) holds every op as its template.  A
+    stamped view holds process 0's ops, and block ``p`` is process ``p``'s
+    copy: its op ``i`` keeps all of template op ``i`` but the peer process,
+    ``columns[i][p]``, and the partner, that process's copy of the
+    template op's partner.
     """
 
-    __slots__ = ("template", "columns", "_n", "_len")
+    __slots__ = ("template", "columns", "bases", "_n", "_len", "at")
 
-    def __init__(self, template: tuple[PatternOp, ...], columns: list[list[int]],
-                 processes: int):
+    def __init__(self, template: Sequence[PatternOp],
+                 columns: list[list[int]] | None = None, processes: int = 1):
         self.template, self.columns = template, columns
         self._n, self._len = len(template), len(template) * processes
-
-    def at(self, p: int, indexes) -> list[tuple]:
-        """The fields of the copies at process ``p`` of the template ops
-        ``indexes``, in :class:`PatternOp` order, as plain tuples: the
-        engine reads them by position, and the sequence makes them ops."""
-        template, columns, n = self.template, self.columns, self._n
-        base = p * n
-        return [(base + i, p, t, kind, d, q, peer_t, q * n + partner % n,
-                 phase, tag, location, wild)
-                for i in indexes
-                for _, _, t, kind, d, _, peer_t, partner, phase, tag, location, wild
-                in (template[i],)
-                for q in (columns[i][p],)]
+        self.bases = range(0, self._len, self._n or 1)
+        # a partial, not a bound method: the view holds no reference cycle
+        self.at = partial(_listed, template) if columns is None \
+            else partial(_copies, template, columns)
 
     def __len__(self):
         return self._len
@@ -171,21 +197,18 @@ class StampedOps(Sequence):
     def __getitem__(self, j):
         if isinstance(j, slice):
             return tuple(self[k] for k in range(*j.indices(self._len)))
-        j = _index(j)
-        if not -self._len <= j < self._len:
-            raise IndexError("tuple index out of range")
-        p, i = divmod(j % self._len, self._n)
-        return _new(PatternOp, self.at(p, (i,))[0])
+        # a range indexes, and refuses an index, as the tuple would
+        block, i = divmod(range(self._len)[j], self._n)
+        return _new(PatternOp, self.at(block * self._n, (i,))[0])
 
     def __iter__(self):
         every = range(self._n)
-        for p in range(self._len // (self._n or 1)):
-            yield from map(_new, repeat(PatternOp), self.at(p, every))
+        for base in self.bases:
+            yield from map(_new, repeat(PatternOp), self.at(base, every))
 
     def __eq__(self, other):
-        if isinstance(other, (tuple, StampedOps)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
+        return tuple(self) == tuple(other) \
+            if isinstance(other, (tuple, StampedOps)) else NotImplemented
 
     def __repr__(self):
         return repr(tuple(self))
@@ -202,19 +225,12 @@ class CommPattern:
     single non-corner thread (a corner thread's directions proceed serially
     from its one issue stream).
 
-    ``ops`` is the only per-op record; ``pairs`` is derived from it on each
-    use.  Op ids, not positions in ``ops``, name the ops, and they issue in
-    (process, thread, op id) order whatever the order of ``ops``.  A
-    nonzero ``stamp`` declares every process's ops a copy of process 0's:
-    ``ops`` is then a :class:`StampedOps` of ``stamp`` template ops, and op
-    ``i`` of process ``p`` is ``ops[p * stamp + i]``, with that op id.  It
-    shares the thread, kind, phase, direction, peer thread, tag key and
-    wildcard flag of op ``i``, and its peer process is ``p`` moved by the
-    same torus offset that takes 0 to op ``i``'s peer.  The template lists
-    its ops by thread, so a stamped pattern's ops are in issue order.  The
-    assigners compute those shared fields once, over :attr:`template`, and
-    the engine orders its walk by them once, over the template's phases
-    and kinds, deriving each copy as it issues.
+    ``ops`` is the only per-op record, a :class:`StampedOps`; ``pairs`` is
+    derived from it on each use.  Op ``j`` has op id ``j``, and ops issue
+    in (process, thread, op id) order.  A stencil's ops are stamped, copies
+    of process 0's, so the assigners and the engine's walk read the shared
+    fields once, over :attr:`template`.  Any other sequence of ops is
+    normalised to one block, in op-id order; its ids must be ``0..len - 1``.
     """
 
     kind: PatternKind
@@ -222,30 +238,39 @@ class CommPattern:
     thread_grid: tuple[int, ...]
     iterations: int
     payload_bytes: int
-    ops: tuple[PatternOp, ...] | StampedOps
+    ops: StampedOps
     communicating_threads: frozenset[int] = frozenset()
     corner_threads: frozenset[int] = frozenset()
-    stamp: int = field(default=0, compare=False)
 
     def __post_init__(self):
         # the engine derives every iteration from the first
         if self.iterations < 1:
             raise InvalidArgumentError("iterations must be positive")
+        if not isinstance(self.ops, StampedOps):
+            ops = tuple(self.ops)
+            if not all(map(eq, map(_OP_ID, ops), count())):
+                ops = sorted(ops, key=_OP_ID)
+                for j, op in enumerate(ops):
+                    if op[0] != j:
+                        raise InvalidArgumentError(
+                            f"op ids must number the ops 0..{len(ops) - 1}; "
+                            f"first bad id: {op[0]}")
+            self.ops = StampedOps(ops)
 
     @property
-    def template(self) -> tuple[PatternOp, ...] | StampedOps:
-        """The ops every op copies: process 0's when stamped, else all of
+    def template(self) -> Sequence[PatternOp]:
+        """The ops every block copies: process 0's when stamped, else all of
         them.  Op ``j`` copies ``template[j % len(template)]``."""
-        return self.ops.template if self.stamp else self.ops
+        return self.ops.template
 
     @cached_property
     def issue_slots(self) -> list[list[PatternOp]]:
         """The template's ops in issue order: grouped by (process, thread)
-        slot, slots in that order, each slot's ops in op-id order, whatever
-        the order of ``ops``.  One pass groups them; only the slot keys and
-        the slots that hold more than one op are sorted, so the cost grows
-        with the op count, not with the count of (process, thread) slots.
-        Computed once per pattern, for the assigners and the engine."""
+        slot, slots in that order, each slot's ops in op-id order, the
+        template's.  One pass groups them; only the slot keys are sorted,
+        so the cost grows with the op count, not with the count of
+        (process, thread) slots.  Computed once per pattern, for the
+        assigners and the engine."""
         T = self.threads_per_process
         slots: dict[int, list[PatternOp]] = {}
         for op in self.template:
@@ -254,11 +279,7 @@ class CommPattern:
                 slots[slot].append(op)
             else:
                 slots[slot] = [op]
-        out = [slots[slot] for slot in sorted(slots)]
-        for ops in out:
-            if len(ops) > 1:
-                ops.sort(key=_OP_ID)
-        return out
+        return [slots[slot] for slot in sorted(slots)]
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -302,21 +323,29 @@ class CommPattern:
 class Assignment:
     """A mechanism-specific binding of every pattern operation.
 
-    ``bindings`` maps op ids to fully addressed descriptors and is the only
-    per-op record.  :meth:`entity` gives the matching entity a channel
-    policy would key on for one descriptor; distinct-thread ops sharing an
-    entity serialize on its channel.  ``entity_of`` maps it over the
-    bindings on first use.
+    ``bindings`` is the only per-op record, a :class:`StampedBindings` that
+    maps op ids to fully addressed descriptors, in the blocks of the
+    pattern's :class:`StampedOps`; a dict of descriptors by op id is
+    normalised to a one-block view.  :meth:`entity` gives the matching
+    entity a channel policy would key on for one descriptor; distinct-thread
+    ops sharing an entity serialize on its channel.
     """
 
     mechanism: Mechanism
     hints: InfoHints
-    bindings: dict[int, OpDescriptor]
+    bindings: StampedBindings
     objects_created: dict[str, int]
     variant: str = ""
     comms: list[Communicator] = field(default_factory=list)
     endpoints_comm: EndpointsComm | None = None
     requests: dict[int, PartitionedRequest] = field(default_factory=dict)
+
+    def __post_init__(self):
+        bindings = self.bindings
+        if not isinstance(bindings, StampedBindings):  # a dict by op id
+            descs = list(map(bindings.get, range(max(bindings, default=-1) + 1)))
+            self.bindings = StampedBindings(
+                descs, holes=[j for j, desc in enumerate(descs) if desc is None])
 
     def entity(self, desc: OpDescriptor) -> tuple:
         """The matching entity of a bound descriptor: the thread's tag bits
@@ -331,11 +360,6 @@ class Assignment:
         if desc.window is not None:
             return ("win", desc.window)
         return ("comm", desc.context.key)
-
-    @cached_property
-    def entity_of(self) -> dict[int, tuple]:
-        entity = self.entity
-        return {op_id: entity(desc) for op_id, desc in self.bindings.items()}
 
     @property
     def pair_requests(self) -> dict[int, PartitionedRequest] | None:
@@ -355,17 +379,15 @@ class Assignment:
         return ", ".join(f"{k}={v}" for k, v in sorted(self.objects_created.items()))
 
 
-_OP_ID, _PHASE = itemgetter(0), itemgetter(8)
-_ADDRESS = itemgetter(0, 1, 5)  # (op id, process, peer process)
+_ADDRESS = itemgetter(1, 5)  # (process, peer process)
 
 
 def _program_indexes(pattern: CommPattern) -> dict[int, int]:
     """Issue order within each thread: post all receives, then all other ops,
-    each in (phase, op id) order (the usual nonblocking halo-exchange shape),
-    whatever the order of ``ops``.
+    each in (phase, op id) order (the usual nonblocking halo-exchange shape).
 
-    A stamped pattern maps only its template's ops: every copy of template
-    op ``j`` issues at op ``j``'s index.
+    It maps only the template's ops: every copy of template op ``j`` issues
+    at op ``j``'s index.
     """
     out: dict[int, int] = {}
     RECV = OpKind.RECV
@@ -384,57 +406,68 @@ def _program_indexes(pattern: CommPattern) -> dict[int, int]:
 
 
 class StampedBindings(Mapping):
-    """The bindings of a stamped pattern, as a read-only mapping equal to
-    the dict of every op's descriptor, in op-id order: op ``j``'s descriptor
-    is derived on access from the row of template op ``j % n`` at process
-    ``p = j // n``.  A row holds the template op's kind, its thread's
-    ``sources``, its issue index, its shared part and its ``peers``, the
-    peer process of each copy (:attr:`StampedOps.columns`).  :meth:`at` is
-    the one statement that derives a descriptor, as a plain tuple; only the
-    mapping surface (indexing, ``values()`` and ``items()``) makes it an
-    :class:`OpDescriptor`.
+    """The bindings of a pattern, as a read-only mapping equal to the dict
+    of every op's descriptor, in op-id order, in the blocks of
+    :class:`StampedOps`.  :meth:`at` is the one statement that reads the
+    descriptors of ops ``base + i`` of a block; the constructor picks its
+    body once.  Only the mapping surface makes them :class:`OpDescriptor`\\ s.
+
+    A one-block view holds every descriptor, so it binds a pattern of any
+    block length; ``holes`` lists the op ids below its length that a
+    hand-built dict left unbound, which read None.  A stamped view
+    (``processes`` given) holds one row per template op: its kind, its
+    thread's ``sources``, its issue index, its shared part and the peer
+    process of each copy (:attr:`StampedOps.columns`).
     """
 
-    __slots__ = ("rows", "_n", "_len")
+    __slots__ = ("rows", "holes", "_n", "_len", "at")
 
-    def __init__(self, rows: list[tuple], processes: int):
-        self.rows = rows
-        self._n, self._len = len(rows), len(rows) * processes
+    def __init__(self, rows: list, processes: int | None = None, holes=()):
+        self.rows, self.holes = rows, holes
+        self._n, self._len = len(rows), len(rows) * (processes or 1)
+        self.at = partial(_listed if processes is None else _derived, rows)
 
-    def at(self, p: int, indexes) -> list[tuple]:
-        """The fields of the descriptors of the copies at process ``p`` of
-        the template ops ``indexes``, in :class:`OpDescriptor` order, as
-        plain tuples: building a tuple subclass copies the tuple it is
-        given, and the interpreter's fast paths for unpacking and indexing
-        take only exact tuples."""
-        rows = self.rows
-        return [(kind, sources[p], index, contexts[p], targets[peers[p]], tag,
-                 endpoints[p], window, location, partitions[p])
-                for i in indexes
-                for kind, sources, index, contexts, targets, tag, endpoints, \
-                window, location, partitions, peers in (rows[i],)]
+    @classmethod
+    def bound(cls, ops: StampedOps, parts: list[tuple], indexes) -> StampedBindings:
+        """The view binding ``ops`` from each template op's part and issue
+        index: one row per template op of a stamped view, else one
+        descriptor per op."""
+        if ops.columns is not None:
+            return cls([
+                (kind, sources, index, contexts, targets, tag, endpoints,
+                 window, location, partitions, peers)
+                for index, (sources, kind, contexts, targets, tag, endpoints,
+                            window, location, partitions), peers
+                in zip(indexes, parts, ops.columns)], len(ops.bases))
+        return cls([
+            _new(OpDescriptor, (
+                kind, sources[p], index, contexts[p], targets[peer], tag,
+                endpoints[p], window, location, partitions[p]))
+            for (p, peer), index, (sources, kind, contexts, targets, tag,
+                                   endpoints, window, location, partitions)
+            in zip(map(_ADDRESS, ops.template), indexes, parts)])
 
     def __len__(self):
         return self._len
 
-    def __iter__(self):
-        return iter(range(self._len))
-
-    def __contains__(self, j):
-        return isinstance(j, int) and 0 <= j < self._len
+    def __iter__(self):  # the op ids bound: holes are left out
+        return filterfalse(set(self.holes).__contains__, range(self._len))
 
     def __getitem__(self, j):
         if isinstance(j, int) and 0 <= j < self._len:
-            p, i = divmod(j, self._n)
-            return _new(OpDescriptor, self.at(p, (i,))[0])
+            i = j % self._n
+            desc = self.at(j - i, (i,))[0]
+            if desc is not None:  # not a hole
+                return _new(OpDescriptor, desc)
         raise KeyError(j)
 
     def tuples(self):
-        """Every descriptor as a plain tuple, in op-id order, a process's
-        block at a time."""
+        """Every bound descriptor, in op-id order, a block at a time: the
+        plain tuples of a stamped view, the descriptors of a one-block
+        view.  A hole, None, is left out."""
         every = range(self._n)
-        return chain.from_iterable(
-            self.at(p, every) for p in range(self._len // (self._n or 1)))
+        return filter(None, chain.from_iterable(
+            map(self.at, range(0, self._len, self._n or 1), repeat(every))))
 
     def _values(self):
         return map(_new, repeat(OpDescriptor), self.tuples())
@@ -452,7 +485,7 @@ class StampedBindings(Mapping):
 class _Values(ValuesView):
     __slots__ = ()
 
-    def __iter__(self):  # a process's descriptors at a time, not op by op
+    def __iter__(self):  # a block's descriptors at a time, not op by op
         return self._mapping._values()
 
 
@@ -460,25 +493,23 @@ class _Items(ItemsView):
     __slots__ = ()
 
     def __iter__(self):
-        return zip(count(), self._mapping._values())
+        return zip(self._mapping, self._mapping._values())
 
 
-def bind(pattern: CommPattern, shared) -> dict[int, OpDescriptor] | StampedBindings:
+def bind(pattern: CommPattern, shared) -> StampedBindings:
     """Every op's descriptor: the binding step of every assigner.
 
     ``shared(op)`` gives the fields that every op of ``op``'s shape shares:
     ``(kind, contexts, targets, tag, endpoints, window, target location,
     partitions)``.  An op's shape is its thread, kind, direction, peer
     thread, location and tag key; a wildcard receive takes any tag, so its
-    key is left out.  ``shared`` is called once per template op of a
-    stamped pattern and once per shape of an unstamped pattern, whose ops
-    repeat shapes.  The fields that may depend on the op's process are
-    columns, lists of one value per process: ``contexts``, ``endpoints``
-    and ``partitions`` are indexed by the op's process and ``targets`` by
-    its peer process.  Per op, the statement adds only its column entries,
-    its thread's ``source`` tuple and its issue index.  A stamped pattern
-    gets a :class:`StampedBindings` over one row per template op, which
-    derives each descriptor on access; an unstamped one gets a dict.
+    key is left out.  ``shared`` is called once per shape of the template.
+    The fields that may depend on the op's process are columns, lists of
+    one value per process: ``contexts``, ``endpoints`` and ``partitions``
+    are indexed by the op's process and ``targets`` by its peer process.
+    Per op, the statement adds only its column entries, its thread's
+    ``source`` tuple and its issue index, in :meth:`StampedBindings.bound`:
+    a stamped view derives each descriptor on access.
 
     The addressing rule of the :class:`OpDescriptor` constructor reads an
     op's kind, its context's family and whether it has a context, endpoint,
@@ -490,11 +521,10 @@ def bind(pattern: CommPattern, shared) -> dict[int, OpDescriptor] | StampedBindi
     T, P = pattern.threads_per_process, pattern.num_processes
     # [t][p]: the source of thread t of process p, one tuple per thread
     sources = list(zip(*([(p, t) for t in range(T)] for p in range(P))))
-    template, stamp = pattern.template, pattern.stamp
+    template = pattern.template
     by_shape, checked, parts = {}, set(), []
-    for i, op in enumerate(template):
-        shape = i if stamp else (
-            op[2], op[3], op[4], op[6], op[10], None if op[11] else op[9])
+    for op in template:
+        shape = (op[2], op[3], op[4], op[6], op[10], None if op[11] else op[9])
         part = by_shape.get(shape)
         if part is None:
             part = by_shape[shape] = (sources[op[2]],) + shared(op)
@@ -507,20 +537,7 @@ def bind(pattern: CommPattern, shared) -> dict[int, OpDescriptor] | StampedBindi
         parts.append(part)
     del by_shape  # its keys are not needed while the descriptors are built
     indexes = map(_program_indexes(pattern).__getitem__, map(_OP_ID, template))
-    if stamp:
-        return StampedBindings([
-            (kind, sources, index, contexts, targets, tag, endpoints, window,
-             location, partitions, peers)
-            for index, (sources, kind, contexts, targets, tag, endpoints,
-                        window, location, partitions), peers
-            in zip(indexes, parts, pattern.ops.columns)], P)
-    return {
-        op_id: _new(OpDescriptor, (
-            kind, sources[p], index, contexts[p], targets[peer], tag,
-            endpoints[p], window, location, partitions[p]))
-        for (op_id, p, peer), index, (sources, kind, contexts, targets, tag,
-                                      endpoints, window, location, partitions)
-        in zip(map(_ADDRESS, template), indexes, parts)}
+    return StampedBindings.bound(pattern.ops, parts, indexes)
 
 
 def _rank_columns(epcomm: EndpointsComm) -> list[list[int]]:
@@ -613,7 +630,8 @@ def assign_endpoints(pattern: CommPattern) -> Assignment:
         return (op.kind, context, ranks[op.peer_thread], tag_of(op.tag_key),
                 ranks[op.thread], None, None, nones)
 
-    # the bound endpoints: every (process, thread) slot that issues an op
+    # the bound endpoints: every (process, thread) slot of the template that
+    # issues an op, in each block
     slots = {op[1] * T + op[2] for op in pattern.template}
     return Assignment(
         mechanism=Mechanism.ENDPOINTS,
@@ -622,7 +640,7 @@ def assign_endpoints(pattern: CommPattern) -> Assignment:
         objects_created={
             "communicators": 1,
             "endpoints_per_process": sum(slot < T for slot in slots),
-            "endpoints_total": len(slots) * (P if pattern.stamp else 1),
+            "endpoints_total": len(slots) * len(pattern.ops.bases),
         },
         comms=[world],
         endpoints_comm=epcomm,

@@ -179,7 +179,6 @@ def gen_stencil(dims: int, points: int, process_grid, thread_grid,
         ops=StampedOps(tuple(ops), columns, len(procs)),
         communicating_threads=communicating,
         corner_threads=corners,
-        stamp=n0,
     )
 
 
@@ -424,7 +423,7 @@ def assign_partitioned(pattern: CommPattern) -> Assignment:
     # requests of the template: its ops by (process, kind, direction, peer
     # process), each group ordered by thread.  A stamped copy moves every
     # peer by the same torus offset, so two ops share a peer in one copy
-    # exactly when they do in every copy: every process has the same groups,
+    # exactly when they do in every copy: every block has the same groups,
     # each named by the (thread, kind, direction) of its first op.
     groups: dict[tuple, list[int]] = {}
     for i, op in enumerate(template):
@@ -441,15 +440,12 @@ def assign_partitioned(pattern: CommPattern) -> Assignment:
 
     # every copy's request key (process, kind, direction, peer process) and
     # group, ids going in the repr order of keys.  The first op of each
-    # group is derived at each process; a key's repr is written out, with
-    # the repr of its kind and direction taken once per group.
+    # group is read in each block; a key's repr is written out, with the
+    # repr of its kind and direction taken once per group.
     firsts = [group[0] for _, group in members]
     middles = [f", {template[i].kind!r}, {template[i].direction!r}, "
                for i in firsts]
-    if pattern.stamp:
-        copies = map(pattern.ops.at, range(P), itertools.repeat(firsts))
-    else:
-        copies = [[template[i] for i in firsts]]
+    copies = map(pattern.ops.at, pattern.ops.bases, itertools.repeat(firsts))
     keyed = sorted(
         (f"({process}{middle}{peer})", process, kind, peer, member)
         for ops in copies

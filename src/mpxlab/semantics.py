@@ -51,6 +51,7 @@ def _tags_equal(a: Tag | None, b: Tag | None) -> bool:
 # read once: a module global costs far less than an enum member read
 _ENDPOINT, _SEND, _RECV = ContextFamily.ENDPOINT, OpKind.SEND, OpKind.RECV
 _ANY_TAG = ANY_TAG.raw
+_new = tuple.__new__
 
 # why an intended pair is refused
 CANNOT_MATCH = "bound contexts cannot match"
@@ -621,10 +622,6 @@ class ValidationReport:
     matching_violations: list = field(default_factory=list)
     lost_parallelism: list = field(default_factory=list)
 
-    @property
-    def clean(self) -> bool:
-        return not self.matching_violations and not self.lost_parallelism
-
 
 def _serial_bucket_key(op: OpDescriptor, hints: InfoHints):
     """The bucket key under which this op could be classifier-serial with
@@ -652,19 +649,11 @@ def _serial_bucket_key(op: OpDescriptor, hints: InfoHints):
 
 def check_bound(pattern: "CommPattern", assignment: "Assignment"):
     """Raise :class:`IncompleteAssignmentError` when an op is left unbound.
-    A stamped pattern's op ids are its op positions, so no op is read, and
-    a :class:`~mpxlab.patterns.base.StampedBindings` binds positions: when
-    both are positions, the unbound ones are those past the bound count."""
-    from .patterns.base import StampedBindings
-
-    ids = range(len(pattern.ops)) if pattern.stamp else [op[0] for op in pattern.ops]
-    bound = assignment.bindings
-    if type(bound) is StampedBindings:
-        bound = range(len(bound))
-    if type(ids) is range and type(bound) is range:
-        missing = ids[len(bound):]
-    else:
-        missing = list(itertools.filterfalse(bound.__contains__, ids))
+    Both views bind op ids by position, so no op is read: the unbound ops
+    are those past the bindings' length and the holes a hand-built dict
+    left below it."""
+    n, bound = len(pattern.ops), assignment.bindings
+    missing = [j for j in bound.holes if j < n] + list(range(len(bound), n))
     if missing:
         raise IncompleteAssignmentError(
             f"assignment leaves {len(missing)} ops unbound (first: {missing[0]})"
@@ -673,35 +662,27 @@ def check_bound(pattern: "CommPattern", assignment: "Assignment"):
 
 def matching_violations(pattern: "CommPattern", assignment: "Assignment") -> list:
     """Intended send/receive pairs whose bound descriptors fail the matching
-    rule, as (send id, receive id, why) triples, in the order of
-    ``pattern.pairs``.
+    rule, as (send id, receive id, why) triples, in send id order.
 
     Raises :class:`IncompleteAssignmentError` when an op is left unbound.
+    Every block's descriptors are read once, through ``at``, and the
+    template's sends that name a partner are checked in each block.
     :func:`mpxlab.simulator.run` finds the same list without this pass: its
     engine decides each intended pair as the send issues, checking by the
     rule of :meth:`Assignment.pair_matches` only a send it did not pair with
     its partner, and ``run()`` calls this full check only when the engine
     fails.
     """
-    from .patterns.base import StampedBindings
-
     check_bound(pattern, assignment)
-    bindings, requests = assignment.bindings, assignment.pair_requests
-    if not (pattern.stamp and type(bindings) is StampedBindings):
-        pair_matches = assignment.pair_matches
-        return [(send_id, recv_id, CANNOT_MATCH)
-                for send_id, recv_id in pattern.pairs
-                if not pair_matches(send_id, recv_id)]
-    # a stamped pattern, one process's ops and descriptors at a time, as
-    # plain tuples; every copy of a template send names its partner
-    n = pattern.stamp
-    every = range(n)
-    sends = [i for i, op in enumerate(pattern.template) if op[3] is _SEND]
-    blocks = [bindings.at(p, every) for p in range(pattern.num_processes)]
+    ops, template, requests = pattern.ops, pattern.template, assignment.pair_requests
+    n, every = len(template), range(len(template))
+    sends = [i for i, op in enumerate(template)
+             if op[3] is _SEND and op[7] is not None]
+    blocks = [assignment.bindings.at(base, every) for base in ops.bases]
     out = []
-    for p, descs in enumerate(blocks):
+    for base, descs in zip(ops.bases, blocks):
         for (send_id, _, _, _, _, _, _, recv_id, _, _, _, _), i \
-                in zip(pattern.ops.at(p, sends), sends):
+                in zip(ops.at(base, sends), sends):
             if not pair_meets(descs[i], blocks[recv_id // n][recv_id % n],
                               requests):
                 out.append((send_id, recv_id, CANNOT_MATCH))
@@ -721,17 +702,17 @@ def validate_assignment(pattern: "CommPattern", assignment: "Assignment") -> Val
     from .patterns.base import PatternOp
 
     report = ValidationReport(matching_violations(pattern, assignment))
-    hints = assignment.hints
-    bindings, entity = assignment.bindings, assignment.entity
+    hints, entity = assignment.hints, assignment.entity
 
-    # lost parallelism, representative process: patterns are torus-symmetric
+    # lost parallelism, representative process (torus-symmetric), in block 0
     probe = pattern.representative_process
-    if pattern.stamp:
-        ops = list(map(PatternOp._make,
-                       pattern.ops.at(probe, range(pattern.stamp))))
-    else:
-        ops = [op for op in pattern.ops if op.process == probe]
-    descs = {pop.op_id: bindings[pop.op_id] for pop in ops}
+    every = range(len(pattern.template))
+    ops, descs = [], {}
+    for op, desc in zip(pattern.ops.at(0, every),
+                        assignment.bindings.at(0, every)):
+        if op[1] == probe:
+            ops.append(_new(PatternOp, op))
+            descs[op[0]] = _new(OpDescriptor, desc)
     entity_of = {op_id: entity(desc) for op_id, desc in descs.items()}
     by_entity: dict = {}
     by_bucket: dict = {}

@@ -51,8 +51,7 @@ from .errors import (DoubleReadyError, InvalidArgumentError,
                      InvalidAssignmentError, InvalidTransitionError,
                      MpxlabError, UnsupportedPatternError)
 from .model import TWO_SIDED, Direction, OpKind
-from .patterns.base import (_OP_ID, Assignment, CommPattern, Mechanism,
-                            PatternKind, StampedBindings)
+from .patterns.base import Assignment, CommPattern, Mechanism, PatternKind
 from .patterns.irregular import collective_footprint
 from .semantics import (CANNOT_MATCH, check_bound, is_wildcard_bucket,
                         match_keys, matching_violations, pair_meets,
@@ -156,8 +155,8 @@ def channel_policy(kind: PolicyKind | None, assignment: Assignment,
 
     Round-robin registers the assignment's communicators in creation order,
     then every other key its ops map through, in first-binding order, each
-    distinct key once; a stamped assignment's keys are read from the plain
-    tuples of its descriptors, a process's block at a time.  A kind the
+    distinct key once, read from the descriptors that
+    ``StampedBindings.tuples()`` gives a block at a time.  A kind the
     assignment cannot express raises before any simulation starts.
     """
     kind = kind or DEFAULT_POLICY[assignment.mechanism]
@@ -177,9 +176,7 @@ def channel_policy(kind: PolicyKind | None, assignment: Assignment,
         for comm in assignment.comms:
             policy.register_communicator(comm.context_id, pool)
         key_of, _ = rule_of(policy)
-        bindings = assignment.bindings
-        descs = bindings.tuples() if type(bindings) is StampedBindings \
-            else bindings.values()
+        descs = assignment.bindings.tuples()
         for key in dict.fromkeys(map(key_of, itertools.repeat(policy), descs)):
             policy.register_communicator(key, pool)
     return policy
@@ -396,33 +393,32 @@ class _Engine:
         ``tests/test_iterations.py`` repeats it on carried state.
 
         The walk issues each phase's receives, then its other ops, each in
-        (process, thread, op id) order.  A stamped pattern is in that order
-        already, and each process's ops copy the template's thread, kind and
-        phase, so a phase needs only the template indexes of its receives
-        and of its other ops: op ``p * n + i`` for each process ``p`` and
-        each index ``i``.  An unstamped pattern is its own template, its
-        ops grouped into issue order by thread slot in one pass, whatever
-        their order in ``pattern.ops``.  A polling pattern's receives are
-        never posted and get no index; its sends go to their destination
-        node.  Each send's channel pair is memoised on the key the policy
-        reads from its descriptor, and a scope's posted receives live until
-        a take empties it.  The pass that indexes the template's phases
-        also counts the messages of one iteration: the sends of the
-        pattern, or the send requests under partitioned.
+        (process, thread, op id) order.  Every block of ``pattern.ops`` copies
+        the template's thread, kind and phase, and a stamped block holds one
+        process, so a phase needs only the template indexes of its receives
+        and of its other ops, in the template's issue order
+        (:attr:`CommPattern.issue_slots`): op ``base + i`` for the first op
+        id ``base`` of each block and each index ``i``.  A polling
+        pattern's receives are never posted and get no index; its sends go
+        to their destination node.  Each send's channel pair is memoised on
+        the key the policy reads from its descriptor, and a scope's posted
+        receives live until a take empties it.  The pass that indexes the
+        template's phases also counts the messages of one iteration: the
+        sends of the pattern, or the send requests under partitioned.
 
         Each send with a partner decides its pair as it issues: the pair is
         confirmed when the matcher pairs the send with its partner or, under
-        partitioned, when their requests are paired; otherwise it is checked
+        partitioned, when their requests are paired, the partner's read from
+        its arrival test in the same phase; otherwise it is checked
         on the spot by :func:`mpxlab.semantics.pair_meets` on the two
         descriptors, the rule of :meth:`Assignment.pair_matches`, and
         recorded in ``violations`` when it fails.  A polled send is never
         confirmed.
 
-        A stamped pattern's ops and, when the assignment binds it through
-        :class:`~mpxlab.patterns.base.StampedBindings`, their descriptors
-        are derived by the two views' ``at`` statements, one process's ops
-        of a phase at a time, as plain tuples; no per-op record outlives
-        its block.
+        The two views' ``at`` statements read a block's ops of a phase and
+        their descriptors, the block addressed by its first op id, so a
+        one-block binding serves a stamped pattern too.  A stamped view
+        derives them as plain tuples; no per-op record outlives its block.
         """
         pattern, assignment, pool = self.pattern, self.assignment, self.pool
         bindings, requests = assignment.bindings, assignment.requests
@@ -456,35 +452,27 @@ class _Engine:
             self.attempts += len(pair_of)
             self.matches += len(pair_of)
 
-        # ops_at(p, indexes): the ops of process p at template indexes
-        if pattern.stamp:
-            template, ops_at, procs = pattern.template, pattern.ops.at, range(P)
-        else:
-            template = [op for slot in pattern.issue_slots for op in slot]
-            procs = (0,)
+        # the blocks, by their first op ids, and their ops and descriptors
+        ops_at, descs_at, bases = pattern.ops.at, bindings.at, pattern.ops.bases
+        n, every = len(pattern.template), range(len(pattern.template))
+        blocks: dict[int, list] = {}  # a partner's block, read once it is needed
 
-            def ops_at(_, indexes):
-                return map(template.__getitem__, indexes)
-        descs_at = bindings.at if pattern.stamp \
-            and type(bindings) is StampedBindings else None
-        if descs_at:  # each template op's partitions column
-            n, partitions = len(template), [row[9] for row in bindings.rows]
+        def issued(base, indexes):
+            """(op, descriptor) of each op of a block at template indexes."""
+            return zip(ops_at(base, indexes), descs_at(base, indexes))
 
-        def issued(p, indexes):
-            """(op, descriptor) of each op of process p at template indexes."""
-            return zip(ops_at(p, indexes), descs_at(p, indexes) if descs_at else
-                       map(bindings.__getitem__, map(_OP_ID, ops_at(p, indexes))))
-
-        # per phase: the template indexes of its receives and its other ops
+        # per phase: the template indexes of its receives and its other ops,
+        # in issue order
         by_phase: dict[int, tuple[list, list]] = {}
         sends = 0
-        for i, (_, _, _, op_kind, _, _, _, _, phase, _, _, _) in enumerate(template):
-            recv = op_kind is RECV_OP
-            sends += op_kind is SEND_OP
-            if not (polled and recv):
-                by_phase.setdefault(phase, ([], []))[not recv].append(i)
+        for slot in pattern.issue_slots:
+            for i, _, _, op_kind, _, _, _, _, phase, _, _, _ in slot:
+                recv = op_kind is RECV_OP
+                sends += op_kind is SEND_OP
+                if not (polled and recv):
+                    by_phase.setdefault(phase, ([], []))[not recv].append(i)
         self.messages = (sum(r.direction is SEND for r in requests.values())
-                         if partitioned else len(procs) * sends)
+                         if partitioned else len(bases) * sends)
 
         postings = itertools.count()
         unmatched = 0  # sends that found no posted receive
@@ -495,9 +483,10 @@ class _Engine:
             last = 0  # the latest transfer end of this phase
             incoming: dict[int, list[tuple[int, int]]] = {}
             starts = []  # start * P + process, per process a transfer holds
-            for q in procs:
+            tested = {}  # op id -> partition of the phase's arrival tests
+            for base in bases:
                 for (op_id, p, t, _, _, _, _, _, _, _, _, _), desc \
-                        in issued(q, recvs):
+                        in issued(base, recvs):
                     slot = p * T + t
                     t_issue = clocks[slot]
                     clocks[slot] = t_issue + ISSUE_TICKS
@@ -507,9 +496,11 @@ class _Engine:
                     if desc[0] in TWO_SIDED:
                         scope, bucket = match_keys(desc)
                         post(queues, scope, bucket, next(postings), op_id)
-            for q in procs:
+                    elif partitioned:
+                        tested[op_id] = desc[9]
+            for base in bases:
                 for (op_id, p, t, _, _, peer, _, partner, _, _, _, _), desc \
-                        in issued(q, others):
+                        in issued(base, others):
                     kind, _, _, _, _, _, _, _, _, partition = desc
                     slot = p * T + t
                     t_issue = clocks[slot]
@@ -527,11 +518,8 @@ class _Engine:
                         if kind is pready:
                             paired = pair_of.get(rid)
                     confirmed = not polled
-                    if partitioned:  # the partner's partition
-                        if descs_at:
-                            mate = partitions[partner % n][partner // n]
-                        else:
-                            mate = getattr(bindings.get(partner), "partition", None)
+                    if partitioned:  # the partner's partition, if tested
+                        mate = tested.get(partner)
                         confirmed = paired is not None and mate is not None \
                             and mate[0] == paired
                     local = p * R + lch
@@ -586,9 +574,12 @@ class _Engine:
                                 self.emit(end, EventKind.MATCH_SUCCESS, op_id)
                     if confirmed or partner is None:
                         continue
-                    mate = descs_at(partner // n, (partner % n,))[0] \
-                        if descs_at else bindings[partner]
-                    if not pair_meets(desc, mate, pair_requests):
+                    # the partner's block, by its first op id
+                    first = partner - partner % n
+                    block = blocks.get(first)
+                    if block is None:
+                        block = blocks[first] = descs_at(first, every)
+                    if not pair_meets(desc, block[partner - first], pair_requests):
                         violations.append((op_id, partner, CANNOT_MATCH))
             for node in sorted(incoming):
                 self._poll(node, sorted(incoming[node]))

@@ -1,11 +1,15 @@
 """Command-line behavior: output lines, file emission, exit codes."""
 
+import concurrent.futures
 import itertools
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -442,7 +446,7 @@ class TestSimulate:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         argv = ["simulate", "--spec", str(a), str(b), "--jobs", "64",
                 "--out", str(tmp_path)]
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -452,6 +456,16 @@ class TestSimulate:
         assert main(argv) == 0
         assert workers == [2]  # one CPU: no pool at all
         assert (tmp_path / "b.report.json").exists()
+
+    def test_the_cli_imports_no_process_pool_until_jobs_asks_for_one(self):
+        # a fresh interpreter: this one may hold the module already
+        src = Path(cli.__file__).resolve().parent.parent
+        probe = ("import sys, mpxlab.cli; "
+                 "print('concurrent.futures.process' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout == "False\n"
 
     # the overriding flags take what the spec loader takes for their field
     # (channel_pool >= 1, seed >= 0); the --jobs ids keep their names

@@ -351,15 +351,19 @@ def test_run_refuses_an_unbound_op(monkeypatch):
     p = gen_fan_in(4)
     a = assign_communicators_naive(p, num_comms=1)
     _, recv_id = p.pairs[-1]
-    a.bindings[recv_id] = a.bindings[recv_id]._replace(tag=Tag(99))
-    del a.bindings[p.ops[0].op_id]
+    # the bindings are read-only: retag one op and leave op 0 out of a copy
+    bindings = {**a.bindings, recv_id: a.bindings[recv_id]._replace(tag=Tag(99))}
+    del bindings[p.ops[0].op_id]
+    a = replace(a, bindings=bindings)
 
     def never(self):
         raise AssertionError("the engine ran")
 
     monkeypatch.setattr(_Engine, "run", never)
     monkeypatch.setattr(_Engine, "_iteration", never)
-    with pytest.raises(IncompleteAssignmentError):
+    # an unbound op inside the range of the bound ones is named
+    with pytest.raises(IncompleteAssignmentError,
+                       match=r"^assignment leaves 1 ops unbound \(first: 0\)$"):
         run(p, a)
 
 

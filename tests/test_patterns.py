@@ -132,7 +132,8 @@ class TestNaiveAssignment:
         recv_s = next(op for op in p.ops
                       if op.process == 0 and op.thread == 7
                       and op.kind is OpKind.RECV and op.direction == (0, 1))
-        assert a.entity_of[send_n.op_id] == a.entity_of[recv_s.op_id]
+        assert a.entity(a.bindings[send_n.op_id]) \
+            == a.entity(a.bindings[recv_s.op_id])
         pair = (min(send_n.op_id, recv_s.op_id), max(send_n.op_id, recv_s.op_id))
         assert pair in report.lost_parallelism
 
@@ -148,7 +149,8 @@ class TestNaiveAssignment:
             for op in p.ops:
                 if (op.process == 0 and op.kind is OpKind.RECV
                         and op.thread != send.thread
-                        and a.entity_of[op.op_id] == a.entity_of[send_id]):
+                        and a.entity(a.bindings[op.op_id])
+                        == a.entity(a.bindings[send_id])):
                     pair = (min(send_id, op.op_id), max(send_id, op.op_id))
                     assert pair in lost
 
@@ -396,9 +398,10 @@ class TestDispatcher:
     def test_incomplete_assignment_detected(self):
         p = gen_stencil(2, 5, [2, 2], [3, 3])
         a = assign_endpoints(p)
-        # a stamped pattern's bindings are read-only: drop the op from a copy
-        a.bindings = dict(a.bindings)
-        a.bindings.pop(p.ops[0].op_id)
+        # the bindings are read-only: drop the op from a copy
+        bindings = dict(a.bindings)
+        bindings.pop(p.ops[0].op_id)
+        a = replace(a, bindings=bindings)
         with pytest.raises(IncompleteAssignmentError):
             validate_assignment(p, a)
 
@@ -487,12 +490,13 @@ ISSUE_ORDER_SPECS = {
 def test_issue_order_follows_the_keyed_rule(name):
     pattern = scenario_from_dict(ISSUE_ORDER_SPECS[name]).build_pattern()
     expected = reference_program_indexes(pattern)
-    assert bool(pattern.stamp) == (pattern.kind in STENCIL_KINDS)
-    # a stamped pattern maps its template's ops, the ones assigners read
+    # a stencil's ops are a stamped view, any other kind's one block
+    assert (pattern.ops.columns is not None) == (pattern.kind in STENCIL_KINDS)
+    # a pattern maps its template's ops, the ones assigners read
     assert _program_indexes(pattern) == {
         op.op_id: expected[op.op_id] for op in pattern.template}
-    # the same ops without the stamp declared map every op
-    assert _program_indexes(replace(pattern, stamp=0)) == expected
+    # the same ops as one block map every op
+    assert _program_indexes(replace(pattern, ops=tuple(pattern.ops))) == expected
 
 
 UNSTAMPED_SPECS = {name: spec for name, spec in test_reports.SPECS.items()
@@ -501,14 +505,16 @@ UNSTAMPED_SPECS = {name: spec for name, spec in test_reports.SPECS.items()
 
 @pytest.mark.parametrize("name", sorted(UNSTAMPED_SPECS))
 def test_op_list_order_does_not_matter(name):
-    # CommPattern does not promise op-id order: the same ops in a seeded
-    # permutation, ids kept, give the same issue order and the same report
+    # CommPattern takes its ops in any order: the same ops in a seeded
+    # permutation, ids kept, are normalised to op-id order and give the
+    # same issue order and the same report
     scenario = scenario_from_dict(UNSTAMPED_SPECS[name])
     pattern = scenario.build_pattern()
     ops = list(pattern.ops)
     random.Random(7).shuffle(ops)
+    assert ops != list(pattern.ops)
     shuffled = replace(pattern, ops=tuple(ops))
-    assert shuffled.ops != pattern.ops
+    assert shuffled.ops == pattern.ops
     assert _program_indexes(shuffled) == reference_program_indexes(shuffled)
     reports = []
     for p in (pattern, shuffled):

@@ -87,13 +87,12 @@ class TestBasics:
         a = assign_endpoints(p)
         bad = next(op.op_id for op in p.ops if op.kind is OpKind.RECV)
         desc = a.bindings[bad]
-        # a stamped pattern's bindings are read-only: rebind in a copy
-        a.bindings = dict(a.bindings)
-        a.bindings[bad] = type(desc)(
+        # the bindings are read-only: rebind in a copy
+        a = replace(a, bindings={**a.bindings, bad: type(desc)(
             kind=desc.kind, source=desc.source, program_index=desc.program_index,
             context=MatchContextId(ContextFamily.ENDPOINT, desc.context.key),
             target=desc.target, tag=Tag(999), endpoint=desc.endpoint,
-        )
+        )})
         with pytest.raises(InvalidAssignmentError):
             run(p, a)
 
@@ -464,7 +463,7 @@ def test_a_peer_outside_the_processes_adds_no_transfers():
     it or above it, counts in the concurrency tally on its own process only;
     no generator makes one."""
     p = gen_stencil(2, 9, [2, 2], [3, 3])
-    p = replace(p, ops=tuple(p.ops), stamp=0)
+    p = replace(p, ops=tuple(p.ops))
     a, P = assign_endpoints(p), p.num_processes
 
     def concurrency(peer):

@@ -12,8 +12,7 @@ assigner binds through ``patterns.base.bind``, which checks the addressing
 rule once per kind and builds the descriptors unchecked, so every
 descriptor of every assigner is checked again here.  The engine indexes a
 stamped pattern's phases once per template op; its runs are compared with
-those of the same ops with no stamp declared, which the engine groups into
-issue order by thread slot, op by op.
+those of the same ops as one block, whose template is every op.
 """
 
 from dataclasses import replace
@@ -380,9 +379,9 @@ def test_memoised_ideal_keys_equal_per_op_keys(dims, points, pgrid, tgrid):
     pattern = gen_stencil(dims, points, pgrid, tgrid)
     memoised = assign_communicators_ideal(pattern)
     assert_same_assignment(memoised, reference_ideal(pattern))
-    # the same ops without the stamp declared: every op is its own template
+    # the same ops as one block: every op is in the template
     assert_same_assignment(
-        assign_communicators_ideal(replace(pattern, stamp=0)), memoised)
+        assign_communicators_ideal(replace(pattern, ops=tuple(pattern.ops))), memoised)
 
 
 @pytest.mark.parametrize("dims,points,pgrid,tgrid", GRIDS, ids=IDS)
@@ -426,11 +425,11 @@ def test_stamped_assigners_equal_per_op_references(name, dims, points, pgrid,
     pattern = gen_stencil(dims, points, pgrid, tgrid, payload=64)
     stamped = assign(pattern)
     assert_same_assignment(stamped, reference(pattern))
-    # the same ops without the stamp declared: every op is its own template
-    assert_same_assignment(assign(replace(pattern, stamp=0)), stamped)
+    # the same ops as one block: every op is in the template
+    assert_same_assignment(assign(replace(pattern, ops=tuple(pattern.ops))), stamped)
 
 
-# the non-stencil callers of the shared assigners: patterns with no stamp
+# the non-stencil callers of the shared assigners: one-block patterns
 IRREGULAR = {
     "legion-polling": lambda: gen_legion(4, 3, 40, seed=5),
     "dynamic-graph": lambda: gen_dynamic_graph(4, 3, rounds=3, seed=2),
@@ -443,7 +442,7 @@ IRREGULAR = {
 def test_unstamped_callers_equal_per_op_references(name, kind):
     assign, reference = ASSIGNERS[name]
     pattern = IRREGULAR[kind]()
-    assert not pattern.stamp
+    assert pattern.ops.columns is None  # one block
     assert_same_assignment(assign(pattern), reference(pattern))
     if name == "naive":
         assert_same_assignment(assign(pattern, num_comms=2),
@@ -532,7 +531,7 @@ def test_the_engine_plans_a_stamped_pattern_as_its_unstamped_copy(
         "kind": kind, "process_grid": grids[0], "thread_grid": grids[1],
         "payload_bytes": 1024, "iterations": 2, "mechanism": mechanism})
     pattern = scenario.build_pattern()
-    assert pattern.stamp
-    # the unstamped copy is assigned afresh and sorted by the engine
+    assert pattern.ops.columns is not None  # stamped
+    # the one-block copy is assigned afresh and walked in its issue order
     assert simulated(scenario, pattern) \
-        == simulated(scenario, replace(pattern, stamp=0))
+        == simulated(scenario, replace(pattern, ops=tuple(pattern.ops)))

@@ -18,6 +18,7 @@ the dict they stand for.
 import gc
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -103,11 +104,15 @@ def test_the_op_count_of_a_stamped_pattern_derives_no_op():
     assert peak < sys.getsizeof(pattern.template[0])
 
 
-def test_the_views_behave_like_the_tuple_and_the_dict_they_replace():
+@pytest.mark.parametrize("blocks", ["stamped", "one block"])
+def test_the_views_behave_like_the_tuple_and_the_dict_they_replace(blocks):
     grid = (2, 9, [2, 3], [3, 2])
     pattern = gen_stencil(*grid)
-    ops, expected = pattern.ops, reference_gen_stencil(*grid).ops
-    assert type(expected) is tuple and type(ops) is not tuple
+    if blocks == "one block":
+        pattern = replace(pattern, ops=tuple(pattern.ops))
+    # the reference's own views, as the tuple and the dicts they stand for
+    ops, expected = pattern.ops, tuple(reference_gen_stencil(*grid).ops)
+    assert type(ops) is not tuple
     n = len(expected)
     assert len(ops) == n and ops == expected and expected == ops
     assert list(ops) == list(expected)
@@ -127,8 +132,9 @@ def test_the_views_behave_like_the_tuple_and_the_dict_they_replace():
 
     for assign, reference in ((assign_endpoints, reference_endpoints),
                               (assign_partitioned, reference_partitioned)):
-        bindings, wanted = assign(pattern).bindings, reference(pattern).bindings
-        assert type(wanted) is dict and type(bindings) is not dict
+        bindings = assign(pattern).bindings
+        wanted = dict(reference(pattern).bindings)
+        assert type(bindings) is not dict
         assert len(bindings) == len(wanted) == n
         assert bindings == wanted and wanted == bindings
         assert list(bindings) == list(wanted)
