@@ -72,8 +72,7 @@ def test_an_unbound_op_inside_the_range_is_refused_with_its_id():
 # one binding view for a pattern of any block length
 
 
-STAMPED = [name for name in sorted(SPECS)
-           if name.startswith("stencil-")]
+STAMPED = [name for name in sorted(SPECS) if name.startswith("stencil-")]
 
 
 @pytest.mark.parametrize("name", STAMPED)
