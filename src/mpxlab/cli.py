@@ -25,15 +25,14 @@ from .errors import (
     TagOverflowError,
     UnsupportedPatternError,
 )
-from .model import OpDescriptor
 from .patterns import (
     STENCIL_KINDS,
-    PatternOp,
     SUPPORT,
     boundary_thread_count,
     build_assignment,
     min_communicators_3d,
 )
+from .patterns.base import bound_ops
 from .patterns.specfile import MECHANISMS, POLICIES, Scenario, load_scenario
 from .simulator import CSV_HEADER, channel_policy, run
 
@@ -94,7 +93,7 @@ def cmd_analyze(args) -> int:
         print(f"ideal_comm_serialized_pairs: {report.serialized_pairs}")
         # the endpoint ranks process 0's ops are bound to, on the channels
         # endpoint identity gives their ops
-        ranks = {desc.endpoint for _, desc in _bound_ops(pattern, endpoints, 0)}
+        ranks = {desc.endpoint for _, desc in bound_ops(pattern, endpoints, 0)}
         identity = channel_policy(PolicyKind.ENDPOINT_IDENTITY, endpoints, pool)
         ep_report = collisions(identity, [(rank, None) for rank in ranks], pool)
         print(f"endpoint_serialized_pairs: {ep_report.serialized_pairs}")
@@ -180,17 +179,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _bound_ops(pattern, assignment, process: int) -> list[tuple]:
-    """(op, descriptor) of every op of ``process``, from the block that holds
-    them: block ``p`` when stamped, else the one block, filtered."""
-    bases, every = pattern.ops.bases, range(len(pattern.template))
-    base = bases[process % len(bases)]
-    return [(PatternOp._make(op), OpDescriptor._make(desc))
-            for op, desc in zip(pattern.ops.at(base, every),
-                                assignment.bindings.at(base, every))
-            if op[1] == process]
-
-
 def _binding_label(desc) -> str:
     if desc.partition is not None:
         return f"req:{desc.partition[0]} part:{desc.partition[1]}"
@@ -218,7 +206,7 @@ def cmd_assign(args) -> int:
     assignment = scenario.build_assignment(pattern)
     print(f"# mechanism={scenario.mechanism} process={process}")
     print("thread\tdirection\top\tbinding")
-    rows = _bound_ops(pattern, assignment, process)
+    rows = bound_ops(pattern, assignment, process)
     for op, desc in sorted(rows, key=lambda row: (row[0].thread, row[0].phase,
                                                   row[0].kind.value)):
         if op.direction is not None and len(op.direction) == 2:

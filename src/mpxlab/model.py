@@ -368,10 +368,6 @@ class OpDescriptor(_OpFields):
         return self.source[0]
 
     @property
-    def thread(self) -> int:
-        return self.source[1]
-
-    @property
     def origin_rank(self) -> int:
         """The rank this op originates from for matching purposes: the global
         endpoint rank under an endpoint context, the process rank otherwise."""

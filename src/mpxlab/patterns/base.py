@@ -4,16 +4,21 @@ and the closed-form resource formulas."""
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping, Sequence, ValuesView
+from collections.abc import Mapping, Sequence, ValuesView
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property, partial
-from itertools import chain, count, filterfalse, repeat
+from itertools import chain, count, repeat
 from math import prod
 from operator import eq, itemgetter
 from typing import NamedTuple
 
-from ..errors import DomainError, InvalidArgumentError, UnsupportedPatternError
+from ..errors import (
+    DomainError,
+    IncompleteAssignmentError,
+    InvalidArgumentError,
+    UnsupportedPatternError,
+)
 from ..model import (
     ANY_SOURCE,
     ANY_TAG,
@@ -32,7 +37,6 @@ from ..model import (
     dup_communicator,
     world_communicator,
 )
-from ..semantics import pair_meets
 
 
 class PatternKind(Enum):
@@ -166,12 +170,12 @@ def _derived(rows, base: int, indexes) -> list[tuple]:
             window, location, partitions, peers in (rows[i],)]
 
 
-class StampedOps(Sequence):
-    """The ops of a pattern, as a read-only sequence equal to the tuple of
-    all of them in op-id order, in blocks that copy one template of ``n``
-    ops: op ``j`` is op ``j % n`` of the block whose first op id, one of
-    :attr:`bases`, is ``j - j % n``.  :meth:`at` is the one statement that
-    reads ops ``base + i`` of a block; the constructor picks its body once.
+class StampedOps:
+    """The ops of a pattern, iterable in op-id order and equal to the tuple
+    of all of them, in blocks that copy one template of ``n`` ops: op ``j``
+    is op ``j % n`` of the block whose first op id, one of :attr:`bases`,
+    is ``j - j % n``.  :meth:`at` is the one statement that reads ops
+    ``base + i`` of a block; the constructor picks its body once.
 
     A one-block view (no ``columns``) holds every op as its template.  A
     stamped view holds process 0's ops, and block ``p`` is process ``p``'s
@@ -193,13 +197,6 @@ class StampedOps(Sequence):
 
     def __len__(self):
         return self._len
-
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return tuple(self[k] for k in range(*j.indices(self._len)))
-        # a range indexes, and refuses an index, as the tuple would
-        block, i = divmod(range(self._len)[j], self._n)
-        return _new(PatternOp, self.at(block * self._n, (i,))[0])
 
     def __iter__(self):
         every = range(self._n)
@@ -225,12 +222,12 @@ class CommPattern:
     single non-corner thread (a corner thread's directions proceed serially
     from its one issue stream).
 
-    ``ops`` is the only per-op record, a :class:`StampedOps`; ``pairs`` is
-    derived from it on each use.  Op ``j`` has op id ``j``, and ops issue
-    in (process, thread, op id) order.  A stencil's ops are stamped, copies
-    of process 0's, so the assigners and the engine's walk read the shared
-    fields once, over :attr:`template`.  Any other sequence of ops is
-    normalised to one block, in op-id order; its ids must be ``0..len - 1``.
+    ``ops`` is the only per-op record, a :class:`StampedOps`.  Op ``j`` has
+    op id ``j``, and ops issue in (process, thread, op id) order.  A
+    stencil's ops are stamped, copies of process 0's, so the assigners and
+    the engine's walk read the shared fields once, over :attr:`template`.
+    Any other sequence of ops is normalised to one block, in op-id order;
+    its ids must be ``0..len - 1``.
     """
 
     kind: PatternKind
@@ -282,13 +279,6 @@ class CommPattern:
         return [slots[slot] for slot in sorted(slots)]
 
     @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """(send id, receive id) of every send that names its partner, in op
-        order."""
-        return tuple((op.op_id, op.partner) for op in self.ops
-                     if op.kind is OpKind.SEND and op.partner is not None)
-
-    @property
     def num_processes(self) -> int:
         return prod(self.process_grid)
 
@@ -326,9 +316,10 @@ class Assignment:
     ``bindings`` is the only per-op record, a :class:`StampedBindings` that
     maps op ids to fully addressed descriptors, in the blocks of the
     pattern's :class:`StampedOps`; a dict of descriptors by op id is
-    normalised to a one-block view.  :meth:`entity` gives the matching
-    entity a channel policy would key on for one descriptor; distinct-thread
-    ops sharing an entity serialize on its channel.
+    normalised to a one-block view, and refused unless its keys are the op
+    ids ``0..len - 1``.  :meth:`entity` gives the matching entity a channel
+    policy would key on for one descriptor; distinct-thread ops sharing an
+    entity serialize on its channel.
     """
 
     mechanism: Mechanism
@@ -343,9 +334,12 @@ class Assignment:
     def __post_init__(self):
         bindings = self.bindings
         if not isinstance(bindings, StampedBindings):  # a dict by op id
-            descs = list(map(bindings.get, range(max(bindings, default=-1) + 1)))
-            self.bindings = StampedBindings(
-                descs, holes=[j for j, desc in enumerate(descs) if desc is None])
+            descs = list(map(bindings.get, range(len(bindings))))
+            if None in descs:
+                raise IncompleteAssignmentError(
+                    f"bindings must bind op ids 0..{len(descs) - 1}; "
+                    f"first unbound: {descs.index(None)}")
+            self.bindings = StampedBindings(descs)
 
     def entity(self, desc: OpDescriptor) -> tuple:
         """The matching entity of a bound descriptor: the thread's tag bits
@@ -367,16 +361,21 @@ class Assignment:
         partitioned, else None."""
         return self.requests if self.mechanism is Mechanism.PARTITIONED else None
 
-    def pair_matches(self, send_id: int, recv_id: int) -> bool:
-        """Can the bound send ``send_id`` meet its intended receive
-        ``recv_id``, by :func:`mpxlab.semantics.pair_meets`: their requests
-        pair under partitioned, and otherwise two-sided ops meet
-        :func:`mpxlab.semantics.can_match`."""
-        return pair_meets(self.bindings[send_id], self.bindings[recv_id],
-                          self.pair_requests)
-
     def describe_objects(self) -> str:
         return ", ".join(f"{k}={v}" for k, v in sorted(self.objects_created.items()))
+
+
+def bound_ops(pattern: CommPattern, assignment: Assignment,
+              process: int) -> list[tuple[PatternOp, OpDescriptor]]:
+    """(op, descriptor) of every op of ``process``, in op-id order, read
+    from the block that holds them: block ``process`` when stamped, else
+    the one block, filtered."""
+    bases, every = pattern.ops.bases, range(len(pattern.template))
+    base = bases[process % len(bases)]
+    return [(_new(PatternOp, op), _new(OpDescriptor, desc))
+            for op, desc in zip(pattern.ops.at(base, every),
+                                assignment.bindings.at(base, every))
+            if op[1] == process]
 
 
 _ADDRESS = itemgetter(1, 5)  # (process, peer process)
@@ -413,17 +412,16 @@ class StampedBindings(Mapping):
     body once.  Only the mapping surface makes them :class:`OpDescriptor`\\ s.
 
     A one-block view holds every descriptor, so it binds a pattern of any
-    block length; ``holes`` lists the op ids below its length that a
-    hand-built dict left unbound, which read None.  A stamped view
-    (``processes`` given) holds one row per template op: its kind, its
-    thread's ``sources``, its issue index, its shared part and the peer
-    process of each copy (:attr:`StampedOps.columns`).
+    block length.  A stamped view (``processes`` given) holds one row per
+    template op: its kind, its thread's ``sources``, its issue index, its
+    shared part and the peer process of each copy
+    (:attr:`StampedOps.columns`).
     """
 
-    __slots__ = ("rows", "holes", "_n", "_len", "at")
+    __slots__ = ("rows", "_n", "_len", "at")
 
-    def __init__(self, rows: list, processes: int | None = None, holes=()):
-        self.rows, self.holes = rows, holes
+    def __init__(self, rows: list, processes: int | None = None):
+        self.rows = rows
         self._n, self._len = len(rows), len(rows) * (processes or 1)
         self.at = partial(_listed if processes is None else _derived, rows)
 
@@ -450,50 +448,31 @@ class StampedBindings(Mapping):
     def __len__(self):
         return self._len
 
-    def __iter__(self):  # the op ids bound: holes are left out
-        return filterfalse(set(self.holes).__contains__, range(self._len))
+    def __iter__(self):
+        return iter(range(self._len))
 
     def __getitem__(self, j):
         if isinstance(j, int) and 0 <= j < self._len:
             i = j % self._n
-            desc = self.at(j - i, (i,))[0]
-            if desc is not None:  # not a hole
-                return _new(OpDescriptor, desc)
+            return _new(OpDescriptor, self.at(j - i, (i,))[0])
         raise KeyError(j)
 
     def tuples(self):
-        """Every bound descriptor, in op-id order, a block at a time: the
-        plain tuples of a stamped view, the descriptors of a one-block
-        view.  A hole, None, is left out."""
+        """Every descriptor, in op-id order, a block at a time: the plain
+        tuples of a stamped view, the descriptors of a one-block view."""
         every = range(self._n)
-        return filter(None, chain.from_iterable(
-            map(self.at, range(0, self._len, self._n or 1), repeat(every))))
-
-    def _values(self):
-        return map(_new, repeat(OpDescriptor), self.tuples())
+        return chain.from_iterable(
+            map(self.at, range(0, self._len, self._n or 1), repeat(every)))
 
     def values(self):
         return _Values(self)
-
-    def items(self):
-        return _Items(self)
-
-    def __repr__(self):
-        return repr(dict(self.items()))
 
 
 class _Values(ValuesView):
     __slots__ = ()
 
     def __iter__(self):  # a block's descriptors at a time, not op by op
-        return self._mapping._values()
-
-
-class _Items(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return zip(self._mapping, self._mapping._values())
+        return map(_new, repeat(OpDescriptor), self._mapping.tuples())
 
 
 def bind(pattern: CommPattern, shared) -> StampedBindings:

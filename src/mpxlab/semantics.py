@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from .errors import (
     IncompleteAssignmentError,
@@ -36,9 +36,7 @@ from .model import (
     TWO_SIDED,
     Tag,
 )
-
-if TYPE_CHECKING:
-    from .patterns.base import Assignment, CommPattern
+from .patterns.base import Assignment, CommPattern, bound_ops
 
 ORACLE_MAX_OPS = 12
 
@@ -51,7 +49,6 @@ def _tags_equal(a: Tag | None, b: Tag | None) -> bool:
 # read once: a module global costs far less than an enum member read
 _ENDPOINT, _SEND, _RECV = ContextFamily.ENDPOINT, OpKind.SEND, OpKind.RECV
 _ANY_TAG = ANY_TAG.raw
-_new = tuple.__new__
 
 # why an intended pair is refused
 CANNOT_MATCH = "bound contexts cannot match"
@@ -105,16 +102,22 @@ def can_match(send: OpDescriptor, recv: OpDescriptor) -> bool:
     return send_scope == recv_scope and recv_bucket in send_covers(send_bucket)
 
 
+def request_key(request: PartitionedRequest) -> tuple:
+    """A partitioned request's (context, sender, receiver, tag), the same
+    seen from either side: a send and a receive request pair when their
+    keys are equal."""
+    if request.direction is Direction.SEND:
+        return (request.comm.context_id, request.owner, request.peer,
+                request.tag.raw)
+    return (request.comm.context_id, request.peer, request.owner,
+            request.tag.raw)
+
+
 def requests_match(send_req: PartitionedRequest, recv_req: PartitionedRequest) -> bool:
     """Partitioned matching happens once per request pair, not per partition."""
-    return (
-        send_req.direction is Direction.SEND
-        and recv_req.direction is Direction.RECV
-        and send_req.comm.context_id == recv_req.comm.context_id
-        and send_req.peer == recv_req.owner
-        and recv_req.peer == send_req.owner
-        and send_req.tag.raw == recv_req.tag.raw
-    )
+    return (send_req.direction is Direction.SEND
+            and recv_req.direction is Direction.RECV
+            and request_key(send_req) == request_key(recv_req))
 
 
 def pair_meets(send: OpDescriptor, recv: OpDescriptor, requests=None) -> bool:
@@ -649,15 +652,12 @@ def _serial_bucket_key(op: OpDescriptor, hints: InfoHints):
 
 def check_bound(pattern: "CommPattern", assignment: "Assignment"):
     """Raise :class:`IncompleteAssignmentError` when an op is left unbound.
-    Both views bind op ids by position, so no op is read: the unbound ops
-    are those past the bindings' length and the holes a hand-built dict
-    left below it."""
-    n, bound = len(pattern.ops), assignment.bindings
-    missing = [j for j in bound.holes if j < n] + list(range(len(bound), n))
-    if missing:
+    The bindings bind op ids ``0..len - 1`` by position, so no op is read:
+    the unbound ops are those past the bindings' length."""
+    n, bound = len(pattern.ops), len(assignment.bindings)
+    if bound < n:
         raise IncompleteAssignmentError(
-            f"assignment leaves {len(missing)} ops unbound (first: {missing[0]})"
-        )
+            f"assignment leaves {n - bound} ops unbound (first: {bound})")
 
 
 def matching_violations(pattern: "CommPattern", assignment: "Assignment") -> list:
@@ -669,9 +669,8 @@ def matching_violations(pattern: "CommPattern", assignment: "Assignment") -> lis
     template's sends that name a partner are checked in each block.
     :func:`mpxlab.simulator.run` finds the same list without this pass: its
     engine decides each intended pair as the send issues, checking by the
-    rule of :meth:`Assignment.pair_matches` only a send it did not pair with
-    its partner, and ``run()`` calls this full check only when the engine
-    fails.
+    rule of :func:`pair_meets` only a send it did not pair with its partner,
+    and ``run()`` calls this full check only when the engine fails.
     """
     check_bound(pattern, assignment)
     ops, template, requests = pattern.ops, pattern.template, assignment.pair_requests
@@ -699,20 +698,14 @@ def validate_assignment(pattern: "CommPattern", assignment: "Assignment") -> Val
     (which a per-entity channel map would serialize).  Pairs within a single
     thread are exempt from the entity rule: one thread issues serially anyway.
     """
-    from .patterns.base import PatternOp
-
     report = ValidationReport(matching_violations(pattern, assignment))
     hints, entity = assignment.hints, assignment.entity
 
-    # lost parallelism, representative process (torus-symmetric), in block 0
-    probe = pattern.representative_process
-    every = range(len(pattern.template))
+    # lost parallelism, on the representative process (torus-symmetric)
     ops, descs = [], {}
-    for op, desc in zip(pattern.ops.at(0, every),
-                        assignment.bindings.at(0, every)):
-        if op[1] == probe:
-            ops.append(_new(PatternOp, op))
-            descs[op[0]] = _new(OpDescriptor, desc)
+    for op, desc in bound_ops(pattern, assignment, pattern.representative_process):
+        ops.append(op)
+        descs[op.op_id] = desc
     entity_of = {op_id: entity(desc) for op_id, desc in descs.items()}
     by_entity: dict = {}
     by_bucket: dict = {}

@@ -27,8 +27,8 @@ second posting promotes it to a queue; the take that empties a scope drops
 it.  Scopes and buckets are MPI's triplet rule as :mod:`mpxlab.semantics`
 states it once.  The engine decides every intended pair as its send issues:
 a send matched with its intended partner confirms that pair, and any other
-is checked on the spot by the rule :meth:`Assignment.pair_matches` states,
-:func:`mpxlab.semantics.pair_meets`.
+is checked on the spot by the rule :func:`mpxlab.semantics.pair_meets`
+states.
 
 Partitioned requests match once per message: one attempt and one success per
 request pair per iteration, independent of the partition count.  Their
@@ -55,7 +55,7 @@ from .patterns.base import Assignment, CommPattern, Mechanism, PatternKind
 from .patterns.irregular import collective_footprint
 from .semantics import (CANNOT_MATCH, check_bound, is_wildcard_bucket,
                         match_keys, matching_violations, pair_meets,
-                        send_covers)
+                        request_key, send_covers)
 
 
 class EventKind(Enum):
@@ -323,20 +323,18 @@ def _pair_requests(requests) -> dict[int, int]:
 
     Each send, in id order, takes the first untaken receive in id order that
     :func:`mpxlab.semantics.requests_match` accepts.  Those are the receives
-    with the send's (context, owner, peer, tag) seen from the other side, so
-    the send takes the head of that key's queue.
+    with the send's :func:`mpxlab.semantics.request_key`, so the send takes
+    the head of that key's queue.
     """
     by_id = sorted(requests, key=lambda r: r.request_id)
     recvs_of: dict[tuple, deque] = {}
     for r in by_id:
         if r.direction is Direction.RECV:
-            recvs_of.setdefault(
-                (r.comm.context_id, r.peer, r.owner, r.tag.raw), deque()
-            ).append(r.request_id)
+            recvs_of.setdefault(request_key(r), deque()).append(r.request_id)
     pair_of = {}
     for s in by_id:
         if s.direction is Direction.SEND:
-            queue = recvs_of.get((s.comm.context_id, s.owner, s.peer, s.tag.raw))
+            queue = recvs_of.get(request_key(s))
             if queue:
                 pair_of[s.request_id] = queue.popleft()
     return pair_of
@@ -409,11 +407,10 @@ class _Engine:
         Each send with a partner decides its pair as it issues: the pair is
         confirmed when the matcher pairs the send with its partner or, under
         partitioned, when their requests are paired, the partner's read from
-        its arrival test in the same phase; otherwise it is checked
-        on the spot by :func:`mpxlab.semantics.pair_meets` on the two
-        descriptors, the rule of :meth:`Assignment.pair_matches`, and
-        recorded in ``violations`` when it fails.  A polled send is never
-        confirmed.
+        its arrival test in the same phase; otherwise it is checked on the
+        spot by :func:`mpxlab.semantics.pair_meets` on the two descriptors,
+        and recorded in ``violations`` when it fails.  A polled send is
+        never confirmed.
 
         The two views' ``at`` statements read a block's ops of a phase and
         their descriptors, the block addressed by its first op id, so a
@@ -720,7 +717,7 @@ def run(pattern: CommPattern, assignment: Assignment,
     Identical inputs always produce identical reports.
 
     The engine decides the intended pairs as their sends issue, checking
-    by the rule of :meth:`Assignment.pair_matches` each send it did not
+    by the rule of :func:`mpxlab.semantics.pair_meets` each send it did not
     pair with its partner (itself or, under partitioned, by request).  When
     the engine fails, every pair is checked, and a pair that cannot match
     is the refusal.
@@ -731,7 +728,7 @@ def run(pattern: CommPattern, assignment: Assignment,
     try:
         engine = _Engine(pattern, assignment, pool, mapping, seed, events)
         report = engine.run()
-        # in send id order: generators number ops in order, as pattern.pairs
+        # in send id order: generators number ops in order
         violations = engine.violations
     except Exception:
         violations = matching_violations(pattern, assignment)

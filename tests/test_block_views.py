@@ -9,15 +9,16 @@ forms.  The guard below keeps a second path from coming back.
 """
 
 import ast
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from mpxlab.errors import IncompleteAssignmentError, InvalidArgumentError
-from mpxlab.patterns import assign_endpoints, gen_fan_in, gen_stencil
+from mpxlab.patterns import assign_communicators_naive, gen_fan_in
 from mpxlab.patterns.specfile import scenario_from_dict
-from mpxlab.semantics import check_bound, matching_violations
+from mpxlab.semantics import matching_violations
 from mpxlab.simulator import run
 
 from test_reports import SPECS
@@ -52,20 +53,22 @@ def test_op_ids_in_any_order_are_taken_in_op_id_order():
     assert shuffled.ops == pattern.ops and list(shuffled.template) == ops
 
 
-def test_an_unbound_op_inside_the_range_is_refused_with_its_id():
-    pattern = gen_stencil(2, 5, [2, 2], [3, 3])
-    assignment = assign_endpoints(pattern)
-    n = len(pattern.ops)
-    bindings = dict(assignment.bindings)
-    del bindings[5], bindings[n - 1]
-    holed = replace(assignment, bindings=bindings)
-    assert 5 not in holed.bindings and len(dict(holed.bindings)) == n - 2
-    assert list(holed.bindings) == [j for j in range(n - 1) if j != 5]
+@pytest.mark.parametrize("rebind,message", [
+    (lambda b: {0: b[0], 1: b[1], 3: b[3]}, "0..2; first unbound: 2"),
+    (lambda b: {0: b[0], 1: b[1], 2: b[2], "3": b[3]}, "0..3; first unbound: 3"),
+    (lambda b: {0: b[0], 1: b[1], 2: b[2], 10**6: b[3]},
+     "0..3; first unbound: 3"),
+], ids=["hole", "str key", "far id"])
+def test_a_dict_of_bindings_off_the_op_ids_is_refused_when_built(rebind, message):
+    pattern = gen_fan_in(2)  # four ops
+    assignment = assign_communicators_naive(pattern, num_comms=1)
+    bindings = rebind(assignment.bindings)
+    start = time.perf_counter()
     with pytest.raises(IncompleteAssignmentError) as refused:
-        check_bound(pattern, holed)
-    assert str(refused.value) == "assignment leaves 2 ops unbound (first: 5)"
-    with pytest.raises(IncompleteAssignmentError):
-        run(pattern, holed)
+        replace(assignment, bindings=bindings)
+    # refused from the dict's length: no list as long as its largest key
+    assert time.perf_counter() - start < 0.5
+    assert str(refused.value) == f"bindings must bind op ids {message}"
 
 
 # --------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from mpxlab.semantics import can_match, match_keys
 from mpxlab.patterns.specfile import scenario_from_dict
 from mpxlab.simulator import _Engine, _Queue, _post, _take, run
 
+from helpers import intended_pairs
 from test_reports import SPECS
 
 CONTEXTS = [
@@ -350,10 +351,10 @@ def test_run_refuses_an_unbound_op(monkeypatch):
     # before any simulation, and before a pair that cannot match
     p = gen_fan_in(4)
     a = assign_communicators_naive(p, num_comms=1)
-    _, recv_id = p.pairs[-1]
-    # the bindings are read-only: retag one op and leave op 0 out of a copy
+    _, recv_id = intended_pairs(p)[0]
+    # the bindings are read-only: retag one op and leave the last out of a copy
     bindings = {**a.bindings, recv_id: a.bindings[recv_id]._replace(tag=Tag(99))}
-    del bindings[p.ops[0].op_id]
+    del bindings[len(p.ops) - 1]
     a = replace(a, bindings=bindings)
 
     def never(self):
@@ -361,9 +362,9 @@ def test_run_refuses_an_unbound_op(monkeypatch):
 
     monkeypatch.setattr(_Engine, "run", never)
     monkeypatch.setattr(_Engine, "_iteration", never)
-    # an unbound op inside the range of the bound ones is named
+    # the first op past the bound ones is named
     with pytest.raises(IncompleteAssignmentError,
-                       match=r"^assignment leaves 1 ops unbound \(first: 0\)$"):
+                       match=r"^assignment leaves 1 ops unbound \(first: 7\)$"):
         run(p, a)
 
 

@@ -127,7 +127,7 @@ def test_replace_rebinds_a_descriptor_as_the_rma_endpoints_do():
                                  target=1, tag=Tag(5), endpoint=7)
     pattern = gen_bspmm(2, 3, tiles=4, seed=2)
     assignment = assign_bspmm_endpoints(pattern)
-    assert all(d.endpoint == 3 * d.process + d.thread
+    assert all(d.endpoint == 3 * d.source[0] + d.source[1]
                for d in assignment.bindings.values())
 
 

@@ -7,7 +7,7 @@ The matching triplet is stated once, in :mod:`mpxlab.semantics`
 send the matcher paired with its partner meets ``can_match``
 (``tests/test_matching.py`` checks the matcher against a linear scan of a
 field-by-field reference rule).  The engine decides every other pair as its
-send issues, through ``Assignment.pair_matches``; ``run()`` checks every
+send issues, through ``semantics.pair_meets``; ``run()`` checks every
 pair only when the engine fails.  The cases below corrupt one intended pair
 of each small spec of ``tests/test_reports.py`` and expect the refusal
 :func:`matching_violations` describes.
@@ -25,6 +25,7 @@ from mpxlab.patterns.specfile import scenario_from_dict
 from mpxlab.semantics import matching_violations, requests_match
 from mpxlab.simulator import _Engine, channel_policy, run
 
+from helpers import intended_pairs
 from test_reports import SPECS
 
 
@@ -99,7 +100,7 @@ CASES.append(("stencil-2d-5pt/partitioned", "two-sided receive", "first"))
 def test_a_corrupted_pair_is_refused_as_the_full_check_refuses_it(
         name, field, which):
     scenario, pattern, assignment = build(name)
-    pairs = pattern.pairs
+    pairs = intended_pairs(pattern)
     send_id, recv_id = pairs[0] if which == "first" else pairs[-1]
     assignment = corrupt(assignment, send_id, recv_id, field)
     violations = matching_violations(pattern, assignment)
@@ -154,7 +155,7 @@ def test_a_send_matched_off_its_partner_runs_when_its_pair_can_match():
 
 def test_a_refused_run_leaves_the_requests_as_it_found_them():
     scenario, pattern, clean = build("stencil-2d-5pt/partitioned")
-    send_id, recv_id = pattern.pairs[0]
+    send_id, recv_id = intended_pairs(pattern)[0]
     # shares every request but the corrupted one with the clean assignment
     corrupted = corrupt(clean, send_id, recv_id, "request tag")
     with pytest.raises(InvalidAssignmentError):
