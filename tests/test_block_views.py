@@ -2,7 +2,8 @@
 
 A stencil's ``CommPattern.ops`` is a stamped view of process 0's ops, one
 block per process; any other pattern's ops are normalised to one block, in
-op-id order, and a dict of descriptors to a one-block binding view.  Each
+op-id order, and a dict of descriptors to a one-block binding view, which
+is refused unless its keys are the op ids ``0..len - 1``.  Each
 view reads a block through one ``at(base, indexes)`` statement, the block
 addressed by its first op id, so the package states one path through both
 forms.  The guard below keeps a second path from coming back.

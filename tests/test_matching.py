@@ -351,8 +351,9 @@ def test_run_refuses_an_unbound_op(monkeypatch):
     # before any simulation, and before a pair that cannot match
     p = gen_fan_in(4)
     a = assign_communicators_naive(p, num_comms=1)
-    _, recv_id = intended_pairs(p)[0]
-    # the bindings are read-only: retag one op and leave the last out of a copy
+    _, recv_id = intended_pairs(p)[-1]
+    # the bindings are read-only: retag one receive and leave the last op
+    # (another receive) out of a copy
     bindings = {**a.bindings, recv_id: a.bindings[recv_id]._replace(tag=Tag(99))}
     del bindings[len(p.ops) - 1]
     a = replace(a, bindings=bindings)
