@@ -99,18 +99,17 @@ def encode_tag(src_tid: int, dst_tid: int, app_bits: int, layout: TagBitLayout) 
     Field overflow raises :class:`TagOverflowError`; applications that already
     use most of the tag space genuinely run out of bits here.
     """
-    for name, value, nbits in (
-        ("src_tid", src_tid, layout.num_tid_bits),
-        ("dst_tid", dst_tid, layout.num_tid_bits),
-        ("app_bits", app_bits, layout.num_app_bits),
-    ):
-        if value < 0 or value >= 1 << nbits:
-            raise TagOverflowError(f"{name}={value} does not fit {nbits} bits")
-    return Tag(
-        src_tid << (layout.num_tid_bits + layout.num_app_bits)
-        | dst_tid << layout.num_app_bits
-        | app_bits
-    )
+    tid_bits, app = layout.num_tid_bits, layout.num_app_bits
+    # x >> n is nonzero exactly when x is negative or needs more than n bits
+    if src_tid >> tid_bits or dst_tid >> tid_bits or app_bits >> app:
+        for name, value, nbits in (("src_tid", src_tid, tid_bits),
+                                   ("dst_tid", dst_tid, tid_bits),
+                                   ("app_bits", app_bits, app)):
+            if value < 0 or value >= 1 << nbits:
+                raise TagOverflowError(f"{name}={value} does not fit {nbits} bits")
+    tag = object.__new__(Tag)  # the fields fit the layout: Tag's checks pass
+    object.__setattr__(tag, "raw", src_tid << (tid_bits + app) | dst_tid << app | app_bits)
+    return tag
 
 
 def decode_tag(tag: Tag, layout: TagBitLayout) -> tuple[int, int, int]:

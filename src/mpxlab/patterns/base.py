@@ -378,7 +378,7 @@ def bound_ops(pattern: CommPattern, assignment: Assignment,
             if op[1] == process]
 
 
-_ADDRESS = itemgetter(1, 5)  # (process, peer process)
+_ADDRESS, _TAG_KEY = itemgetter(1, 5, 9), itemgetter(9)  # process, peer, tag key
 
 
 def _program_indexes(pattern: CommPattern) -> dict[int, int]:
@@ -428,21 +428,22 @@ class StampedBindings(Mapping):
     @classmethod
     def bound(cls, ops: StampedOps, parts: list[tuple], indexes) -> StampedBindings:
         """The view binding ``ops`` from each template op's part and issue
-        index: one row per template op of a stamped view, else one
-        descriptor per op."""
+        index, the part's tag rule applied to the op's tag key: one row per
+        template op of a stamped view, else one descriptor per op."""
         if ops.columns is not None:
             return cls([
-                (kind, sources, index, contexts, targets, tag, endpoints,
+                (kind, sources, index, contexts, targets, tags(key), endpoints,
                  window, location, partitions, peers)
-                for index, (sources, kind, contexts, targets, tag, endpoints,
-                            window, location, partitions), peers
-                in zip(indexes, parts, ops.columns)], len(ops.bases))
+                for index, key, (sources, kind, contexts, targets, tags,
+                                 endpoints, window, location, partitions), peers
+                in zip(indexes, map(_TAG_KEY, ops.template), parts, ops.columns)],
+                len(ops.bases))
         return cls([
             _new(OpDescriptor, (
-                kind, sources[p], index, contexts[p], targets[peer], tag,
+                kind, sources[p], index, contexts[p], targets[peer], tags(key),
                 endpoints[p], window, location, partitions[p]))
-            for (p, peer), index, (sources, kind, contexts, targets, tag,
-                                   endpoints, window, location, partitions)
+            for (p, peer, key), index, (sources, kind, contexts, targets, tags,
+                                        endpoints, window, location, partitions)
             in zip(map(_ADDRESS, ops.template), indexes, parts)])
 
     def __len__(self):
@@ -475,20 +476,26 @@ class _Values(ValuesView):
         return map(_new, repeat(OpDescriptor), self._mapping.tuples())
 
 
+_SHAPE = itemgetter(2, 3, 4, 6, 10, 11)  # see bind
+# tag rules of shapes whose ops all take one tag: next(repeat(tag), key) is tag
+ANY_TAG_RULE, NO_TAG_RULE = (partial(next, repeat(tag)) for tag in (ANY_TAG, None))
+
+
 def bind(pattern: CommPattern, shared) -> StampedBindings:
     """Every op's descriptor: the binding step of every assigner.
 
     ``shared(op)`` gives the fields that every op of ``op``'s shape shares:
-    ``(kind, contexts, targets, tag, endpoints, window, target location,
+    ``(kind, contexts, targets, tags, endpoints, window, target location,
     partitions)``.  An op's shape is its thread, kind, direction, peer
-    thread, location and tag key; a wildcard receive takes any tag, so its
-    key is left out.  ``shared`` is called once per shape of the template.
-    The fields that may depend on the op's process are columns, lists of
-    one value per process: ``contexts``, ``endpoints`` and ``partitions``
-    are indexed by the op's process and ``targets`` by its peer process.
-    Per op, the statement adds only its column entries, its thread's
-    ``source`` tuple and its issue index, in :meth:`StampedBindings.bound`:
-    a stamped view derives each descriptor on access.
+    thread, location and whether it is a wildcard receive (which binds
+    unlike a named one), not its tag key; ``shared`` is called once per
+    shape of the template.  The fields that may depend on the op's process
+    are columns, lists of one value per process: ``contexts``, ``endpoints``
+    and ``partitions`` are indexed by the op's process and ``targets`` by
+    its peer process.  ``tags``, the shape's tag rule, is a callable of the
+    op's tag key, such as ``cache(Tag)`` or ``ANY_TAG_RULE``.  Per op, bind
+    adds its tag, column entries, ``source`` and issue index in
+    :meth:`StampedBindings.bound`; a stamped view derives them on access.
 
     The addressing rule of the :class:`OpDescriptor` constructor reads an
     op's kind, its context's family and whether it has a context, endpoint,
@@ -503,14 +510,14 @@ def bind(pattern: CommPattern, shared) -> StampedBindings:
     template = pattern.template
     by_shape, checked, parts = {}, set(), []
     for op in template:
-        shape = (op[2], op[3], op[4], op[6], op[10], None if op[11] else op[9])
+        shape = _SHAPE(op)
         part = by_shape.get(shape)
         if part is None:
             part = by_shape[shape] = (sources[op[2]],) + shared(op)
             if part[1] not in checked:
-                _, kind, contexts, _, tag, endpoints, window, location, \
+                _, kind, contexts, _, _, endpoints, window, location, \
                     partitions = part
-                OpDescriptor(kind, (0, 0), 0, contexts[0], None, tag,
+                OpDescriptor(kind, (0, 0), 0, contexts[0], None, None,
                              endpoints[0], window, location, partitions[0])
                 checked.add(kind)
         parts.append(part)
@@ -571,8 +578,7 @@ def assign_communicators_naive(pattern: CommPattern,
         wild = op.is_wildcard_recv
         owner = op.thread if op.kind is OpKind.SEND else op.peer_thread
         return (op.kind, contexts[owner % K], anywhere if wild else peers,
-                ANY_TAG if wild else tag_of(op.tag_key), nones, None, None,
-                nones)
+                ANY_TAG_RULE if wild else tag_of, nones, None, None, nones)
 
     return Assignment(
         mechanism=Mechanism.COMMUNICATORS,
@@ -602,12 +608,11 @@ def assign_endpoints(pattern: CommPattern) -> Assignment:
     tag_of = cache(Tag)
 
     def shared(op):
-        # a wildcard receive has no peer thread and the tag ANY_TAG
-        if op.is_wildcard_recv:
-            return (op.kind, context, anywhere, ANY_TAG, ranks[op.thread],
-                    None, None, nones)
-        return (op.kind, context, ranks[op.peer_thread], tag_of(op.tag_key),
-                ranks[op.thread], None, None, nones)
+        # a wildcard receive has no peer thread and takes any tag
+        wild = op.is_wildcard_recv
+        return (op.kind, context, anywhere if wild else ranks[op.peer_thread],
+                ANY_TAG_RULE if wild else tag_of, ranks[op.thread], None, None,
+                nones)
 
     # the bound endpoints: every (process, thread) slot of the template that
     # issues an op, in each block

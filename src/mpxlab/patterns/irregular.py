@@ -29,9 +29,11 @@ from .base import (
     Assignment,
     CommPattern,
     Mechanism,
+    NO_TAG_RULE,
     PatternKind,
     PatternOp,
     REFUSALS,
+    _new,
     _rank_columns,
     bind,
     refuse_unsupported,
@@ -39,34 +41,42 @@ from .base import (
 
 
 # PatternOp by position: (op id, process, thread, kind, direction, peer
-# process, peer thread, partner, phase, tag key, location, wildcard receive);
-# a module global costs far less than an enum member read
-_op = PatternOp._make
-_SEND, _RECV = OpKind.SEND, OpKind.RECV
+# process, peer thread, partner, phase, tag key, location, wildcard receive),
+# built with ``_new``.  A value below ``n`` is drawn as ``randrange(n)`` draws
+# it, with no Python call: ``getrandbits(n.bit_length())``, redrawn while ``>= n``.
+_SEND, _RECV = OpKind.SEND, OpKind.RECV  # a global reads faster than a member
 
 
 def gen_legion(nodes: int, task_threads: int, events: int, seed: int = 0,
                payload: int = 8192) -> CommPattern:
     """Event-driven runtime traffic: task threads fire active messages at
     random remote nodes; one polling thread per node consumes them through
-    fully wildcard receives."""
+    fully wildcard receives.  Per event it draws (see above) the source node,
+    the destination among the others, then the source task thread."""
     if nodes < 2:
         raise InvalidArgumentError("need at least two nodes")
     if task_threads < 1 or events < 1:
         raise InvalidArgumentError("need at least one task thread and one event")
-    rng = random.Random(seed)
+    draw, others = random.Random(seed).getrandbits, nodes - 1
+    k_nodes, k_others, k_threads = map(int.bit_length, (nodes, others, task_threads))
     ops: list[PatternOp] = []
     for e in range(events):
-        src = rng.randrange(nodes)
-        dst = rng.randrange(nodes - 1)
+        src = draw(k_nodes)
+        while src >= nodes:
+            src = draw(k_nodes)
+        dst = draw(k_others)
+        while dst >= others:
+            dst = draw(k_others)
         if dst >= src:
             dst += 1
-        src_thread = 1 + rng.randrange(task_threads)
+        src_thread = 1 + draw(k_threads)
+        while src_thread > task_threads:
+            src_thread = 1 + draw(k_threads)
         send_id, recv_id = 2 * e, 2 * e + 1
-        ops += (_op((send_id, src, src_thread, _SEND, None, dst, 0, recv_id,
-                     0, e, None, False)),
-                _op((recv_id, dst, 0, _RECV, None, src, src_thread, send_id,
-                     0, e, None, True)))
+        ops += (_new(PatternOp, (send_id, src, src_thread, _SEND, None, dst, 0,
+                                 recv_id, 0, e, None, False)),
+                _new(PatternOp, (recv_id, dst, 0, _RECV, None, src, src_thread,
+                                 send_id, 0, e, None, True)))
     return CommPattern(
         kind=PatternKind.LEGION_POLLING,
         process_grid=(nodes,),
@@ -81,19 +91,20 @@ def gen_bspmm(procs: int, threads: int, tiles: int, seed: int = 0,
               payload: int = 8192) -> CommPattern:
     """Get-compute-update tile multiplication: each thread runs two work
     units, each of two gets and one atomic update against a single shared
-    window; some units update the same destination tile."""
+    window; some units update the same destination tile.  Each unit draws
+    (see above) the tiles of its two gets, then of its update."""
     if procs < 1 or threads < 1 or tiles < 1:
         raise InvalidArgumentError("counts must be positive")
-    rng = random.Random(seed)
+    draw, k = random.Random(seed).getrandbits, tiles.bit_length()
     ops: list[PatternOp] = []
     for p in range(procs):
         for t in range(threads):
-            for _ in range(2):
-                a, b, c = (rng.randrange(tiles) for _ in range(3))
-                for kind, tile in ((OpKind.GET, a), (OpKind.GET, b),
-                                   (OpKind.ACCUMULATE, c)):
-                    ops.append(_op((len(ops), p, t, kind, None, tile % procs,
-                                    None, None, 0, 0, tile, False)))
+            for kind in (OpKind.GET, OpKind.GET, OpKind.ACCUMULATE) * 2:
+                tile = draw(k)
+                while tile >= tiles:
+                    tile = draw(k)
+                ops.append(_new(PatternOp, (len(ops), p, t, kind, None, tile % procs,
+                                            None, None, 0, 0, tile, False)))
     return CommPattern(
         kind=PatternKind.BSPMM_RMA,
         process_grid=(procs,),
@@ -109,8 +120,8 @@ def gen_allreduce(procs: int, threads: int, buffer_elems: int) -> CommPattern:
     reduction of its own segment of the process buffer."""
     if procs < 1 or threads < 1 or buffer_elems < 1:
         raise InvalidArgumentError("counts must be positive")
-    ops = [_op((p * threads + t, p, t, OpKind.COLLECTIVE, None, (p + 1) % procs,
-                None, None, 0, t, None, False))
+    ops = [_new(PatternOp, (p * threads + t, p, t, OpKind.COLLECTIVE, None,
+                            (p + 1) % procs, None, None, 0, t, None, False))
            for p in range(procs) for t in range(threads)]
     return CommPattern(
         kind=PatternKind.MULTITHREADED_ALLREDUCE,
@@ -126,23 +137,29 @@ def gen_dynamic_graph(procs: int, threads: int, rounds: int = 2,
                       seed: int = 0, payload: int = 8192) -> CommPattern:
     """A neighborhood that is redrawn every round from a seeded generator;
     receivers cannot know their peers ahead of time, so receives are
-    wildcards."""
+    wildcards.  Per round, process and thread it draws (see above) the peer
+    among the other processes, then the peer thread."""
     if procs < 2 or threads < 1 or rounds < 1:
         raise InvalidArgumentError("need >= 2 procs, >= 1 threads and rounds")
-    rng = random.Random(seed)
+    draw, others = random.Random(seed).getrandbits, procs - 1
+    k_others, k_threads = others.bit_length(), threads.bit_length()
     ops: list[PatternOp] = []
     for r in range(rounds):
         for p in range(procs):
             for t in range(threads):
-                q = rng.randrange(procs - 1)
+                q = draw(k_others)
+                while q >= others:
+                    q = draw(k_others)
                 if q >= p:
                     q += 1
-                u = rng.randrange(threads)
+                u = draw(k_threads)
+                while u >= threads:
+                    u = draw(k_threads)
                 send_id, recv_id = len(ops), len(ops) + 1
-                ops += (_op((send_id, p, t, _SEND, None, q, u, recv_id, r, r,
-                             None, False)),
-                        _op((recv_id, q, u, _RECV, None, p, t, send_id, r, r,
-                             None, True)))
+                ops += (_new(PatternOp, (send_id, p, t, _SEND, None, q, u,
+                                         recv_id, r, r, None, False)),
+                        _new(PatternOp, (recv_id, q, u, _RECV, None, p, t,
+                                         send_id, r, r, None, True)))
     return CommPattern(
         kind=PatternKind.DYNAMIC_GRAPH,
         process_grid=(procs,),
@@ -159,11 +176,11 @@ def gen_fan_in(senders: int, payload: int = 8192) -> CommPattern:
     if senders < 1:
         raise InvalidArgumentError("need at least one sender")
     last = 2 * senders - 1
-    ops = [_op((i, 0, i, _SEND, None, 1, 0, last - i, 0, i, None, False))
-           for i in range(senders)]
+    ops = [_new(PatternOp, (i, 0, i, _SEND, None, 1, 0, last - i, 0, i,
+                            None, False)) for i in range(senders)]
     # posted in reverse tag order: receive j takes tag senders - 1 - j
-    ops += [_op((senders + j, 1, 0, _RECV, None, 0, tag, tag, 0, tag,
-                 None, False))
+    ops += [_new(PatternOp, (senders + j, 1, 0, _RECV, None, 0, tag, tag, 0,
+                             tag, None, False))
             for j, tag in enumerate(range(senders - 1, -1, -1))]
     return CommPattern(
         kind=PatternKind.FAN_IN,
@@ -214,7 +231,7 @@ def assign_bspmm_windows(pattern: CommPattern) -> Assignment:
         mechanism=Mechanism.WINDOWS,
         hints=InfoHints(),
         bindings=bind(pattern, lambda op: (
-            op.kind, nones, peers, None, nones, window, op.location, nones)),
+            op.kind, nones, peers, NO_TAG_RULE, nones, window, op.location, nones)),
         objects_created={"windows": 1},
     )
 
@@ -235,8 +252,8 @@ def assign_bspmm_endpoints(pattern: CommPattern) -> Assignment:
         mechanism=Mechanism.ENDPOINTS,
         hints=InfoHints(),
         bindings=bind(pattern, lambda op: (
-            op.kind, nones, peers, None, ranks[op.thread], window, op.location,
-            nones)),
+            op.kind, nones, peers, NO_TAG_RULE, ranks[op.thread], window,
+            op.location, nones)),
         objects_created={"windows": 1,
                          "endpoints_per_process": pattern.threads_per_process,
                          "endpoints_total": epcomm.total_endpoints},
@@ -267,8 +284,8 @@ def assign_allreduce(pattern: CommPattern, mechanism: Mechanism) -> Assignment:
         objects = {"communicators": T}
 
         def shared(op):
-            return (op.kind, contexts[op.thread], peers, Tag(op.tag_key),
-                    nones, None, None, nones)
+            return (op.kind, contexts[op.thread], peers, Tag, nones, None,
+                    None, nones)
     elif mechanism is Mechanism.ENDPOINTS:
         epcomm = create_endpoints_comm(world, T, ids)
         context = [MatchContextId(ContextFamily.ENDPOINT, epcomm.context_id)] * P
@@ -277,8 +294,8 @@ def assign_allreduce(pattern: CommPattern, mechanism: Mechanism) -> Assignment:
                    "endpoints_total": epcomm.total_endpoints}
 
         def shared(op):
-            return (op.kind, context, peers, Tag(op.tag_key), ranks[op.thread],
-                    None, None, nones)
+            return (op.kind, context, peers, Tag, ranks[op.thread], None,
+                    None, nones)
     elif mechanism is Mechanism.PARTITIONED:
         for p in range(P):
             for direction, peer in ((Direction.SEND, (p + 1) % P),
@@ -294,8 +311,8 @@ def assign_allreduce(pattern: CommPattern, mechanism: Mechanism) -> Assignment:
 
         def shared(op):
             # every thread readies its partition of its process's send request
-            return (OpKind.PARTITION_READY, nones, nones, None, nones, None,
-                    None, [(send_of[p], op.thread) for p in range(P)])
+            return (OpKind.PARTITION_READY, nones, nones, NO_TAG_RULE, nones,
+                    None, None, [(send_of[p], op.thread) for p in range(P)])
     else:
         raise UnsupportedPatternError(REFUSALS[pattern.kind][mechanism.value])
     return Assignment(

@@ -17,7 +17,7 @@ sheet-structured and deliberately leaves a few slots idle.
 from __future__ import annotations
 
 import itertools
-from functools import cache
+from functools import cache, partial
 from math import ceil, log2, prod
 from operator import itemgetter
 
@@ -41,11 +41,13 @@ from .base import (
     Assignment,
     CommPattern,
     Mechanism,
+    NO_TAG_RULE,
     PatternKind,
     PatternOp,
     STENCIL_KINDS,
     STENCIL_SHAPES,
     StampedOps,
+    _TAG_KEY,
     bind,
     refuse_unsupported,
 )
@@ -346,8 +348,8 @@ def assign_communicators_ideal(pattern: CommPattern) -> Assignment:
     tag_of = cache(Tag)
 
     def shared(op):
-        return (op.kind, columns[op.thread, op.direction], peers,
-                tag_of(op.tag_key), nones, None, None, nones)
+        return (op.kind, columns[op.thread, op.direction], peers, tag_of,
+                nones, None, None, nones)
 
     return Assignment(
         mechanism=Mechanism.COMMUNICATORS,
@@ -369,7 +371,7 @@ def assign_tags_with_hints(pattern: CommPattern) -> Assignment:
     _require_stencil(pattern, "tags", "tag-bit")
     T = pattern.threads_per_process
     tid_bits = max(1, ceil(log2(T))) if T > 1 else 1
-    max_app = max((op.tag_key for op in pattern.template), default=0)
+    max_app = max(map(_TAG_KEY, pattern.template), default=0)
     app_bits = max(1, max_app.bit_length())
     layout = TagBitLayout(num_vcis=min(T, 1 << tid_bits), num_tid_bits=tid_bits,
                           num_app_bits=app_bits)
@@ -381,17 +383,14 @@ def assign_tags_with_hints(pattern: CommPattern) -> Assignment:
     comm = dup_communicator(world, ids, purpose=Purpose.PARALLELISM_EXPOSURE)
     context = [MatchContextId(ContextFamily.COMM, comm.context_id)] * P
     peers, nones = list(range(P)), [None] * P
-    tags: dict[tuple[int, int, int], Tag] = {}
+    # a send and its receive share a thread pair's rule and each key's tag
+    tag_of = cache(lambda src, dst, key: encode_tag(src, dst, key, layout))
+    rule_of = cache(partial)
 
     def shared(op):
-        if op.kind is OpKind.SEND:
-            fields = (op.thread, op.peer_thread, op.tag_key)
-        else:
-            fields = (op.peer_thread, op.thread, op.tag_key)
-        tag = tags.get(fields)
-        if tag is None:
-            tag = tags[fields] = encode_tag(*fields, layout)
-        return (op.kind, context, peers, tag, nones, None, None, nones)
+        rule = (rule_of(tag_of, op.thread, op.peer_thread) if op.kind is OpKind.SEND
+                else rule_of(tag_of, op.peer_thread, op.thread))
+        return (op.kind, context, peers, rule, nones, None, None, nones)
 
     return Assignment(
         mechanism=Mechanism.TAGS_WITH_HINTS,
@@ -473,8 +472,8 @@ def assign_partitioned(pattern: CommPattern) -> Assignment:
     def shared(op):
         name, index = place[_PLACE(op)]
         return (OpKind.PARTITION_READY if op.kind is OpKind.SEND
-                else OpKind.PARTITION_ARRIVED_TEST, nones, nones, None, nones,
-                None, None, [(rid, index) for rid in request_of[name]])
+                else OpKind.PARTITION_ARRIVED_TEST, nones, nones, NO_TAG_RULE,
+                nones, None, None, [(rid, index) for rid in request_of[name]])
 
     return Assignment(
         mechanism=Mechanism.PARTITIONED,
