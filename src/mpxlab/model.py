@@ -102,11 +102,11 @@ def encode_tag(src_tid: int, dst_tid: int, app_bits: int, layout: TagBitLayout) 
     tid_bits, app = layout.num_tid_bits, layout.num_app_bits
     # x >> n is nonzero exactly when x is negative or needs more than n bits
     if src_tid >> tid_bits or dst_tid >> tid_bits or app_bits >> app:
-        for name, value, nbits in (("src_tid", src_tid, tid_bits),
-                                   ("dst_tid", dst_tid, tid_bits),
-                                   ("app_bits", app_bits, app)):
-            if value < 0 or value >= 1 << nbits:
-                raise TagOverflowError(f"{name}={value} does not fit {nbits} bits")
+        raise next(TagOverflowError(f"{name}={value} does not fit {nbits} bits")
+                   for name, value, nbits in (("src_tid", src_tid, tid_bits),
+                                              ("dst_tid", dst_tid, tid_bits),
+                                              ("app_bits", app_bits, app))
+                   if value >> nbits)
     tag = object.__new__(Tag)  # the fields fit the layout: Tag's checks pass
     object.__setattr__(tag, "raw", src_tid << (tid_bits + app) | dst_tid << app | app_bits)
     return tag

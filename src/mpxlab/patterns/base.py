@@ -137,7 +137,7 @@ class PatternOp(NamedTuple):
 
 
 _new = tuple.__new__
-_OP_ID, _PHASE = itemgetter(0), itemgetter(8)
+_OP_ID, _PEER, _PHASE = itemgetter(0), itemgetter(5), itemgetter(8)
 
 
 def _listed(rows, base: int, indexes) -> list:
@@ -156,6 +156,11 @@ def _copies(template, columns, base: int, indexes) -> list[tuple]:
             for _, _, t, kind, d, _, peer_t, partner, phase, tag, location, wild
             in (template[i],)
             for q in (columns[i][p],)]
+
+
+def _own_peers(rows, indexes):
+    """Each op's own peer as a 1-tuple column: a one-block ``peers``."""
+    return zip(map(_PEER, map(rows.__getitem__, indexes)))
 
 
 def _derived(rows, base: int, indexes) -> list[tuple]:
@@ -181,10 +186,15 @@ class StampedOps:
     stamped view holds process 0's ops, and block ``p`` is process ``p``'s
     copy: its op ``i`` keeps all of template op ``i`` but the peer process,
     ``columns[i][p]``, and the partner, that process's copy of the
-    template op's partner.
+    template op's partner.  So in both forms op ``i`` of block ``b`` is at
+    process ``template[i].process + b`` (a one-block view has only block
+    0), with peer ``c[b]`` of its peer column ``c`` and, past block 0,
+    partner ``template[i].partner + (c[b] - c[0]) * n``.  :meth:`peers`
+    iterates the columns of template ops ``indexes``: a stamped view's, or
+    a one-block op's own peer as a new 1-tuple.
     """
 
-    __slots__ = ("template", "columns", "bases", "_n", "_len", "at")
+    __slots__ = ("template", "columns", "bases", "_n", "_len", "at", "peers")
 
     def __init__(self, template: Sequence[PatternOp],
                  columns: list[list[int]] | None = None, processes: int = 1):
@@ -194,6 +204,8 @@ class StampedOps:
         # a partial, not a bound method: the view holds no reference cycle
         self.at = partial(_listed, template) if columns is None \
             else partial(_copies, template, columns)
+        self.peers = partial(_own_peers, template) if columns is None \
+            else partial(map, columns.__getitem__)
 
     def __len__(self):
         return self._len

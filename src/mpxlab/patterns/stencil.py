@@ -48,6 +48,7 @@ from .base import (
     STENCIL_SHAPES,
     StampedOps,
     _TAG_KEY,
+    _new,
     bind,
     refuse_unsupported,
 )
@@ -129,48 +130,59 @@ def gen_stencil(dims: int, points: int, process_grid, thread_grid,
     template stands for op ``p * len(template) + i`` of process ``p``, whose
     peer process is ``p`` moved by the template's process carry along each
     crossed axis.  :class:`StampedOps` derives each such op on access.
+
+    The template comes from per-axis ``(carry, wrapped)`` tables by
+    (coordinate, offset).  Threads of one boundary class (per axis: at
+    either end, both or neither) cross the same directions with the same
+    carries and flat peer-thread distances, decided once per class.
     """
     geo = StencilGeometry(process_grid, thread_grid)
     if geo.dims != dims:
         raise InvalidArgumentError(f"grids are {geo.dims}-dimensional, dims={dims}")
     dirs = stencil_directions(dims, points)
-    dir_index = {d: i for i, d in enumerate(dirs)}
+    traffic = {d: i for i, d in enumerate(dirs)}
+    neg = {d: _neg(d) for d in dirs}
     kind = {shape: k for k, shape in STENCIL_SHAPES.items()}[(dims, points)]
 
+    tables = [{(c, o): divmod(c + o, n) for c in range(n) for o in (-1, 0, 1)}
+              for n in geo.T]
     threads = [geo.thread_coords(t) for t in range(prod(geo.T))]
-    # the directions a thread's halo crosses do not depend on its process
-    crossings = [[d for d in dirs if geo.crossing(tc, d)] for tc in threads]
-    template = []  # (thread, kind, direction, peer thread, carry, phase)
-    slot: dict[tuple, int] = {}
+    # boundary class -> a row per direction it crosses, as unpacked below
+    classes: dict[tuple, list[tuple]] = {}
+    pairs = []  # (thread, direction row): a receive and a send each
     for t, tc in enumerate(threads):
-        for d in crossings[t]:
-            moved = [c + o for c, o in zip(tc, d)]
-            carry = tuple(m // n for m, n in zip(moved, geo.T))
-            peer_t = geo.thread_flat([m % n for m, n in zip(moved, geo.T)])
-            for op_kind in (OpKind.RECV, OpKind.SEND):
-                slot[(t, d, op_kind)] = len(template)
-                traffic = dir_index[d if op_kind is OpKind.SEND else _neg(d)]
-                template.append((t, op_kind, d, peer_t, carry, traffic))
+        cls = tuple((c == 0, c == n - 1) for c, n in zip(tc, geo.T))
+        if cls not in classes:
+            moved = (zip(*map(dict.__getitem__, tables, zip(tc, d))) for d in dirs)
+            classes[cls] = [(d, neg[d], carry, geo.thread_flat(wrapped) - t,
+                             traffic[neg[d]], traffic[d])
+                            for d, (carry, wrapped) in zip(dirs, moved)
+                            if geo.crossing(tc, d)]
+        pairs += zip(itertools.repeat(t), classes[cls])
 
-    # the process each carry leads to, from every process
+    # the process each carry leads to, from every process: per axis and
+    # offset, each process's wrapped coordinate times the axis stride, summed
     procs = [geo.proc_coords(p) for p in range(prod(geo.P))]
-    moves = {
-        carry: [geo.proc_flat([(c + k) % n for c, k, n in zip(pc, carry, geo.P)])
-                for pc in procs]
-        for carry in {row[4] for row in template}
-    }
-    # process 0's ops, and the peer process of each one's copy at every
-    # process
-    n0, ops, columns = len(template), [], []
-    for i, (t, op_kind, d, peer_t, carry, traffic) in enumerate(template):
-        to = moves[carry]
-        mate = OpKind.SEND if op_kind is OpKind.RECV else OpKind.RECV
-        ops.append(PatternOp(i, 0, t, op_kind, d, to[0], peer_t,
-                             to[0] * n0 + slot[(peer_t, _neg(d), mate)],
-                             traffic, traffic))
-        columns.append(to)
+    shifted = [{o: [(pc[k] + o) % n * prod(geo.P[:k]) for pc in procs]
+                for o in (-1, 0, 1)} for k, n in enumerate(geo.P)]
+    moves = {carry: list(map(sum, zip(*map(dict.__getitem__, shifted, carry))))
+             for carry in {row[2] for rows in classes.values() for row in rows}}
 
-    communicating = frozenset(t for t, ds in enumerate(crossings) if ds)
+    # process 0's ops, and each one's peer process at every process; the
+    # partner of a (thread, direction) op is the peer's (peer thread, negation)
+    first = {(t, row[0]): 2 * i for i, (t, row) in enumerate(pairs)}
+    n0, ops, columns = 2 * len(pairs), [], []
+    for i, (t, (d, nd, carry, distance, into, out)) in enumerate(pairs):
+        to = moves[carry]
+        peer, peer_t = to[0], t + distance
+        mate = peer * n0 + first[peer_t, nd]
+        ops += (_new(PatternOp, (2 * i, 0, t, OpKind.RECV, d, peer, peer_t,
+                                 mate + 1, into, into, None, False)),
+                _new(PatternOp, (2 * i + 1, 0, t, OpKind.SEND, d, peer, peer_t,
+                                 mate, out, out, None, False)))
+        columns += (to, to)
+
+    communicating = frozenset(t for t, _ in pairs)
     corners = frozenset(t for t, tc in enumerate(threads) if geo.is_corner(tc))
     return CommPattern(
         kind=kind,

@@ -393,10 +393,12 @@ class _Engine:
         The walk issues each phase's receives, then its other ops, each in
         (process, thread, op id) order.  Every block of ``pattern.ops`` copies
         the template's thread, kind and phase, and a stamped block holds one
-        process, so a phase needs only the template indexes of its receives
-        and of its other ops, in the template's issue order
-        (:attr:`CommPattern.issue_slots`): op ``base + i`` for the first op
-        id ``base`` of each block and each index ``i``.  A polling
+        process, so a phase needs only the template ops of its receives and
+        of its other ops, in the template's issue order
+        (:attr:`CommPattern.issue_slots`), read in place, with no copy: in
+        block ``b``, at first op id ``base``, template op ``i`` is op ``base
+        + i`` at its process plus ``b``, its peer and partner moved by its
+        peer column (:class:`StampedOps`).  A polling
         pattern's receives are never posted and get no index; its sends go
         to their destination node.  Each send's channel pair is memoised on
         the key the policy reads from its descriptor, and a scope's posted
@@ -412,10 +414,9 @@ class _Engine:
         and recorded in ``violations`` when it fails.  A polled send is
         never confirmed.
 
-        The two views' ``at`` statements read a block's ops of a phase and
-        their descriptors, the block addressed by its first op id, so a
-        one-block binding serves a stamped pattern too.  A stamped view
-        derives them as plain tuples; no per-op record outlives its block.
+        ``bindings.at`` reads a block's descriptors of a phase, the block
+        addressed by its first op id, so a one-block binding serves a
+        stamped pattern too.
         """
         pattern, assignment, pool = self.pattern, self.assignment, self.pool
         bindings, requests = assignment.bindings, assignment.requests
@@ -449,41 +450,38 @@ class _Engine:
             self.attempts += len(pair_of)
             self.matches += len(pair_of)
 
-        # the blocks, by their first op ids, and their ops and descriptors
-        ops_at, descs_at, bases = pattern.ops.at, bindings.at, pattern.ops.bases
+        # the blocks, by their first op ids, and their descriptors
+        descs_at, peers_of, bases = bindings.at, pattern.ops.peers, pattern.ops.bases
         n, every = len(pattern.template), range(len(pattern.template))
         blocks: dict[int, list] = {}  # a partner's block, read once it is needed
 
-        def issued(base, indexes):
-            """(op, descriptor) of each op of a block at template indexes."""
-            return zip(ops_at(base, indexes), descs_at(base, indexes))
-
-        # per phase: the template indexes of its receives and its other ops,
-        # in issue order
+        # per phase, in issue order: its receives' and other ops' template ops
         by_phase: dict[int, tuple[list, list]] = {}
         sends = 0
         for slot in pattern.issue_slots:
-            for i, _, _, op_kind, _, _, _, _, phase, _, _, _ in slot:
-                recv = op_kind is RECV_OP
-                sends += op_kind is SEND_OP
+            for op in slot:
+                recv = op[3] is RECV_OP
+                sends += op[3] is SEND_OP
                 if not (polled and recv):
-                    by_phase.setdefault(phase, ([], []))[not recv].append(i)
+                    by_phase.setdefault(op[8], ([], []))[not recv].append(op)
         self.messages = (sum(r.direction is SEND for r in requests.values())
                          if partitioned else len(bases) * sends)
 
         postings = itertools.count()
         unmatched = 0  # sends that found no posted receive
         attempts = matches = 0  # written back after the walk
-        # PatternOp fields by position: one unpack costs less than several reads
         for phase in sorted(by_phase):
             recvs, others = by_phase[phase]
+            recv_at, other_at = [op[0] for op in recvs], [op[0] for op in others]
             last = 0  # the latest transfer end of this phase
             incoming: dict[int, list[tuple[int, int]]] = {}
             starts = []  # start * P + process, per process a transfer holds
             tested = {}  # op id -> partition of the phase's arrival tests
-            for base in bases:
+            for b, base in enumerate(bases):
                 for (op_id, p, t, _, _, _, _, _, _, _, _, _), desc \
-                        in issued(base, recvs):
+                        in zip(recvs, descs_at(base, recv_at)):
+                    if b:  # a copy: the id and the process move with the block
+                        op_id, p = op_id + base, p + b
                     slot = p * T + t
                     t_issue = clocks[slot]
                     clocks[slot] = t_issue + ISSUE_TICKS
@@ -495,10 +493,13 @@ class _Engine:
                         post(queues, scope, bucket, next(postings), op_id)
                     elif partitioned:
                         tested[op_id] = desc[9]
-            for base in bases:
-                for (op_id, p, t, _, _, peer, _, partner, _, _, _, _), desc \
-                        in issued(base, others):
+            for b, base in enumerate(bases):
+                for (op_id, p, t, _, _, peer, _, partner, _, _, _, _), column, desc \
+                        in zip(others, peers_of(other_at), descs_at(base, other_at)):
                     kind, _, _, _, _, _, _, _, _, partition = desc
+                    if b:  # and the partner with the peer
+                        op_id, p, moved = op_id + base, p + b, column[b]
+                        partner, peer = partner + (moved - peer) * n, moved
                     slot = p * T + t
                     t_issue = clocks[slot]
                     clocks[slot] = t_issue + ISSUE_TICKS

@@ -10,6 +10,8 @@ forms.  The guard below keeps a second path from coming back.
 """
 
 import ast
+import inspect
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -17,10 +19,17 @@ from pathlib import Path
 import pytest
 
 from mpxlab.errors import IncompleteAssignmentError, InvalidArgumentError
-from mpxlab.patterns import assign_communicators_naive, gen_fan_in
+from mpxlab.model import OpKind
+from mpxlab.patterns import (
+    PatternKind,
+    assign_communicators_naive,
+    assign_endpoints,
+    gen_fan_in,
+    gen_stencil,
+)
 from mpxlab.patterns.specfile import scenario_from_dict
 from mpxlab.semantics import matching_violations
-from mpxlab.simulator import run
+from mpxlab.simulator import _Engine, run
 
 from test_reports import SPECS
 
@@ -93,6 +102,86 @@ def test_a_one_block_binding_serves_a_stamped_pattern(name):
     assert reports[0].to_json() == reports[1].to_json()
     assert reports[0].events == reports[1].events
     assert matching_violations(pattern, one_block) == []
+
+
+# --------------------------------------------------------------------------
+# the walk reads each op from its template row and its peer column
+
+
+def walk_reads(pattern, assignment, **how) -> list[tuple]:
+    """What the engine's walk takes for each op as it computes the op's
+    clock slot, read from the walk's locals: (op id, process, thread) of a
+    receive it posts, (op id, process, thread, peer, partner) of any other
+    op."""
+    lines, first = inspect.getsourcelines(_Engine._iteration)
+    # the receives' loop, then the other ops'
+    marks = [first + k for k, line in enumerate(lines)
+             if line.strip() == "slot = p * T + t"]
+    assert len(marks) == 2
+    code, reads = _Engine._iteration.__code__, []
+
+    def inside(frame, event, arg):
+        if event == "line" and frame.f_lineno in marks:
+            seen = frame.f_locals
+            read = (seen["op_id"], seen["p"], seen["t"])
+            if frame.f_lineno == marks[1]:
+                read += (seen["peer"], seen["partner"])
+            reads.append(read)
+        return inside
+
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 inside if frame.f_code is code else None)
+    try:
+        run(pattern, assignment, events=False, **how)
+    finally:
+        sys.settrace(before)
+    return reads
+
+
+def assert_the_walk_reads_the_view(pattern, assignment, **how):
+    n = len(pattern.template)
+    polled = pattern.kind is PatternKind.LEGION_POLLING
+    reads = walk_reads(pattern, assignment, **how)
+    # every op once, but a polled pattern's receives, which are never posted
+    assert sorted(read[0] for read in reads) == [
+        op.op_id for op in pattern.ops
+        if not (polled and op.kind is OpKind.RECV)]
+    for read in reads:
+        base, i = read[0] - read[0] % n, read[0] % n
+        op_id, process, thread, _, _, peer, _, partner, *_ \
+            = pattern.ops.at(base, (i,))[0]
+        assert read == (op_id, process, thread, peer, partner)[:len(read)]
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_the_walk_reads_what_at_gives(name):
+    scenario = scenario_from_dict(SPECS[name])
+    pattern = scenario.build_pattern()
+    assert_the_walk_reads_the_view(
+        pattern, scenario.build_assignment(pattern),
+        pool=scenario.build_pool(), policy=scenario.build_policy(),
+        seed=scenario.seed)
+
+
+def test_the_walk_reads_a_hand_built_block_with_odd_peers():
+    # one block of stencil ops, some of whose sends name no peer process or
+    # a negative one; the descriptors are bound before the peers change
+    pattern = gen_stencil(2, 9, [2, 2], [3, 3])
+    pattern = replace(pattern, ops=tuple(pattern.ops))
+    assignment = assign_endpoints(pattern)
+    odd = {0: None, 1: -1, 2: -5}
+    ops, sends = [], 0
+    for op in pattern.ops:
+        if op.kind is OpKind.SEND:
+            if sends % 4 in odd:
+                op = op._replace(peer_process=odd[sends % 4])
+            sends += 1
+        ops.append(op)
+    pattern = replace(pattern, ops=tuple(ops))
+    assert pattern.ops.columns is None
+    assert {None, -1, -5} <= {op.peer_process for op in pattern.ops}
+    assert_the_walk_reads_the_view(pattern, assignment)
 
 
 # --------------------------------------------------------------------------
