@@ -189,9 +189,8 @@ class StampedOps:
     template op's partner.  So in both forms op ``i`` of block ``b`` is at
     process ``template[i].process + b`` (a one-block view has only block
     0), with peer ``c[b]`` of its peer column ``c`` and, past block 0,
-    partner ``template[i].partner + (c[b] - c[0]) * n``.  :meth:`peers`
-    iterates the columns of template ops ``indexes``: a stamped view's, or
-    a one-block op's own peer as a new 1-tuple.
+    partner ``template[i].partner + (c[b] - c[0]) * n``.  ``peers(indexes)``
+    iterates their columns: a stamped view's, or one-block peers as 1-tuples.
     """
 
     __slots__ = ("template", "columns", "bases", "_n", "_len", "at", "peers")

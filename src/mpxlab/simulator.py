@@ -470,6 +470,7 @@ class _Engine:
         postings = itertools.count()
         unmatched = 0  # sends that found no posted receive
         attempts = matches = 0  # written back after the walk
+        # PatternOp fields by position: one unpack costs less than several reads
         for phase in sorted(by_phase):
             recvs, others = by_phase[phase]
             recv_at, other_at = [op[0] for op in recvs], [op[0] for op in others]
@@ -497,7 +498,7 @@ class _Engine:
                 for (op_id, p, t, _, _, peer, _, partner, _, _, _, _), column, desc \
                         in zip(others, peers_of(other_at), descs_at(base, other_at)):
                     kind, _, _, _, _, _, _, _, _, partition = desc
-                    if b:  # and the partner with the peer
+                    if b:  # a copy: the partner moves with the peer too
                         op_id, p, moved = op_id + base, p + b, column[b]
                         partner, peer = partner + (moved - peer) * n, moved
                     slot = p * T + t

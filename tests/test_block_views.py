@@ -105,7 +105,7 @@ def test_a_one_block_binding_serves_a_stamped_pattern(name):
 
 
 # --------------------------------------------------------------------------
-# the walk reads each op from its template row and its peer column
+# the walk reads each op from its stored template op and its peer column
 
 
 def walk_reads(pattern, assignment, **how) -> list[tuple]:
